@@ -30,12 +30,13 @@ from .evaluation import (
     CvReport,
     FoldPlan,
     FoldRecord,
+    filter_datasets,
     flat_baseline,
     flat_cv,
     nested_cv,
     split_data,
 )
-from .io import filter_datasets, load_dataset, save_dataset, scan_catalog
+from .io import load_dataset, save_dataset, scan_catalog
 from .lcpn import FitCounters, LcpnModel, fit_lcpn, predict_lcpn
 from .metrics import accuracy, f1_macro
 from .splitting import (

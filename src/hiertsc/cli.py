@@ -29,25 +29,21 @@ from .evaluation import (
     CSV_COLUMNS,
     CvReport,
     FoldFeasibilityError,
-    _iteration_context,
+    filter_datasets,
     flat_cv,
+    inner_fold_scorer,
     nested_cv,
-    split_data,
+    select_tree,
 )
-from .io import DatasetFormatError, default_data_dir, filter_datasets, load_dataset, scan_catalog
+from .io import DatasetFormatError, default_data_dir, load_dataset, scan_catalog
 from .lcpn import LcpnModel, NodeTrainingError, fit_lcpn, predict_lcpn
 from .metrics import f1_macro
-from .splitting import SPLITTERS, ScoringError
+from .splitting import SPLITTERS, ScoringError, resolve_splitter
 from .tree import TreeStructureError, tree_to_text
 from .treegen import (
-    CheckResult,
-    TreeSearchState,
-    check_duplicates_and_limit,
     count_distinct_trees,
     count_distinct_trees_one_sided,
-    default_tree_limit,
     double_factorial_trees,
-    grow_tree,
 )
 
 EXIT_OK = 0
@@ -83,7 +79,6 @@ class RunConfig:
     outer_folds: int = 5
     inner_folds: int = 4
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
     n_classes: int | None = None
     n_instances: int | None = None
@@ -95,8 +90,6 @@ class RunConfig:
             raise ConfigError("--iters must be >= 1")
         if self.outer_folds < 2 or self.inner_folds < 2:
             raise ConfigError("fold counts must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if self.splitter not in SPLITTERS:
             raise ConfigError(f"unknown splitter '{self.splitter}'")
 
@@ -155,7 +148,6 @@ def _run_cv(config: RunConfig) -> int:
         n_outer=config.outer_folds,
         seed=config.seed,
         dataset_id=_dataset_id(config),
-        max_workers=config.threads,
     )
     if config.mode == "nested":
         report = nested_cv(n_inner=config.inner_folds, **common)
@@ -173,28 +165,18 @@ def _run_cv(config: RunConfig) -> int:
 
 def _run_fit(config: RunConfig) -> int:
     data = _load(config)
-    state = TreeSearchState(limit=default_tree_limit(data.n_classes))
-    best_tree = None
-    best_score = -1.0
-    for i in range(config.n_iter):
-        if state.at_limit:
-            break
-        ctx = _iteration_context(data, config.classifier, config.seed, 0, i)
-        tree = grow_tree(ctx, config.splitter)
-        if check_duplicates_and_limit(state, tree) is not CheckResult.FRESH:
-            continue
-        plan = split_data(data, config.inner_folds, shuffle=False)
-        scores = []
-        for ki in range(plan.k):
-            model = fit_lcpn(tree, data.subset(plan.train_indices(ki)), config.classifier)
-            val = data.subset(plan.test_indices(ki))
-            predicted, _ = predict_lcpn(model, val.values)
-            scores.append(f1_macro(val.labels, predicted))
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score = score
-            best_tree = tree
-    model = fit_lcpn(best_tree, data, config.classifier, max_workers=config.threads)
+    spec = config.classifier
+    # the whole file plays outer fold 0 of nested CV
+    best_tree, best_score, _, _ = select_tree(
+        data,
+        spec,
+        resolve_splitter(config.splitter),
+        config.n_iter,
+        config.seed,
+        0,
+        inner_fold_scorer(data, spec, config.inner_folds),
+    )
+    model = fit_lcpn(best_tree, data, spec)
     out = Path(config.out_dir)
     _write_atomic(out / "model.json", model.to_bundle() + "\n")
     print(
@@ -497,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--iters", type=int, default=10)
     cv.add_argument("--outer-folds", type=int, default=5)
     cv.add_argument("--inner-folds", type=int, default=4)
-    cv.add_argument("--threads", type=int, default=1)
     cv.add_argument("--out", default="out")
     _add_classifier_args(cv)
 
@@ -506,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--splitter", choices=sorted(SPLITTERS), default="potr")
     fit.add_argument("--iters", type=int, default=10)
     fit.add_argument("--inner-folds", type=int, default=4)
-    fit.add_argument("--threads", type=int, default=1)
     fit.add_argument("--out", default="out")
     _add_classifier_args(fit)
 
@@ -548,7 +528,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             outer_folds=args.outer_folds,
             inner_folds=args.inner_folds,
             seed=args.seed,
-            threads=args.threads,
             out_dir=args.out,
         )
     if args.command == "fit":
@@ -560,7 +539,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             n_iter=args.iters,
             inner_folds=args.inner_folds,
             seed=args.seed,
-            threads=args.threads,
             out_dir=args.out,
         )
     if args.command == "predict":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,6 +84,20 @@ class TimeSeriesDataset:
         idx = np.asarray(indices)
         idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.int64)
         return TimeSeriesDataset(self.values[idx], self.labels[idx], self.label_names)
+
+    def binary_groups(
+        self, c0: Iterable[int], c1: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """Rows whose class lies in c0 or c1, relabelled group 0 / group 1.
+
+        Returns (values, groups, empty): `empty` is the first side (0 or 1)
+        with no rows, or None.  Callers raise their own error for it.
+        """
+        in0 = np.isin(self.labels, np.fromiter(c0, dtype=np.int64))
+        in1 = np.isin(self.labels, np.fromiter(c1, dtype=np.int64))
+        empty = 0 if not in0.any() else 1 if not in1.any() else None
+        keep = in0 | in1
+        return self.values[keep], np.where(in1[keep], 1, 0), empty
 
     def restrict_to_classes(self, classes) -> "TimeSeriesDataset":
         """Instances whose label lies in `classes` (two or more required)."""

@@ -3,24 +3,27 @@
 Nested CV selects, per outer fold, the candidate hierarchy with the best
 inner-fold mean score and reports both that selection score and the held-out
 test score of the refitted model.  Flat CV deliberately selects on the test
-fold itself, reproducing the optimistic bias it is meant to exhibit.  Every
-reported number is a pure function of (data, spec, splitter, n_iter, seeds)
-and is independent of worker count.
+fold itself, reproducing the optimistic bias it is meant to exhibit.  Both
+select with :func:`select_tree`, as does ``hiertsc fit``.  Every reported
+number is a pure function of (data, spec, splitter, n_iter, seeds).
+
+The module also holds the catalog filter, which scores datasets with the
+flat baseline.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .classifiers import ClassifierSpec, fit_classifier
-from .dataset import TimeSeriesDataset
+from .dataset import DataValidationError, TimeSeriesDataset
+from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
 from .lcpn import fit_lcpn, predict_lcpn
-from .metrics import f1_macro
+from .metrics import accuracy, f1_macro
 from .splitting import SplitContext, resolve_splitter
 from .tree import (
     HierarchyTree,
@@ -115,15 +118,23 @@ def split_data(
 
 
 def flat_baseline(
-    data: TimeSeriesDataset, plan: FoldPlan, spec: ClassifierSpec
+    data: TimeSeriesDataset,
+    plan: FoldPlan,
+    spec: ClassifierSpec,
+    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> list[float]:
-    """Per-fold macro-F1 of the flat classifier: fit on train, score on test."""
+    """Per-fold score of the flat classifier: fit on train, score on test.
+
+    `metric` defaults to macro-F1, looked up at call time rather than bound
+    as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
+    """
+    metric = metric or f1_macro
     scores = []
     for fold in range(plan.k):
         train = data.subset(plan.train_indices(fold))
         test = data.subset(plan.test_indices(fold))
         model = fit_classifier(spec, train)
-        scores.append(f1_macro(test.labels, model.predict(test.values)))
+        scores.append(metric(test.labels, model.predict(test.values)))
     return scores
 
 
@@ -333,83 +344,58 @@ def _candidate_trees(
         iterations += 1
         ctx = _iteration_context(outer_train, spec, seed, ko, i)
         tree = grow_tree(ctx, splitter_fn)
-        result = check_duplicates_and_limit(state, tree)
-        if result is CheckResult.FRESH:
+        if check_duplicates_and_limit(state, tree) is CheckResult.FRESH:
             fresh.append(tree)
-        elif result is CheckResult.LIMIT_REACHED:
-            break
     return fresh, iterations, state.distinct_count
 
 
-def _inner_fold_score(
-    tree: HierarchyTree,
-    outer_train: TimeSeriesDataset,
-    plan: FoldPlan,
-    ki: int,
-    spec: ClassifierSpec,
-) -> float:
-    model = fit_lcpn(tree, outer_train.subset(plan.train_indices(ki)), spec)
-    val = outer_train.subset(plan.test_indices(ki))
-    predicted, _ = predict_lcpn(model, val.values)
-    return f1_macro(val.labels, predicted)
-
-
-def _mean_inner_score(
-    tree: HierarchyTree,
-    outer_train: TimeSeriesDataset,
-    plan: FoldPlan,
-    spec: ClassifierSpec,
-    max_workers: int,
-) -> float:
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            scores = list(
-                pool.map(
-                    lambda ki: _inner_fold_score(tree, outer_train, plan, ki, spec),
-                    range(plan.k),
-                )
-            )
-    else:
-        scores = [
-            _inner_fold_score(tree, outer_train, plan, ki, spec) for ki in range(plan.k)
-        ]
-    return float(np.mean(scores))
-
-
-def _test_score(
+def _fit_score(
     tree: HierarchyTree,
     train: TimeSeriesDataset,
     test: TimeSeriesDataset,
     spec: ClassifierSpec,
-    max_workers: int,
 ) -> float:
-    model = fit_lcpn(tree, train, spec, max_workers=max_workers)
+    """Macro-F1 on `test` of the LCPN model of `tree` fit on `train`."""
+    model = fit_lcpn(tree, train, spec)
     predicted, _ = predict_lcpn(model, test.values)
     return f1_macro(test.labels, predicted)
 
 
-def _fold_record(
-    fold: int,
-    tree: HierarchyTree,
-    inner_mean: float | None,
-    outer_score: float,
-    fc_score: float,
-    train: TimeSeriesDataset,
-    distinct: int,
-    iterations: int,
-) -> FoldRecord:
-    return FoldRecord(
-        fold=fold,
-        selected_tree=tree,
-        inner_mean_score=inner_mean,
-        outer_test_score=outer_score,
-        fc_score=fc_score,
-        class_balance=class_balance_factor(tree),
-        data_balance=datapoint_balance_factor(tree, train),
-        delta_g=outer_score - fc_score,
-        distinct_trees=distinct,
-        iterations_run=iterations,
+def inner_fold_scorer(
+    train: TimeSeriesDataset, spec: ClassifierSpec, n_inner: int
+) -> Callable[[HierarchyTree], float]:
+    """Scorer giving a tree's mean macro-F1 over the unshuffled inner folds
+    of `train`; the fold plan and its subsets are built once, here."""
+    plan = split_data(train, n_inner, shuffle=False)
+    folds = [
+        (train.subset(plan.train_indices(ki)), train.subset(plan.test_indices(ki)))
+        for ki in range(plan.k)
+    ]
+    return lambda tree: float(
+        np.mean([_fit_score(tree, fit, val, spec) for fit, val in folds])
     )
+
+
+def select_tree(
+    train: TimeSeriesDataset,
+    spec: ClassifierSpec,
+    splitter_fn: Callable,
+    n_iter: int,
+    seed: int,
+    ko: int,
+    scorer: Callable[[HierarchyTree], float],
+) -> tuple[HierarchyTree, float, int, int]:
+    """Score every fresh candidate of the (seed, ko) stream over `train` and
+    keep the first tree with the highest score.
+
+    Returns (tree, score, iterations run, distinct count).
+    """
+    fresh, iterations, distinct = _candidate_trees(
+        train, spec, splitter_fn, n_iter, seed, ko
+    )
+    scores = [scorer(tree) for tree in fresh]
+    best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
+    return fresh[best], scores[best], iterations, distinct
 
 
 def _splitter_label(splitter) -> str:
@@ -418,61 +404,54 @@ def _splitter_label(splitter) -> str:
     return getattr(splitter, "__name__", "custom")
 
 
-def nested_cv(
+def _cross_validate(
     data: TimeSeriesDataset,
     spec: ClassifierSpec,
     splitter,
     n_iter: int,
-    n_outer: int = 5,
-    n_inner: int = 4,
-    seed: int = 0,
-    dataset_id: str = "",
-    max_workers: int = 1,
+    n_outer: int,
+    n_inner: int | None,
+    seed: int,
+    dataset_id: str,
 ) -> CvReport:
-    """Nested cross-validation: inner-fold means select the tree, the held-out
-    outer fold measures it.
-
-    Per outer fold, up to n_iter candidate trees are generated from fresh
-    shuffled splits of the outer-train set (duplicates skipped, generation
-    stopping once every distinct tree has been seen).  Each fresh tree is
-    scored by the mean macro-F1 over the unshuffled inner folds; the best is
-    refit on the whole outer-train set and scored on the outer test fold,
-    next to the flat baseline on the same folds.
-    """
+    """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
+    when it is None."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
+    fc_scores = flat_baseline(data, outer_plan, spec)
     records = []
     for ko in range(n_outer):
         train = data.subset(outer_plan.train_indices(ko))
         test = data.subset(outer_plan.test_indices(ko))
-        fresh, iterations, distinct = _candidate_trees(
-            train, spec, splitter_fn, n_iter, seed, ko
+        if n_inner is None:
+            scorer = lambda tree: _fit_score(tree, train, test, spec)
+        else:
+            scorer = inner_fold_scorer(train, spec, n_inner)
+        tree, score, iterations, distinct = select_tree(
+            train, spec, splitter_fn, n_iter, seed, ko, scorer
         )
-        inner_plan = split_data(train, n_inner, shuffle=False)
-        best_tree: HierarchyTree | None = None
-        best_mean = 0.0
-        first: tuple[HierarchyTree, float] | None = None
-        for tree in fresh:
-            mean_score = _mean_inner_score(tree, train, inner_plan, spec, max_workers)
-            if first is None:
-                first = (tree, mean_score)
-            if mean_score > best_mean:
-                best_mean = mean_score
-                best_tree = tree
-        if best_tree is None:
-            best_tree, best_mean = first  # all candidates scored 0.0
-        outer_score = _test_score(best_tree, train, test, spec, max_workers)
-        fc_model = fit_classifier(spec, train)
-        fc_score = f1_macro(test.labels, fc_model.predict(test.values))
+        if n_inner is None:
+            inner_mean, outer_score = None, score
+        else:
+            inner_mean, outer_score = score, _fit_score(tree, train, test, spec)
         records.append(
-            _fold_record(
-                ko, best_tree, best_mean, outer_score, fc_score, train, distinct, iterations
+            FoldRecord(
+                fold=ko,
+                selected_tree=tree,
+                inner_mean_score=inner_mean,
+                outer_test_score=outer_score,
+                fc_score=fc_scores[ko],
+                class_balance=class_balance_factor(tree),
+                data_balance=datapoint_balance_factor(tree, train),
+                delta_g=outer_score - fc_scores[ko],
+                distinct_trees=distinct,
+                iterations_run=iterations,
             )
         )
     return CvReport(
-        scheme="nested",
+        scheme="flat" if n_inner is None else "nested",
         dataset_id=dataset_id,
         spec=spec,
         splitter_name=_splitter_label(splitter),
@@ -486,6 +465,29 @@ def nested_cv(
     )
 
 
+def nested_cv(
+    data: TimeSeriesDataset,
+    spec: ClassifierSpec,
+    splitter,
+    n_iter: int,
+    n_outer: int = 5,
+    n_inner: int = 4,
+    seed: int = 0,
+    dataset_id: str = "",
+) -> CvReport:
+    """Nested cross-validation: inner-fold means select the tree, the held-out
+    outer fold measures it.
+
+    Per outer fold, up to n_iter candidate trees are generated from fresh
+    shuffled splits of the outer-train set (duplicates skipped, generation
+    stopping once every distinct tree has been seen).  Each fresh tree is
+    scored by the mean macro-F1 over the unshuffled inner folds; the best is
+    refit on the whole outer-train set and scored on the outer test fold,
+    next to the flat baseline on the same folds.
+    """
+    return _cross_validate(data, spec, splitter, n_iter, n_outer, n_inner, seed, dataset_id)
+
+
 def flat_cv(
     data: TimeSeriesDataset,
     spec: ClassifierSpec,
@@ -494,7 +496,6 @@ def flat_cv(
     n_outer: int = 5,
     seed: int = 0,
     dataset_id: str = "",
-    max_workers: int = 1,
 ) -> CvReport:
     """Flat cross-validation: candidates are selected directly on the test
     fold, reproducing the scheme's intentional optimism.
@@ -503,46 +504,84 @@ def flat_cv(
     same (data, spec, splitter, n_iter, seed), so per fold the flat best is
     never below the test score of the nested-selected tree.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    splitter_fn = resolve_splitter(splitter)
-    outer_plan = split_data(data, n_outer, shuffle=False)
-    records = []
-    for ko in range(n_outer):
-        train = data.subset(outer_plan.train_indices(ko))
-        test = data.subset(outer_plan.test_indices(ko))
-        fresh, iterations, distinct = _candidate_trees(
-            train, spec, splitter_fn, n_iter, seed, ko
-        )
-        best_tree: HierarchyTree | None = None
-        best_score = 0.0
-        first: tuple[HierarchyTree, float] | None = None
-        for tree in fresh:
-            score = _test_score(tree, train, test, spec, max_workers)
-            if first is None:
-                first = (tree, score)
-            if score > best_score:
-                best_score = score
-                best_tree = tree
-        if best_tree is None:
-            best_tree, best_score = first  # all candidates scored 0.0
-        fc_model = fit_classifier(spec, train)
-        fc_score = f1_macro(test.labels, fc_model.predict(test.values))
-        records.append(
-            _fold_record(
-                ko, best_tree, None, best_score, fc_score, train, distinct, iterations
+    return _cross_validate(data, spec, splitter, n_iter, n_outer, None, seed, dataset_id)
+
+
+# -- the dataset-selection filter ---------------------------------------------
+
+ACCURACY_EXCLUSION_THRESHOLD = 0.995
+
+
+@dataclass(frozen=True)
+class FilterDecision:
+    name: str
+    kept: bool
+    reason: str
+    n_classes: int | None = None
+    accuracies: tuple[float, ...] | None = None
+
+
+def filter_datasets(
+    entries: Iterable[CatalogEntry],
+    specs: tuple[ClassifierSpec, ClassifierSpec],
+    k: int = 5,
+) -> list[FilterDecision]:
+    """Apply the dataset-selection rule to a catalog.
+
+    A dataset is kept when it has more than two classes and is not near
+    ceiling: entries whose fixed unshuffled k-fold accuracy exceeds 99.5%
+    under BOTH configured classifiers are excluded.  Unreadable entries are
+    listed with their error, never fatal.
+    """
+    decisions = []
+    for entry in entries:
+        try:
+            train = load_dataset(entry.train_path)
+            test = load_dataset(entry.test_path)
+        except (DatasetFormatError, DataValidationError) as exc:
+            decisions.append(FilterDecision(entry.name, False, f"unreadable: {exc}"))
+            continue
+        try:
+            merged = merge_datasets(train, test)
+        except DataValidationError as exc:
+            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
+            continue
+        if merged.n_classes <= 2:
+            decisions.append(
+                FilterDecision(
+                    entry.name,
+                    False,
+                    f"only {merged.n_classes} classes",
+                    n_classes=merged.n_classes,
+                )
             )
-        )
-    return CvReport(
-        scheme="flat",
-        dataset_id=dataset_id,
-        spec=spec,
-        splitter_name=_splitter_label(splitter),
-        n_iter=n_iter,
-        n_outer=n_outer,
-        n_inner=None,
-        seed=seed,
-        n_classes=data.n_classes,
-        n_instances=data.n_instances,
-        folds=tuple(records),
-    )
+            continue
+        try:
+            plan = split_data(merged, k)
+            accuracies = tuple(
+                float(np.mean(flat_baseline(merged, plan, spec, accuracy))) for spec in specs
+            )
+        except (ValueError, ArithmeticError) as exc:
+            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
+            continue
+        if all(a > ACCURACY_EXCLUSION_THRESHOLD for a in accuracies):
+            decisions.append(
+                FilterDecision(
+                    entry.name,
+                    False,
+                    "near-ceiling accuracy under every classifier",
+                    n_classes=merged.n_classes,
+                    accuracies=accuracies,
+                )
+            )
+        else:
+            decisions.append(
+                FilterDecision(
+                    entry.name,
+                    True,
+                    "kept",
+                    n_classes=merged.n_classes,
+                    accuracies=accuracies,
+                )
+            )
+    return decisions

@@ -13,12 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
-from .evaluation import split_data
-from .metrics import accuracy
-
-ACCURACY_EXCLUSION_THRESHOLD = 0.995
+from .tree import _token_sort_key
 
 
 class DatasetFormatError(ValueError):
@@ -27,13 +23,6 @@ class DatasetFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"{message} (line {line})" if line is not None else message)
-
-
-def _token_sort_key(token: str):
-    try:
-        return (0, float(token), token)
-    except ValueError:
-        return (1, 0.0, token)
 
 
 def _densify(raw_labels: list[str], rows: list[list[float]]):
@@ -163,7 +152,7 @@ def save_dataset(data: TimeSeriesDataset, path: str | Path) -> None:
             fh.write("\t".join([token, *[repr(float(v)) for v in row]]) + "\n")
 
 
-# -- dataset catalogs and the selection filter --------------------------------
+# -- dataset catalogs ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -171,15 +160,6 @@ class CatalogEntry:
     name: str
     train_path: Path
     test_path: Path
-
-
-@dataclass(frozen=True)
-class FilterDecision:
-    name: str
-    kept: bool
-    reason: str
-    n_classes: int | None = None
-    accuracies: tuple[float, ...] | None = None
 
 
 def scan_catalog(root: str | Path) -> list[CatalogEntry]:
@@ -226,81 +206,6 @@ def merge_datasets(a: TimeSeriesDataset, b: TimeSeriesDataset) -> TimeSeriesData
     labels = np.asarray([to_id[t] for t in raw], dtype=np.int64)
     values = np.vstack([a.values, b.values])
     return TimeSeriesDataset(values, labels, {i: n for n, i in to_id.items()})
-
-
-def filter_datasets(
-    entries: Iterable[CatalogEntry],
-    specs: tuple[ClassifierSpec, ClassifierSpec],
-    k: int = 5,
-) -> list[FilterDecision]:
-    """Apply the dataset-selection rule to a catalog.
-
-    A dataset is kept when it has more than two classes and is not near
-    ceiling: entries whose fixed unshuffled k-fold accuracy exceeds 99.5%
-    under BOTH configured classifiers are excluded.  Unreadable entries are
-    listed with their error, never fatal.
-    """
-    decisions = []
-    for entry in entries:
-        try:
-            train = load_dataset(entry.train_path)
-            test = load_dataset(entry.test_path)
-        except (DatasetFormatError, DataValidationError) as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unreadable: {exc}"))
-            continue
-        try:
-            merged = merge_datasets(train, test)
-        except DataValidationError as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
-            continue
-        if merged.n_classes <= 2:
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    False,
-                    f"only {merged.n_classes} classes",
-                    n_classes=merged.n_classes,
-                )
-            )
-            continue
-        try:
-            accuracies = tuple(
-                _cv_accuracy(merged, spec, k) for spec in specs
-            )
-        except (ValueError, ArithmeticError) as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
-            continue
-        if all(a > ACCURACY_EXCLUSION_THRESHOLD for a in accuracies):
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    False,
-                    "near-ceiling accuracy under every classifier",
-                    n_classes=merged.n_classes,
-                    accuracies=accuracies,
-                )
-            )
-        else:
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    True,
-                    "kept",
-                    n_classes=merged.n_classes,
-                    accuracies=accuracies,
-                )
-            )
-    return decisions
-
-
-def _cv_accuracy(data: TimeSeriesDataset, spec: ClassifierSpec, k: int) -> float:
-    plan = split_data(data, k, shuffle=False)
-    scores = []
-    for fold in range(k):
-        model = fit_classifier(spec, data.subset(plan.train_indices(fold)))
-        test = data.subset(plan.test_indices(fold))
-        scores.append(accuracy(test.labels, model.predict(test.values)))
-    return float(np.mean(scores))
 
 
 def default_data_dir() -> Path | None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,18 +73,14 @@ class LcpnModel:
 def _fit_node(
     parent, data: TimeSeriesDataset, spec: ClassifierSpec
 ) -> tuple[TrainedClassifier, int]:
-    in_left = np.isin(data.labels, np.fromiter(parent.left, dtype=np.int64))
-    in_right = np.isin(data.labels, np.fromiter(parent.right, dtype=np.int64))
-    if not in_left.any() or not in_right.any():
-        side = "left" if not in_left.any() else "right"
+    values, groups, empty = data.binary_groups(parent.left, parent.right)
+    if empty is not None:
         raise NodeTrainingError(
-            f"parent {parent.id} has no training instances on its {side} side "
+            f"parent {parent.id} has no training instances on its "
+            f"{('left', 'right')[empty]} side "
             f"({sorted(parent.left)} | {sorted(parent.right)})"
         )
-    keep = in_left | in_right
-    meta = np.where(in_right[keep], 1, 0)
-    model = fit_classifier(spec, TimeSeriesDataset(data.values[keep], meta))
-    return model, int(keep.sum())
+    return fit_classifier(spec, TimeSeriesDataset(values, groups)), groups.size
 
 
 def fit_lcpn(
@@ -93,13 +88,12 @@ def fit_lcpn(
     data: TimeSeriesDataset,
     spec: ClassifierSpec,
     counters: FitCounters | None = None,
-    max_workers: int = 1,
 ) -> LcpnModel:
     """Train one binary classifier per parent on the instances under it.
 
     Each node sees exactly the rows whose class lies in the parent's class
     set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
-    result does not depend on training order or worker count.
+    result does not depend on training order.
     """
     foreign = frozenset(data.label_space) - tree.root_classes
     if foreign:
@@ -107,11 +101,7 @@ def fit_lcpn(
             f"data contains labels {sorted(foreign)} outside the tree's classes "
             f"{sorted(tree.root_classes)}"
         )
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            fitted = list(pool.map(lambda p: _fit_node(p, data, spec), tree.parents))
-    else:
-        fitted = [_fit_node(p, data, spec) for p in tree.parents]
+    fitted = [_fit_node(p, data, spec) for p in tree.parents]
     if counters is not None:
         for parent, (_, n_rows) in zip(tree.parents, fitted):
             counters.per_parent_instances.append(n_rows)

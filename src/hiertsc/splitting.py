@@ -65,18 +65,6 @@ class ScoredSplit(NamedTuple):
     c1: ClassSet
 
 
-def _group_dataset(data: TimeSeriesDataset, c0: ClassSet, c1: ClassSet, part: str):
-    labels = data.labels
-    in0 = np.isin(labels, np.fromiter(c0, dtype=np.int64))
-    in1 = np.isin(labels, np.fromiter(c1, dtype=np.int64))
-    if not in0.any() or not in1.any():
-        empty = sorted(c0) if not in0.any() else sorted(c1)
-        raise ScoringError(f"group {empty} has no instances in the {part} part")
-    keep = in0 | in1
-    meta = np.where(in1[keep], 1, 0)
-    return data.values[keep], meta
-
-
 def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -> float:
     """Macro-F1 of the two meta-groups on the validation part.
 
@@ -90,8 +78,12 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         raise ScoringError("both groups must be non-empty")
     if c0 & c1:
         raise ScoringError(f"groups overlap on {sorted(c0 & c1)}")
-    train_values, train_meta = _group_dataset(ctx.train, c0, c1, "training")
-    val_values, val_meta = _group_dataset(ctx.val, c0, c1, "validation")
+    train_values, train_meta, train_empty = ctx.train.binary_groups(c0, c1)
+    val_values, val_meta, val_empty = ctx.val.binary_groups(c0, c1)
+    for empty, part in ((train_empty, "training"), (val_empty, "validation")):
+        if empty is not None:
+            group = sorted((c0, c1)[empty])
+            raise ScoringError(f"group {group} has no instances in the {part} part")
     model = fit_classifier(ctx.spec, TimeSeriesDataset(train_values, train_meta))
     predicted = model.predict(val_values)
     return f1_macro(val_meta, predicted)

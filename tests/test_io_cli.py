@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from hiertsc import ClassifierSpec, load_dataset, save_dataset
+from hiertsc import ClassifierSpec, filter_datasets, load_dataset, save_dataset
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
 from hiertsc.io import (
     DatasetFormatError,
-    filter_datasets,
     scan_catalog,
 )
 

@@ -150,15 +150,6 @@ def test_predict_length_mismatch():
         predict_lcpn(model, np.ones((2, 99)))
 
 
-def test_parallel_fit_matches_serial():
-    data = separable_dataset(n_per_class=6, n_classes=4, seed=5)
-    spec = ClassifierSpec(kind="linear")
-    tree = build_tree(BALANCED4)
-    serial = fit_lcpn(tree, data, spec, max_workers=1)
-    threaded = fit_lcpn(tree, data, spec, max_workers=3)
-    assert serial.to_bundle() == threaded.to_bundle()
-
-
 def test_bundle_round_trip():
     data = separable_dataset(n_per_class=6, n_classes=4, seed=6)
     spec = ClassifierSpec(kind="linear")
