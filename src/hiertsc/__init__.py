@@ -20,6 +20,7 @@ from .analysis import (
 )
 from .classifiers import (
     ClassifierSpec,
+    Featuriser,
     KernelBank,
     TrainedClassifier,
     fit_classifier,
@@ -83,6 +84,7 @@ __all__ = [
     "CvReport",
     "DataValidationError",
     "FeatureRow",
+    "Featuriser",
     "FitCounters",
     "FoldPlan",
     "FoldRecord",

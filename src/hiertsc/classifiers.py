@@ -14,8 +14,10 @@ Two kinds are built in:
     fed to the same closed-form ridge.
 
 Both are deterministic functions of (spec, data); predictions break argmax
-ties toward the smallest class id.  New kinds can be plugged in through
-:func:`register_classifier_kind`.
+ties toward the smallest class id.  Their label-independent half, the raw
+features, comes from a :class:`Featuriser` built once per run, so the bank is
+drawn and each row transformed once however many fits reuse them.  New kinds
+can be plugged in through :func:`register_classifier_kind`.
 """
 
 from __future__ import annotations
@@ -75,9 +77,23 @@ class ClassifierSpec:
         )
 
 
-@dataclass(frozen=True)
+_BANK_ARRAYS = (
+    ("lengths", np.int64),
+    ("weights", np.float64),
+    ("biases", np.float64),
+    ("dilations", np.int64),
+    ("paddings", np.int64),
+)
+
+
+@dataclass(frozen=True, eq=False)
 class KernelBank:
     """Random convolutional kernels drawn once per (seed, series length).
+
+    A :class:`Featuriser` draws one bank per run and every fit of the run,
+    and every node of the models it fits, shares it.  The bank is a value:
+    its arrays are read-only copies, and two banks are equal (and hash
+    equal) when their length and every array match.
 
     Weights of each kernel are mean-centred; dilations are sampled as
     floor(2**u) with u uniform over [0, log2((M-1)/(len-1))] so the dilated
@@ -91,6 +107,25 @@ class KernelBank:
     biases: np.ndarray
     dilations: np.ndarray
     paddings: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _BANK_ARRAYS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelBank):
+            return NotImplemented
+        return self.series_length == other.series_length and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _BANK_ARRAYS
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.series_length, *(getattr(self, name).tobytes() for name, _ in _BANK_ARRAYS))
+        )
 
     @property
     def n_kernels(self) -> int:
@@ -145,29 +180,26 @@ class KernelBank:
     def to_dict(self) -> dict:
         return {
             "series_length": self.series_length,
-            "lengths": self.lengths.tolist(),
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-            "dilations": self.dilations.tolist(),
-            "paddings": self.paddings.tolist(),
+            **{name: getattr(self, name).tolist() for name, _ in _BANK_ARRAYS},
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "KernelBank":
         return KernelBank(
             series_length=doc["series_length"],
-            lengths=np.asarray(doc["lengths"], dtype=np.int64),
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            biases=np.asarray(doc["biases"], dtype=np.float64),
-            dilations=np.asarray(doc["dilations"], dtype=np.int64),
-            paddings=np.asarray(doc["paddings"], dtype=np.int64),
+            **{name: doc[name] for name, _ in _BANK_ARRAYS},
         )
 
 
 def _convolve_dilated(
     values: np.ndarray, weights: np.ndarray, dilation: int, padding: int
 ) -> np.ndarray:
-    """Dilated cross-correlation of every row with one kernel."""
+    """Dilated cross-correlation of every row with one kernel.
+
+    Shift-and-add: the output accumulates one tap at a time with elementwise
+    operations, so a row's outputs are the same bits whatever other rows
+    share its batch.
+    """
     n, m = values.shape
     length = weights.size
     if padding:
@@ -178,9 +210,11 @@ def _convolve_dilated(
     out_len = padded.shape[1] - (length - 1) * dilation
     if out_len < 1:
         raise TrainingDataError("kernel does not fit the series even when padded")
-    idx = np.arange(out_len)[:, None] + np.arange(length)[None, :] * dilation
-    # (n, out_len, length) gather then contract against the kernel
-    return padded[:, idx] @ weights
+    out = weights[0] * padded[:, :out_len]
+    for k in range(1, length):
+        at = k * dilation
+        out += weights[k] * padded[:, at : at + out_len]
+    return out
 
 
 def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -207,14 +241,12 @@ class TrainedClassifier:
     feature_mean: np.ndarray | None = None
     feature_scale: np.ndarray | None = None
 
-    def _features(self, values: np.ndarray) -> np.ndarray:
-        if self.kernels is not None:
-            feats = self.kernels.transform(values)
-        else:
-            feats = np.asarray(values, dtype=np.float64)
+    def feature_scores(self, raw: np.ndarray) -> np.ndarray:
+        """Per-class scores of rows given their raw (unstandardised) features:
+        the kernel transform, or the series themselves."""
         if self.feature_mean is not None:
-            feats = (feats - self.feature_mean) / self.feature_scale
-        return feats
+            raw = (raw - self.feature_mean) / self.feature_scale
+        return raw @ self.weights.T + self.intercepts
 
     def decision_scores(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -222,11 +254,18 @@ class TrainedClassifier:
             raise ValueError(
                 f"expected (n, {self.series_length}) input, got {values.shape}"
             )
-        return self._features(values) @ self.weights.T + self.intercepts
+        raw = self.kernels.transform(values) if self.kernels is not None else values
+        return self.feature_scores(raw)
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         """Argmax over per-class scores; ties go to the smallest class id."""
-        scores = self.decision_scores(values)
+        return self._argmax(self.decision_scores(values))
+
+    def predict_features(self, raw: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for rows whose raw features are at hand."""
+        return self._argmax(self.feature_scores(raw))
+
+    def _argmax(self, scores: np.ndarray) -> np.ndarray:
         ids = np.asarray(self.class_ids, dtype=np.int64)
         return ids[np.argmax(scores, axis=1)]
 
@@ -287,10 +326,11 @@ def _fit_on_features(
     data: TimeSeriesDataset,
     feats: np.ndarray,
     kernels: KernelBank | None,
-    standardise: bool,
 ) -> TrainedClassifier:
+    """Closed-form ridge on `feats`, standardised per fit when they come
+    from `kernels`."""
     class_ids = _check_trainable(data)
-    if standardise:
+    if kernels is not None:
         mean = feats.mean(axis=0)
         scale = feats.std(axis=0)
         scale = np.where(scale == 0.0, 1.0, scale)
@@ -314,33 +354,86 @@ def _fit_on_features(
     )
 
 
-def _fit_linear(spec: ClassifierSpec, data: TimeSeriesDataset) -> TrainedClassifier:
-    return _fit_on_features(spec, data, data.values, kernels=None, standardise=False)
+class Featuriser:
+    """Label-independent features shared by every fit and predict of a run.
+
+    For ``kernel-ridge`` it draws the run's :class:`KernelBank` on first use
+    and transforms each distinct row (told apart by its bytes) once; a row
+    asked for again gets its stored raw features, the same bits a fresh
+    transform gives, since the transform treats every row on its own.  For
+    ``linear`` the features are the series themselves, with no copy.
+
+    Build one per top-level call and pass it down: it keeps every row it has
+    featurised for as long as it lives, and no two calls share one.
+    """
+
+    def __init__(self, spec: ClassifierSpec) -> None:
+        self.spec = spec
+        self.bank: KernelBank | None = None
+        self._row_at: dict[bytes, int] = {}
+        self._feats = np.empty((0, 2 * spec.num_kernels))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Raw (unstandardised) features of the rows of (n, M) `values`."""
+        if self.spec.kind != "kernel-ridge":
+            return values
+        if self.bank is None:
+            self.bank = KernelBank.generate(
+                values.shape[1], self.spec.num_kernels, self.spec.seed
+            )
+        elif values.shape[1] != self.bank.series_length:
+            raise ValueError(
+                f"expected (n, {self.bank.series_length}) input, got {values.shape}"
+            )
+        keys = [row.tobytes() for row in values]
+        fresh: dict[bytes, int] = {}  # unseen row -> its first index in values
+        for i, key in enumerate(keys):
+            if key not in self._row_at:
+                fresh.setdefault(key, i)
+        if fresh:
+            block = self.bank.transform(values[list(fresh.values())])
+            start = len(self._row_at)
+            self._row_at.update(zip(fresh, range(start, start + len(fresh))))
+            self._feats = np.concatenate([self._feats, block])
+        return self._feats[[self._row_at[key] for key in keys]]
+
+    def predict(self, model, values: np.ndarray) -> np.ndarray:
+        """``model.predict(values)``, from this run's features when `model`
+        was fit with them."""
+        fit_here = self.bank is not None and getattr(model, "kernels", None) is self.bank
+        return model.predict_features(self(values)) if fit_here else model.predict(values)
 
 
-def _fit_kernel_ridge(spec: ClassifierSpec, data: TimeSeriesDataset) -> TrainedClassifier:
-    bank = KernelBank.generate(data.series_length, spec.num_kernels, spec.seed)
-    feats = bank.transform(data.values)
-    return _fit_on_features(spec, data, feats, kernels=bank, standardise=True)
+_BUILT_IN_KINDS = ("linear", "kernel-ridge")
 
-
-_FITTERS: dict[str, Callable[[ClassifierSpec, TimeSeriesDataset], TrainedClassifier]] = {
-    "linear": _fit_linear,
-    "kernel-ridge": _fit_kernel_ridge,
-}
+_FITTERS: dict[str, Callable[[ClassifierSpec, TimeSeriesDataset], TrainedClassifier]] = {}
 
 
 def register_classifier_kind(
     kind: str, fitter: Callable[[ClassifierSpec, TimeSeriesDataset], TrainedClassifier]
 ) -> None:
-    """Install a custom classifier kind (used by tests to inject stubs)."""
+    """Install a custom classifier kind (used by tests to inject stubs).
+
+    A custom fitter gets the rows themselves; it takes no run featuriser.
+    """
     _FITTERS[kind] = fitter
 
 
-def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset) -> TrainedClassifier:
-    """Fit the classifier described by `spec`; deterministic for fixed inputs."""
-    try:
-        fitter = _FITTERS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown classifier kind '{spec.kind}'") from None
-    return fitter(spec, data)
+def fit_classifier(
+    spec: ClassifierSpec, data: TimeSeriesDataset, features: Featuriser | None = None
+) -> TrainedClassifier:
+    """Fit the classifier described by `spec`; deterministic for fixed inputs.
+
+    Built-in kinds take their raw features from `features`, the run's
+    :class:`Featuriser` (a fresh one when None); custom kinds ignore it.
+    """
+    fitter = _FITTERS.get(spec.kind)
+    if fitter is not None:
+        return fitter(spec, data)
+    if spec.kind not in _BUILT_IN_KINDS:
+        raise ValueError(f"unknown classifier kind '{spec.kind}'")
+    if features is None:
+        features = Featuriser(spec)
+    elif features.spec != spec:
+        raise ValueError("the featuriser was built for a different classifier spec")
+    return _fit_on_features(spec, data, features(data.values), features.bank)

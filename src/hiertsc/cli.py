@@ -23,7 +23,7 @@ from .analysis import (
     correlate_features,
     extract_features,
 )
-from .classifiers import ClassifierSpec, TrainingDataError
+from .classifiers import ClassifierSpec, Featuriser, TrainingDataError
 from .dataset import DataValidationError, TimeSeriesDataset
 from .evaluation import (
     CSV_COLUMNS,
@@ -166,6 +166,7 @@ def _run_cv(config: RunConfig) -> int:
 def _run_fit(config: RunConfig) -> int:
     data = _load(config)
     spec = config.classifier
+    features = Featuriser(spec)  # one bank and one transform per row for the whole fit
     # the whole file plays outer fold 0 of nested CV
     best_tree, best_score, _, _ = select_tree(
         data,
@@ -174,9 +175,10 @@ def _run_fit(config: RunConfig) -> int:
         config.n_iter,
         config.seed,
         0,
-        inner_fold_scorer(data, spec, config.inner_folds),
+        inner_fold_scorer(data, spec, config.inner_folds, features),
+        features,
     )
-    model = fit_lcpn(best_tree, data, spec)
+    model = fit_lcpn(best_tree, data, spec, features=features)
     out = Path(config.out_dir)
     _write_atomic(out / "model.json", model.to_bundle() + "\n")
     print(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
 from .lcpn import fit_lcpn, predict_lcpn
@@ -122,19 +122,23 @@ def flat_baseline(
     plan: FoldPlan,
     spec: ClassifierSpec,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    features: Featuriser | None = None,
 ) -> list[float]:
     """Per-fold score of the flat classifier: fit on train, score on test.
 
     `metric` defaults to macro-F1, looked up at call time rather than bound
     as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
+    `features` is the run's featuriser; a fresh one when None.
     """
     metric = metric or f1_macro
+    if features is None:
+        features = Featuriser(spec)
     scores = []
     for fold in range(plan.k):
         train = data.subset(plan.train_indices(fold))
         test = data.subset(plan.test_indices(fold))
-        model = fit_classifier(spec, train)
-        scores.append(metric(test.labels, model.predict(test.values)))
+        model = fit_classifier(spec, train, features)
+        scores.append(metric(test.labels, features.predict(model, test.values)))
     return scores
 
 
@@ -305,7 +309,12 @@ class CvReport:
 
 
 def _iteration_context(
-    outer_train: TimeSeriesDataset, spec: ClassifierSpec, seed: int, ko: int, i: int
+    outer_train: TimeSeriesDataset,
+    spec: ClassifierSpec,
+    seed: int,
+    ko: int,
+    i: int,
+    features: Featuriser | None,
 ) -> SplitContext:
     """Fresh shuffled generation split and RNG stream for (seed, fold, iter)."""
     root = np.random.SeedSequence(entropy=(seed, ko, i))
@@ -317,6 +326,7 @@ def _iteration_context(
         val=outer_train.subset(plan.test_indices(0)),
         spec=spec,
         rng=np.random.default_rng(splitter_seq),
+        features=features,
     )
 
 
@@ -327,6 +337,7 @@ def _candidate_trees(
     n_iter: int,
     seed: int,
     ko: int,
+    features: Featuriser | None = None,
 ) -> tuple[list[HierarchyTree], int, int]:
     """Generate up to n_iter candidate trees, skipping similarity duplicates
     and stopping once every distinct tree has been seen.
@@ -342,7 +353,7 @@ def _candidate_trees(
         if state.at_limit:
             break
         iterations += 1
-        ctx = _iteration_context(outer_train, spec, seed, ko, i)
+        ctx = _iteration_context(outer_train, spec, seed, ko, i, features)
         tree = grow_tree(ctx, splitter_fn)
         if check_duplicates_and_limit(state, tree) is CheckResult.FRESH:
             fresh.append(tree)
@@ -354,25 +365,32 @@ def _fit_score(
     train: TimeSeriesDataset,
     test: TimeSeriesDataset,
     spec: ClassifierSpec,
+    features: Featuriser,
 ) -> float:
     """Macro-F1 on `test` of the LCPN model of `tree` fit on `train`."""
-    model = fit_lcpn(tree, train, spec)
-    predicted, _ = predict_lcpn(model, test.values)
+    model = fit_lcpn(tree, train, spec, features=features)
+    predicted, _ = predict_lcpn(model, test.values, features)
     return f1_macro(test.labels, predicted)
 
 
 def inner_fold_scorer(
-    train: TimeSeriesDataset, spec: ClassifierSpec, n_inner: int
+    train: TimeSeriesDataset,
+    spec: ClassifierSpec,
+    n_inner: int,
+    features: Featuriser | None = None,
 ) -> Callable[[HierarchyTree], float]:
     """Scorer giving a tree's mean macro-F1 over the unshuffled inner folds
-    of `train`; the fold plan and its subsets are built once, here."""
+    of `train`; the fold plan and its subsets are built once, here.
+    `features` is the run's featuriser; a fresh one when None."""
+    if features is None:
+        features = Featuriser(spec)
     plan = split_data(train, n_inner, shuffle=False)
     folds = [
         (train.subset(plan.train_indices(ki)), train.subset(plan.test_indices(ki)))
         for ki in range(plan.k)
     ]
     return lambda tree: float(
-        np.mean([_fit_score(tree, fit, val, spec) for fit, val in folds])
+        np.mean([_fit_score(tree, fit, val, spec, features) for fit, val in folds])
     )
 
 
@@ -384,14 +402,16 @@ def select_tree(
     seed: int,
     ko: int,
     scorer: Callable[[HierarchyTree], float],
+    features: Featuriser | None = None,
 ) -> tuple[HierarchyTree, float, int, int]:
     """Score every fresh candidate of the (seed, ko) stream over `train` and
-    keep the first tree with the highest score.
+    keep the first tree with the highest score.  Split scores featurise
+    through `features`, the run's featuriser (one per candidate when None).
 
     Returns (tree, score, iterations run, distinct count).
     """
     fresh, iterations, distinct = _candidate_trees(
-        train, spec, splitter_fn, n_iter, seed, ko
+        train, spec, splitter_fn, n_iter, seed, ko, features
     )
     scores = [scorer(tree) for tree in fresh]
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
@@ -415,27 +435,28 @@ def _cross_validate(
     dataset_id: str,
 ) -> CvReport:
     """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
-    when it is None."""
+    when it is None.  One featuriser serves every fit and predict of the run."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
-    fc_scores = flat_baseline(data, outer_plan, spec)
+    features = Featuriser(spec)
+    fc_scores = flat_baseline(data, outer_plan, spec, features=features)
     records = []
     for ko in range(n_outer):
         train = data.subset(outer_plan.train_indices(ko))
         test = data.subset(outer_plan.test_indices(ko))
         if n_inner is None:
-            scorer = lambda tree: _fit_score(tree, train, test, spec)
+            scorer = lambda tree: _fit_score(tree, train, test, spec, features)
         else:
-            scorer = inner_fold_scorer(train, spec, n_inner)
+            scorer = inner_fold_scorer(train, spec, n_inner, features)
         tree, score, iterations, distinct = select_tree(
-            train, spec, splitter_fn, n_iter, seed, ko, scorer
+            train, spec, splitter_fn, n_iter, seed, ko, scorer, features
         )
         if n_inner is None:
             inner_mean, outer_score = None, score
         else:
-            inner_mean, outer_score = score, _fit_score(tree, train, test, spec)
+            inner_mean, outer_score = score, _fit_score(tree, train, test, spec, features)
         records.append(
             FoldRecord(
                 fold=ko,

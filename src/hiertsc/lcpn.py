@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, TrainedClassifier, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, TrainedClassifier, fit_classifier
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
@@ -43,6 +43,9 @@ class LcpnModel:
     """A hierarchy plus one binary classifier per parent node.
 
     Node model group 0 is the parent's left side, group 1 the right side.
+    Every node of a fitted or loaded ``kernel-ridge`` model holds the same
+    :class:`KernelBank` object, so :func:`predict_lcpn` transforms each row
+    once.  The bundle still stores a copy of the bank in every node blob.
     """
 
     tree: HierarchyTree
@@ -66,12 +69,18 @@ class LcpnModel:
         if doc.get("version") != _BUNDLE_VERSION:
             raise ValueError(f"unsupported model bundle version {doc.get('version')}")
         tree, _ = parse_tree_text(doc["tree"])
-        models = tuple(TrainedClassifier.from_blob(b) for b in doc["node_models"])
-        return LcpnModel(tree=tree, node_models=models)
+        banks = {}  # equal banks decode to one shared object
+        models = []
+        for blob in doc["node_models"]:
+            model = TrainedClassifier.from_blob(blob)
+            if model.kernels is not None:
+                model = replace(model, kernels=banks.setdefault(model.kernels, model.kernels))
+            models.append(model)
+        return LcpnModel(tree=tree, node_models=tuple(models))
 
 
 def _fit_node(
-    parent, data: TimeSeriesDataset, spec: ClassifierSpec
+    parent, data: TimeSeriesDataset, spec: ClassifierSpec, features: Featuriser
 ) -> tuple[TrainedClassifier, int]:
     values, groups, empty = data.binary_groups(parent.left, parent.right)
     if empty is not None:
@@ -80,7 +89,7 @@ def _fit_node(
             f"{('left', 'right')[empty]} side "
             f"({sorted(parent.left)} | {sorted(parent.right)})"
         )
-    return fit_classifier(spec, TimeSeriesDataset(values, groups)), groups.size
+    return fit_classifier(spec, TimeSeriesDataset(values, groups), features), groups.size
 
 
 def fit_lcpn(
@@ -88,12 +97,15 @@ def fit_lcpn(
     data: TimeSeriesDataset,
     spec: ClassifierSpec,
     counters: FitCounters | None = None,
+    features: Featuriser | None = None,
 ) -> LcpnModel:
     """Train one binary classifier per parent on the instances under it.
 
     Each node sees exactly the rows whose class lies in the parent's class
     set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
-    result does not depend on training order.
+    result does not depend on training order.  Raw features come from
+    `features`, the run's featuriser; a fresh one, shared by the nodes of
+    this model, when None.
     """
     foreign = frozenset(data.label_space) - tree.root_classes
     if foreign:
@@ -101,7 +113,9 @@ def fit_lcpn(
             f"data contains labels {sorted(foreign)} outside the tree's classes "
             f"{sorted(tree.root_classes)}"
         )
-    fitted = [_fit_node(p, data, spec) for p in tree.parents]
+    if features is None:
+        features = Featuriser(spec)
+    fitted = [_fit_node(p, data, spec, features) for p in tree.parents]
     if counters is not None:
         for parent, (_, n_rows) in zip(tree.parents, fitted):
             counters.per_parent_instances.append(n_rows)
@@ -109,11 +123,34 @@ def fit_lcpn(
     return LcpnModel(tree=tree, node_models=tuple(model for model, _ in fitted))
 
 
-def predict_lcpn(model: LcpnModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shared_features(
+    model: LcpnModel, values: np.ndarray, features: Featuriser | None
+) -> np.ndarray | None:
+    """Raw features of every row when all node models share one
+    featurisation (one bank object, or none); None otherwise."""
+    nodes = model.node_models
+    if not all(isinstance(m, TrainedClassifier) for m in nodes):
+        return None
+    bank = nodes[0].kernels
+    if any(m.kernels is not bank for m in nodes):
+        return None
+    if bank is None:
+        return values
+    if features is not None and features.bank is bank:
+        return features(values)
+    return bank.transform(values)
+
+
+def predict_lcpn(
+    model: LcpnModel, values: np.ndarray, features: Featuriser | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Route every instance root-to-leaf; return (labels, depths).
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
-    every prediction is a leaf class of the hierarchy.
+    every prediction is a leaf class of the hierarchy.  When the node models
+    share one bank, each row is transformed once per call (looked up in
+    `features` when the model was fit with it) and each node scores its rows
+    from those features; served rows are not kept after the call.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != model.series_length:
@@ -123,6 +160,7 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray) -> tuple[np.ndarray, np.n
     n = values.shape[0]
     labels = np.empty(n, dtype=np.int64)
     depths = np.zeros(n, dtype=np.int64)
+    feats = _shared_features(model, values, features)
     tree = model.tree
     stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
     while stack:
@@ -130,7 +168,11 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray) -> tuple[np.ndarray, np.n
         if rows.size == 0:
             continue
         parent = tree.parents[node_idx]
-        decisions = model.node_models[node_idx].predict(values[rows])
+        node = model.node_models[node_idx]
+        if feats is None:
+            decisions = node.predict(values[rows])
+        else:
+            decisions = node.predict_features(feats[rows])
         for side, group in (
             (parent.left, rows[decisions == 0]),
             (parent.right, rows[decisions == 1]),

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, fit_classifier
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
 from .tree import ClassSet
@@ -29,7 +29,8 @@ class ScoringError(ValueError):
 @dataclass
 class SplitContext:
     """Everything a splitter needs: a train/validation pair, the base
-    classifier configuration, and a seeded random stream.
+    classifier configuration, a seeded random stream, and the run's
+    featuriser (a fresh one, shared by this context's scores, when omitted).
 
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
@@ -39,6 +40,11 @@ class SplitContext:
     val: TimeSeriesDataset
     spec: ClassifierSpec
     rng: np.random.Generator
+    features: Featuriser | None = None
+
+    def __post_init__(self) -> None:
+        if self.features is None:
+            self.features = Featuriser(self.spec)
 
     @property
     def label_space(self) -> tuple[int, ...]:
@@ -84,8 +90,10 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         if empty is not None:
             group = sorted((c0, c1)[empty])
             raise ScoringError(f"group {group} has no instances in the {part} part")
-    model = fit_classifier(ctx.spec, TimeSeriesDataset(train_values, train_meta))
-    predicted = model.predict(val_values)
+    model = fit_classifier(
+        ctx.spec, TimeSeriesDataset(train_values, train_meta), ctx.features
+    )
+    predicted = ctx.features.predict(model, val_values)
     return f1_macro(val_meta, predicted)
 
 
