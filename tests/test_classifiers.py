@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hiertsc import ClassifierSpec, KernelBank, TimeSeriesDataset, fit_classifier
+from hiertsc import (
+    ClassifierSpec,
+    KernelBank,
+    TimeSeriesDataset,
+    collinear_superclusters,
+    fit_classifier,
+    flat_cv,
+    nested_cv,
+)
+from hiertsc import classifiers
 from hiertsc.classifiers import TrainedClassifier, TrainingDataError, ridge_solve
 
 from conftest import separable_dataset
@@ -183,3 +194,95 @@ def test_spec_validation():
         ClassifierSpec(ridge_lambda=0.0)
     with pytest.raises(ValueError):
         ClassifierSpec(seed=-1)
+
+
+def primal_ridge(features, targets, lam):
+    """Oracle: the f x f normal equations (F^T F + lam*I) W = F^T Y, solved as
+    written, whatever the shape."""
+    gram = features.T @ features + lam * np.eye(features.shape[1])
+    return np.linalg.solve(gram, features.T @ targets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    f=st.integers(1, 40),
+    k=st.integers(1, 3),
+    lam=st.sampled_from([1e-2, 0.1, 1.0, 10.0]),
+    centre=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, f=30, k=2, lam=1e-2, centre=True, seed=0)
+@example(n=20, f=20, k=1, lam=1e-2, centre=True, seed=1)
+@example(n=30, f=5, k=3, lam=1e-2, centre=False, seed=2)
+def test_ridge_solve_forms_match_primal_oracle(n, f, k, lam, centre, seed):
+    # n < f takes the dual form, n >= f the primal; both solve the same system
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, f))
+    if centre:  # as every fit does: rank n - 1
+        features -= features.mean(axis=0)
+    targets = rng.normal(size=(n, k))
+    w = ridge_solve(features, targets, lam)
+    assert w.shape == (f, k)
+    residual = (features.T @ features + lam * np.eye(f)) @ w - features.T @ targets
+    assert np.max(np.abs(residual)) <= 1e-8
+    oracle = primal_ridge(features, targets, lam)
+    assert np.max(np.abs(w - oracle)) <= 1e-9
+    if n >= f:
+        assert np.array_equal(w, oracle)
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+def test_fit_with_fewer_rows_than_features_matches_primal_oracle(kind):
+    data = gaussian_two_class(n=6, m=40)
+    spec = ClassifierSpec(kind=kind, num_kernels=32, seed=5)
+    model = fit_classifier(spec, data)
+    feats = data.values
+    if kind == "kernel-ridge":
+        raw = KernelBank.generate(40, 32, seed=5).transform(data.values)
+        scale = raw.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        assert np.array_equal(model.feature_mean, raw.mean(axis=0))
+        assert np.array_equal(model.feature_scale, scale)
+        feats = (raw - raw.mean(axis=0)) / scale
+    assert feats.shape[0] < feats.shape[1]
+    class_ids = np.unique(data.labels)
+    targets = np.where(data.labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    f_mean, t_mean = feats.mean(axis=0), targets.mean(axis=0)
+    w = primal_ridge(feats - f_mean, targets - t_mean, spec.ridge_lambda)
+    assert np.max(np.abs(model.weights - w.T)) <= 1e-9
+    assert np.max(np.abs(model.intercepts - (t_mean - f_mean @ w))) <= 1e-9
+    assert np.array_equal(model.predict(data.values), data.labels)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ClassifierSpec(kind="linear"), ClassifierSpec(kind="kernel-ridge", num_kernels=16)],
+    ids=["linear", "kernel-ridge"],
+)
+def test_cv_reports_match_primal_only_solves(spec, monkeypatch):
+    # a small, noisy set: fits land on both sides of n = f and no fold scores
+    # 1.0, so a label flipped by the dual form would change a report
+    data = collinear_superclusters(n_per_class=12, series_length=32, noise=1.5)
+    shapes = []
+
+    def counted(features, targets, lam):
+        shapes.append(features.shape)
+        return ridge_solve(features, targets, lam)
+
+    def reports():
+        return [
+            run(data, spec, splitter, n_iter=3, seed=1, dataset_id="parity")
+            for run in (nested_cv, flat_cv)
+            for splitter in ("potr", "srtr", "lsoo")
+        ]
+
+    monkeypatch.setattr(classifiers, "ridge_solve", counted)
+    shipped = reports()
+    monkeypatch.setattr(classifiers, "ridge_solve", primal_ridge)
+    oracle = reports()
+    assert any(n < f for n, f in shapes) and any(n >= f for n, f in shapes)
+    assert all(
+        fold.outer_test_score < 1.0 for report in shipped for fold in report.folds
+    )
+    assert [r.to_json() for r in shipped] == [r.to_json() for r in oracle]

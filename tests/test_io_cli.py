@@ -68,6 +68,24 @@ def test_non_finite_value_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.tsv", "# header\na\t0.1\t0.2\nb\t0.3\t{}\na\t0.5\t0.6\n"),
+        ("bad.ts", "@data\n0.1,0.2:a\n0.3,{}:b\n0.5,0.6:a\n"),
+    ],
+    ids=["delimited", "ts"],
+)
+def test_non_finite_token_names_its_line(tmp_path, token, name, text):
+    path = tmp_path / name
+    path.write_text(text.format(token))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert err.value.line == 3
+    assert str(err.value) == f"non-finite value '{token}' (line 3)"
+
+
 def test_missing_ts_label_rejected(tmp_path):
     path = tmp_path / "bad.ts"
     path.write_text("@data\n0.1,0.2:\n")
