@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -160,22 +161,79 @@ class KernelBank:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """(n, M) series -> (n, 2*n_kernels) features: per kernel the share of
-        positive convolution outputs and the maximum output."""
+        positive convolution outputs and the maximum output.
+
+        Kernels that share (length, dilation, padding) are convolved together:
+        shift-and-add, one tap at a time over all of them, in slices of at
+        most ``_PASS_ELEMENTS`` outputs.  Each output sees the same
+        elementwise operations in the same order whatever its group, slice or
+        batch, so a row's features are the same bits in any batch.
+        """
         values = np.asarray(values, dtype=np.float64)
-        n = values.shape[0]
-        feats = np.empty((n, 2 * self.n_kernels))
-        at = 0
-        for i in range(self.n_kernels):
-            length = int(self.lengths[i])
-            w = self.weights[at : at + length]
-            at += length
-            conv = _convolve_dilated(
-                values, w, int(self.dilations[i]), int(self.paddings[i])
+        if values.ndim != 2 or values.shape[1] != self.series_length:
+            raise ValueError(
+                f"expected (n, {self.series_length}) input, got {values.shape}"
             )
-            conv += self.biases[i]
-            feats[:, 2 * i] = np.mean(conv > 0, axis=1)
-            feats[:, 2 * i + 1] = conv.max(axis=1)
+        n = values.shape[0]
+        plan = self._plan
+        positive = np.empty((self.n_kernels, n))  # rows in plan order
+        maximum = np.empty((self.n_kernels, n))
+        x, padding = values, 0
+        for group in plan.groups:
+            if group.padding != padding:
+                padding = group.padding
+                x = np.zeros((n, self.series_length + 2 * padding))
+                x[:, padding : padding + self.series_length] = values
+            out_len = group.out_len
+            step = max(1, _PASS_ELEMENTS // max(1, n * out_len))
+            for start in range(0, group.size, step):
+                stop = min(start + step, group.size)
+                taps = group.taps[:, start:stop]
+                out = taps[0] * x[:, :out_len]
+                for k in range(1, group.length):
+                    at = k * group.dilation
+                    out += taps[k] * x[:, at : at + out_len]
+                out += group.biases[start:stop]
+                rows = slice(group.first + start, group.first + stop)
+                np.divide((out > 0).sum(axis=2), out_len, out=positive[rows])
+                out.max(axis=2, out=maximum[rows])
+        feats = np.empty((n, 2 * self.n_kernels))
+        feats[:, plan.columns] = positive.T
+        feats[:, plan.columns + 1] = maximum.T
         return feats
+
+    @cached_property
+    def _plan(self) -> "_TransformPlan":
+        """The kernels grouped by (length, dilation, padding); built on first
+        use and not part of the bank's value.
+
+        Groups are ordered by padding, then by first appearance, so a batch is
+        padded once per distinct padding and one padded copy is alive at a
+        time (cycling through them all was slower on large batches).
+        """
+        members: dict[tuple[int, int, int], list[int]] = {}
+        keys = zip(self.lengths.tolist(), self.dilations.tolist(), self.paddings.tolist())
+        for i, key in enumerate(keys):
+            members.setdefault(key, []).append(i)
+        members = dict(sorted(members.items(), key=lambda item: item[0][2]))
+        offsets = np.cumsum(self.lengths) - self.lengths  # each kernel's first weight
+        groups = []
+        first = 0
+        for (length, dilation, padding), kernels in members.items():
+            out_len = self.series_length + 2 * padding - (length - 1) * dilation
+            if out_len < 1:
+                raise TrainingDataError("kernel does not fit the series even when padded")
+            taps = self.weights[np.arange(length)[:, None] + offsets[kernels]]
+            biases = self.biases[kernels]
+            groups.append(
+                _KernelGroup(
+                    length, dilation, padding, out_len, len(kernels), first,
+                    taps[:, :, None, None], biases[:, None, None],
+                )
+            )
+            first += len(kernels)
+        order = [i for kernels in members.values() for i in kernels]
+        return _TransformPlan(tuple(groups), 2 * np.asarray(order, dtype=np.int64))
 
     def to_dict(self) -> dict:
         return {
@@ -191,30 +249,30 @@ class KernelBank:
         )
 
 
-def _convolve_dilated(
-    values: np.ndarray, weights: np.ndarray, dilation: int, padding: int
-) -> np.ndarray:
-    """Dilated cross-correlation of every row with one kernel.
+#: The most outputs (kernels x rows x positions) one shift-and-add slice
+#: holds: a larger group is convolved a slice of its kernels at a time, so
+#: the temporaries stay small.
+_PASS_ELEMENTS = 32768
 
-    Shift-and-add: the output accumulates one tap at a time with elementwise
-    operations, so a row's outputs are the same bits whatever other rows
-    share its batch.
-    """
-    n, m = values.shape
-    length = weights.size
-    if padding:
-        padded = np.zeros((n, m + 2 * padding))
-        padded[:, padding : padding + m] = values
-    else:
-        padded = values
-    out_len = padded.shape[1] - (length - 1) * dilation
-    if out_len < 1:
-        raise TrainingDataError("kernel does not fit the series even when padded")
-    out = weights[0] * padded[:, :out_len]
-    for k in range(1, length):
-        at = k * dilation
-        out += weights[k] * padded[:, at : at + out_len]
-    return out
+
+@dataclass(frozen=True)
+class _KernelGroup:
+    """Kernels that share (length, dilation, padding), convolved together."""
+
+    length: int
+    dilation: int
+    padding: int
+    out_len: int
+    size: int  # g, the number of kernels
+    first: int  # position of the group's first kernel in the plan order
+    taps: np.ndarray  # (length, g, 1, 1): tap k's weight in every kernel
+    biases: np.ndarray  # (g, 1, 1)
+
+
+@dataclass(frozen=True)
+class _TransformPlan:
+    groups: tuple[_KernelGroup, ...]
+    columns: np.ndarray  # positive-share feature column of each kernel, plan order
 
 
 def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:

@@ -44,6 +44,17 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
+def _fast_values(tokens: list[str]) -> list[float] | None:
+    """The values of a row's tokens when there is at least one, none is blank
+    and all parse to finite floats; None otherwise, and the caller parses the
+    row token by token so every error keeps its message."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        return None
+    return values if values and math.isfinite(sum(values)) else None
+
+
 def _split_row(line: str) -> list[str]:
     if "\t" in line:
         return line.split("\t")
@@ -60,18 +71,24 @@ def _load_delimited(lines: Iterable[str]) -> TimeSeriesDataset:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in _split_row(line) if p.strip() != ""]
-        if len(parts) < 2:
-            raise DatasetFormatError("row needs a label and at least one value", line_no)
-        label, values = parts[0], parts[1:]
+        tokens = _split_row(line)
+        label = tokens[0].strip()
+        parsed = _fast_values(tokens[1:]) if label else None
+        if parsed is None:
+            parts = [p.strip() for p in tokens if p.strip() != ""]
+            if len(parts) < 2:
+                raise DatasetFormatError("row needs a label and at least one value", line_no)
+            label, tokens = parts[0], parts[1:]
+        else:
+            tokens = tokens[1:]
         if width is None:
-            width = len(values)
-        elif len(values) != width:
+            width = len(tokens)
+        elif len(tokens) != width:
             raise DatasetFormatError(
-                f"ragged row: {len(values)} values where {width} expected", line_no
+                f"ragged row: {len(tokens)} values where {width} expected", line_no
             )
         raw_labels.append(label)
-        rows.append([_parse_value(v, line_no) for v in values])
+        rows.append(parsed or [_parse_value(v, line_no) for v in tokens])
     if not rows:
         raise DatasetFormatError("no data rows found")
     return _densify(raw_labels, rows)
@@ -100,10 +117,9 @@ def _load_ts_text(lines: Iterable[str]) -> TimeSeriesDataset:
         series_text, label = segments[0], segments[1].strip()
         if not label:
             raise DatasetFormatError("missing label after ':'", line_no)
-        values = [
-            _parse_value(v.strip(), line_no)
-            for v in series_text.split(",")
-            if v.strip() != ""
+        tokens = series_text.split(",")
+        values = _fast_values(tokens) or [
+            _parse_value(v.strip(), line_no) for v in tokens if v.strip() != ""
         ]
         if not values:
             raise DatasetFormatError("empty series", line_no)

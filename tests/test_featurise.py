@@ -2,7 +2,8 @@
 
 Work counters spy on :meth:`KernelBank.generate` and :meth:`KernelBank.transform`;
 parity checks compare the featurised path with fitting every node the way it
-was fit before the run-level featuriser existed.
+was fit before the run-level featuriser existed, and the grouped transform with
+a per-kernel oracle, bit for bit.
 """
 
 import contextlib
@@ -10,7 +11,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiertsc import (
@@ -27,7 +28,7 @@ from hiertsc import (
     predict_lcpn,
     save_dataset,
 )
-from hiertsc.classifiers import _fit_on_features
+from hiertsc.classifiers import _PASS_ELEMENTS, TrainingDataError, _fit_on_features
 
 CHAIN5 = [({0}, {1, 2, 3, 4}), ({1}, {2, 3, 4}), ({2}, {3, 4}), ({3}, {4})]
 KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=3)
@@ -97,6 +98,101 @@ def test_transform_of_a_row_subset_is_bitwise_the_subset_of_the_transform(n, len
     assert np.array_equal(bank.transform(values[rows]), whole[rows])
     for i in rows:
         assert np.array_equal(bank.transform(values[i : i + 1])[0], whole[i])
+
+
+def per_kernel_transform(bank, values):
+    """The kernel transform one kernel at a time: pad, shift-and-add the taps
+    in order, add the bias, then the share of positive outputs and the max."""
+    n, m = values.shape
+    feats = np.empty((n, 2 * bank.n_kernels))
+    at = 0
+    for i in range(bank.n_kernels):
+        length = int(bank.lengths[i])
+        w = bank.weights[at : at + length]
+        at += length
+        dilation, padding = int(bank.dilations[i]), int(bank.paddings[i])
+        padded = np.zeros((n, m + 2 * padding))
+        padded[:, padding : padding + m] = values
+        out_len = padded.shape[1] - (length - 1) * dilation
+        out = w[0] * padded[:, :out_len]
+        for k in range(1, length):
+            out += w[k] * padded[:, k * dilation : k * dilation + out_len]
+        out += bank.biases[i]
+        feats[:, 2 * i] = np.mean(out > 0, axis=1)
+        feats[:, 2 * i + 1] = out.max(axis=1)
+    return feats
+
+
+def with_paddings(bank, mode):
+    """`bank` as drawn, or with every kernel unpadded or padded."""
+    if mode == "drawn":
+        return bank
+    doc = bank.to_dict()
+    if mode == "all":
+        doc["paddings"] = (bank.lengths - 1) * bank.dilations // 2
+    else:
+        doc["paddings"] = np.zeros_like(bank.paddings)
+    return KernelBank.from_dict(doc)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(7, 300),
+    n_kernels=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+    n=st.sampled_from([0, 1, 10, 10, 160]),
+    padding=st.sampled_from(["drawn", "none", "all"]),
+)
+@example(length=7, n_kernels=8, seed=0, n=10, padding="drawn")  # only length 7 fits
+@example(length=10, n_kernels=24, seed=1, n=1, padding="drawn")  # lengths 7 and 9
+@example(length=300, n_kernels=64, seed=2, n=160, padding="all")
+@example(length=64, n_kernels=64, seed=3, n=0, padding="none")
+def test_grouped_transform_is_bitwise_the_per_kernel_transform(length, n_kernels, seed, n, padding):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 1.0, size=(n, length)) * rng.uniform(0.1, 10.0)
+    bank = with_paddings(KernelBank.generate(length, n_kernels, seed), padding)
+    assert_same_bits(bank.transform(values), per_kernel_transform(bank, values))
+
+
+def test_a_large_batch_convolves_groups_in_several_slices():
+    rng = np.random.default_rng(11)
+    values = rng.normal(0.0, 2.0, size=(240, 128))
+    bank = KernelBank.generate(128, 64, seed=11)
+    groups = bank._plan.groups
+    slices = [-(-g.size // max(1, _PASS_ELEMENTS // (len(values) * g.out_len))) for g in groups]
+    assert max(slices) > 1  # the case the slice bound protects
+    assert len(groups) < bank.n_kernels
+    assert_same_bits(bank.transform(values), per_kernel_transform(bank, values))
+
+
+def test_transform_rejects_input_of_the_wrong_shape():
+    bank = KernelBank.generate(64, 8, seed=0)
+    for shape in [(3, 80), (3, 63), (64,), (2, 3, 64)]:
+        with pytest.raises(ValueError, match=r"expected \(n, 64\) input, got"):
+            bank.transform(np.zeros(shape))
+
+
+def test_transform_rejects_a_kernel_that_does_not_fit():
+    doc = KernelBank.generate(20, 4, seed=0).to_dict()
+    doc["dilations"][2], doc["paddings"][2] = 20, 0  # as read from a tampered bundle
+    bank = KernelBank.from_dict(doc)
+    with pytest.raises(TrainingDataError, match="kernel does not fit the series even when padded"):
+        bank.transform(np.zeros((2, 20)))
+
+
+def test_empty_batches_give_empty_features_and_predictions():
+    bank = KernelBank.generate(32, 16, seed=3)
+    assert bank.transform(np.empty((0, 32))).shape == (0, 32)
+    model = fit_lcpn(build_tree(CHAIN5), shifted_dataset(seed=9), KERNEL)
+    labels, depths = predict_lcpn(model, np.empty((0, 32)))
+    assert labels.shape == depths.shape == (0,)
+    labels, depths = predict_lcpn(LcpnModel.from_bundle(model.to_bundle()), np.empty((0, 32)))
+    assert labels.shape == depths.shape == (0,)
 
 
 def test_kernel_bank_is_a_read_only_value():

@@ -86,6 +86,70 @@ def test_non_finite_token_names_its_line(tmp_path, token, name, text):
     assert str(err.value) == f"non-finite value '{token}' (line 3)"
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("padded.tsv", " a \t 0.5 \t1.5 \nb\t 2.5\t3.5\n"),
+        ("trailing.csv", "a,0.5,1.5,\nb,2.5,3.5,\n"),
+        ("blank.csv", "a,0.5,,1.5\nb,,2.5,3.5\n"),
+        ("padded.ts", "@data\n 0.5 , 1.5 :a\n2.5,3.5 : b\n"),
+        ("trailing.ts", "@data\n0.5,1.5,:a\n2.5,3.5,:b\n"),
+        ("blank.ts", "@data\n0.5,,1.5:a\n,2.5,3.5:b\n"),
+    ],
+)
+def test_padded_tokens_and_blank_fields_load_the_same_values(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    data = load_dataset(path)
+    assert data.values.tolist() == [[0.5, 1.5], [2.5, 3.5]]
+    assert data.label_names == {0: "a", 1: "b"}
+
+
+@pytest.mark.parametrize(
+    "name, text", [("u.tsv", "a\t1_0\t2\nb\t3\t4\n"), ("u.ts", "@data\n1_0,2:a\n3,4:b\n")]
+)
+def test_underscored_digits_parse_as_python_floats(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert load_dataset(path).values.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+
+
+def test_blank_label_field_is_dropped_like_any_blank_field(tmp_path):
+    path = tmp_path / "blank_label.csv"
+    path.write_text(",1,0.5,1.5\n,2,2.5,3.5\n")
+    data = load_dataset(path)
+    assert data.label_names == {0: "1", 1: "2"}
+    assert data.values.tolist() == [[0.5, 1.5], [2.5, 3.5]]
+
+
+def test_finite_values_whose_sum_overflows_still_load(tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text("a\t1e308\t1e308\nb\t-1e308\t-1e308\n")
+    assert load_dataset(path).values.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("padded.tsv", "a\t0.1\t0.2\nb\t 0.3 \t nan \n", "non-finite value 'nan' (line 2)"),
+        ("blank.csv", "a,0.1,0.2\nb,,0.3,inf\n", "non-finite value 'inf' (line 2)"),
+        ("ragged.tsv", "a\t0.1\t0.2\nb\tnan\t0.3\t0.4\n", "ragged row: 3 values where 2 expected (line 2)"),
+        ("word.tsv", "a\t0.1\t0.2\nb\t0.3\t1e\n", "cannot parse value '1e' (line 2)"),
+        ("short.csv", "a,0.1\nb,\n", "row needs a label and at least one value (line 2)"),
+        ("label_only.tsv", "a\nb\t0.1\n", "row needs a label and at least one value (line 1)"),
+        ("padded.ts", "@data\n0.1,0.2:a\n 0.3 , -inf :b\n", "non-finite value '-inf' (line 3)"),
+        ("word.ts", "@data\n0.1,0.2:a\n0.3,,x:b\n", "cannot parse value 'x' (line 3)"),
+        ("empty.ts", "@data\n0.1,0.2:a\n , :b\n", "empty series (line 3)"),
+    ],
+)
+def test_malformed_rows_keep_their_errors(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == message
+
+
 def test_missing_ts_label_rejected(tmp_path):
     path = tmp_path / "bad.ts"
     path.write_text("@data\n0.1,0.2:\n")
