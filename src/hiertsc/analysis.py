@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,27 +68,12 @@ class FeatureRow:
         return self.delta_g > 0
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "fold_id": self.fold_id,
-            "n_classes": self.n_classes,
-            "fc_score": self.fc_score,
-            "class_balance": self.class_balance,
-            "data_balance": self.data_balance,
-            "delta_g": self.delta_g,
-            "improved": self.improved,
-        }
+        return {**asdict(self), "improved": self.improved}
 
     def feature(self, name: str) -> float:
-        if name == "n_classes":
-            return float(self.n_classes)
-        if name == "fc_score":
-            return self.fc_score
-        if name == "data_balance":
-            return self.data_balance
-        if name == "class_balance":
-            return self.class_balance
-        raise KeyError(name)
+        if name not in FEATURE_NAMES:
+            raise KeyError(name)
+        return float(getattr(self, name))
 
 
 def extract_features(report: CvReport) -> list[FeatureRow]:
@@ -155,40 +140,19 @@ class CostEstimate:
     balanced_regime_units: float
     chain_regime_units: int
     chain_closed_form_units: float
+    exact_mean_depth: float
     lower_bound_balanced: float
     upper_bound_chain: float
-    exact_mean_depth: float
+    preprocessing_lower_bound: float
+    preprocessing_upper_bound: float
     depth_lower_log: float
     depth_upper_half: float
 
-    @property
-    def preprocessing_lower_bound(self) -> float:
-        return self.n_iter * self.lower_bound_balanced
-
-    @property
-    def preprocessing_upper_bound(self) -> float:
-        return self.n_iter * self.upper_bound_chain
-
     def to_dict(self) -> dict:
         return {
-            "n_instances": self.n_instances,
-            "n_classes": self.n_classes,
-            "n_iter": self.n_iter,
-            "exact_datapoint_units": self.exact_datapoint_units,
+            **asdict(self),
             "per_parent_units": list(self.per_parent_units),
-            "balanced_regime_units": self.balanced_regime_units,
-            "chain_regime_units": self.chain_regime_units,
-            "chain_closed_form_units": self.chain_closed_form_units,
-            "chain_closed_form_disagrees": bool(
-                self.chain_closed_form_units != self.chain_regime_units
-            ),
-            "lower_bound_balanced": self.lower_bound_balanced,
-            "upper_bound_chain": self.upper_bound_chain,
-            "preprocessing_lower_bound": self.preprocessing_lower_bound,
-            "preprocessing_upper_bound": self.preprocessing_upper_bound,
-            "exact_mean_depth": self.exact_mean_depth,
-            "depth_lower_log": self.depth_lower_log,
-            "depth_upper_half": self.depth_upper_half,
+            "chain_closed_form_disagrees": self.chain_closed_form_units != self.chain_regime_units,
         }
 
 
@@ -213,6 +177,22 @@ def chain_closed_form_units(n_instances: int, n_classes: int) -> float:
     only so reports can flag it."""
     x, c = n_instances, n_classes
     return (3 * x * c**2 - 3 * x * c - c**3 + c) / 6.0
+
+
+def cost_bounds(n_instances: int, n_classes: int, n_iter: int = 1) -> dict[str, float]:
+    """The closed-form bounds for |X| instances and |C| classes: datapoint-class
+    units from 2|X||C| (balanced) to |X||C|^2/2 (chain), n_iter times those
+    for preprocessing, and traversal depth from log2|C| to |C|/2."""
+    x, c = n_instances, n_classes
+    lower, upper = 2.0 * x * c, x * c**2 / 2.0
+    return {
+        "lower_bound_balanced": lower,
+        "upper_bound_chain": upper,
+        "preprocessing_lower_bound": n_iter * lower,
+        "preprocessing_upper_bound": n_iter * upper,
+        "depth_lower_log": math.log2(c),
+        "depth_upper_half": c / 2.0,
+    }
 
 
 def chain_mean_depth(n_classes: int) -> float:
@@ -252,11 +232,8 @@ def cost_model(
         balanced_regime_units=balanced_level_units(x, c),
         chain_regime_units=chain_level_units(x, c),
         chain_closed_form_units=chain_closed_form_units(x, c),
-        lower_bound_balanced=2.0 * x * c,
-        upper_bound_chain=x * c**2 / 2.0,
         exact_mean_depth=exact_mean_depth(tree, data),
-        depth_lower_log=math.log2(c),
-        depth_upper_half=c / 2.0,
+        **cost_bounds(x, c, n_iter),
     )
 
 
@@ -281,17 +258,7 @@ class CostDiscrepancyReport:
         return self.units_match and self.per_parent_match and self.depth_match
 
     def to_dict(self) -> dict:
-        return {
-            "units_match": self.units_match,
-            "measured_units": self.measured_units,
-            "expected_units": self.expected_units,
-            "per_parent_match": self.per_parent_match,
-            "depth_match": self.depth_match,
-            "measured_mean_depth": self.measured_mean_depth,
-            "expected_mean_depth": self.expected_mean_depth,
-            "depth_in_band": self.depth_in_band,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_cost_model(

@@ -15,21 +15,22 @@ Two kinds are built in:
 
 Both are deterministic functions of (spec, data); predictions break argmax
 ties toward the smallest class id.  Their label-independent half, the raw
-features, comes from a :class:`Featuriser` built once per run, so the bank is
-drawn and each row transformed once however many fits reuse them.  New kinds
-can be plugged in through :func:`register_classifier_kind`.
+features, is computed once per run: a :class:`Run` featurises all of its rows
+with one :class:`Featuriser`, and every fit slices that one matrix by row
+index (:class:`Rows`).  New kinds can be plugged in through
+:func:`register_classifier_kind`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .dataset import TimeSeriesDataset
+from .dataset import Labelled, TimeSeriesDataset
 
 _KERNEL_LENGTHS = (7, 9, 11)
 _BLOB_VERSION = 1
@@ -61,21 +62,11 @@ class ClassifierSpec:
             raise ValueError("seed must be a non-negative integer")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_kernels": self.num_kernels,
-            "ridge_lambda": self.ridge_lambda,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ClassifierSpec":
-        return ClassifierSpec(
-            kind=doc["kind"],
-            num_kernels=doc["num_kernels"],
-            ridge_lambda=doc["ridge_lambda"],
-            seed=doc["seed"],
-        )
+        return ClassifierSpec(*(doc[f.name] for f in fields(ClassifierSpec)))
 
 
 _BANK_ARRAYS = (
@@ -387,7 +378,7 @@ def _one_vs_rest_targets(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarra
     return np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
 
 
-def _check_trainable(data: TimeSeriesDataset) -> np.ndarray:
+def _check_trainable(data: TimeSeriesDataset | Rows) -> np.ndarray:
     class_ids = np.unique(data.labels)
     if class_ids.size < 2:
         raise TrainingDataError("training data must contain at least two classes")
@@ -396,12 +387,12 @@ def _check_trainable(data: TimeSeriesDataset) -> np.ndarray:
 
 def _fit_on_features(
     spec: ClassifierSpec,
-    data: TimeSeriesDataset,
+    data: TimeSeriesDataset | Rows,
     feats: np.ndarray,
     kernels: KernelBank | None,
 ) -> TrainedClassifier:
-    """Closed-form ridge on `feats`, standardised per fit when they come
-    from `kernels`."""
+    """Closed-form ridge on `feats` (the raw features of `data`'s rows, in
+    order), standardised per fit when they come from `kernels`."""
     class_ids = _check_trainable(data)
     if kernels is not None:
         mean = feats.mean(axis=0)
@@ -428,23 +419,17 @@ def _fit_on_features(
 
 
 class Featuriser:
-    """Label-independent features shared by every fit and predict of a run.
+    """The label-independent half of a classifier kind, one per run.
 
     For ``kernel-ridge`` it draws the run's :class:`KernelBank` on first use
-    and transforms each distinct row (told apart by its bytes) once; a row
-    asked for again gets its stored raw features, the same bits a fresh
-    transform gives, since the transform treats every row on its own.  For
-    ``linear`` the features are the series themselves, with no copy.
-
-    Build one per top-level call and pass it down: it keeps every row it has
-    featurised for as long as it lives, and no two calls share one.
+    and transforms rows with it; for ``linear`` the features are the series
+    themselves, with no copy.  It keeps no rows: a :class:`Run` calls it once,
+    on all of its rows, and fits slice the result by row index.
     """
 
     def __init__(self, spec: ClassifierSpec) -> None:
         self.spec = spec
         self.bank: KernelBank | None = None
-        self._row_at: dict[bytes, int] = {}
-        self._feats = np.empty((0, 2 * spec.num_kernels))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Raw (unstandardised) features of the rows of (n, M) `values`."""
@@ -454,27 +439,96 @@ class Featuriser:
             self.bank = KernelBank.generate(
                 values.shape[1], self.spec.num_kernels, self.spec.seed
             )
-        elif values.shape[1] != self.bank.series_length:
-            raise ValueError(
-                f"expected (n, {self.bank.series_length}) input, got {values.shape}"
-            )
-        keys = [row.tobytes() for row in values]
-        fresh: dict[bytes, int] = {}  # unseen row -> its first index in values
-        for i, key in enumerate(keys):
-            if key not in self._row_at:
-                fresh.setdefault(key, i)
-        if fresh:
-            block = self.bank.transform(values[list(fresh.values())])
-            start = len(self._row_at)
-            self._row_at.update(zip(fresh, range(start, start + len(fresh))))
-            self._feats = np.concatenate([self._feats, block])
-        return self._feats[[self._row_at[key] for key in keys]]
+        return self.bank.transform(values)
 
-    def predict(self, model, values: np.ndarray) -> np.ndarray:
-        """``model.predict(values)``, from this run's features when `model`
-        was fit with them."""
-        fit_here = self.bank is not None and getattr(model, "kernels", None) is self.bank
-        return model.predict_features(self(values)) if fit_here else model.predict(values)
+
+class Run:
+    """The rows of one top-level call (a CV run, a fit, a split context),
+    featurised once.
+
+    Labels are densified once to class codes (``classes[codes] == labels``),
+    so a class-to-group lookup table works for any int64 ids, and `feats`
+    holds the raw features of every row: the series themselves, or one kernel
+    transform of all rows, which gives each row the same bits as a transform
+    of any subset.  Folds, splits and node fits are :class:`Rows` of the run.
+    """
+
+    def __init__(self, values: np.ndarray, labels: np.ndarray, features: Featuriser) -> None:
+        self.values = values
+        self.labels = labels
+        self.classes, self.codes = np.unique(labels, return_inverse=True)
+        self.code_of = {int(c): i for i, c in enumerate(self.classes)}
+        self.features = features
+        self.feats = features(values)
+
+    @classmethod
+    def rows_of(cls, data, spec: ClassifierSpec, features: Featuriser | None = None) -> "Rows":
+        """`data` itself when it is rows of a run already, else every row of a
+        new run over it (featurised with `features`, or a fresh featuriser).
+        Raises ValueError when the run's featuriser is for another spec."""
+        if not isinstance(data, Rows):
+            run = cls(data.values, data.labels, features or Featuriser(spec))
+            data = Rows(run, np.arange(data.n_instances))
+        if data.run.features.spec != spec:
+            raise ValueError("the featuriser was built for a different classifier spec")
+        return data
+
+
+class Rows(Labelled):
+    """Ascending row indices into a :class:`Run`, read like a
+    :class:`TimeSeriesDataset` without copying the rows.
+
+    `labels` are the run's labels of the rows, or the 0/1 groups of
+    :meth:`binary_groups`.  A fit gathers ``feats`` in row order, so it sees
+    the same bits as a fit on a dataset holding those rows.
+    """
+
+    def __init__(self, run: Run, idx: np.ndarray, labels: np.ndarray | None = None) -> None:
+        self.run = run
+        self.idx = idx
+        self.labels = run.labels[idx] if labels is None else labels
+        self.series_length = run.values.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.run.values[self.idx]
+
+    @property
+    def feats(self) -> np.ndarray:
+        return self.run.feats[self.idx]
+
+    def subset(self, indices: np.ndarray) -> "Rows":
+        return Rows(self.run, self.idx[indices], self.labels[indices])
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return self.run.codes[self.idx]
+
+    @cached_property
+    def _present(self) -> set[int]:
+        return set(np.unique(self._codes).tolist())
+
+    def binary_groups(self, c0, c1) -> tuple["Rows", int | None]:
+        """The rows whose run class lies in c0 or c1, labelled group 0 /
+        group 1 (group 1 when a class is in both), and `empty`: the first
+        side (0 or 1) with no rows, or None.  Callers raise their own error
+        for it."""
+        code_of = self.run.code_of
+        sides = [[code_of[c] for c in side if c in code_of] for side in (c0, c1)]
+        group = np.full(self.run.classes.size, -1, dtype=np.int64)
+        for g, codes in enumerate(sides):
+            group[codes] = g
+        empty = next((g for g, codes in enumerate(sides) if self._present.isdisjoint(codes)), None)
+        mark = group[self._codes]
+        keep = mark >= 0
+        return Rows(self.run, self.idx[keep], mark[keep]), empty
+
+    def predict(self, model) -> np.ndarray:
+        """``model.predict(self.values)``, from the run's features when
+        `model` was fit on them."""
+        if isinstance(model, TrainedClassifier) and model.kernels is self.run.features.bank:
+            return model.predict_features(self.feats)
+        return model.predict(self.values)
 
 
 _BUILT_IN_KINDS = ("linear", "kernel-ridge")
@@ -487,26 +541,28 @@ def register_classifier_kind(
 ) -> None:
     """Install a custom classifier kind (used by tests to inject stubs).
 
-    A custom fitter gets the rows themselves; it takes no run featuriser.
+    A custom fitter gets a :class:`TimeSeriesDataset` of the rows; it takes
+    no run featuriser.
     """
     _FITTERS[kind] = fitter
 
 
 def fit_classifier(
-    spec: ClassifierSpec, data: TimeSeriesDataset, features: Featuriser | None = None
+    spec: ClassifierSpec, data: TimeSeriesDataset | Rows, features: Featuriser | None = None
 ) -> TrainedClassifier:
     """Fit the classifier described by `spec`; deterministic for fixed inputs.
 
-    Built-in kinds take their raw features from `features`, the run's
-    :class:`Featuriser` (a fresh one when None); custom kinds ignore it.
+    `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run.
+    Built-in kinds take the raw features of the rows from their run; a
+    dataset becomes a run featurised with `features` (a fresh
+    :class:`Featuriser` when None).  Custom kinds get a dataset.
     """
     fitter = _FITTERS.get(spec.kind)
     if fitter is not None:
+        if isinstance(data, Rows):
+            data = TimeSeriesDataset(data.values, data.labels)
         return fitter(spec, data)
     if spec.kind not in _BUILT_IN_KINDS:
         raise ValueError(f"unknown classifier kind '{spec.kind}'")
-    if features is None:
-        features = Featuriser(spec)
-    elif features.spec != spec:
-        raise ValueError("the featuriser was built for a different classifier spec")
-    return _fit_on_features(spec, data, features(data.values), features.bank)
+    rows = Run.rows_of(data, spec, features)
+    return _fit_on_features(spec, rows, rows.feats, rows.run.features.bank)

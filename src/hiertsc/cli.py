@@ -21,9 +21,10 @@ from .analysis import (
     chain_level_units,
     chain_mean_depth,
     correlate_features,
+    cost_bounds,
     extract_features,
 )
-from .classifiers import ClassifierSpec, Featuriser, TrainingDataError
+from .classifiers import ClassifierSpec, Run, TrainingDataError
 from .dataset import DataValidationError, TimeSeriesDataset
 from .evaluation import (
     CSV_COLUMNS,
@@ -166,19 +167,18 @@ def _run_cv(config: RunConfig) -> int:
 def _run_fit(config: RunConfig) -> int:
     data = _load(config)
     spec = config.classifier
-    features = Featuriser(spec)  # one bank and one transform per row for the whole fit
+    rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
     # the whole file plays outer fold 0 of nested CV
     best_tree, best_score, _, _ = select_tree(
-        data,
+        rows,
         spec,
         resolve_splitter(config.splitter),
         config.n_iter,
         config.seed,
         0,
-        inner_fold_scorer(data, spec, config.inner_folds, features),
-        features,
+        inner_fold_scorer(rows, spec, config.inner_folds),
     )
-    model = fit_lcpn(best_tree, data, spec, features=features)
+    model = fit_lcpn(best_tree, rows, spec)
     out = Path(config.out_dir)
     _write_atomic(out / "model.json", model.to_bundle() + "\n")
     print(
@@ -360,12 +360,11 @@ def _run_bench(config: RunConfig) -> int:
     x, c = config.n_instances, config.n_classes
     if c < 2 or x < c:
         raise ConfigError("need at least 2 classes and instances >= classes")
+    bounds = cost_bounds(x, c, config.n_iter)
     if config.tree_shape == "chain":
-        exact = chain_level_units(x, c)
-        mean_depth = chain_mean_depth(c)
+        exact, mean_depth = chain_level_units(x, c), chain_mean_depth(c)
     elif config.tree_shape == "balanced":
-        exact = balanced_level_units(x, c)
-        mean_depth = float(np.log2(c))
+        exact, mean_depth = balanced_level_units(x, c), bounds["depth_lower_log"]
     else:
         raise ConfigError("--tree must be 'chain' or 'balanced'")
     doc = {
@@ -374,13 +373,8 @@ def _run_bench(config: RunConfig) -> int:
         "instances": x,
         "n_iter": config.n_iter,
         "exact_datapoints_processed": exact,
-        "lower_bound_balanced": 2.0 * x * c,
-        "upper_bound_chain": x * c**2 / 2.0,
-        "preprocessing_lower_bound": config.n_iter * 2.0 * x * c,
-        "preprocessing_upper_bound": config.n_iter * x * c**2 / 2.0,
         "mean_depth": mean_depth,
-        "depth_lower_log": float(np.log2(c)),
-        "depth_upper_half": c / 2.0,
+        **bounds,
         "diagnostics": {
             "chain_closed_form": chain_closed_form_units(x, c),
             "chain_closed_form_disagrees": chain_closed_form_units(x, c)

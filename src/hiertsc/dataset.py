@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -12,8 +12,30 @@ class DataValidationError(ValueError):
     """Raised when a dataset violates its structural contract."""
 
 
+class Labelled:
+    """Row count and class statistics of anything with a `labels` array."""
+
+    labels: np.ndarray
+
+    @property
+    def n_instances(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def label_space(self) -> tuple[int, ...]:
+        return tuple(int(c) for c in np.unique(self.labels))
+
+    @property
+    def n_classes(self) -> int:
+        return int(np.unique(self.labels).size)
+
+    def class_counts(self) -> dict[int, int]:
+        ids, counts = np.unique(self.labels, return_counts=True)
+        return {int(c): int(n) for c, n in zip(ids, counts)}
+
+
 @dataclass(frozen=True)
-class TimeSeriesDataset:
+class TimeSeriesDataset(Labelled):
     """N equal-length real-valued series, each with one integer class label.
 
     Parameters
@@ -56,53 +78,14 @@ class TimeSeriesDataset:
             object.__setattr__(self, "label_names", dict(self.label_names))
 
     @property
-    def n_instances(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def series_length(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def label_space(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unique(self.labels))
-
-    @property
-    def n_classes(self) -> int:
-        return int(np.unique(self.labels).size)
-
-    def class_counts(self) -> dict[int, int]:
-        ids, counts = np.unique(self.labels, return_counts=True)
-        return {int(c): int(n) for c, n in zip(ids, counts)}
-
     def subset(self, indices: Sequence[int] | np.ndarray) -> "TimeSeriesDataset":
-        """Row subset preserving the label-name map.
-
-        Accepts index arrays or boolean masks; the subset must still contain
-        at least two classes.
-        """
+        """Row subset (an index array or a boolean mask) preserving the
+        label-name map; the subset must still contain at least two classes."""
         idx = np.asarray(indices)
-        idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.int64)
         return TimeSeriesDataset(self.values[idx], self.labels[idx], self.label_names)
-
-    def binary_groups(
-        self, c0: Iterable[int], c1: Iterable[int]
-    ) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """Rows whose class lies in c0 or c1, relabelled group 0 / group 1.
-
-        Returns (values, groups, empty): `empty` is the first side (0 or 1)
-        with no rows, or None.  Callers raise their own error for it.
-        """
-        in0 = np.isin(self.labels, np.fromiter(c0, dtype=np.int64))
-        in1 = np.isin(self.labels, np.fromiter(c1, dtype=np.int64))
-        empty = 0 if not in0.any() else 1 if not in1.any() else None
-        keep = in0 | in1
-        return self.values[keep], np.where(in1[keep], 1, 0), empty
-
-    def restrict_to_classes(self, classes) -> "TimeSeriesDataset":
-        """Instances whose label lies in `classes` (two or more required)."""
-        mask = np.isin(self.labels, np.fromiter(classes, dtype=np.int64))
-        return self.subset(np.flatnonzero(mask))
 
 
 def collinear_superclusters(

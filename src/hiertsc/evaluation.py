@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, Rows, Run, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
 from .lcpn import fit_lcpn, predict_lcpn
@@ -92,7 +92,7 @@ class FoldPlan:
 
 
 def split_data(
-    data: TimeSeriesDataset, k: int, shuffle: bool = False, seed: int = 0
+    data: TimeSeriesDataset | Rows, k: int, shuffle: bool = False, seed: int = 0
 ) -> FoldPlan:
     """Build a stratified k-fold plan over `data`.
 
@@ -118,7 +118,7 @@ def split_data(
 
 
 def flat_baseline(
-    data: TimeSeriesDataset,
+    data: TimeSeriesDataset | Rows,
     plan: FoldPlan,
     spec: ClassifierSpec,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
@@ -128,17 +128,17 @@ def flat_baseline(
 
     `metric` defaults to macro-F1, looked up at call time rather than bound
     as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
-    `features` is the run's featuriser; a fresh one when None.
+    A dataset becomes one run, featurised once with `features` (a fresh
+    featuriser when None); :class:`Rows` bring their run.
     """
     metric = metric or f1_macro
-    if features is None:
-        features = Featuriser(spec)
+    rows = Run.rows_of(data, spec, features)
     scores = []
     for fold in range(plan.k):
-        train = data.subset(plan.train_indices(fold))
-        test = data.subset(plan.test_indices(fold))
-        model = fit_classifier(spec, train, features)
-        scores.append(metric(test.labels, features.predict(model, test.values)))
+        train = rows.subset(plan.train_indices(fold))
+        test = rows.subset(plan.test_indices(fold))
+        model = fit_classifier(spec, train)
+        scores.append(metric(test.labels, test.predict(model)))
     return scores
 
 
@@ -275,21 +275,9 @@ class CvReport:
 
         folds = []
         for f in doc["folds"]:
-            tree, _ = parse_tree_text(f["selected_tree"])
-            folds.append(
-                FoldRecord(
-                    fold=f["fold"],
-                    selected_tree=tree,
-                    inner_mean_score=f["inner_mean_score"],
-                    outer_test_score=f["outer_test_score"],
-                    fc_score=f["fc_score"],
-                    class_balance=f["class_balance"],
-                    data_balance=f["data_balance"],
-                    delta_g=f["delta_g"],
-                    distinct_trees=f["distinct_trees"],
-                    iterations_run=f["iterations_run"],
-                )
-            )
+            record = {name: f[name] for name in FoldRecord.__dataclass_fields__}
+            record["selected_tree"], _ = parse_tree_text(f["selected_tree"])
+            folds.append(FoldRecord(**record))
         return CvReport(
             scheme=doc["scheme"],
             dataset_id=doc["dataset_id"],
@@ -309,12 +297,7 @@ class CvReport:
 
 
 def _iteration_context(
-    outer_train: TimeSeriesDataset,
-    spec: ClassifierSpec,
-    seed: int,
-    ko: int,
-    i: int,
-    features: Featuriser | None,
+    outer_train: Rows, spec: ClassifierSpec, seed: int, ko: int, i: int
 ) -> SplitContext:
     """Fresh shuffled generation split and RNG stream for (seed, fold, iter)."""
     root = np.random.SeedSequence(entropy=(seed, ko, i))
@@ -326,18 +309,16 @@ def _iteration_context(
         val=outer_train.subset(plan.test_indices(0)),
         spec=spec,
         rng=np.random.default_rng(splitter_seq),
-        features=features,
     )
 
 
 def _candidate_trees(
-    outer_train: TimeSeriesDataset,
+    outer_train: Rows,
     spec: ClassifierSpec,
     splitter_fn: Callable,
     n_iter: int,
     seed: int,
     ko: int,
-    features: Featuriser | None = None,
 ) -> tuple[list[HierarchyTree], int, int]:
     """Generate up to n_iter candidate trees, skipping similarity duplicates
     and stopping once every distinct tree has been seen.
@@ -353,49 +334,43 @@ def _candidate_trees(
         if state.at_limit:
             break
         iterations += 1
-        ctx = _iteration_context(outer_train, spec, seed, ko, i, features)
+        ctx = _iteration_context(outer_train, spec, seed, ko, i)
         tree = grow_tree(ctx, splitter_fn)
         if check_duplicates_and_limit(state, tree) is CheckResult.FRESH:
             fresh.append(tree)
     return fresh, iterations, state.distinct_count
 
 
-def _fit_score(
-    tree: HierarchyTree,
-    train: TimeSeriesDataset,
-    test: TimeSeriesDataset,
-    spec: ClassifierSpec,
-    features: Featuriser,
-) -> float:
+def _fit_score(tree: HierarchyTree, train: Rows, test: Rows, spec: ClassifierSpec) -> float:
     """Macro-F1 on `test` of the LCPN model of `tree` fit on `train`."""
-    model = fit_lcpn(tree, train, spec, features=features)
-    predicted, _ = predict_lcpn(model, test.values, features)
+    model = fit_lcpn(tree, train, spec)
+    predicted, _ = predict_lcpn(model, test)
     return f1_macro(test.labels, predicted)
 
 
 def inner_fold_scorer(
-    train: TimeSeriesDataset,
+    train: TimeSeriesDataset | Rows,
     spec: ClassifierSpec,
     n_inner: int,
     features: Featuriser | None = None,
 ) -> Callable[[HierarchyTree], float]:
     """Scorer giving a tree's mean macro-F1 over the unshuffled inner folds
-    of `train`; the fold plan and its subsets are built once, here.
-    `features` is the run's featuriser; a fresh one when None."""
-    if features is None:
-        features = Featuriser(spec)
-    plan = split_data(train, n_inner, shuffle=False)
+    of `train`; the fold plan and its row indices are built once, here.  A
+    dataset becomes one run, featurised once with `features` (a fresh
+    featuriser when None); :class:`Rows` bring their run."""
+    rows = Run.rows_of(train, spec, features)
+    plan = split_data(rows, n_inner, shuffle=False)
     folds = [
-        (train.subset(plan.train_indices(ki)), train.subset(plan.test_indices(ki)))
+        (rows.subset(plan.train_indices(ki)), rows.subset(plan.test_indices(ki)))
         for ki in range(plan.k)
     ]
     return lambda tree: float(
-        np.mean([_fit_score(tree, fit, val, spec, features) for fit, val in folds])
+        np.mean([_fit_score(tree, fit, val, spec) for fit, val in folds])
     )
 
 
 def select_tree(
-    train: TimeSeriesDataset,
+    train: TimeSeriesDataset | Rows,
     spec: ClassifierSpec,
     splitter_fn: Callable,
     n_iter: int,
@@ -405,13 +380,14 @@ def select_tree(
     features: Featuriser | None = None,
 ) -> tuple[HierarchyTree, float, int, int]:
     """Score every fresh candidate of the (seed, ko) stream over `train` and
-    keep the first tree with the highest score.  Split scores featurise
-    through `features`, the run's featuriser (one per candidate when None).
+    keep the first tree with the highest score.  Split scores fit on rows of
+    `train`'s run; a dataset becomes one run, featurised once with
+    `features` (a fresh featuriser when None).
 
     Returns (tree, score, iterations run, distinct count).
     """
     fresh, iterations, distinct = _candidate_trees(
-        train, spec, splitter_fn, n_iter, seed, ko, features
+        Run.rows_of(train, spec, features), spec, splitter_fn, n_iter, seed, ko
     )
     scores = [scorer(tree) for tree in fresh]
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
@@ -435,28 +411,29 @@ def _cross_validate(
     dataset_id: str,
 ) -> CvReport:
     """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
-    when it is None.  One featuriser serves every fit and predict of the run."""
+    when it is None.  One run, featurised once, serves every fit and predict:
+    folds, splits and node fits are row indices into it."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
-    features = Featuriser(spec)
-    fc_scores = flat_baseline(data, outer_plan, spec, features=features)
+    rows = Run.rows_of(data, spec)
+    fc_scores = flat_baseline(rows, outer_plan, spec)
     records = []
     for ko in range(n_outer):
-        train = data.subset(outer_plan.train_indices(ko))
-        test = data.subset(outer_plan.test_indices(ko))
+        train = rows.subset(outer_plan.train_indices(ko))
+        test = rows.subset(outer_plan.test_indices(ko))
         if n_inner is None:
-            scorer = lambda tree: _fit_score(tree, train, test, spec, features)
+            scorer = lambda tree: _fit_score(tree, train, test, spec)
         else:
-            scorer = inner_fold_scorer(train, spec, n_inner, features)
+            scorer = inner_fold_scorer(train, spec, n_inner)
         tree, score, iterations, distinct = select_tree(
-            train, spec, splitter_fn, n_iter, seed, ko, scorer, features
+            train, spec, splitter_fn, n_iter, seed, ko, scorer
         )
         if n_inner is None:
             inner_mean, outer_score = None, score
         else:
-            inner_mean, outer_score = score, _fit_score(tree, train, test, spec, features)
+            inner_mean, outer_score = score, _fit_score(tree, train, test, spec)
         records.append(
             FoldRecord(
                 fold=ko,

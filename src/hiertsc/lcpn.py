@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, TrainedClassifier, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, Rows, Run, TrainedClassifier, fit_classifier
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
@@ -79,22 +79,20 @@ class LcpnModel:
         return LcpnModel(tree=tree, node_models=tuple(models))
 
 
-def _fit_node(
-    parent, data: TimeSeriesDataset, spec: ClassifierSpec, features: Featuriser
-) -> tuple[TrainedClassifier, int]:
-    values, groups, empty = data.binary_groups(parent.left, parent.right)
+def _fit_node(parent, rows: Rows, spec: ClassifierSpec) -> tuple[TrainedClassifier, int]:
+    node, empty = rows.binary_groups(parent.left, parent.right)
     if empty is not None:
         raise NodeTrainingError(
             f"parent {parent.id} has no training instances on its "
             f"{('left', 'right')[empty]} side "
             f"({sorted(parent.left)} | {sorted(parent.right)})"
         )
-    return fit_classifier(spec, TimeSeriesDataset(values, groups), features), groups.size
+    return fit_classifier(spec, node), node.n_instances
 
 
 def fit_lcpn(
     tree: HierarchyTree,
-    data: TimeSeriesDataset,
+    data: TimeSeriesDataset | Rows,
     spec: ClassifierSpec,
     counters: FitCounters | None = None,
     features: Featuriser | None = None,
@@ -103,19 +101,19 @@ def fit_lcpn(
 
     Each node sees exactly the rows whose class lies in the parent's class
     set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
-    result does not depend on training order.  Raw features come from
-    `features`, the run's featuriser; a fresh one, shared by the nodes of
-    this model, when None.
+    result does not depend on training order.  `data` is a dataset or
+    :class:`Rows` of a run; a dataset becomes one new run, featurised once
+    with `features` (a fresh featuriser when None), and every node fit
+    slices that run's features by row index.
     """
-    foreign = frozenset(data.label_space) - tree.root_classes
+    rows = Run.rows_of(data, spec, features)
+    foreign = frozenset(rows.label_space) - tree.root_classes
     if foreign:
         raise NodeTrainingError(
             f"data contains labels {sorted(foreign)} outside the tree's classes "
             f"{sorted(tree.root_classes)}"
         )
-    if features is None:
-        features = Featuriser(spec)
-    fitted = [_fit_node(p, data, spec, features) for p in tree.parents]
+    fitted = [_fit_node(p, rows, spec) for p in tree.parents]
     if counters is not None:
         for parent, (_, n_rows) in zip(tree.parents, fitted):
             counters.per_parent_instances.append(n_rows)
@@ -124,10 +122,11 @@ def fit_lcpn(
 
 
 def _shared_features(
-    model: LcpnModel, values: np.ndarray, features: Featuriser | None
+    model: LcpnModel, values: np.ndarray, rows: Rows | None
 ) -> np.ndarray | None:
     """Raw features of every row when all node models share one
-    featurisation (one bank object, or none); None otherwise."""
+    featurisation (one bank object, or none); None otherwise.  Taken from
+    the run of `rows` when the model was fit on it."""
     nodes = model.node_models
     if not all(isinstance(m, TrainedClassifier) for m in nodes):
         return None
@@ -136,23 +135,26 @@ def _shared_features(
         return None
     if bank is None:
         return values
-    if features is not None and features.bank is bank:
-        return features(values)
+    if rows is not None and rows.run.features.bank is bank:
+        return rows.feats
     return bank.transform(values)
 
 
 def predict_lcpn(
-    model: LcpnModel, values: np.ndarray, features: Featuriser | None = None
+    model: LcpnModel, values: np.ndarray | Rows, features: Featuriser | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Route every instance root-to-leaf; return (labels, depths).
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
-    every prediction is a leaf class of the hierarchy.  When the node models
-    share one bank, each row is transformed once per call (looked up in
-    `features` when the model was fit with it) and each node scores its rows
-    from those features; served rows are not kept after the call.
+    every prediction is a leaf class of the hierarchy.  `values` is an
+    (n, M) array or :class:`Rows` of a run.  When the node models share one
+    bank, each row is featurised once per call (taken from the run when the
+    model was fit on it; `features` adds nothing, as a transform of an array
+    is the same bits however it is made) and each node scores its rows from
+    those features; served rows are not kept after the call.
     """
-    values = np.asarray(values, dtype=np.float64)
+    rows_in = values if isinstance(values, Rows) else None
+    values = np.asarray(values if rows_in is None else rows_in.values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != model.series_length:
         raise ValueError(
             f"expected (n, {model.series_length}) input, got {values.shape}"
@@ -160,7 +162,7 @@ def predict_lcpn(
     n = values.shape[0]
     labels = np.empty(n, dtype=np.int64)
     depths = np.zeros(n, dtype=np.int64)
-    feats = _shared_features(model, values, features)
+    feats = _shared_features(model, values, rows_in)
     tree = model.tree
     stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
     while stack:

@@ -18,15 +18,19 @@ def f1_macro(truth, predicted) -> float:
         raise ValueError("truth and predicted must be 1-D sequences of equal length")
     if truth.size == 0:
         raise ValueError("truth must be non-empty")
-    total = 0.0
     classes = np.unique(truth)
-    for cls in classes:
-        tp = np.sum((truth == cls) & (predicted == cls))
-        fp = np.sum((truth != cls) & (predicted == cls))
-        fn = np.sum((truth == cls) & (predicted != cls))
-        denom = 2 * tp + fp + fn
-        total += 2 * tp / denom if denom else 0.0
-    return float(total / classes.size)
+    k = classes.size
+    t = np.searchsorted(classes, truth)
+    p = np.minimum(np.searchsorted(classes, predicted), k - 1)
+    p[classes[p] != predicted] = k  # foreign: a column of its own
+    confusion = np.bincount(t * (k + 1) + p, minlength=k * (k + 1)).reshape(k, k + 1)
+    tp = confusion.diagonal()
+    denom = confusion.sum(axis=0)[:k] + confusion.sum(axis=1)  # 2tp + fp + fn
+    f1 = np.divide(2 * tp, denom, out=np.zeros(k), where=denom > 0)
+    total = 0.0
+    for value in f1.tolist():  # left to right, as np.sum's pairwise order could move low bits
+        total += value
+    return total / k
 
 
 def accuracy(truth, predicted) -> float:

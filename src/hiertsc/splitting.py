@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, fit_classifier
+from .classifiers import ClassifierSpec, Featuriser, Rows, Run, fit_classifier
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
 from .tree import ClassSet
@@ -30,21 +30,32 @@ class ScoringError(ValueError):
 class SplitContext:
     """Everything a splitter needs: a train/validation pair, the base
     classifier configuration, a seeded random stream, and the run's
-    featuriser (a fresh one, shared by this context's scores, when omitted).
+    featuriser.
 
+    `train` and `val` are :class:`Rows` of one run, or two datasets, which
+    then become the rows of one new run over both (featurised with
+    `features`, or a fresh featuriser); `features` is set to the run's.
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
     """
 
-    train: TimeSeriesDataset
-    val: TimeSeriesDataset
+    train: Rows | TimeSeriesDataset
+    val: Rows | TimeSeriesDataset
     spec: ClassifierSpec
     rng: np.random.Generator
     features: Featuriser | None = None
 
     def __post_init__(self) -> None:
-        if self.features is None:
-            self.features = Featuriser(self.spec)
+        if not isinstance(self.train, Rows):
+            run = Run(
+                np.vstack([self.train.values, self.val.values]),
+                np.concatenate([self.train.labels, self.val.labels]),
+                self.features or Featuriser(self.spec),
+            )
+            n = self.train.n_instances
+            self.train = Rows(run, np.arange(n))
+            self.val = Rows(run, np.arange(n, run.labels.size))
+        self.features = self.train.run.features
 
     @property
     def label_space(self) -> tuple[int, ...]:
@@ -84,17 +95,14 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         raise ScoringError("both groups must be non-empty")
     if c0 & c1:
         raise ScoringError(f"groups overlap on {sorted(c0 & c1)}")
-    train_values, train_meta, train_empty = ctx.train.binary_groups(c0, c1)
-    val_values, val_meta, val_empty = ctx.val.binary_groups(c0, c1)
+    train, train_empty = ctx.train.binary_groups(c0, c1)
+    val, val_empty = ctx.val.binary_groups(c0, c1)
     for empty, part in ((train_empty, "training"), (val_empty, "validation")):
         if empty is not None:
             group = sorted((c0, c1)[empty])
             raise ScoringError(f"group {group} has no instances in the {part} part")
-    model = fit_classifier(
-        ctx.spec, TimeSeriesDataset(train_values, train_meta), ctx.features
-    )
-    predicted = ctx.features.predict(model, val_values)
-    return f1_macro(val_meta, predicted)
+    model = fit_classifier(ctx.spec, train)
+    return f1_macro(val.labels, val.predict(model))
 
 
 def update_score_and_groups(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 ClassSet = frozenset[int]
 
@@ -411,10 +411,3 @@ def tree_to_json(tree: HierarchyTree, id_to_label: Mapping[int, str] | None = No
 
 def tree_from_json(text: str) -> HierarchyTree:
     return tree_from_json_dict(json.loads(text))
-
-
-def iter_all_leaf_sets(tree: HierarchyTree) -> Iterator[ClassSet]:
-    for p in tree.parents:
-        for side in (p.left, p.right):
-            if len(side) == 1:
-                yield side

@@ -53,6 +53,51 @@ def test_f1_macro_ignores_classes_absent_from_truth():
     assert f1_macro([0, 0], [0, 9]) == pytest.approx(2 / 3, abs=1e-12)
 
 
+def f1_macro_loop(truth, predicted):
+    """Macro-F1 with three boolean masks per class, summed in ascending class
+    order: the oracle for the one-pass :func:`f1_macro`."""
+    truth, predicted = np.asarray(truth), np.asarray(predicted)
+    total = 0.0
+    classes = np.unique(truth)
+    for cls in classes:
+        tp = np.sum((truth == cls) & (predicted == cls))
+        fp = np.sum((truth != cls) & (predicted == cls))
+        fn = np.sum((truth == cls) & (predicted != cls))
+        denom = 2 * tp + fp + fn
+        total += 2 * tp / denom if denom else 0.0
+    return float(total / classes.size)
+
+
+# negative, sparse and huge ids, plus ids that only ever appear as predictions
+TRUTH_IDS = st.one_of(
+    st.sampled_from([-(10**12), -7, -1, 0, 3, 10**9, 2**62]), st.integers(-40, 40)
+)
+FOREIGN_IDS = st.sampled_from([-(2**63), -99, 41, 10**12 + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(TRUTH_IDS, st.one_of(TRUTH_IDS, FOREIGN_IDS)), min_size=1, max_size=80
+    )
+)
+def test_f1_macro_is_bitwise_the_per_class_loop(pairs):
+    truth = np.asarray([t for t, _ in pairs], dtype=np.int64)
+    predicted = np.asarray([p for _, p in pairs], dtype=np.int64)
+    got, want = f1_macro(truth, predicted), f1_macro_loop(truth, predicted)
+    assert type(got) is float
+    assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)
+
+
+def test_f1_macro_sums_many_classes_left_to_right():
+    # 40 classes, one row each: a pairwise sum of the per-class values could
+    # round differently from the left-to-right one
+    rng = np.random.default_rng(5)
+    truth = np.repeat(np.arange(40) * 1000 - 7, 3)
+    predicted = np.where(rng.random(truth.size) < 0.6, truth, rng.permutation(truth))
+    assert f1_macro(truth, predicted) == f1_macro_loop(truth, predicted)
+
+
 def test_f1_macro_length_mismatch():
     with pytest.raises(ValueError):
         f1_macro([0, 1], [0])

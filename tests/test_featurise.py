@@ -293,7 +293,9 @@ def test_featurised_model_equals_nodes_fit_with_their_own_bank():
     predicted, _ = predict_lcpn(model, unseen.values)
     assert 0.3 < np.mean(predicted == unseen.labels) < 1.0
     for parent, node in zip(model.tree.parents, model.node_models):
-        values, groups, _ = data.binary_groups(parent.left, parent.right)
+        in0 = np.isin(data.labels, sorted(parent.left))
+        in1 = np.isin(data.labels, sorted(parent.right))
+        values, groups = data.values[in0 | in1], in1[in0 | in1].astype(np.int64)
         bank = KernelBank.generate(data.series_length, KERNEL.num_kernels, KERNEL.seed)
         node_data = TimeSeriesDataset(values, groups)
         alone = _fit_on_features(KERNEL, node_data, bank.transform(values), bank)
