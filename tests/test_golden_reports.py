@@ -31,7 +31,7 @@ CLASSIFIERS = {
 }
 COMMON = ("--iters", "3", "--inner-folds", "3", "--seed", "0")
 
-#: captured at the parent of the row-index runs change (05c1744)
+#: captured at commit 05c1744, before folds and fits became row-index runs
 GOLDEN = {
     "collinear-lsoo-kernel16-fit/stdout": "7b9d417f3ec44f6cfe9747c0429cc108957b508e6ff51b2e3040ff1bd4cf743e",
     "collinear-lsoo-kernel16-flat/folds.csv": "33561184056051b5f7295c510ce57e980a0c127e6d0ac047868d59da5ade835e",
