@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .classifiers import (
     ClassifierSpec,
-    Featuriser,
     KernelBank,
     TrainedClassifier,
     fit_classifier,
@@ -84,7 +83,6 @@ __all__ = [
     "CvReport",
     "DataValidationError",
     "FeatureRow",
-    "Featuriser",
     "FitCounters",
     "FoldPlan",
     "FoldRecord",

@@ -16,6 +16,9 @@ from .tree import HierarchyTree
 
 FEATURE_NAMES = ("n_classes", "fc_score", "data_balance", "class_balance")
 
+#: how far a measured mean depth may stray from the model's before it is a mismatch
+DEPTH_TOLERANCE = 1e-12
+
 
 class ConstantInputError(ValueError):
     """Raised when correlation is requested against a constant sequence."""
@@ -100,15 +103,13 @@ def improvement_count(rows: Iterable[FeatureRow]) -> int:
     return sum(1 for row in rows if row.improved)
 
 
-def correlate_features(
-    rows: Sequence[FeatureRow], features: Sequence[str] = FEATURE_NAMES
-) -> dict[str, tuple[float, float] | None]:
+def correlate_features(rows: Sequence[FeatureRow]) -> dict[str, tuple[float, float] | None]:
     """Pearson (r, p) of each feature against delta_g; None when the feature
     is constant over the rows (e.g. class balance under the leave-one-out
     splitter, which pins it at 1)."""
     deltas = [row.delta_g for row in rows]
     out: dict[str, tuple[float, float] | None] = {}
-    for name in features:
+    for name in FEATURE_NAMES:
         values = [row.feature(name) for row in rows]
         try:
             out[name] = pearson(values, deltas)
@@ -265,9 +266,9 @@ def verify_cost_model(
     estimate: CostEstimate,
     counters: FitCounters,
     depths: Sequence[int],
-    tolerance: float = 1e-12,
 ) -> CostDiscrepancyReport:
-    """Check measured fit counters and traversal depths against `estimate`."""
+    """Check measured fit counters and traversal depths against `estimate`,
+    depths to within ``DEPTH_TOLERANCE``."""
     measured_units = counters.datapoint_class_units
     measured_depth = float(np.mean(np.asarray(depths, dtype=np.float64)))
     return CostDiscrepancyReport(
@@ -275,12 +276,12 @@ def verify_cost_model(
         measured_units=measured_units,
         expected_units=estimate.exact_datapoint_units,
         per_parent_match=tuple(counters.per_parent_units) == estimate.per_parent_units,
-        depth_match=abs(measured_depth - estimate.exact_mean_depth) <= tolerance,
+        depth_match=abs(measured_depth - estimate.exact_mean_depth) <= DEPTH_TOLERANCE,
         measured_mean_depth=measured_depth,
         expected_mean_depth=estimate.exact_mean_depth,
         depth_in_band=(
-            estimate.depth_lower_log - tolerance
+            estimate.depth_lower_log - DEPTH_TOLERANCE
             <= measured_depth
-            <= estimate.depth_upper_half + 1.0 + tolerance
+            <= estimate.depth_upper_half + 1.0 + DEPTH_TOLERANCE
         ),
     )

@@ -15,9 +15,9 @@ Two kinds are built in:
 
 Both are deterministic functions of (spec, data); predictions break argmax
 ties toward the smallest class id.  Their label-independent half, the raw
-features, is computed once per run: a :class:`Run` featurises all of its rows
-with one :class:`Featuriser`, and every fit slices that one matrix by row
-index (:class:`Rows`).  New kinds can be plugged in through
+features, is computed once per run: a :class:`Run` draws its kernel bank and
+featurises all of its rows in one call, and every fit slices that one matrix
+by row index (:class:`Rows`).  New kinds can be plugged in through
 :func:`register_classifier_kind`.
 """
 
@@ -82,7 +82,7 @@ _BANK_ARRAYS = (
 class KernelBank:
     """Random convolutional kernels drawn once per (seed, series length).
 
-    A :class:`Featuriser` draws one bank per run and every fit of the run,
+    A ``kernel-ridge`` :class:`Run` draws one bank, and every fit of the run,
     and every node of the models it fits, shares it.  The bank is a value:
     its arrays are read-only copies, and two banks are equal (and hash
     equal) when their length and every array match.
@@ -418,59 +418,39 @@ def _fit_on_features(
     )
 
 
-class Featuriser:
-    """The label-independent half of a classifier kind, one per run.
-
-    For ``kernel-ridge`` it draws the run's :class:`KernelBank` on first use
-    and transforms rows with it; for ``linear`` the features are the series
-    themselves, with no copy.  It keeps no rows: a :class:`Run` calls it once,
-    on all of its rows, and fits slice the result by row index.
-    """
-
-    def __init__(self, spec: ClassifierSpec) -> None:
-        self.spec = spec
-        self.bank: KernelBank | None = None
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Raw (unstandardised) features of the rows of (n, M) `values`."""
-        if self.spec.kind != "kernel-ridge":
-            return values
-        if self.bank is None:
-            self.bank = KernelBank.generate(
-                values.shape[1], self.spec.num_kernels, self.spec.seed
-            )
-        return self.bank.transform(values)
-
-
 class Run:
     """The rows of one top-level call (a CV run, a fit, a split context),
     featurised once.
 
     Labels are densified once to class codes (``classes[codes] == labels``),
     so a class-to-group lookup table works for any int64 ids, and `feats`
-    holds the raw features of every row: the series themselves, or one kernel
-    transform of all rows, which gives each row the same bits as a transform
-    of any subset.  Folds, splits and node fits are :class:`Rows` of the run.
+    holds the raw features of every row: the series themselves for
+    ``linear``, or one transform of all rows with the run's `bank`, which
+    gives each row the same bits as a transform of any subset.  Folds, splits
+    and node fits are :class:`Rows` of the run.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, features: Featuriser) -> None:
+    def __init__(self, values: np.ndarray, labels: np.ndarray, spec: ClassifierSpec) -> None:
         self.values = values
         self.labels = labels
         self.classes, self.codes = np.unique(labels, return_inverse=True)
         self.code_of = {int(c): i for i, c in enumerate(self.classes)}
-        self.features = features
-        self.feats = features(values)
+        self.spec = spec
+        self.bank: KernelBank | None = None
+        if spec.kind == "kernel-ridge":
+            self.bank = KernelBank.generate(values.shape[1], spec.num_kernels, spec.seed)
+            self.feats = self.bank.transform(values)
+        else:
+            self.feats = values
 
     @classmethod
-    def rows_of(cls, data, spec: ClassifierSpec, features: Featuriser | None = None) -> "Rows":
+    def rows_of(cls, data, spec: ClassifierSpec) -> "Rows":
         """`data` itself when it is rows of a run already, else every row of a
-        new run over it (featurised with `features`, or a fresh featuriser).
-        Raises ValueError when the run's featuriser is for another spec."""
+        new run over it.  Raises ValueError when the run is for another spec."""
         if not isinstance(data, Rows):
-            run = cls(data.values, data.labels, features or Featuriser(spec))
-            data = Rows(run, np.arange(data.n_instances))
-        if data.run.features.spec != spec:
-            raise ValueError("the featuriser was built for a different classifier spec")
+            data = Rows(cls(data.values, data.labels, spec), np.arange(data.n_instances))
+        if data.run.spec != spec:
+            raise ValueError("the run was built for a different classifier spec")
         return data
 
 
@@ -526,7 +506,7 @@ class Rows(Labelled):
     def predict(self, model) -> np.ndarray:
         """``model.predict(self.values)``, from the run's features when
         `model` was fit on them."""
-        if isinstance(model, TrainedClassifier) and model.kernels is self.run.features.bank:
+        if isinstance(model, TrainedClassifier) and model.kernels is self.run.bank:
             return model.predict_features(self.feats)
         return model.predict(self.values)
 
@@ -541,21 +521,18 @@ def register_classifier_kind(
 ) -> None:
     """Install a custom classifier kind (used by tests to inject stubs).
 
-    A custom fitter gets a :class:`TimeSeriesDataset` of the rows; it takes
-    no run featuriser.
+    A custom fitter gets a :class:`TimeSeriesDataset` of the rows, not the
+    run's features.
     """
     _FITTERS[kind] = fitter
 
 
-def fit_classifier(
-    spec: ClassifierSpec, data: TimeSeriesDataset | Rows, features: Featuriser | None = None
-) -> TrainedClassifier:
+def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> TrainedClassifier:
     """Fit the classifier described by `spec`; deterministic for fixed inputs.
 
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run.
     Built-in kinds take the raw features of the rows from their run; a
-    dataset becomes a run featurised with `features` (a fresh
-    :class:`Featuriser` when None).  Custom kinds get a dataset.
+    dataset becomes a new run.  Custom kinds get a dataset.
     """
     fitter = _FITTERS.get(spec.kind)
     if fitter is not None:
@@ -564,5 +541,5 @@ def fit_classifier(
         return fitter(spec, data)
     if spec.kind not in _BUILT_IN_KINDS:
         raise ValueError(f"unknown classifier kind '{spec.kind}'")
-    rows = Run.rows_of(data, spec, features)
-    return _fit_on_features(spec, rows, rows.feats, rows.run.features.bank)
+    rows = Run.rows_of(data, spec)
+    return _fit_on_features(spec, rows, rows.feats, rows.run.bank)

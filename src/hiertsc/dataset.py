@@ -47,8 +47,8 @@ class TimeSeriesDataset(Labelled):
     label_names : mapping int -> str, optional
         Original label tokens for densified class ids, kept for round-trips.
 
-    Instances are immutable after construction and safe to share across
-    workers; the backing arrays are marked read-only.
+    Instances are immutable after construction; the backing arrays are
+    marked read-only.
     """
 
     values: np.ndarray

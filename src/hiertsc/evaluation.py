@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, Rows, Run, fit_classifier
+from .classifiers import ClassifierSpec, Rows, Run, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
 from .lcpn import fit_lcpn, predict_lcpn
@@ -122,17 +122,15 @@ def flat_baseline(
     plan: FoldPlan,
     spec: ClassifierSpec,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-    features: Featuriser | None = None,
 ) -> list[float]:
     """Per-fold score of the flat classifier: fit on train, score on test.
 
     `metric` defaults to macro-F1, looked up at call time rather than bound
     as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
-    A dataset becomes one run, featurised once with `features` (a fresh
-    featuriser when None); :class:`Rows` bring their run.
+    A dataset becomes one run; :class:`Rows` bring their run.
     """
     metric = metric or f1_macro
-    rows = Run.rows_of(data, spec, features)
+    rows = Run.rows_of(data, spec)
     scores = []
     for fold in range(plan.k):
         train = rows.subset(plan.train_indices(fold))
@@ -349,16 +347,12 @@ def _fit_score(tree: HierarchyTree, train: Rows, test: Rows, spec: ClassifierSpe
 
 
 def inner_fold_scorer(
-    train: TimeSeriesDataset | Rows,
-    spec: ClassifierSpec,
-    n_inner: int,
-    features: Featuriser | None = None,
+    train: TimeSeriesDataset | Rows, spec: ClassifierSpec, n_inner: int
 ) -> Callable[[HierarchyTree], float]:
     """Scorer giving a tree's mean macro-F1 over the unshuffled inner folds
     of `train`; the fold plan and its row indices are built once, here.  A
-    dataset becomes one run, featurised once with `features` (a fresh
-    featuriser when None); :class:`Rows` bring their run."""
-    rows = Run.rows_of(train, spec, features)
+    dataset becomes one run; :class:`Rows` bring their run."""
+    rows = Run.rows_of(train, spec)
     plan = split_data(rows, n_inner, shuffle=False)
     folds = [
         (rows.subset(plan.train_indices(ki)), rows.subset(plan.test_indices(ki)))
@@ -377,17 +371,18 @@ def select_tree(
     seed: int,
     ko: int,
     scorer: Callable[[HierarchyTree], float],
-    features: Featuriser | None = None,
 ) -> tuple[HierarchyTree, float, int, int]:
     """Score every fresh candidate of the (seed, ko) stream over `train` and
     keep the first tree with the highest score.  Split scores fit on rows of
-    `train`'s run; a dataset becomes one run, featurised once with
-    `features` (a fresh featuriser when None).
+    `train`'s run; a dataset becomes one run.  Raises ValueError when
+    `n_iter` < 1, as there would be no candidate to keep.
 
     Returns (tree, score, iterations run, distinct count).
     """
+    if n_iter < 1:
+        raise ValueError("n_iter must be >= 1")
     fresh, iterations, distinct = _candidate_trees(
-        Run.rows_of(train, spec, features), spec, splitter_fn, n_iter, seed, ko
+        Run.rows_of(train, spec), spec, splitter_fn, n_iter, seed, ko
     )
     scores = [scorer(tree) for tree in fresh]
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
@@ -413,8 +408,6 @@ def _cross_validate(
     """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
     when it is None.  One run, featurised once, serves every fit and predict:
     folds, splits and node fits are row indices into it."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
     rows = Run.rows_of(data, spec)

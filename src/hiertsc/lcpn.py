@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, Rows, Run, TrainedClassifier, fit_classifier
+from .classifiers import ClassifierSpec, Rows, Run, TrainedClassifier, fit_classifier
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
@@ -95,18 +95,16 @@ def fit_lcpn(
     data: TimeSeriesDataset | Rows,
     spec: ClassifierSpec,
     counters: FitCounters | None = None,
-    features: Featuriser | None = None,
 ) -> LcpnModel:
     """Train one binary classifier per parent on the instances under it.
 
     Each node sees exactly the rows whose class lies in the parent's class
     set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
     result does not depend on training order.  `data` is a dataset or
-    :class:`Rows` of a run; a dataset becomes one new run, featurised once
-    with `features` (a fresh featuriser when None), and every node fit
-    slices that run's features by row index.
+    :class:`Rows` of a run; a dataset becomes one new run, and every node
+    fit slices that run's features by row index.
     """
-    rows = Run.rows_of(data, spec, features)
+    rows = Run.rows_of(data, spec)
     foreign = frozenset(rows.label_space) - tree.root_classes
     if foreign:
         raise NodeTrainingError(
@@ -135,23 +133,20 @@ def _shared_features(
         return None
     if bank is None:
         return values
-    if rows is not None and rows.run.features.bank is bank:
+    if rows is not None and rows.run.bank is bank:
         return rows.feats
     return bank.transform(values)
 
 
-def predict_lcpn(
-    model: LcpnModel, values: np.ndarray | Rows, features: Featuriser | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
     """Route every instance root-to-leaf; return (labels, depths).
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
     every prediction is a leaf class of the hierarchy.  `values` is an
     (n, M) array or :class:`Rows` of a run.  When the node models share one
     bank, each row is featurised once per call (taken from the run when the
-    model was fit on it; `features` adds nothing, as a transform of an array
-    is the same bits however it is made) and each node scores its rows from
-    those features; served rows are not kept after the call.
+    model was fit on it) and each node scores its rows from those features;
+    served rows are not kept after the call.
     """
     rows_in = values if isinstance(values, Rows) else None
     values = np.asarray(values if rows_in is None else rows_in.values, dtype=np.float64)

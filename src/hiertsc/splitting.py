@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Featuriser, Rows, Run, fit_classifier
+from .classifiers import ClassifierSpec, Rows, Run, fit_classifier
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
 from .tree import ClassSet
@@ -29,12 +29,10 @@ class ScoringError(ValueError):
 @dataclass
 class SplitContext:
     """Everything a splitter needs: a train/validation pair, the base
-    classifier configuration, a seeded random stream, and the run's
-    featuriser.
+    classifier configuration and a seeded random stream.
 
     `train` and `val` are :class:`Rows` of one run, or two datasets, which
-    then become the rows of one new run over both (featurised with
-    `features`, or a fresh featuriser); `features` is set to the run's.
+    then become the rows of one new run over both.
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
     """
@@ -43,19 +41,17 @@ class SplitContext:
     val: Rows | TimeSeriesDataset
     spec: ClassifierSpec
     rng: np.random.Generator
-    features: Featuriser | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.train, Rows):
             run = Run(
                 np.vstack([self.train.values, self.val.values]),
                 np.concatenate([self.train.labels, self.val.labels]),
-                self.features or Featuriser(self.spec),
+                self.spec,
             )
             n = self.train.n_instances
             self.train = Rows(run, np.arange(n))
             self.val = Rows(run, np.arange(n, run.labels.size))
-        self.features = self.train.run.features
 
     @property
     def label_space(self) -> tuple[int, ...]:
@@ -218,18 +214,18 @@ def leave_salient_one_out(ctx, classes) -> SplitOutcome:
     return SplitOutcome(best.c0, best.c1, best.score, evaluations, stopped)
 
 
-def exhaustive_split(ctx, classes, cap: int = EXHAUSTIVE_CAP) -> SplitOutcome:
+def exhaustive_split(ctx, classes) -> SplitOutcome:
     """Score all 2**(|classes|-1) - 1 unordered bipartitions; return the best.
 
     Ties keep the first bipartition in canonical enumeration order (smallest
     member anchored in the first group, remaining membership by ascending
-    bitmask).  Refuses class sets larger than `cap`.
+    bitmask).  Refuses class sets larger than ``EXHAUSTIVE_CAP``.
     """
     class_set = _require_splittable(classes)
     members = sorted(class_set)
-    if len(members) > cap:
+    if len(members) > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"exhaustive split over {len(members)} classes exceeds the cap of {cap}"
+            f"exhaustive split over {len(members)} classes exceeds the cap of {EXHAUSTIVE_CAP}"
         )
     anchor, rest = members[0], members[1:]
     best: ScoredSplit | None = None

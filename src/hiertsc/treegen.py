@@ -17,7 +17,7 @@ MAX_COUNT_CLASSES = 20
 HARD_TREE_LIMIT = 10**6
 
 
-def grow_tree(ctx, splitter, classes: Iterable[int] | None = None) -> HierarchyTree:
+def grow_tree(ctx, splitter) -> HierarchyTree:
     """Divisive construction of a binary hierarchy over the context's labels.
 
     Starting from the full label set, repeatedly pops the largest pending
@@ -26,9 +26,7 @@ def grow_tree(ctx, splitter, classes: Iterable[int] | None = None) -> HierarchyT
     pop order is monotone in set size, so the root is always first.
     """
     split_fn = resolve_splitter(splitter)
-    label_space = frozenset(
-        int(c) for c in (classes if classes is not None else ctx.label_space)
-    )
+    label_space = frozenset(int(c) for c in ctx.label_space)
     if len(label_space) < 2:
         raise ValueError("need at least two classes to build a hierarchy")
 

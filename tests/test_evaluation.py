@@ -315,6 +315,14 @@ def test_flat_cv_reports_no_inner_score():
 
 
 def test_cv_rejects_bad_iteration_count():
+    """One check in select_tree serves nested CV, flat CV and direct callers
+    such as ``hiertsc fit``: with no candidate there is no tree to keep."""
     data = separable_dataset(n_per_class=10, n_classes=3, seed=1)
-    with pytest.raises(ValueError):
-        nested_cv(data, ClassifierSpec(kind="linear"), "potr", n_iter=0)
+    spec = ClassifierSpec(kind="linear")
+    for n_iter in (0, -1):
+        with pytest.raises(ValueError, match="n_iter must be >= 1"):
+            nested_cv(data, spec, "potr", n_iter=n_iter)
+        with pytest.raises(ValueError, match="n_iter must be >= 1"):
+            flat_cv(data, spec, "potr", n_iter=n_iter)
+        with pytest.raises(ValueError, match="n_iter must be >= 1"):
+            select_tree(data, spec, resolve_splitter("potr"), n_iter, 0, 0, lambda tree: 0.5)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from hiertsc import (
     ClassifierSpec,
-    Featuriser,
     KernelBank,
     LcpnModel,
     TimeSeriesDataset,
@@ -28,7 +27,7 @@ from hiertsc import (
     predict_lcpn,
     save_dataset,
 )
-from hiertsc.classifiers import _PASS_ELEMENTS, TrainingDataError, _fit_on_features
+from hiertsc.classifiers import _PASS_ELEMENTS, Run, TrainingDataError, _fit_on_features
 
 CHAIN5 = [({0}, {1, 2, 3, 4}), ({1}, {2, 3, 4}), ({2}, {3, 4}), ({3}, {4})]
 KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=3)
@@ -215,19 +214,22 @@ def test_kernel_bank_copies_the_arrays_it_is_given():
     assert weights.flags.writeable
 
 
-def test_linear_featuriser_passes_the_rows_through():
-    values = shifted_dataset().values
-    assert Featuriser(ClassifierSpec(kind="linear"))(values) is values
+def test_a_linear_run_passes_its_rows_through():
+    data = shifted_dataset()
+    run = Run(data.values, data.labels, ClassifierSpec(kind="linear"))
+    assert run.feats is data.values
+    assert run.bank is None
 
 
-def test_featuriser_rejects_a_spec_or_length_it_was_not_built_for():
+def test_rows_reject_a_spec_their_run_was_not_built_for():
     data = shifted_dataset(n_per_class=4)
-    with pytest.raises(ValueError):
-        fit_classifier(KERNEL, data, Featuriser(ClassifierSpec(kind="kernel-ridge", seed=9)))
-    features = Featuriser(KERNEL)
-    features(data.values)
-    with pytest.raises(ValueError):
-        features(data.values[:, :20])
+    other = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=9)
+    rows = Run.rows_of(data, other)
+    assert rows.run.bank == KernelBank.generate(data.series_length, 16, 9)
+    with pytest.raises(ValueError, match="the run was built for a different classifier spec"):
+        fit_classifier(KERNEL, rows)
+    with pytest.raises(ValueError, match="the run was built for a different classifier spec"):
+        Run.rows_of(rows, KERNEL)
 
 
 # -- work counters ---------------------------------------------------------------

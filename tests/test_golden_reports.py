@@ -4,12 +4,17 @@ The corpus runs ``cv --mode nested``, ``cv --mode flat`` and ``fit`` then
 ``predict`` for every splitter (potr, srtr, lsoo) and both built-in
 classifiers (``linear``, ``kernel-ridge --kernels 16``) on two datasets, at
 3 iterations and 3 x 3 folds, and hashes ``report.json``, ``folds.csv``,
-``predictions.csv`` and stdout.  ``model.json`` is left out: its weight bits
-depend on the BLAS.  No fold scores 1.0, so a change in which tree is
-selected changes a digest.
+``predictions.csv`` and stdout.  No fold scores 1.0, so a change in which
+tree is selected changes a digest.
 
-After a deliberate change to the outputs, print the new digests with
-``PYTHONPATH=src python tests/test_golden_reports.py``.
+``model.json`` is not hashed, as its weight bits depend on the BLAS.  Each
+fitted bundle is decoded instead: its tree text must match exactly, and per
+node a weighted checksum of the weights, intercepts, ``feature_mean`` and
+``feature_scale`` must match within ``MODEL_TOLERANCE``, so a change that
+moves the fitted numbers but no prediction is still seen.
+
+After a deliberate change to the outputs, print the new digests and model
+checksums with ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
 import contextlib
@@ -22,7 +27,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiertsc import TimeSeriesDataset, cli, collinear_superclusters, save_dataset
+from hiertsc import (
+    LcpnModel,
+    TimeSeriesDataset,
+    cli,
+    collinear_superclusters,
+    save_dataset,
+    tree_to_text,
+)
 
 SPLITTERS = ("potr", "srtr", "lsoo")
 CLASSIFIERS = {
@@ -144,6 +156,117 @@ GOLDEN = {
 }
 
 
+#: node arrays pinned by checksum, in checksum order
+PINNED_ARRAYS = ("weights", "intercepts", "feature_mean", "feature_scale")
+MODEL_TOLERANCE = 1e-9
+
+#: captured at commit 801ef7d
+GOLDEN_MODELS = {
+    "collinear-lsoo-kernel16-fit": (
+        "{{{1},{0,2,3}},{{0},{2,3}},{{2},{3}}}",
+        [
+            [0.7022804763654142, 0.49999999999999933, 216.02593076249386, 60.00588548248679],
+            [0.45417159850016886, 0.33333333333333265, 221.29367970146401, 59.68615239428756],
+            [0.2149227865015304, 7.625923323701646e-16, 228.3086824930513, 55.94966370653375],
+        ],
+    ),
+    "collinear-lsoo-linear-fit": (
+        "{{{2},{0,1,3}},{{3},{0,1}},{{0},{1}}}",
+        [
+            [-0.05672140729723615, 0.7653215496632573, None, None],
+            [-0.16944302555767138, 1.0716749773036647, None, None],
+            [0.9754937278360032, -0.7706903765486565, None, None],
+        ],
+    ),
+    "collinear-potr-kernel16-fit": (
+        "{{{0,3},{1,2}},{{0},{3}},{{1},{2}}}",
+        [
+            [-0.3003578971325824, 1.1605415547080063e-15, 216.02593076249386, 60.00588548248679],
+            [0.2398574661973322, -1.9235474759318727e-16, 226.88919352879486, 61.28340023813557],
+            [0.09844627431869721, -2.043411449252063e-16, 205.16266799619285, 53.99459188839336],
+        ],
+    ),
+    "collinear-potr-linear-fit": (
+        "{{{2,3},{0,1}},{{2},{3}},{{0},{1}}}",
+        [
+            [-0.17639529263028814, 1.0279794914134148, None, None],
+            [1.0140968733012976, -10.996083754566902, None, None],
+            [0.9754937278360032, -0.7706903765486565, None, None],
+        ],
+    ),
+    "collinear-srtr-kernel16-fit": (
+        "{{{0,3},{1,2}},{{0},{3}},{{1},{2}}}",
+        [
+            [-0.3003578971325824, 1.1605415547080063e-15, 216.02593076249386, 60.00588548248679],
+            [0.2398574661973322, -1.9235474759318727e-16, 226.88919352879486, 61.28340023813557],
+            [0.09844627431869721, -2.043411449252063e-16, 205.16266799619285, 53.99459188839336],
+        ],
+    ),
+    "collinear-srtr-linear-fit": (
+        "{{{2,3},{0,1}},{{2},{3}},{{0},{1}}}",
+        [
+            [-0.17639529263028814, 1.0279794914134148, None, None],
+            [1.0140968733012976, -10.996083754566902, None, None],
+            [0.9754937278360032, -0.7706903765486565, None, None],
+        ],
+    ),
+    "shifted-lsoo-kernel16-fit": (
+        "{{{1},{0,2,3,4}},{{0},{2,3,4}},{{4},{2,3}},{{2},{3}}}",
+        [
+            [0.29026020511753925, 0.5999999999999992, 62.50890183659618, 15.908607529176045],
+            [1.423091943013907, 0.49999999999999994, 62.28231163800243, 16.24294195320784],
+            [-0.181016212781289, 0.33333333333333404, 64.31141838685991, 15.227786388228992],
+            [-0.19894205560706096, -7.926596539009107e-17, 67.27303889367475, 13.11217918486187],
+        ],
+    ),
+    "shifted-lsoo-linear-fit": (
+        "{{{4},{0,1,2,3}},{{0},{1,2,3}},{{3},{1,2}},{{1},{2}}}",
+        [
+            [-0.4818430921854612, 0.5038796102450969, None, None],
+            [0.9566013887834243, -0.25060102442088394, None, None],
+            [-2.0779999018775293, 0.7536263528279403, None, None],
+            [-0.05905276920459945, 0.056981153216574064, None, None],
+        ],
+    ),
+    "shifted-potr-kernel16-fit": (
+        "{{{0,2,3,4},{1}},{{2,3,4},{0}},{{4},{2,3}},{{2},{3}}}",
+        [
+            [-0.29026020511753925, -0.5999999999999992, 62.50890183659618, 15.908607529176045],
+            [-1.423091943013907, -0.49999999999999994, 62.28231163800243, 16.24294195320784],
+            [-0.181016212781289, 0.33333333333333404, 64.31141838685991, 15.227786388228992],
+            [-0.19894205560706096, -7.926596539009107e-17, 67.27303889367475, 13.11217918486187],
+        ],
+    ),
+    "shifted-potr-linear-fit": (
+        "{{{0,4},{1,2,3}},{{1,2},{3}},{{0},{4}},{{1},{2}}}",
+        [
+            [0.36916365548883956, -0.11174080157559613, None, None],
+            [2.0779999018775293, -0.7536263528279403, None, None],
+            [0.534472248228709, -0.0006491094545892154, None, None],
+            [-0.05905276920459945, 0.056981153216574064, None, None],
+        ],
+    ),
+    "shifted-srtr-kernel16-fit": (
+        "{{{2,3,4},{0,1}},{{4},{2,3}},{{0},{1}},{{2},{3}}}",
+        [
+            [-1.4032493417488752, -0.19999999999999818, 62.50890183659618, 15.908607529176045],
+            [-0.181016212781289, 0.33333333333333404, 64.31141838685991, 15.227786388228992],
+            [0.95082623167367, 5.184705977411596e-16, 59.80512701120059, 14.144572857747693],
+            [-0.19894205560706096, -7.926596539009107e-17, 67.27303889367475, 13.11217918486187],
+        ],
+    ),
+    "shifted-srtr-linear-fit": (
+        "{{{1,2,3,4},{0}},{{4},{1,2,3}},{{1,2},{3}},{{1},{2}}}",
+        [
+            [-0.8510067476743028, -0.3843795881793053, None, None],
+            [-1.193537250499928, 0.3244647888775185, None, None],
+            [2.0779999018775293, -0.7536263528279403, None, None],
+            [-0.05905276920459945, 0.056981153216574064, None, None],
+        ],
+    ),
+}
+
+
 def shifted_bumps(seed, n_per_class=10, n_classes=5, length=32, noise=0.3):
     """One Gaussian bump per class at its own position, randomly shifted."""
     rng = np.random.default_rng(seed)
@@ -180,10 +303,31 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _checksum(array):
+    """Sum of a flattened array weighted 1..2 along it, so that moving a value
+    changes it too; None for an absent array."""
+    if array is None:
+        return None
+    flat = np.ravel(array)
+    return float(flat @ np.linspace(1.0, 2.0, flat.size))
+
+
+def model_checksums(bundle: str):
+    """(tree text, per node [weights, intercepts, feature_mean, feature_scale]
+    checksums) of a model bundle."""
+    model = LcpnModel.from_bundle(bundle)
+    nodes = [
+        [_checksum(getattr(node, name)) for name in PINNED_ARRAYS]
+        for node in model.node_models
+    ]
+    return tree_to_text(model.tree), nodes
+
+
 def run_corpus(root: Path):
-    """(digest of every output by name, every report.json document) for the
-    corpus run with `root` as the working directory."""
-    digests, reports = {}, []
+    """(digest of every output by name, every report.json document, the
+    checksums of every fitted model by fit name) for the corpus run with
+    `root` as the working directory."""
+    digests, reports, models = {}, [], {}
     cwd = os.getcwd()
     os.chdir(root)
     try:
@@ -202,6 +346,7 @@ def run_corpus(root: Path):
                             digests[f"{out}/{name}"] = _sha(Path(out, name).read_text())
                         reports.append(json.loads(Path(out, "report.json").read_text()))
                     digests[f"{tag}-fit/stdout"] = _sha(_run(("fit", *common, "--out", f"{tag}-fit")))
+                    models[f"{tag}-fit"] = model_checksums(Path(f"{tag}-fit", "model.json").read_text())
                     out = f"{tag}-predict"
                     stdout = _run(
                         ("predict", "--model", f"{tag}-fit/model.json",
@@ -211,7 +356,7 @@ def run_corpus(root: Path):
                     digests[f"{out}/predictions.csv"] = _sha(Path(out, "predictions.csv").read_text())
     finally:
         os.chdir(cwd)
-    return digests, reports
+    return digests, reports, models
 
 
 @pytest.fixture(scope="module")
@@ -220,14 +365,29 @@ def corpus(tmp_path_factory):
 
 
 def test_outputs_are_byte_identical_to_the_golden_digests(corpus):
-    digests, _ = corpus
+    digests, _, _ = corpus
     assert sorted(digests) == sorted(GOLDEN)
     changed = sorted(name for name in GOLDEN if digests[name] != GOLDEN[name])
     assert not changed
 
 
+def test_fitted_models_match_their_trees_and_checksums(corpus):
+    _, _, models = corpus
+    assert sorted(models) == sorted(GOLDEN_MODELS)
+    for name, (tree, nodes) in GOLDEN_MODELS.items():
+        got_tree, got_nodes = models[name]
+        assert got_tree == tree, name
+        assert len(got_nodes) == len(nodes), name
+        for got, want in zip(got_nodes, nodes):
+            for array, g, w in zip(PINNED_ARRAYS, got, want):
+                if w is None:
+                    assert g is None, (name, array)
+                else:
+                    assert g == pytest.approx(w, rel=0, abs=MODEL_TOLERANCE), (name, array)
+
+
 def test_no_fold_scores_one(corpus):
-    _, reports = corpus
+    _, reports, _ = corpus
     scores = [
         f[key]
         for report in reports
@@ -243,8 +403,15 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        found, _ = run_corpus(Path(tmp))
+        found, _, models = run_corpus(Path(tmp))
     print("GOLDEN = {")
     for name, digest in sorted(found.items()):
         print(f'    "{name}": "{digest}",')
+    print("}")
+    print("GOLDEN_MODELS = {")
+    for name, (tree, nodes) in sorted(models.items()):
+        print(f'    "{name}": (\n        "{tree}",\n        [')
+        for node in nodes:
+            print(f"            {node!r},")
+        print("        ],\n    ),")
     print("}")

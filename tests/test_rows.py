@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from hiertsc import (
     ClassifierSpec,
-    Featuriser,
     KernelBank,
     TimeSeriesDataset,
     build_tree,
@@ -65,7 +64,7 @@ CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12
 def test_binary_groups_matches_the_isin_oracle(labels, keep, c0, c1):
     labels = np.asarray(labels, dtype=np.int64)
     values = np.arange(labels.size * 3, dtype=np.float64).reshape(-1, 3)
-    run = Run(values, labels, Featuriser(LINEAR))
+    run = Run(values, labels, LINEAR)
     idx = np.flatnonzero(keep[: labels.size])  # ascending; may drop whole classes
     node, empty = Rows(run, idx).binary_groups(c0, c1)
     want_rows, want_groups, want_empty = isin_groups(labels, idx, c0, c1)
