@@ -21,6 +21,7 @@ from .analysis import (
 from .classifiers import (
     ClassifierSpec,
     KernelBank,
+    ModelFormatError,
     TrainedClassifier,
     fit_classifier,
     register_classifier_kind,
@@ -89,6 +90,7 @@ __all__ = [
     "HierarchyTree",
     "KernelBank",
     "LcpnModel",
+    "ModelFormatError",
     "ParentNode",
     "SPLITTERS",
     "SplitContext",

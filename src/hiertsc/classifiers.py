@@ -40,6 +40,57 @@ class TrainingDataError(ValueError):
     """Raised when training data cannot support the requested classifier."""
 
 
+class ModelFormatError(ValueError):
+    """Raised when a model bundle or classifier blob cannot be decoded."""
+
+
+def _decode_json(text, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ModelFormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _field(doc, key: str, what: str):
+    """``doc[key]`` of a decoded JSON object, or ModelFormatError."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ModelFormatError(f"{what} has no '{key}'")
+    return doc[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(doc, key: str, what: str) -> int:
+    value = _field(doc, key, what)
+    if not _is_int(value) or value < 1:
+        raise ModelFormatError(f"{what} '{key}' must be a positive integer, got {value!r}")
+    return value
+
+
+def _decode_array(value, dtype, ndim: int, what: str) -> np.ndarray:
+    """A nested JSON list as an `ndim`-D array of `dtype`: int64 takes JSON
+    integers only, float64 takes finite JSON numbers."""
+    kinds = "i" if dtype is np.int64 else "if"
+    try:
+        array = np.asarray(value)
+    except (ValueError, OverflowError):  # ragged, or an int too large for a float
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in kinds:
+        raise ModelFormatError(f"{what} must be a {ndim}-D array of {np.dtype(dtype).name} numbers")
+    array = array.astype(dtype)
+    if dtype is np.float64 and not np.isfinite(array).all():
+        raise ModelFormatError(f"{what} holds a non-finite number")
+    return array
+
+
+def _array_or_none(array: np.ndarray | None):
+    return None if array is None else array.tolist()
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Configuration of a base classifier.
@@ -67,6 +118,22 @@ class ClassifierSpec:
     @staticmethod
     def from_dict(doc: dict) -> "ClassifierSpec":
         return ClassifierSpec(*(doc[f.name] for f in fields(ClassifierSpec)))
+
+    @staticmethod
+    def decode(doc) -> "ClassifierSpec":
+        """:meth:`from_dict` of a decoded model document; ModelFormatError
+        when a field is missing, of the wrong type or out of range."""
+        for name, types in _SPEC_TYPES.items():
+            value = _field(doc, name, "classifier spec")
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ModelFormatError(f"classifier spec '{name}' has the wrong type: {value!r}")
+        try:
+            return ClassifierSpec.from_dict(doc)
+        except ValueError as exc:
+            raise ModelFormatError(f"classifier spec: {exc}") from None
+
+
+_SPEC_TYPES = {"kind": str, "num_kernels": int, "ridge_lambda": (int, float), "seed": int}
 
 
 _BANK_ARRAYS = (
@@ -239,6 +306,37 @@ class KernelBank:
             **{name: doc[name] for name, _ in _BANK_ARRAYS},
         )
 
+    @staticmethod
+    def decode(doc) -> "KernelBank":
+        """:meth:`from_dict` of a decoded model document.  Raises
+        ModelFormatError unless its arrays describe kernels :meth:`generate`
+        could draw: each dilated kernel fits inside an unpadded series and
+        pads by at most half its span."""
+        what = "kernel bank"
+        series_length = _positive_int(doc, "series_length", what)
+        arrays = {
+            name: _decode_array(_field(doc, name, what), dtype, 1, f"{what} {name}")
+            for name, dtype in _BANK_ARRAYS
+        }
+        lengths, weights = arrays["lengths"], arrays["weights"]
+        if (
+            lengths.size == 0
+            or (lengths < 1).any()
+            or int(lengths.sum()) != weights.size
+            or any(arrays[name].size != lengths.size for name in ("biases", "dilations", "paddings"))
+        ):
+            raise ModelFormatError(f"{what} arrays disagree in size")
+        span = (lengths - 1.0) * arrays["dilations"]  # floats: no overflow
+        paddings = arrays["paddings"]
+        if (
+            (arrays["dilations"] < 1).any()
+            or (span > series_length - 1).any()
+            or (paddings < 0).any()
+            or (paddings > span // 2).any()
+        ):
+            raise ModelFormatError(f"{what} has a kernel that does not fit series of length {series_length}")
+        return KernelBank(series_length, **arrays)
+
 
 #: The most outputs (kernels x rows x positions) one shift-and-add slice
 #: holds: a larger group is convolved a slice of its kernels at a time, so
@@ -335,43 +433,94 @@ class TrainedClassifier:
 
     # -- serialization -----------------------------------------------------
 
+    def to_node_doc(self) -> dict:
+        """The fitted arrays as plain JSON values: ``class_ids``, ``weights``,
+        ``intercepts``, ``feature_mean`` and ``feature_scale`` (None for
+        ``linear``).  Floats are written as their repr, which reads back to
+        the same bits."""
+        return {
+            "class_ids": list(self.class_ids),
+            "weights": self.weights.tolist(),
+            "intercepts": self.intercepts.tolist(),
+            "feature_mean": _array_or_none(self.feature_mean),
+            "feature_scale": _array_or_none(self.feature_scale),
+        }
+
+    @staticmethod
+    def from_node_doc(
+        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None
+    ) -> "TrainedClassifier":
+        """The classifier of a :meth:`to_node_doc` document, with the fields a
+        container stores for it.  Raises ModelFormatError unless every array
+        has the shape the class ids, the series length and the bank imply."""
+        what = "node model"
+        class_ids = _field(doc, "class_ids", what)
+        if (
+            not isinstance(class_ids, list)
+            or not class_ids
+            or not all(_is_int(c) for c in class_ids)
+            or len(set(class_ids)) != len(class_ids)
+        ):
+            raise ModelFormatError(f"{what} 'class_ids' must be a list of distinct integers")
+        n_features = series_length if kernels is None else 2 * kernels.n_kernels
+        shapes = {
+            "weights": (len(class_ids), n_features),
+            "intercepts": (len(class_ids),),
+            "feature_mean": (n_features,),
+            "feature_scale": (n_features,),
+        }
+        arrays = {}
+        for name, shape in shapes.items():
+            value = _field(doc, name, what)
+            if value is None and name.startswith("feature_"):
+                arrays[name] = None
+                continue
+            array = _decode_array(value, np.float64, len(shape), f"{what} {name}")
+            if array.shape != shape:
+                raise ModelFormatError(f"{what} {name} has shape {array.shape}, expected {shape}")
+            arrays[name] = array
+        if (arrays["feature_mean"] is None) != (arrays["feature_scale"] is None):
+            raise ModelFormatError(f"{what} has only one of feature_mean and feature_scale")
+        if arrays["feature_scale"] is not None and (arrays["feature_scale"] == 0).any():
+            raise ModelFormatError(f"{what} feature_scale holds a zero")
+        return TrainedClassifier(
+            spec=spec,
+            class_ids=tuple(class_ids),
+            series_length=series_length,
+            kernels=kernels,
+            **arrays,
+        )
+
     def to_blob(self) -> str:
         doc = {
             "version": _BLOB_VERSION,
             "spec": self.spec.to_dict(),
-            "class_ids": list(self.class_ids),
-            "weights": self.weights.tolist(),
-            "intercepts": self.intercepts.tolist(),
             "series_length": self.series_length,
             "kernels": self.kernels.to_dict() if self.kernels is not None else None,
-            "feature_mean": None
-            if self.feature_mean is None
-            else self.feature_mean.tolist(),
-            "feature_scale": None
-            if self.feature_scale is None
-            else self.feature_scale.tolist(),
+            **self.to_node_doc(),
         }
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_blob(blob: str) -> "TrainedClassifier":
-        doc = json.loads(blob)
-        if doc.get("version") != _BLOB_VERSION:
-            raise ValueError(f"unsupported classifier blob version {doc.get('version')}")
-        return TrainedClassifier(
-            spec=ClassifierSpec.from_dict(doc["spec"]),
-            class_ids=tuple(doc["class_ids"]),
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            intercepts=np.asarray(doc["intercepts"], dtype=np.float64),
-            series_length=doc["series_length"],
-            kernels=None if doc["kernels"] is None else KernelBank.from_dict(doc["kernels"]),
-            feature_mean=None
-            if doc["feature_mean"] is None
-            else np.asarray(doc["feature_mean"], dtype=np.float64),
-            feature_scale=None
-            if doc["feature_scale"] is None
-            else np.asarray(doc["feature_scale"], dtype=np.float64),
-        )
+        """The classifier of :meth:`to_blob`'s text; ModelFormatError when it
+        cannot be decoded."""
+        what = "classifier blob"
+        doc = _decode_json(blob, what)
+        version = _field(doc, "version", what)
+        if version != _BLOB_VERSION:
+            raise ModelFormatError(f"unsupported classifier blob version {version!r}")
+        series_length = _positive_int(doc, "series_length", what)
+        kernels = _field(doc, "kernels", what)
+        if kernels is not None:
+            kernels = KernelBank.decode(kernels)
+            if kernels.series_length != series_length:
+                raise ModelFormatError(
+                    f"{what} kernel bank is for series of length {kernels.series_length}, "
+                    f"not {series_length}"
+                )
+        spec = ClassifierSpec.decode(_field(doc, "spec", what))
+        return TrainedClassifier.from_node_doc(doc, spec, series_length, kernels)
 
 
 def _one_vs_rest_targets(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:

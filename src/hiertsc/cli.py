@@ -9,7 +9,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .analysis import (
     cost_bounds,
     extract_features,
 )
-from .classifiers import ClassifierSpec, Run, TrainingDataError
+from .classifiers import ClassifierSpec, ModelFormatError, Run, TrainingDataError
 from .dataset import DataValidationError, TimeSeriesDataset
 from .evaluation import (
     CSV_COLUMNS,
@@ -178,7 +178,7 @@ def _run_fit(config: RunConfig) -> int:
         0,
         inner_fold_scorer(rows, spec, config.inner_folds),
     )
-    model = fit_lcpn(best_tree, rows, spec)
+    model = replace(fit_lcpn(best_tree, rows, spec), label_names=data.label_names)
     out = Path(config.out_dir)
     _write_atomic(out / "model.json", model.to_bundle() + "\n")
     print(
@@ -194,16 +194,50 @@ def _run_fit(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _load_model(path: str) -> LcpnModel:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"cannot read model bundle {path}: {exc}") from None
+    return LcpnModel.from_bundle(text)
+
+
+def _truth_and_names(model: LcpnModel, data: TimeSeriesDataset, source: str):
+    """The file's labels as the model's class ids, and each id's token.
+
+    They go through the bundle's token map when it has one.  A version 1
+    bundle has none: the file's own ids are taken as the model's, and its
+    tokens are trusted only when it holds as many classes as the tree.
+    """
+    tokens = data.label_names or {}
+    if model.label_names is None:
+        same = data.n_classes == len(model.tree.root_classes)
+        return data.labels, tokens if same else {}
+    to_id = {token: c for c, token in model.label_names.items()}
+    classes, codes = np.unique(data.labels, return_inverse=True)
+    ids = []
+    for c in classes.tolist():
+        token = tokens.get(c, str(c))
+        if token not in to_id:
+            raise DatasetFormatError(
+                f"{source}: label '{token}' is not a class of the model ({', '.join(sorted(to_id))})"
+            )
+        ids.append(to_id[token])
+    return np.asarray(ids, dtype=np.int64)[codes], model.label_names
+
+
 def _run_predict(config: RunConfig) -> int:
     if not config.model_path:
         raise ConfigError("--model is required for predict")
-    model = LcpnModel.from_bundle(Path(config.model_path).read_text())
+    model = _load_model(config.model_path)
     data = _load(config)
+    if data.series_length != model.series_length:
+        raise DatasetFormatError(
+            f"{config.data_path}: series have length {data.series_length}, "
+            f"the model expects length {model.series_length}"
+        )
     predicted, depths = predict_lcpn(model, data.values)
-    # token map only trusted when the file covers the same classes as the tree
-    names = data.label_names or {}
-    if data.n_classes != len(model.tree.root_classes):
-        names = {}
+    truth, names = _truth_and_names(model, data, config.data_path)
     rows = [
         [str(i), str(int(p)), names.get(int(p), str(int(p))), str(int(d))]
         for i, (p, d) in enumerate(zip(predicted, depths))
@@ -216,7 +250,7 @@ def _run_predict(config: RunConfig) -> int:
     summary = {
         "n_instances": int(predicted.size),
         "mean_depth": float(np.mean(depths)),
-        "f1_macro": f1_macro(data.labels, predicted),
+        "f1_macro": f1_macro(truth, predicted),
     }
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

@@ -178,7 +178,7 @@ def test_transform_rejects_input_of_the_wrong_shape():
 
 def test_transform_rejects_a_kernel_that_does_not_fit():
     doc = KernelBank.generate(20, 4, seed=0).to_dict()
-    doc["dilations"][2], doc["paddings"][2] = 20, 0  # as read from a tampered bundle
+    doc["dilations"][2], doc["paddings"][2] = 20, 0  # from_dict builds it; KernelBank.decode would not
     bank = KernelBank.from_dict(doc)
     with pytest.raises(TrainingDataError, match="kernel does not fit the series even when padded"):
         bank.transform(np.zeros((2, 20)))

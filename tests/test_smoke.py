@@ -1,11 +1,13 @@
 """End-to-end checks of what readers run first: the README's library example
-and the benchmark's smoke check.
+the benchmark's smoke check, and ``python -m hiertsc``.
 
 The benchmark binds every public function of the package by name, so a
 deleted or renamed parameter that it passes breaks it; the smoke check runs
 each workload at a tiny size, in both trace modes, in its own process.
 """
 
+import json
+import os
 import re
 import subprocess
 import sys
@@ -35,3 +37,13 @@ def test_benchmark_smoke_check_passes():
         for workload in ("nested-linear", "fit-serve")
         for trace in (0, 1)
     ]
+
+
+def test_python_m_hiertsc_runs_from_a_checkout():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hiertsc", "trees", "--classes", "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["distinct_trees"] == 15
