@@ -369,6 +369,32 @@ def test_cli_missing_data_exits_3(tmp_path, capsys):
     assert err["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("cv --data {data} --iters 0", "--iters must be >= 1"),
+        ("cv --data {data} --outer-folds 1", "fold counts must be >= 2"),
+        ("cv --mode flat --data {data} --inner-folds 1", "fold counts must be >= 2"),
+        ("fit --data {data} --inner-folds 1", "fold counts must be >= 2"),
+        ("bench --classes 3 --instances 5 --iters 0", "--iters must be >= 1"),
+        ("bench --classes 3 --instances 2", "need at least 2 classes and instances >= classes"),
+        ("filter", "--data-root (or HIERTSC_DATA) is required for filter"),
+        # the range check runs before any file is read
+        ("cv --data {missing} --iters 0", "--iters must be >= 1"),
+    ],
+)
+def test_cli_range_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("HIERTSC_DATA", raising=False)
+    data = write_synth(tmp_path)
+    args = argv.format(data=data, missing=tmp_path / "missing.tsv").split()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"exit_code": 2, "message": message, "type": "ConfigError"}
+    }
+
+
 def test_cli_env_var_data_dir(tmp_path, capsys, monkeypatch):
     data_path = write_synth(tmp_path)
     monkeypatch.setenv("HIERTSC_DATA", str(tmp_path))
