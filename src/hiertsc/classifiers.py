@@ -24,9 +24,10 @@ by row index (:class:`Rows`).  New kinds can be plugged in through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -107,8 +108,8 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         if self.num_kernels < 1:
             raise ValueError("num_kernels must be >= 1")
-        if not self.ridge_lambda > 0:
-            raise ValueError("ridge_lambda must be positive")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
+            raise ValueError("ridge_lambda must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -576,12 +577,20 @@ class Run:
     holds the raw features of every row: the series themselves for
     ``linear``, or one transform of all rows with the run's `bank`, which
     gives each row the same bits as a transform of any subset.  Folds, splits
-    and node fits are :class:`Rows` of the run.
+    and node fits are :class:`Rows` of the run.  `label_names` is the
+    dataset's id -> token map, when it has one.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, spec: ClassifierSpec) -> None:
+    def __init__(
+        self,
+        values: np.ndarray,
+        labels: np.ndarray,
+        spec: ClassifierSpec,
+        label_names: Mapping[int, str] | None = None,
+    ) -> None:
         self.values = values
         self.labels = labels
+        self.label_names = label_names
         self.classes, self.codes = np.unique(labels, return_inverse=True)
         self.code_of = {int(c): i for i, c in enumerate(self.classes)}
         self.spec = spec
@@ -597,7 +606,7 @@ class Run:
         """`data` itself when it is rows of a run already, else every row of a
         new run over it.  Raises ValueError when the run is for another spec."""
         if not isinstance(data, Rows):
-            data = Rows(cls(data.values, data.labels, spec), np.arange(data.n_instances))
+            data = Rows(cls(data.values, data.labels, spec, data.label_names), np.arange(data.n_instances))
         if data.run.spec != spec:
             raise ValueError("the run was built for a different classifier spec")
         return data

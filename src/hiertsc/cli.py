@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,35 +65,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    mode: str
-    data_path: str | None = None
-    model_path: str | None = None
-    report_paths: list[str] = field(default_factory=list)
-    classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
-    splitter: str = "potr"
-    n_iter: int = 10
-    outer_folds: int = 5
-    inner_folds: int = 4
-    seed: int = 0
-    out_dir: str = "out"
-    n_classes: int | None = None
-    n_instances: int | None = None
-    tree_shape: str = "balanced"
-    data_root: str | None = None
-
-    def validate(self) -> None:
-        if self.n_iter < 1:
-            raise ConfigError("--iters must be >= 1")
-        if self.outer_folds < 2 or self.inner_folds < 2:
-            raise ConfigError("fold counts must be >= 2")
-        if self.splitter not in SPLITTERS:
-            raise ConfigError(f"unknown splitter '{self.splitter}'")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -116,70 +86,68 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _resolve_data_path(raw: str) -> Path:
-    path = Path(raw)
-    if path.exists():
-        return path
-    base = default_data_dir()
-    if base is not None and (base / raw).exists():
-        return base / raw
-    raise DatasetFormatError(f"dataset path not found: {raw}")
+def _load(raw: str) -> TimeSeriesDataset:
+    """The dataset at `raw`, or at `raw` under ``HIERTSC_DATA``."""
+    path, base = Path(raw), default_data_dir()
+    if not path.exists() and base is not None:
+        path = base / raw
+    if not path.exists():
+        raise DatasetFormatError(f"dataset path not found: {raw}")
+    return load_dataset(path)
 
 
-def _load(config: RunConfig) -> TimeSeriesDataset:
-    if not config.data_path:
-        raise ConfigError("--data is required for this mode")
-    return load_dataset(_resolve_data_path(config.data_path))
+def _check_ranges(args: argparse.Namespace) -> None:
+    """The numeric ranges argparse cannot check, for the flags the
+    subcommand defines; before any file is read."""
+    if getattr(args, "iters", 1) < 1:
+        raise ConfigError("--iters must be >= 1")
+    if min(getattr(args, "outer_folds", 2), getattr(args, "inner_folds", 2)) < 2:
+        raise ConfigError("fold counts must be >= 2")
 
 
-def _dataset_id(config: RunConfig) -> str:
-    return Path(config.data_path).stem if config.data_path else "dataset"
+# -- subcommand handlers ---------------------------------------------------------
 
 
-# -- mode handlers -------------------------------------------------------------
-
-
-def _run_cv(config: RunConfig) -> int:
-    data = _load(config)
+def _run_cv(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)  # a bad spec exits 2 before the file is read
     common = dict(
-        data=data,
-        spec=config.classifier,
-        splitter=config.splitter,
-        n_iter=config.n_iter,
-        n_outer=config.outer_folds,
-        seed=config.seed,
-        dataset_id=_dataset_id(config),
+        data=_load(args.data),
+        spec=spec,
+        splitter=args.splitter,
+        n_iter=args.iters,
+        n_outer=args.outer_folds,
+        seed=args.seed,
+        dataset_id=Path(args.data).stem,
     )
-    if config.mode == "nested":
-        report = nested_cv(n_inner=config.inner_folds, **common)
+    if args.mode == "nested":
+        report = nested_cv(n_inner=args.inner_folds, **common)
     else:
         report = flat_cv(**common)
     text = report.to_json()
     if CvReport.from_json(text).to_json() != text:
         raise RuntimeError("emitted report failed schema re-validation")
-    out = Path(config.out_dir)
+    out = Path(args.out)
     _write_atomic(out / "report.json", text)
     _write_atomic(out / "folds.csv", _csv_text(CSV_COLUMNS, report.to_csv_rows()))
     print(json.dumps(report.aggregates(), sort_keys=True))
     return EXIT_OK
 
 
-def _run_fit(config: RunConfig) -> int:
-    data = _load(config)
-    spec = config.classifier
-    rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
+def _run_fit(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
+    rows = Run.rows_of(_load(args.data), spec)  # one bank and one transform of all rows for the whole fit
     # the whole file plays outer fold 0 of nested CV
     best_tree, best_score, _, _ = select_tree(
         rows,
         spec,
-        resolve_splitter(config.splitter),
-        config.n_iter,
-        config.seed,
+        resolve_splitter(args.splitter),
+        args.iters,
+        args.seed,
         0,
-        inner_fold_scorer(rows, spec, config.inner_folds),
+        inner_fold_scorer(rows, spec, args.inner_folds),
     )
-    model = replace(fit_lcpn(best_tree, rows, spec), label_names=data.label_names)
-    out = Path(config.out_dir)
+    model = fit_lcpn(best_tree, rows, spec)
+    out = Path(args.out)
     _write_atomic(out / "model.json", model.to_bundle() + "\n")
     print(
         json.dumps(
@@ -226,23 +194,21 @@ def _truth_and_names(model: LcpnModel, data: TimeSeriesDataset, source: str):
     return np.asarray(ids, dtype=np.int64)[codes], model.label_names
 
 
-def _run_predict(config: RunConfig) -> int:
-    if not config.model_path:
-        raise ConfigError("--model is required for predict")
-    model = _load_model(config.model_path)
-    data = _load(config)
+def _run_predict(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    data = _load(args.data)
     if data.series_length != model.series_length:
         raise DatasetFormatError(
-            f"{config.data_path}: series have length {data.series_length}, "
+            f"{args.data}: series have length {data.series_length}, "
             f"the model expects length {model.series_length}"
         )
     predicted, depths = predict_lcpn(model, data.values)
-    truth, names = _truth_and_names(model, data, config.data_path)
+    truth, names = _truth_and_names(model, data, args.data)
     rows = [
         [str(i), str(int(p)), names.get(int(p), str(int(p))), str(int(d))]
         for i, (p, d) in enumerate(zip(predicted, depths))
     ]
-    out = Path(config.out_dir)
+    out = Path(args.out)
     _write_atomic(
         out / "predictions.csv",
         _csv_text(["index", "predicted_id", "predicted", "depth"], rows),
@@ -256,10 +222,15 @@ def _run_predict(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_analyze(config: RunConfig) -> int:
-    if not config.report_paths:
-        raise ConfigError("--reports is required for analyze")
-    reports = [CvReport.from_json(Path(p).read_text()) for p in config.report_paths]
+def _load_report(path: str) -> CvReport:
+    try:
+        return CvReport.from_json(Path(path).read_text())
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise ConfigError(f"cannot read CV report {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _run_analyze(args: argparse.Namespace) -> int:
+    reports = [_load_report(p) for p in args.reports]
     feature_rows = []
     groups: dict[tuple, list] = {}
     for report in reports:
@@ -271,7 +242,7 @@ def _run_analyze(config: RunConfig) -> int:
                 (report.scheme, report.spec.kind, report.splitter_name, report.n_iter, row)
             )
 
-    out = Path(config.out_dir)
+    out = Path(args.out)
     feature_csv = [
         [
             scheme,
@@ -373,39 +344,33 @@ def _run_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_trees(config: RunConfig) -> int:
-    if config.n_classes is None:
-        raise ConfigError("--classes is required for trees")
+def _run_trees(args: argparse.Namespace) -> int:
     doc = {
-        "classes": config.n_classes,
-        "distinct_trees": count_distinct_trees(config.n_classes),
-        "double_factorial": double_factorial_trees(config.n_classes),
+        "classes": args.classes,
+        "distinct_trees": count_distinct_trees(args.classes),
+        "double_factorial": double_factorial_trees(args.classes),
         "diagnostics": {
-            "one_sided_recurrence": count_distinct_trees_one_sided(config.n_classes),
+            "one_sided_recurrence": count_distinct_trees_one_sided(args.classes),
         },
     }
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
-def _run_bench(config: RunConfig) -> int:
-    if config.n_classes is None or config.n_instances is None:
-        raise ConfigError("--classes and --instances are required for bench")
-    x, c = config.n_instances, config.n_classes
+def _run_bench(args: argparse.Namespace) -> int:
+    x, c = args.instances, args.classes
     if c < 2 or x < c:
         raise ConfigError("need at least 2 classes and instances >= classes")
-    bounds = cost_bounds(x, c, config.n_iter)
-    if config.tree_shape == "chain":
+    bounds = cost_bounds(x, c, args.iters)
+    if args.tree == "chain":
         exact, mean_depth = chain_level_units(x, c), chain_mean_depth(c)
-    elif config.tree_shape == "balanced":
-        exact, mean_depth = balanced_level_units(x, c), bounds["depth_lower_log"]
     else:
-        raise ConfigError("--tree must be 'chain' or 'balanced'")
+        exact, mean_depth = balanced_level_units(x, c), bounds["depth_lower_log"]
     doc = {
-        "tree": config.tree_shape,
+        "tree": args.tree,
         "classes": c,
         "instances": x,
-        "n_iter": config.n_iter,
+        "n_iter": args.iters,
         "exact_datapoints_processed": exact,
         "mean_depth": mean_depth,
         **bounds,
@@ -417,19 +382,20 @@ def _run_bench(config: RunConfig) -> int:
     }
     text = json.dumps(doc, sort_keys=True)
     print(text)
-    if config.out_dir:
-        _write_atomic(Path(config.out_dir) / "bench.json", text + "\n")
+    if args.out:
+        _write_atomic(Path(args.out) / "bench.json", text + "\n")
     return EXIT_OK
 
 
-def _run_filter(config: RunConfig) -> int:
-    root = config.data_root or default_data_dir()
+def _run_filter(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
+    root = args.data_root or default_data_dir()
     if not root:
         raise ConfigError("--data-root (or HIERTSC_DATA) is required for filter")
     entries = scan_catalog(root)
-    specs = (config.classifier, ClassifierSpec(kind="kernel-ridge", seed=config.seed))
-    if config.classifier.kind == "kernel-ridge":
-        specs = (ClassifierSpec(kind="linear", seed=config.seed), config.classifier)
+    specs = (spec, ClassifierSpec(kind="kernel-ridge", seed=args.seed))
+    if spec.kind == "kernel-ridge":
+        specs = (ClassifierSpec(kind="linear", seed=args.seed), spec)
     decisions = filter_datasets(entries, specs)
     doc = [
         {
@@ -441,7 +407,7 @@ def _run_filter(config: RunConfig) -> int:
         }
         for d in decisions
     ]
-    out = Path(config.out_dir)
+    out = Path(args.out)
     _write_atomic(out / "filter.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(
         json.dumps(
@@ -453,24 +419,6 @@ def _run_filter(config: RunConfig) -> int:
         )
     )
     return EXIT_OK
-
-
-_HANDLERS = {
-    "nested": _run_cv,
-    "flat": _run_cv,
-    "fit": _run_fit,
-    "predict": _run_predict,
-    "analyze": _run_analyze,
-    "trees": _run_trees,
-    "bench": _run_bench,
-    "filter": _run_filter,
-}
-
-
-def run_command(config: RunConfig) -> int:
-    """Dispatch one validated configuration; returns the process exit code."""
-    config.validate()
-    return _HANDLERS[config.mode](config)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -511,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--inner-folds", type=int, default=4)
     cv.add_argument("--out", default="out")
     _add_classifier_args(cv)
+    cv.set_defaults(run=_run_cv)
 
     fit = sub.add_parser("fit", help="fit a hierarchy and a model on a whole dataset")
     fit.add_argument("--data", required=True)
@@ -519,18 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--inner-folds", type=int, default=4)
     fit.add_argument("--out", default="out")
     _add_classifier_args(fit)
+    fit.set_defaults(run=_run_fit)
 
     predict = sub.add_parser("predict", help="predict with a saved model bundle")
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
     predict.add_argument("--out", default="out")
+    predict.set_defaults(run=_run_predict)
 
     analyze = sub.add_parser("analyze", help="feature extraction and correlations")
     analyze.add_argument("--reports", nargs="+", required=True)
     analyze.add_argument("--out", default="out")
+    analyze.set_defaults(run=_run_analyze)
 
     trees = sub.add_parser("trees", help="count similarity-distinct hierarchies")
     trees.add_argument("--classes", type=int, required=True)
+    trees.set_defaults(run=_run_trees)
 
     bench = sub.add_parser("bench", help="analytic cost figures for a tree shape")
     bench.add_argument("--tree", choices=["balanced", "chain"], default="balanced")
@@ -538,65 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--instances", type=int, required=True)
     bench.add_argument("--iters", type=int, default=1)
     bench.add_argument("--out", default="")
+    bench.set_defaults(run=_run_bench)
 
     flt = sub.add_parser("filter", help="apply the dataset-selection rule to a catalog")
     flt.add_argument("--data-root", default=None)
     flt.add_argument("--out", default="out")
     _add_classifier_args(flt)
+    flt.set_defaults(run=_run_filter)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "cv":
-        return RunConfig(
-            mode=args.mode,
-            data_path=args.data,
-            classifier=_spec_from_args(args),
-            splitter=args.splitter,
-            n_iter=args.iters,
-            outer_folds=args.outer_folds,
-            inner_folds=args.inner_folds,
-            seed=args.seed,
-            out_dir=args.out,
-        )
-    if args.command == "fit":
-        return RunConfig(
-            mode="fit",
-            data_path=args.data,
-            classifier=_spec_from_args(args),
-            splitter=args.splitter,
-            n_iter=args.iters,
-            inner_folds=args.inner_folds,
-            seed=args.seed,
-            out_dir=args.out,
-        )
-    if args.command == "predict":
-        return RunConfig(
-            mode="predict", data_path=args.data, model_path=args.model, out_dir=args.out
-        )
-    if args.command == "analyze":
-        return RunConfig(mode="analyze", report_paths=list(args.reports), out_dir=args.out)
-    if args.command == "trees":
-        return RunConfig(mode="trees", n_classes=args.classes)
-    if args.command == "bench":
-        return RunConfig(
-            mode="bench",
-            tree_shape=args.tree,
-            n_classes=args.classes,
-            n_instances=args.instances,
-            n_iter=args.iters,
-            out_dir=args.out,
-        )
-    if args.command == "filter":
-        return RunConfig(
-            mode="filter",
-            data_root=args.data_root,
-            classifier=_spec_from_args(args),
-            seed=args.seed,
-            out_dir=args.out,
-        )
-    raise ConfigError(f"unknown command {args.command}")
 
 
 def _error_record(exc: BaseException, code: int) -> str:
@@ -620,8 +523,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run_command(config)
+        _check_ranges(args)
+        return args.run(args)
     except Exception as exc:  # noqa: BLE001 - boundary maps errors to exit codes
         code = _classify_exit_code(exc)
         print(_error_record(exc, code), file=sys.stderr)

@@ -1,7 +1,9 @@
 """Dataset ingestion: delimited label-first rows and the '@data' text format.
 
 Original label tokens are kept in a side map; class ids are densified to
-0..|C|-1 in sorted token order (numeric when every token parses as a number).
+0..|C|-1 by :func:`hiertsc.tree.token_ids`: tokens that parse as numbers
+first, in numeric order (even next to tokens that do not), then the rest in
+text order.  So {10, 9, a} loads as {0: 9, 1: 10, 2: a}.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import DataValidationError, TimeSeriesDataset
-from .tree import _token_sort_key
+from .tree import token_ids
 
 
 class DatasetFormatError(ValueError):
@@ -26,9 +28,8 @@ class DatasetFormatError(ValueError):
         super().__init__(f"{message} (line {line})" if line is not None else message)
 
 
-def _densify(raw_labels: list[str], rows: list[list[float]]):
-    names = sorted(set(raw_labels), key=_token_sort_key)
-    to_id = {name: i for i, name in enumerate(names)}
+def _densify(raw_labels: list[str], rows) -> TimeSeriesDataset:
+    to_id = token_ids(raw_labels)
     labels = np.asarray([to_id[t] for t in raw_labels], dtype=np.int64)
     values = np.asarray(rows, dtype=np.float64)
     return TimeSeriesDataset(values, labels, {i: n for n, i in to_id.items()})
@@ -217,12 +218,7 @@ def merge_datasets(a: TimeSeriesDataset, b: TimeSeriesDataset) -> TimeSeriesData
         names = ds.label_names or {}
         return [names.get(int(l), str(int(l))) for l in ds.labels]
 
-    raw = tokens(a) + tokens(b)
-    names = sorted(set(raw), key=_token_sort_key)
-    to_id = {name: i for i, name in enumerate(names)}
-    labels = np.asarray([to_id[t] for t in raw], dtype=np.int64)
-    values = np.vstack([a.values, b.values])
-    return TimeSeriesDataset(values, labels, {i: n for n, i in to_id.items()})
+    return _densify(tokens(a) + tokens(b), np.vstack([a.values, b.values]))
 
 
 def default_data_dir() -> Path | None:

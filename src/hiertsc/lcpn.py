@@ -231,7 +231,9 @@ def fit_lcpn(
     set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
     result does not depend on training order.  `data` is a dataset or
     :class:`Rows` of a run; a dataset becomes one new run, and every node
-    fit slices that run's features by row index.
+    fit slices that run's features by row index.  The model keeps the
+    data's token map over the tree's classes when it names each of them
+    with a distinct token.
     """
     rows = Run.rows_of(data, spec)
     foreign = frozenset(rows.label_space) - tree.root_classes
@@ -245,7 +247,13 @@ def fit_lcpn(
         for parent, (_, n_rows) in zip(tree.parents, fitted):
             counters.per_parent_instances.append(n_rows)
             counters.per_parent_classes.append(len(parent.class_set))
-    return LcpnModel(tree=tree, node_models=tuple(model for model, _ in fitted))
+    names = rows.run.label_names or {}
+    names = {c: names[c] for c in sorted(tree.root_classes) if c in names}
+    return LcpnModel(
+        tree=tree,
+        node_models=tuple(model for model, _ in fitted),
+        label_names=None if _label_names_problem(names, tree) else names,
+    )
 
 
 def _shared_features(

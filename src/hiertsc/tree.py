@@ -289,20 +289,26 @@ def parse_tree_text(text: str) -> tuple[HierarchyTree, dict[int, str]]:
     """Parse the nested-set text form.
 
     Returns the tree over dense integer ids plus the id -> original-token
-    map.  Tokens are assigned ids by sorted order (numeric when possible).
-    Whitespace between tokens and braces is ignored.
+    map, with ids assigned by :func:`token_ids`.  Whitespace between tokens
+    and braces is ignored.
     """
     tokens = _lex(text)
     pairs_raw, pos = _parse_outer(tokens, 0)
     if pos != len(tokens):
         raise TreeStructureError(f"trailing content after tree text: {tokens[pos:]}")
-    names = sorted({t for pair in pairs_raw for side in pair for t in side}, key=_token_sort_key)
-    to_id = {name: i for i, name in enumerate(names)}
+    to_id = token_ids(t for pair in pairs_raw for side in pair for t in side)
     pairs = [
         (frozenset(to_id[t] for t in left), frozenset(to_id[t] for t in right))
         for left, right in pairs_raw
     ]
     return build_tree(pairs), {i: name for name, i in to_id.items()}
+
+
+def token_ids(tokens: Iterable[str]) -> dict[str, int]:
+    """Dense class ids 0..k-1 for the distinct label tokens, in sorted order:
+    tokens that parse as numbers first, by value, then the rest as text.
+    So {'10', '9', 'a'} gives {'9': 0, '10': 1, 'a': 2}."""
+    return {token: i for i, token in enumerate(sorted(set(tokens), key=_token_sort_key))}
 
 
 def _token_sort_key(token: str):
@@ -397,8 +403,7 @@ def tree_from_json_dict(doc: Mapping) -> HierarchyTree:
     if all(isinstance(m, int) for m in members):
         return build_tree(pairs)
     # label tokens instead of ids: densify exactly like the text form
-    names = sorted({str(m) for m in members}, key=_token_sort_key)
-    to_id = {name: i for i, name in enumerate(names)}
+    to_id = token_ids(str(m) for m in members)
     return build_tree(
         ([to_id[str(m)] for m in left], [to_id[str(m)] for m in right])
         for left, right in pairs

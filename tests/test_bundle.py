@@ -16,6 +16,7 @@ from hiertsc import (
     TimeSeriesDataset,
     build_tree,
     fit_lcpn,
+    load_dataset,
     predict_lcpn,
     save_dataset,
 )
@@ -98,8 +99,8 @@ def test_bundle_is_compact_json_with_the_token_map():
     data, _, tree = random_problem(1, 3, sparse_ids=False)
     named = TimeSeriesDataset(data.values, data.labels, {0: "x", 1: "y", 2: "z"})
     model = fit_lcpn(tree, named, SPECS["kernel-ridge"])
-    assert model.label_names is None  # the caller attaches the map
-    text = LcpnModel(model.tree, model.node_models, named.label_names).to_bundle()
+    assert model.label_names == {0: "x", 1: "y", 2: "z"}  # fit_lcpn keeps the data's map
+    text = model.to_bundle()
     assert ", " not in text and ": " not in text
     doc = json.loads(text)
     assert doc["label_names"] == {"0": "x", "1": "y", "2": "z"}
@@ -173,6 +174,7 @@ def _nodes(keep):
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),
         (lambda: _nodes(lambda nodes: [{**n, "weights": n["weights"][:1]} for n in nodes]), "shape"),
         (lambda: _nodes(lambda nodes: [{**n, "class_ids": [0, 2]} for n in nodes]), r"class ids \[0, 2\], not \[0, 1\]"),
+        (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":Infinity'), "finite and positive"),
     ],
 )
 def test_malformed_bundles_raise_model_format_error(text, message):
@@ -311,3 +313,17 @@ def test_predict_with_an_unreadable_bundle_exits_2(content, tmp_path, capsys):
     code, _, err = _run(["predict", "--model", model, "--data", FIXTURES / "unseen.tsv", "--out", tmp_path / "p"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ModelFormatError"
+
+
+def test_a_library_fit_on_a_loaded_file_keeps_its_token_map(tmp_path, capsys):
+    data, _, _ = random_problem(7, 3, sparse_ids=False)
+    save_dataset(TimeSeriesDataset(data.values, data.labels, {0: "a", 1: "b", 2: "c"}), tmp_path / "abc.tsv")
+    model = fit_lcpn(build_tree([([0], [1, 2]), ([1], [2])]), load_dataset(tmp_path / "abc.tsv"), SPECS["linear"])
+    (tmp_path / "model.json").write_text(model.to_bundle())
+    bc = [line for line in (tmp_path / "abc.tsv").read_text().splitlines() if line[0] in "bc"]
+    (tmp_path / "bc.tsv").write_text("\n".join(bc) + "\n")
+    code, stdout, _ = _run(["predict", "--model", tmp_path / "model.json", "--data", tmp_path / "bc.tsv", "--out", tmp_path / "p"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["f1_macro"] == 1.0
+    lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == [line[0] for line in bc]

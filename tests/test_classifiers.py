@@ -192,6 +192,8 @@ def test_spec_validation():
         ClassifierSpec(num_kernels=0)
     with pytest.raises(ValueError):
         ClassifierSpec(ridge_lambda=0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ClassifierSpec(ridge_lambda=float("inf"))
     with pytest.raises(ValueError):
         ClassifierSpec(seed=-1)
 

@@ -53,6 +53,14 @@ def test_load_ts_format(tmp_path):
     assert data.label_names == {0: "classA", 1: "classB"}
 
 
+def test_numeric_tokens_sort_by_value_even_next_to_text(tmp_path):
+    path = tmp_path / "mixed.tsv"
+    path.write_text("10\t0.1\na\t0.2\n9\t0.3\n")
+    data = load_dataset(path)
+    assert data.label_names == {0: "9", 1: "10", 2: "a"}
+    assert list(data.labels) == [1, 2, 0]
+
+
 def test_ragged_row_reports_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("1\t0.1\t0.2\t0.3\t0.4\n2\t0.1\t0.2\t0.3\n")
@@ -393,6 +401,34 @@ def test_cli_range_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     assert json.loads(captured.err) == {
         "error": {"exit_code": 2, "message": message, "type": "ConfigError"}
     }
+
+
+@pytest.mark.parametrize("command", ["cv", "fit"])
+def test_cli_rejects_a_non_finite_ridge_lambda(tmp_path, capsys, command):
+    data = write_synth(tmp_path)
+    args = [command, "--data", str(data), "--ridge-lambda", "inf", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "ridge_lambda must be finite and positive"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "content, cause",
+    [
+        (None, "FileNotFoundError"),
+        ("[]", "TypeError"),
+        ('{"folds": []}', "KeyError: 'scheme'"),
+    ],
+)
+def test_cli_analyze_rejects_an_unreadable_report(tmp_path, capsys, content, cause):
+    report = tmp_path / "report.json"
+    if content is not None:
+        report.write_text(content)
+    assert main(["analyze", "--reports", str(report), "--out", str(tmp_path / "a")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"cannot read CV report {report}: {cause}")
 
 
 def test_cli_env_var_data_dir(tmp_path, capsys, monkeypatch):
