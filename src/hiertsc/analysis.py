@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .dataset import TimeSeriesDataset
 from .evaluation import CvReport
@@ -29,7 +28,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
     The p-value comes from the exact t transform r*sqrt((n-2)/(1-r^2))
     against a t distribution with n-2 degrees of freedom, evaluated through
-    the regularised incomplete beta function.
+    the regularised incomplete beta function.  scipy is imported here, on
+    the first p-value, so the subcommands that never need one start with
+    numpy alone.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -50,6 +51,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if 1.0 - r * r <= 0.0:
         return r, 0.0
     t_sq = r * r * df / (1.0 - r * r)
+    from scipy.special import betainc
+
     p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
     return r, p
 

@@ -24,7 +24,7 @@ from .analysis import (
     extract_features,
 )
 from .classifiers import ClassifierSpec, ModelFormatError, Run, TrainingDataError
-from .dataset import DataValidationError, TimeSeriesDataset
+from .dataset import DataValidationError
 from .evaluation import (
     CSV_COLUMNS,
     CvReport,
@@ -35,11 +35,18 @@ from .evaluation import (
     nested_cv,
     select_tree,
 )
-from .io import DatasetFormatError, default_data_dir, load_dataset, scan_catalog
+from .io import (
+    DatasetFormatError,
+    LabelledRows,
+    default_data_dir,
+    load_dataset,
+    read_labelled_rows,
+    scan_catalog,
+)
 from .lcpn import LcpnModel, NodeTrainingError, fit_lcpn, predict_lcpn
 from .metrics import f1_macro
 from .splitting import SPLITTERS, ScoringError, resolve_splitter
-from .tree import TreeStructureError, tree_to_text
+from .tree import TreeStructureError, token_ids, tree_to_text
 from .treegen import (
     count_distinct_trees,
     count_distinct_trees_one_sided,
@@ -86,14 +93,14 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _load(raw: str) -> TimeSeriesDataset:
-    """The dataset at `raw`, or at `raw` under ``HIERTSC_DATA``."""
+def _data_path(raw: str) -> Path:
+    """`raw`, or `raw` under ``HIERTSC_DATA``, whichever exists."""
     path, base = Path(raw), default_data_dir()
     if not path.exists() and base is not None:
         path = base / raw
     if not path.exists():
         raise DatasetFormatError(f"dataset path not found: {raw}")
-    return load_dataset(path)
+    return path
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
@@ -111,7 +118,7 @@ def _check_ranges(args: argparse.Namespace) -> None:
 def _run_cv(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)  # a bad spec exits 2 before the file is read
     common = dict(
-        data=_load(args.data),
+        data=load_dataset(_data_path(args.data)),
         spec=spec,
         splitter=args.splitter,
         n_iter=args.iters,
@@ -135,7 +142,8 @@ def _run_cv(args: argparse.Namespace) -> int:
 
 def _run_fit(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    rows = Run.rows_of(_load(args.data), spec)  # one bank and one transform of all rows for the whole fit
+    data = load_dataset(_data_path(args.data))
+    rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
     # the whole file plays outer fold 0 of nested CV
     best_tree, best_score, _, _ = select_tree(
         rows,
@@ -170,40 +178,42 @@ def _load_model(path: str) -> LcpnModel:
     return LcpnModel.from_bundle(text)
 
 
-def _truth_and_names(model: LcpnModel, data: TimeSeriesDataset, source: str):
+def _truth_and_names(model: LcpnModel, rows: LabelledRows, source: str):
     """The file's labels as the model's class ids, and each id's token.
 
     They go through the bundle's token map when it has one.  A version 1
-    bundle has none: the file's own ids are taken as the model's, and its
-    tokens are trusted only when it holds as many classes as the tree.
+    bundle has none: the file's own dense ids are taken as the model's, and
+    its tokens are trusted only when it holds as many classes as the tree.
     """
-    tokens = data.label_names or {}
     if model.label_names is None:
-        same = data.n_classes == len(model.tree.root_classes)
-        return data.labels, tokens if same else {}
-    to_id = {token: c for c, token in model.label_names.items()}
-    classes, codes = np.unique(data.labels, return_inverse=True)
-    ids = []
-    for c in classes.tolist():
-        token = tokens.get(c, str(c))
-        if token not in to_id:
-            raise DatasetFormatError(
-                f"{source}: label '{token}' is not a class of the model ({', '.join(sorted(to_id))})"
-            )
-        ids.append(to_id[token])
-    return np.asarray(ids, dtype=np.int64)[codes], model.label_names
+        to_id = token_ids(rows.tokens)
+        same = len(to_id) == len(model.tree.root_classes)
+        names = {c: token for token, c in to_id.items()} if same else {}
+    else:
+        to_id = {token: c for c, token in model.label_names.items()}
+        names = model.label_names
+        for token, line in zip(rows.tokens, rows.lines):
+            if token not in to_id:
+                raise DatasetFormatError(
+                    f"{source}: label '{token}' is not a class of the model "
+                    f"({', '.join(sorted(to_id))})",
+                    line,
+                )
+    return np.asarray([to_id[t] for t in rows.tokens], dtype=np.int64), names
 
 
 def _run_predict(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    data = _load(args.data)
-    if data.series_length != model.series_length:
+    # one row or one class is a valid batch: no training-set rules here
+    batch = read_labelled_rows(_data_path(args.data))
+    length = batch.values.shape[1]
+    if length != model.series_length:
         raise DatasetFormatError(
-            f"{args.data}: series have length {data.series_length}, "
+            f"{args.data}: series have length {length}, "
             f"the model expects length {model.series_length}"
         )
-    predicted, depths = predict_lcpn(model, data.values)
-    truth, names = _truth_and_names(model, data, args.data)
+    predicted, depths = predict_lcpn(model, batch.values)
+    truth, names = _truth_and_names(model, batch, args.data)
     rows = [
         [str(i), str(int(p)), names.get(int(p), str(int(p))), str(int(d))]
         for i, (p, d) in enumerate(zip(predicted, depths))

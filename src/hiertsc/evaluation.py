@@ -14,6 +14,7 @@ flat baseline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -268,27 +269,81 @@ class CvReport:
 
     @staticmethod
     def from_json(text: str) -> "CvReport":
+        """Decode :meth:`to_json` output.  A missing field raises KeyError, a
+        document or fold that is not a JSON object TypeError, and a field of
+        the wrong type ValueError naming it.  ``n_inner`` and each fold's
+        ``inner_mean_score`` may be null only in a flat report."""
         doc = json.loads(text)
         from .tree import parse_tree_text
 
+        if not isinstance(doc, dict):
+            raise TypeError(f"a CV report must be a JSON object, got {type(doc).__name__}")
+        scheme = _report_field(doc, "scheme", str)
+        flat = scheme == "flat"
+        if not isinstance(doc["folds"], list):
+            raise ValueError(f"report field 'folds' must be a list, got {doc['folds']!r}")
         folds = []
-        for f in doc["folds"]:
-            record = {name: f[name] for name in FoldRecord.__dataclass_fields__}
-            record["selected_tree"], _ = parse_tree_text(f["selected_tree"])
+        for i, f in enumerate(doc["folds"]):
+            if not isinstance(f, dict):
+                raise TypeError(f"report field 'folds[{i}]' must be a JSON object")
+            where = f"folds[{i}]."
+            record = {
+                name: _report_field(f, name, kind, where, nullable=flat and name == "inner_mean_score")
+                for name, kind in _FOLD_FIELDS.items()
+            }
+            record["selected_tree"], _ = parse_tree_text(record["selected_tree"])
             folds.append(FoldRecord(**record))
         return CvReport(
-            scheme=doc["scheme"],
-            dataset_id=doc["dataset_id"],
-            spec=ClassifierSpec.from_dict(doc["classifier"]),
-            splitter_name=doc["splitter"],
-            n_iter=doc["n_iter"],
-            n_outer=doc["n_outer"],
-            n_inner=doc["n_inner"],
-            seed=doc["seed"],
-            n_classes=doc["n_classes"],
-            n_instances=doc["n_instances"],
+            scheme=scheme,
+            dataset_id=_report_field(doc, "dataset_id", str),
+            spec=ClassifierSpec.decode(doc["classifier"]),
+            splitter_name=_report_field(doc, "splitter", str),
+            n_iter=_report_field(doc, "n_iter", int),
+            n_outer=_report_field(doc, "n_outer", int),
+            n_inner=_report_field(doc, "n_inner", int, nullable=flat),
+            seed=_report_field(doc, "seed", int),
+            n_classes=_report_field(doc, "n_classes", int),
+            n_instances=_report_field(doc, "n_instances", int),
             folds=tuple(folds),
         )
+
+
+#: the type of each fold field in a report; float means a finite int or float
+_FOLD_FIELDS = {
+    "fold": int,
+    "selected_tree": str,
+    "inner_mean_score": float,
+    "outer_test_score": float,
+    "fc_score": float,
+    "class_balance": float,
+    "data_balance": float,
+    "delta_g": float,
+    "distinct_trees": int,
+    "iterations_run": int,
+}
+
+
+def _report_field(doc: dict, name: str, kind: type, where: str = "", nullable: bool = False):
+    """``doc[name]`` checked against `kind`: str, int (not bool), or float for
+    a finite int or float, returned as a float."""
+    value = doc[name]
+    if value is None and nullable:
+        return None
+    if kind is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        try:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            ok = False
+    if not ok:
+        expected = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+        raise ValueError(f"report field '{where}{name}' must be {expected}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 # -- candidate generation ----------------------------------------------------

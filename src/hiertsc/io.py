@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,15 @@ class DatasetFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"{message} (line {line})" if line is not None else message)
+
+
+class LabelledRows(NamedTuple):
+    """A labelled file as parsed: each row's label token, the (n, M) values,
+    and each row's line number in the file."""
+
+    tokens: list[str]
+    values: np.ndarray
+    lines: list[int]
 
 
 def _densify(raw_labels: list[str], rows) -> TimeSeriesDataset:
@@ -64,9 +73,10 @@ def _split_row(line: str) -> list[str]:
     return line.split()
 
 
-def _load_delimited(lines: Iterable[str]) -> TimeSeriesDataset:
+def _parse_delimited(lines: Iterable[str]) -> LabelledRows:
     raw_labels: list[str] = []
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     width: int | None = None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -90,14 +100,14 @@ def _load_delimited(lines: Iterable[str]) -> TimeSeriesDataset:
             )
         raw_labels.append(label)
         rows.append(parsed or [_parse_value(v, line_no) for v in tokens])
-    if not rows:
-        raise DatasetFormatError("no data rows found")
-    return _densify(raw_labels, rows)
+        row_lines.append(line_no)
+    return _labelled_rows(raw_labels, rows, row_lines)
 
 
-def _load_ts_text(lines: Iterable[str]) -> TimeSeriesDataset:
+def _parse_ts_text(lines: Iterable[str]) -> LabelledRows:
     raw_labels: list[str] = []
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     width: int | None = None
     in_data = False
     for line_no, line in enumerate(lines, start=1):
@@ -132,31 +142,50 @@ def _load_ts_text(lines: Iterable[str]) -> TimeSeriesDataset:
             )
         raw_labels.append(label)
         rows.append(values)
+        row_lines.append(line_no)
+    return _labelled_rows(raw_labels, rows, row_lines)
+
+
+def _labelled_rows(raw_labels: list[str], rows: list[list[float]], lines: list[int]) -> LabelledRows:
     if not rows:
         raise DatasetFormatError("no data rows found")
-    return _densify(raw_labels, rows)
+    return LabelledRows(raw_labels, np.asarray(rows, dtype=np.float64), lines)
+
+
+def _parse_file(path: Path) -> LabelledRows:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    first_real = next((l.strip() for l in lines if l.strip()), "")
+    if path.suffix.lower() == ".ts" or first_real.startswith("@"):
+        return _parse_ts_text(lines)
+    return _parse_delimited(lines)
 
 
 def load_dataset(path: str | Path) -> TimeSeriesDataset:
-    """Load a labelled time-series file.
+    """Load a labelled time-series file of UTF-8 text for training.
 
     Files whose suffix is ``.ts`` (or whose header starts with '@') use the
     text format with ``series:label`` rows after ``@data``; anything else is
     treated as delimited rows with the class label in the first column.
+    Every failure, the dataset's own rules included (at least two classes),
+    raises DatasetFormatError.
     """
     path = Path(path)
+    parsed = _parse_file(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    first_real = next((l.strip() for l in lines if l.strip()), "")
-    try:
-        if path.suffix.lower() == ".ts" or first_real.startswith("@"):
-            return _load_ts_text(lines)
-        return _load_delimited(lines)
+        return _densify(parsed.tokens, parsed.values)
     except DataValidationError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def read_labelled_rows(path: str | Path) -> LabelledRows:
+    """Parse a file in :func:`load_dataset`'s formats without the rules of a
+    training set: one row or one class is fine.  Malformed files raise
+    DatasetFormatError."""
+    return _parse_file(Path(path))
 
 
 def save_dataset(data: TimeSeriesDataset, path: str | Path) -> None:

@@ -295,6 +295,30 @@ def test_predict_rejects_a_token_the_model_does_not_know(abc_model, tmp_path, ca
     assert "label 'd' is not a class of the model (a, b, c)" in error["message"]
 
 
+@pytest.mark.parametrize("pick", [lambda rows: rows["b"][:1], lambda rows: rows["c"]], ids=["one-row", "one-class"])
+def test_predict_takes_a_file_with_one_row_or_one_class(abc_model, tmp_path, capsys, pick):
+    model, rows = abc_model
+    batch = pick(rows)
+    (tmp_path / "batch.tsv").write_text("\n".join(batch) + "\n")
+    code, stdout, _ = _run(["predict", "--model", model, "--data", tmp_path / "batch.tsv", "--out", tmp_path / "p"], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["n_instances"] == len(batch)
+    lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]
+    hits = sum(line.split(",")[2] == row[0] for line, row in zip(lines, batch))
+    # f1_macro over the one class present is that class's F1: 2 tp / (tp + n)
+    assert summary["f1_macro"] == 2 * hits / (hits + len(batch))
+
+
+def test_predict_names_the_line_of_an_unknown_token(abc_model, tmp_path, capsys):
+    model, rows = abc_model
+    lines = ["# a comment", rows["a"][0], "", rows["b"][0], "d" + rows["c"][0][1:], "d" + rows["c"][1][1:]]
+    (tmp_path / "abd.tsv").write_text("\n".join(lines) + "\n")
+    code, stdout, err = _run(["predict", "--model", model, "--data", tmp_path / "abd.tsv", "--out", tmp_path / "p"], capsys)
+    assert code == 3 and stdout == ""
+    assert json.loads(err)["error"]["message"].endswith("label 'd' is not a class of the model (a, b, c) (line 5)")
+
+
 def test_predict_names_both_series_lengths(abc_model, tmp_path, capsys):
     model, rows = abc_model
     short = ["\t".join(line.split("\t")[:11]) for line in rows["a"] + rows["b"]]

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiertsc import ClassifierSpec, filter_datasets, load_dataset, save_dataset
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
 from hiertsc.io import (
     DatasetFormatError,
+    read_labelled_rows,
     scan_catalog,
 )
 
@@ -156,6 +159,43 @@ def test_malformed_rows_keep_their_errors(tmp_path, name, text, message):
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["bytes.tsv", "bytes.ts"])
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    text = b"a\t0.1\t0.2\nb\t0.3\t0.4\n" if name.endswith(".tsv") else b"@data\n0.1,0.2:a\n0.3,0.4:b\n"
+    path.write_bytes(text.replace(b"b", b"\xff\xfe"))  # the second label is not UTF-8
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert main(["cv", "--data", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "DatasetFormatError"
+
+
+#: raw bytes, and byte strings built from the pieces the parsers look for
+FILE_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(
+        st.sampled_from(
+            [b"a", b"b", b"1", b"-2.5", b"1e999", b"nan", b".", b"e", b" ", b"\t", b",",
+             b":", b"#", b"\n", b"\r", b"@data\n", b"\xff", b"\xc3\xa9"]
+        ),
+        max_size=60,
+    ).map(b"".join),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=FILE_BYTES, suffix=st.sampled_from([".tsv", ".ts"]))
+def test_any_bytes_load_or_raise_a_format_error(tmp_path, content, suffix):
+    path = tmp_path / f"fuzz{suffix}"
+    path.write_bytes(content)
+    for load in (load_dataset, read_labelled_rows):
+        try:
+            load(path)
+        except DatasetFormatError:
+            pass
 
 
 def test_missing_ts_label_rejected(tmp_path):
@@ -413,16 +453,77 @@ def test_cli_rejects_a_non_finite_ridge_lambda(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture(scope="module")
+def nested_report(tmp_path_factory):
+    """The decoded ``report.json`` of a small nested ``cv`` run."""
+    tmp = tmp_path_factory.mktemp("report")
+    assert main(["cv", "--data", str(write_synth(tmp)), "--iters", "1", "--out", str(tmp)]) == 0
+    return json.loads((tmp / "report.json").read_text())
+
+
+def _edited(field, value):
+    """A report edit: set top-level `field`, or fold 0's when it starts with 'folds[0].'."""
+
+    def edit(doc):
+        target = doc["folds"][0] if field.startswith("folds[0].") else doc
+        target[field.removeprefix("folds[0].")] = value
+        return json.dumps(doc)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "content, cause",
     [
         (None, "FileNotFoundError"),
         ("[]", "TypeError"),
         ('{"folds": []}', "KeyError: 'scheme'"),
+        pytest.param(
+            _edited("n_classes", "x"),
+            "ValueError: report field 'n_classes' must be an integer, got 'x'",
+            id="n_classes-str",
+        ),
+        pytest.param(
+            _edited("folds[0].fc_score", "x"),
+            "ValueError: report field 'folds[0].fc_score' must be a finite number, got 'x'",
+            id="fc_score-str",
+        ),
+        pytest.param(
+            _edited("folds[0].delta_g", "x"),
+            "ValueError: report field 'folds[0].delta_g' must be a finite number, got 'x'",
+            id="delta_g-str",
+        ),
+        pytest.param(
+            _edited("seed", True),
+            "ValueError: report field 'seed' must be an integer, got True",
+            id="seed-bool",
+        ),
+        pytest.param(
+            _edited("folds[0].outer_test_score", 10**400),
+            "ValueError: report field 'folds[0].outer_test_score' must be a finite number",
+            id="score-huge-int",
+        ),
+        pytest.param(
+            _edited("n_inner", None),  # null only in a flat report
+            "ValueError: report field 'n_inner' must be an integer, got None",
+            id="nested-n_inner-null",
+        ),
+        pytest.param(
+            _edited("folds[0].inner_mean_score", None),
+            "ValueError: report field 'folds[0].inner_mean_score' must be a finite number, got None",
+            id="nested-inner_mean_score-null",
+        ),
+        pytest.param(
+            _edited("dataset_id", 3),
+            "ValueError: report field 'dataset_id' must be a string, got 3",
+            id="dataset_id-int",
+        ),
     ],
 )
-def test_cli_analyze_rejects_an_unreadable_report(tmp_path, capsys, content, cause):
+def test_cli_analyze_rejects_an_unreadable_report(tmp_path, capsys, nested_report, content, cause):
     report = tmp_path / "report.json"
+    if callable(content):
+        content = content(json.loads(json.dumps(nested_report)))
     if content is not None:
         report.write_text(content)
     assert main(["analyze", "--reports", str(report), "--out", str(tmp_path / "a")]) == 2
