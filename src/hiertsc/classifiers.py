@@ -34,7 +34,6 @@ import numpy as np
 from .dataset import Labelled, TimeSeriesDataset
 
 _KERNEL_LENGTHS = (7, 9, 11)
-_BLOB_VERSION = 1
 
 
 class TrainingDataError(ValueError):
@@ -42,7 +41,7 @@ class TrainingDataError(ValueError):
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model bundle or classifier blob cannot be decoded."""
+    """Raised when a model bundle cannot be decoded."""
 
 
 def _decode_json(text, what: str):
@@ -491,37 +490,6 @@ class TrainedClassifier:
             kernels=kernels,
             **arrays,
         )
-
-    def to_blob(self) -> str:
-        doc = {
-            "version": _BLOB_VERSION,
-            "spec": self.spec.to_dict(),
-            "series_length": self.series_length,
-            "kernels": self.kernels.to_dict() if self.kernels is not None else None,
-            **self.to_node_doc(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_blob(blob: str) -> "TrainedClassifier":
-        """The classifier of :meth:`to_blob`'s text; ModelFormatError when it
-        cannot be decoded."""
-        what = "classifier blob"
-        doc = _decode_json(blob, what)
-        version = _field(doc, "version", what)
-        if version != _BLOB_VERSION:
-            raise ModelFormatError(f"unsupported classifier blob version {version!r}")
-        series_length = _positive_int(doc, "series_length", what)
-        kernels = _field(doc, "kernels", what)
-        if kernels is not None:
-            kernels = KernelBank.decode(kernels)
-            if kernels.series_length != series_length:
-                raise ModelFormatError(
-                    f"{what} kernel bank is for series of length {kernels.series_length}, "
-                    f"not {series_length}"
-                )
-        spec = ClassifierSpec.decode(_field(doc, "spec", what))
-        return TrainedClassifier.from_node_doc(doc, spec, series_length, kernels)
 
 
 def _one_vs_rest_targets(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:

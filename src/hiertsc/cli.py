@@ -46,7 +46,7 @@ from .io import (
 from .lcpn import LcpnModel, NodeTrainingError, fit_lcpn, predict_lcpn
 from .metrics import f1_macro
 from .splitting import SPLITTERS, ScoringError, resolve_splitter
-from .tree import TreeStructureError, token_ids, tree_to_text
+from .tree import TreeStructureError, tree_to_text
 from .treegen import (
     count_distinct_trees,
     count_distinct_trees_one_sided,
@@ -178,28 +178,17 @@ def _load_model(path: str) -> LcpnModel:
     return LcpnModel.from_bundle(text)
 
 
-def _truth_and_names(model: LcpnModel, rows: LabelledRows, source: str):
-    """The file's labels as the model's class ids, and each id's token.
-
-    They go through the bundle's token map when it has one.  A version 1
-    bundle has none: the file's own dense ids are taken as the model's, and
-    its tokens are trusted only when it holds as many classes as the tree.
-    """
-    if model.label_names is None:
-        to_id = token_ids(rows.tokens)
-        same = len(to_id) == len(model.tree.root_classes)
-        names = {c: token for token, c in to_id.items()} if same else {}
-    else:
-        to_id = {token: c for c, token in model.label_names.items()}
-        names = model.label_names
-        for token, line in zip(rows.tokens, rows.lines):
-            if token not in to_id:
-                raise DatasetFormatError(
-                    f"{source}: label '{token}' is not a class of the model "
-                    f"({', '.join(sorted(to_id))})",
-                    line,
-                )
-    return np.asarray([to_id[t] for t in rows.tokens], dtype=np.int64), names
+def _truth(model: LcpnModel, rows: LabelledRows, source: str) -> np.ndarray:
+    """The file's labels as the model's class ids, through its token map."""
+    to_id = {token: c for c, token in model.label_names.items()}
+    for token, line in zip(rows.tokens, rows.lines):
+        if token not in to_id:
+            raise DatasetFormatError(
+                f"{source}: label '{token}' is not a class of the model "
+                f"({', '.join(sorted(to_id))})",
+                line,
+            )
+    return np.asarray([to_id[t] for t in rows.tokens], dtype=np.int64)
 
 
 def _run_predict(args: argparse.Namespace) -> int:
@@ -213,9 +202,9 @@ def _run_predict(args: argparse.Namespace) -> int:
             f"the model expects length {model.series_length}"
         )
     predicted, depths = predict_lcpn(model, batch.values)
-    truth, names = _truth_and_names(model, batch, args.data)
+    truth = _truth(model, batch, args.data)
     rows = [
-        [str(i), str(int(p)), names.get(int(p), str(int(p))), str(int(d))]
+        [str(i), str(int(p)), model.label_names[int(p)], str(int(d))]
         for i, (p, d) in enumerate(zip(predicted, depths))
     ]
     out = Path(args.out)

@@ -2,8 +2,9 @@
 
 Original label tokens are kept in a side map; class ids are densified to
 0..|C|-1 by :func:`hiertsc.tree.token_ids`: tokens that parse as numbers
-first, in numeric order (even next to tokens that do not), then the rest in
-text order.  So {10, 9, a} loads as {0: 9, 1: 10, 2: a}.
+first, in numeric order (even next to tokens that do not), then those that
+parse as NaN, then the rest in text order.  So {10, 9, a} loads as
+{0: 9, 1: 10, 2: a}.
 """
 
 from __future__ import annotations
@@ -192,11 +193,15 @@ def save_dataset(data: TimeSeriesDataset, path: str | Path) -> None:
     """Write tab-separated label-first rows; floats keep full precision so a
     reload reproduces values and labels exactly."""
     path = Path(path)
-    names = data.label_names or {}
     with open(path, "w") as fh:
-        for row, label in zip(data.values, data.labels):
-            token = names.get(int(label), str(int(label)))
+        for row, token in zip(data.values, _tokens(data)):
             fh.write("\t".join([token, *[repr(float(v)) for v in row]]) + "\n")
+
+
+def _tokens(data: TimeSeriesDataset) -> list[str]:
+    """Each row's label token: its name in the dataset's map, or its id."""
+    names = data.label_names or {}
+    return [names.get(int(l), str(int(l))) for l in data.labels]
 
 
 # -- dataset catalogs ---------------------------------------------------------
@@ -242,12 +247,7 @@ def merge_datasets(a: TimeSeriesDataset, b: TimeSeriesDataset) -> TimeSeriesData
         raise DataValidationError(
             f"series lengths differ: {a.series_length} vs {b.series_length}"
         )
-
-    def tokens(ds: TimeSeriesDataset) -> list[str]:
-        names = ds.label_names or {}
-        return [names.get(int(l), str(int(l))) for l in ds.labels]
-
-    return _densify(tokens(a) + tokens(b), np.vstack([a.values, b.values]))
+    return _densify(_tokens(a) + _tokens(b), np.vstack([a.values, b.values]))
 
 
 def default_data_dir() -> Path | None:

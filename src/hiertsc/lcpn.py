@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -24,7 +24,11 @@ from .classifiers import (
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, build_tree, parse_tree_text, tree_to_text
 
-_BUNDLE_VERSION = 2  # version 1 bundles are still read
+_BUNDLE_VERSION = 2
+_NO_TOKEN_MAP = (
+    "model bundle has no token map (a version 1 bundle, or 'label_names' is null); "
+    "refit the model to get a bundle that maps its class ids to label tokens"
+)
 
 
 class NodeTrainingError(ValueError):
@@ -58,14 +62,27 @@ class LcpnModel:
     Node model group 0 is the parent's left side, group 1 the right side.
     Every node of a fitted or loaded ``kernel-ridge`` model holds the same
     :class:`KernelBank` object, so :func:`predict_lcpn` transforms each row
-    once, and the bundle stores that bank once.  `label_names` maps the
-    tree's class ids to the label tokens of the data the model was fit on,
-    when they are known.
+    once, and the bundle stores that bank once.  `label_names` maps each of
+    the tree's class ids to a distinct label token: the tokens of the data
+    the model was fit on, or ``str(id)`` when none are given.  Raises
+    ValueError when a given map does not name every class of the tree once
+    with a string.
     """
 
     tree: HierarchyTree
     node_models: tuple[TrainedClassifier, ...]
     label_names: Mapping[int, str] | None = None
+
+    def __post_init__(self) -> None:
+        classes = sorted(self.tree.root_classes)
+        names = {c: str(c) for c in classes} if self.label_names is None else dict(self.label_names)
+        if names.keys() != self.tree.root_classes:
+            raise ValueError(f"'label_names' names classes {sorted(names)}, the tree has {classes}")
+        if not all(isinstance(t, str) for t in names.values()):
+            raise ValueError("'label_names' tokens must be strings")
+        if len(set(names.values())) != len(names):
+            raise ValueError("'label_names' repeats a token")
+        object.__setattr__(self, "label_names", names)
 
     @property
     def series_length(self) -> int:
@@ -76,8 +93,7 @@ class LcpnModel:
         the series length and the id -> token map once, each distinct kernel
         bank once under ``banks``, and per node its arrays and the index of
         its bank (or null).  Raises ValueError unless the nodes are
-        :class:`TrainedClassifier` objects of one spec and series length,
-        and `label_names`, when given, names each class of the tree once."""
+        :class:`TrainedClassifier` objects of one spec and series length."""
         first = self.node_models[0]
         if not all(
             isinstance(m, TrainedClassifier)
@@ -86,10 +102,6 @@ class LcpnModel:
             for m in self.node_models
         ):
             raise ValueError("a bundle holds node models of one spec and series length")
-        names = self.label_names
-        problem = None if names is None else _label_names_problem(names, self.tree)
-        if problem:
-            raise ValueError(problem)
         banks: dict[KernelBank, int] = {}
         nodes = [
             {**m.to_node_doc(), "bank": None if m.kernels is None else banks.setdefault(m.kernels, len(banks))}
@@ -100,7 +112,7 @@ class LcpnModel:
             "tree": tree_to_text(self.tree),
             "spec": first.spec.to_dict(),
             "series_length": first.series_length,
-            "label_names": None if names is None else {str(c): t for c, t in names.items()},
+            "label_names": {str(c): t for c, t in self.label_names.items()},
             "banks": [bank.to_dict() for bank in banks],
             "nodes": nodes,
         }
@@ -108,18 +120,20 @@ class LcpnModel:
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 2 or version 1 bundle.  Nodes that name one
-        bank get one :class:`KernelBank` object.  Raises ModelFormatError
-        when `blob` is not such a bundle, or its nodes do not match its
-        tree's parents."""
-        doc = _decode_json(blob, "model bundle")
-        version = _field(doc, "version", "model bundle")
-        if version == _BUNDLE_VERSION:
-            tree, nodes, names = _decode_v2(doc)
-        elif version == 1:
-            tree, nodes, names = _decode_v1(doc)
-        else:
+        """The model of a version 2 bundle.  Nodes that name one bank get one
+        :class:`KernelBank` object.  Raises ModelFormatError when `blob` is
+        not such a bundle, has no token map (a version 1 bundle, or a null
+        map), or its nodes do not match its tree's parents."""
+        what = "model bundle"
+        doc = _decode_json(blob, what)
+        version = _field(doc, "version", what)
+        if version not in (1, _BUNDLE_VERSION):
             raise ModelFormatError(f"unsupported model bundle version {version!r}")
+        names = None if version == 1 else _field(doc, "label_names", what)
+        if names is None:
+            raise ModelFormatError(_NO_TOKEN_MAP)
+        names = _decode_label_names(names)
+        tree, nodes = _decode_v2(doc)
         if len(nodes) != len(tree.parents):
             raise ModelFormatError(
                 f"model bundle has {len(nodes)} node models for {len(tree.parents)} parent nodes"
@@ -129,7 +143,10 @@ class LcpnModel:
                 raise ModelFormatError(f"node model {i} has class ids {list(node.class_ids)}, not [0, 1]")
             if node.series_length != nodes[0].series_length:
                 raise ModelFormatError("model bundle node models disagree on the series length")
-        return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
+        try:
+            return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
+        except ValueError as exc:
+            raise ModelFormatError(f"model bundle {exc}") from None
 
 
 def _decode_tree(text) -> HierarchyTree:
@@ -153,20 +170,6 @@ def _list_field(doc, key: str) -> list:
     return value
 
 
-def _decode_v1(doc):
-    """A version 1 bundle: every node a JSON string holding its own spec and
-    bank; equal banks decode to one object."""
-    tree = _decode_tree(_field(doc, "tree", "model bundle"))
-    banks: dict[KernelBank, KernelBank] = {}
-    nodes = []
-    for blob in _list_field(doc, "node_models"):
-        node = TrainedClassifier.from_blob(blob)
-        if node.kernels is not None:
-            node = replace(node, kernels=banks.setdefault(node.kernels, node.kernels))
-        nodes.append(node)
-    return tree, nodes, None
-
-
 def _decode_v2(doc):
     what = "model bundle"
     tree = _decode_tree(_field(doc, "tree", what))
@@ -182,30 +185,16 @@ def _decode_v2(doc):
             raise ModelFormatError(f"node model 'bank' must be null or an index into {len(banks)} banks")
         kernels = None if index is None else banks[index]
         nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels))
-    return tree, nodes, _decode_label_names(_field(doc, "label_names", what), tree)
+    return tree, nodes
 
 
-def _decode_label_names(doc, tree: HierarchyTree) -> dict[int, str] | None:
-    if doc is None:
-        return None
+def _decode_label_names(doc) -> dict[int, str]:
     if not isinstance(doc, dict) or not all(isinstance(t, str) for t in doc.values()):
         raise ModelFormatError("model bundle 'label_names' must map class ids to strings")
     try:
-        names = {int(c): t for c, t in doc.items()}
+        return {int(c): t for c, t in doc.items()}
     except ValueError:
         raise ModelFormatError("model bundle 'label_names' keys must be class ids") from None
-    problem = _label_names_problem(names, tree)
-    if problem:
-        raise ModelFormatError(f"model bundle {problem}")
-    return names
-
-
-def _label_names_problem(names: Mapping[int, str], tree: HierarchyTree) -> str | None:
-    if names.keys() != tree.root_classes:
-        return f"'label_names' names classes {sorted(names)}, the tree has {sorted(tree.root_classes)}"
-    if len(set(names.values())) != len(names):
-        return "'label_names' repeats a token"
-    return None
 
 
 def _fit_node(parent, rows: Rows, spec: ClassifierSpec) -> tuple[TrainedClassifier, int]:
@@ -232,8 +221,9 @@ def fit_lcpn(
     result does not depend on training order.  `data` is a dataset or
     :class:`Rows` of a run; a dataset becomes one new run, and every node
     fit slices that run's features by row index.  The model keeps the
-    data's token map over the tree's classes when it names each of them
-    with a distinct token.
+    data's token map over the tree's classes, or names each class by its id
+    when the data has no map; a map that leaves out a class of the tree or
+    repeats a token raises ValueError.
     """
     rows = Run.rows_of(data, spec)
     foreign = frozenset(rows.label_space) - tree.root_classes
@@ -247,13 +237,10 @@ def fit_lcpn(
         for parent, (_, n_rows) in zip(tree.parents, fitted):
             counters.per_parent_instances.append(n_rows)
             counters.per_parent_classes.append(len(parent.class_set))
-    names = rows.run.label_names or {}
-    names = {c: names[c] for c in sorted(tree.root_classes) if c in names}
-    return LcpnModel(
-        tree=tree,
-        node_models=tuple(model for model, _ in fitted),
-        label_names=None if _label_names_problem(names, tree) else names,
-    )
+    names = rows.run.label_names
+    if names is not None:
+        names = {c: names[c] for c in sorted(tree.root_classes) if c in names}
+    return LcpnModel(tree=tree, node_models=tuple(model for model, _ in fitted), label_names=names)
 
 
 def _shared_features(

@@ -9,6 +9,7 @@ parent, and every class appears as exactly one singleton leaf.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -306,16 +307,20 @@ def parse_tree_text(text: str) -> tuple[HierarchyTree, dict[int, str]]:
 
 def token_ids(tokens: Iterable[str]) -> dict[str, int]:
     """Dense class ids 0..k-1 for the distinct label tokens, in sorted order:
-    tokens that parse as numbers first, by value, then the rest as text.
-    So {'10', '9', 'a'} gives {'9': 0, '10': 1, 'a': 2}."""
+    tokens that parse as numbers first, by value, then those that parse as
+    NaN, then the rest as text.  So {'10', '9', 'nan', 'a'} gives
+    {'9': 0, '10': 1, 'nan': 2, 'a': 3}, whatever the input order."""
     return {token: i for i, token in enumerate(sorted(set(tokens), key=_token_sort_key))}
 
 
 def _token_sort_key(token: str):
+    """Numbers by value, then NaN spellings, then the other tokens; ties in
+    text order.  NaN has no place among the numbers, so it gets its own."""
     try:
-        return (0, float(token), token)
+        value = float(token)
     except ValueError:
-        return (1, 0.0, token)
+        return (2, 0.0, token)
+    return (1, 0.0, token) if math.isnan(value) else (0, value, token)
 
 
 def _lex(text: str) -> list[str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ def _fit_const0(spec, data):
 
 register_classifier_kind("test-peek", _fit_peek)
 register_classifier_kind("test-const-min", _fit_const0)
+
+
+def classifier_state(model):
+    """What a bundle stores of a fitted classifier, for comparing two: the
+    node arrays as JSON text (a float's repr keeps its bits), the spec, the
+    series length and the kernel bank."""
+    return json.dumps(model.to_node_doc(), sort_keys=True), model.spec, model.series_length, model.kernels
 
 
 def peek_dataset(labels, series_length=6):

@@ -1,5 +1,6 @@
-"""Model bundles: the version 2 format, reading version 1, typed decode errors,
-and label-safe ``predict`` through the bundle's token map."""
+"""Model bundles: the version 2 format, the token map every bundle carries,
+refusal of bundles without one, typed decode errors, and label-safe
+``predict`` through that map."""
 
 import json
 from pathlib import Path
@@ -15,6 +16,8 @@ from hiertsc import (
     ModelFormatError,
     TimeSeriesDataset,
     build_tree,
+    collinear_superclusters,
+    f1_macro,
     fit_lcpn,
     load_dataset,
     predict_lcpn,
@@ -22,7 +25,6 @@ from hiertsc import (
 )
 from hiertsc.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures" / "v1"
 NODE_ARRAYS = ("weights", "intercepts", "feature_mean", "feature_scale")
 SPECS = {
     "linear": ClassifierSpec("linear"),
@@ -39,9 +41,10 @@ def _split(classes, rng):
     return [(left, right), *_split(left, rng), *_split(right, rng)]
 
 
-def random_problem(seed, n_classes, sparse_ids):
+def random_problem(seed, n_classes, sparse_ids, named=False):
     """A small dataset, unseen rows and a random tree; class ids are
-    0..k-1 or, with `sparse_ids`, distinct integers with gaps."""
+    0..k-1 or, with `sparse_ids`, distinct integers with gaps.  With `named`
+    the dataset maps each id to a token, otherwise it has no map."""
     rng = np.random.default_rng(seed)
     ids = sorted(rng.choice(50, n_classes, replace=False).tolist()) if sparse_ids else list(range(n_classes))
     length = int(rng.integers(12, 20))
@@ -50,7 +53,8 @@ def random_problem(seed, n_classes, sparse_ids):
     values = np.asarray([levels[c] for c in labels])[:, None] + rng.normal(0, 0.8, (labels.size, length))
     unseen = rng.normal(0, 0.8, (30, length)) + rng.uniform(0, 1.5 * n_classes, (30, 1))
     order = rng.permutation(ids).tolist()
-    return TimeSeriesDataset(values, labels), unseen, build_tree(_split(order, rng))
+    names = {c: f"class-{c}" for c in ids} if named else None
+    return TimeSeriesDataset(values, labels, names), unseen, build_tree(_split(order, rng))
 
 
 def _run(args, capsys):
@@ -68,9 +72,10 @@ def _run(args, capsys):
     seed=st.integers(0, 2**16),
     n_classes=st.integers(2, 5),
     sparse_ids=st.booleans(),
+    named=st.booleans(),
 )
-def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes, sparse_ids):
-    data, unseen, tree = random_problem(seed, n_classes, sparse_ids)
+def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes, sparse_ids, named):
+    data, unseen, tree = random_problem(seed, n_classes, sparse_ids, named)
     model = fit_lcpn(tree, data, SPECS[kind])
     text = model.to_bundle()
     again = LcpnModel.from_bundle(text)
@@ -85,6 +90,9 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
             assert np.array_equal(got, want)
     doc = json.loads(text)
     assert doc["version"] == 2
+    # every class of the tree is named: by the data's token, or by its id
+    assert doc["label_names"] == {str(c): f"class-{c}" if named else str(c) for c in tree.root_classes}
+    assert again.label_names == model.label_names
     assert all(isinstance(node, dict) for node in doc["nodes"])
     if kind == "kernel-ridge":
         assert len(doc["banks"]) == 1
@@ -93,6 +101,31 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     else:
         assert doc["banks"] == [] and all(m.kernels is None for m in again.node_models)
     assert again.to_bundle() == text
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    seed=st.integers(0, 2**16),
+    n_classes=st.integers(2, 5),
+    sparse_ids=st.booleans(),
+    shuffle=st.integers(0, 2**16),
+)
+def test_predictions_ignore_row_order_and_batching(kind, seed, n_classes, sparse_ids, shuffle):
+    data, unseen, tree = random_problem(seed, n_classes, sparse_ids)
+    fitted = fit_lcpn(tree, data, SPECS[kind])
+    loaded = LcpnModel.from_bundle(fitted.to_bundle())
+    values = np.vstack([data.values, unseen])
+    rng = np.random.default_rng(shuffle)
+    order = rng.permutation(len(values))
+    cut = int(rng.integers(0, len(values) + 1))
+    for model in (fitted, loaded):
+        labels, depths = predict_lcpn(model, values)
+        shuffled = predict_lcpn(model, values[order])
+        assert np.array_equal(shuffled[0], labels[order]) and np.array_equal(shuffled[1], depths[order])
+        parts = [predict_lcpn(model, values[:cut]), predict_lcpn(model, values[cut:])]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), labels)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), depths)
 
 
 def test_bundle_is_compact_json_with_the_token_map():
@@ -111,34 +144,52 @@ def test_bundle_is_compact_json_with_the_token_map():
 
 @pytest.mark.parametrize(
     "names, message",
-    [({0: "x", 1: "y"}, r"names classes \[0, 1\], the tree has \[0, 1, 2\]"), ({0: "x", 1: "x", 2: "z"}, "repeats a token")],
+    [
+        ({0: "x", 1: "y"}, r"names classes \[0, 1\], the tree has \[0, 1, 2\]"),
+        ({0: "x", 1: "x", 2: "z"}, "repeats a token"),
+        ({0: "x", 1: "y", 2: 2}, "tokens must be strings"),
+    ],
 )
 def test_to_bundle_rejects_a_token_map_it_could_not_read_back(names, message):
     data, _, tree = random_problem(1, 3, sparse_ids=False)
     model = fit_lcpn(tree, data, SPECS["linear"])
     with pytest.raises(ValueError, match=message):
         LcpnModel(model.tree, model.node_models, names).to_bundle()
+    with pytest.raises(ValueError, match=message):  # fit_lcpn raises rather than drop the data's map
+        fit_lcpn(tree, TimeSeriesDataset(data.values, data.labels, names), SPECS["linear"])
 
 
-# -- version 1 ------------------------------------------------------------------
+# -- bundles without a token map ------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["linear", "kernel8"])
-def test_version_1_bundles_predict_the_same_bytes(name, tmp_path, capsys):
-    model = FIXTURES / f"{name}-model.json"
-    assert json.loads(model.read_text())["version"] == 1
-    out = tmp_path / "out"
-    code, stdout, _ = _run(["predict", "--model", model, "--data", FIXTURES / "unseen.tsv", "--out", out], capsys)
-    assert code == 0
-    assert stdout == (FIXTURES / f"{name}-stdout.txt").read_text()
-    assert (out / "predictions.csv").read_bytes() == (FIXTURES / f"{name}-predictions.csv").read_bytes()
+def _version_1_bundle():
+    """A bundle in the retired version 1 layout: every node a JSON string
+    holding its own spec, series length and bank, and no token map."""
+    doc = json.loads(BUNDLE_TEXT)
+    nodes = [
+        json.dumps({"version": 1, "spec": doc["spec"], "series_length": doc["series_length"],
+                    "kernels": doc["banks"][node.pop("bank")], **node}, sort_keys=True)
+        for node in doc["nodes"]
+    ]
+    return json.dumps({"version": 1, "tree": doc["tree"], "node_models": nodes}, sort_keys=True)
 
 
-def test_version_1_kernel_nodes_share_one_bank():
-    model = LcpnModel.from_bundle((FIXTURES / "kernel8-model.json").read_text())
-    banks = {id(m.kernels) for m in model.node_models}
-    assert len(banks) == 1 and model.node_models[0].kernels is not None
-    assert model.label_names is None
+def _null_map_bundle():
+    return json.dumps({**json.loads(BUNDLE_TEXT), "label_names": None})
+
+
+@pytest.mark.parametrize("make", [_version_1_bundle, _null_map_bundle], ids=["version-1", "null-map"])
+def test_a_bundle_without_a_token_map_exits_2_asking_for_a_refit(make, tmp_path, capsys):
+    (tmp_path / "model.json").write_text(make())
+    data, _, _ = random_problem(5, 3, sparse_ids=False)
+    save_dataset(data, tmp_path / "batch.tsv")
+    code, stdout, err = _run(["predict", "--model", tmp_path / "model.json", "--data", tmp_path / "batch.tsv",
+                              "--out", tmp_path / "p"], capsys)
+    assert code == 2 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelFormatError"
+    assert "has no token map" in error["message"] and "refit" in error["message"]
+    assert not (tmp_path / "p").exists()
 
 
 # -- typed decode errors ----------------------------------------------------------
@@ -169,6 +220,8 @@ def _nodes(keep):
         ('{"version": 3}', "unsupported model bundle version 3"),
         (lambda: _without("banks"), "has no 'banks'"),
         (lambda: _without("label_names"), "has no 'label_names'"),
+        (lambda: _linear_bundle().replace('"2":"2"', '"2":"0"'), "'label_names' repeats a token"),
+        (lambda: _linear_bundle().replace(',"2":"2"', ""), r"'label_names' names classes \[0, 1\], the tree has \[0, 1, 2\]"),
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),
@@ -181,13 +234,6 @@ def test_malformed_bundles_raise_model_format_error(text, message):
     text = text() if callable(text) else text
     with pytest.raises(ModelFormatError, match=message):
         LcpnModel.from_bundle(text)
-
-
-def test_a_version_1_bundle_missing_a_node_is_rejected():
-    doc = json.loads((FIXTURES / "linear-model.json").read_text())
-    doc["node_models"].pop()
-    with pytest.raises(ModelFormatError, match="1 node models for 2 parent nodes"):
-        LcpnModel.from_bundle(json.dumps(doc))
 
 
 def _small_kernel_bundle():
@@ -334,7 +380,9 @@ def test_predict_with_an_unreadable_bundle_exits_2(content, tmp_path, capsys):
     model = tmp_path / "model.json"
     if content is not None:
         model.write_text(content)
-    code, _, err = _run(["predict", "--model", model, "--data", FIXTURES / "unseen.tsv", "--out", tmp_path / "p"], capsys)
+    data, _, _ = random_problem(5, 3, sparse_ids=False)
+    save_dataset(data, tmp_path / "batch.tsv")
+    code, _, err = _run(["predict", "--model", model, "--data", tmp_path / "batch.tsv", "--out", tmp_path / "p"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ModelFormatError"
 
@@ -351,3 +399,23 @@ def test_a_library_fit_on_a_loaded_file_keeps_its_token_map(tmp_path, capsys):
     assert json.loads(stdout)["f1_macro"] == 1.0
     lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]
     assert [line.split(",")[2] for line in lines] == [line[0] for line in bc]
+
+
+def test_the_library_workflow_bundle_predicts_a_file_with_some_classes(tmp_path, capsys):
+    """The README's library fit (a dataset without a token map), written
+    with ``to_bundle``, scores a file of classes {2, 3} as in-process."""
+    data = collinear_superclusters()
+    tree = build_tree([([0, 1], [2, 3]), ([0], [1]), ([2], [3])])
+    model = fit_lcpn(tree, data, ClassifierSpec("linear"))
+    (tmp_path / "model.json").write_text(model.to_bundle())
+    part = data.subset(np.flatnonzero(data.labels >= 2))
+    save_dataset(part, tmp_path / "part.tsv")
+    code, stdout, _ = _run(["predict", "--model", tmp_path / "model.json", "--data", tmp_path / "part.tsv",
+                            "--out", tmp_path / "p"], capsys)
+    assert code == 0
+    predicted, _ = predict_lcpn(model, part.values)
+    expected = f1_macro(part.labels, predicted)
+    assert expected > 0.9
+    assert json.loads(stdout)["f1_macro"] == expected
+    lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == [str(p) for p in predicted]

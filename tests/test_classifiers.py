@@ -1,5 +1,7 @@
 """Base classifier contracts: determinism, the ridge solve, kernel features."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from hiertsc import (
 from hiertsc import classifiers
 from hiertsc.classifiers import TrainedClassifier, TrainingDataError, ridge_solve
 
-from conftest import separable_dataset
+from conftest import classifier_state, separable_dataset
 
 
 def gaussian_two_class(n=40, m=10, gap=3.0, seed=1):
@@ -52,7 +54,7 @@ def test_kernel_ridge_determinism():
     spec = ClassifierSpec(kind="kernel-ridge", num_kernels=32, seed=0)
     a = fit_classifier(spec, data)
     b = fit_classifier(spec, data)
-    assert a.to_blob() == b.to_blob()
+    assert classifier_state(a) == classifier_state(b)
     probe = data.values[:5]
     assert np.array_equal(a.predict(probe), b.predict(probe))
 
@@ -61,7 +63,7 @@ def test_kernel_seeds_differ():
     data = gaussian_two_class(n=10, m=20)
     a = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=0), data)
     b = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=1), data)
-    assert a.to_blob() != b.to_blob()
+    assert classifier_state(a) != classifier_state(b)
 
 
 def test_kernel_bank_invariants():
@@ -174,10 +176,13 @@ def test_weight_dimensions():
 
 
 def test_blob_round_trip():
+    """A classifier read back from its node document as JSON text, as a
+    bundle stores it, is the same classifier."""
     data = gaussian_two_class(n=8, m=16)
     model = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=12), data)
-    again = TrainedClassifier.from_blob(model.to_blob())
-    assert again.to_blob() == model.to_blob()
+    doc = json.loads(json.dumps(model.to_node_doc()))
+    again = TrainedClassifier.from_node_doc(doc, model.spec, model.series_length, model.kernels)
+    assert classifier_state(again) == classifier_state(model)
     assert np.array_equal(again.predict(data.values), model.predict(data.values))
 
 

@@ -23,6 +23,7 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["labels"].shape == namespace["depths"].shape == (namespace["data"].n_instances,)
+    assert json.loads(namespace["bundle"])["label_names"] == {"0": "0", "1": "1", "2": "2", "3": "3"}
 
 
 def test_benchmark_smoke_check_passes():

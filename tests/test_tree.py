@@ -1,6 +1,10 @@
 """Structure, balance metrics, similarity, and text forms of hierarchies."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from hiertsc import (
     tree_to_text,
     trees_similar,
 )
-from hiertsc.tree import LabelSpaceMismatchError, tree_from_json
+import hiertsc
+from hiertsc.tree import LabelSpaceMismatchError, token_ids, tree_from_json
 
 from conftest import random_tree
 
@@ -260,3 +265,31 @@ def test_json_with_label_tokens(fig_tree):
 def test_leaf_depths_chain():
     chain = build_tree([({0}, {1, 2, 3}), ({1}, {2, 3}), ({2}, {3})])
     assert chain.leaf_depths() == {0: 1, 1: 2, 2: 3, 3: 3}
+
+
+# -- label token ids --------------------------------------------------------------
+
+
+def test_token_ids_put_nan_after_the_numbers_and_break_ties_by_text():
+    tokens = ["a", "nan", "10", "NaN", "9", "1.0", "1", "-inf", "inf", "b"]
+    assert token_ids(tokens) == {
+        "-inf": 0, "1": 1, "1.0": 2, "9": 3, "10": 4, "inf": 5, "NaN": 6, "nan": 7, "a": 8, "b": 9,
+    }
+    assert token_ids(reversed(tokens)) == token_ids(tokens)
+
+
+def test_token_ids_give_one_map_under_every_hash_seed():
+    """Set order depends on PYTHONHASHSEED; the ids of a file's labels must not."""
+    code = (
+        "import json; from hiertsc.tree import token_ids; "
+        "print(json.dumps(token_ids(['nan', '1', '2', '0.5', 'inf', '-inf'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hiertsc.__file__).parents[1])}
+    maps = {
+        subprocess.run(
+            [sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in range(6)
+    }
+    assert [json.loads(m) for m in maps] == [{"-inf": 0, "0.5": 1, "1": 2, "2": 3, "inf": 4, "nan": 5}]
