@@ -14,11 +14,18 @@ Two kinds are built in:
     fed to the same closed-form ridge.
 
 Both are deterministic functions of (spec, data); predictions break argmax
-ties toward the smallest class id.  Their label-independent half, the raw
-features, is computed once per run: a :class:`Run` draws its kernel bank and
-featurises all of its rows in one call, and every fit slices that one matrix
-by row index (:class:`Rows`).  New kinds can be plugged in through
-:func:`register_classifier_kind`.
+ties toward the smallest class id.  A fit's label-independent half has two
+parts:
+
+- the raw features, once per run: a :class:`Run` draws its kernel bank and
+  featurises all of its rows in one call, and every fit slices that one
+  matrix by row index (:class:`Rows`);
+- the regularised system, once per row set: a :class:`PreparedRows` holds the
+  standardisation, the centred features and the Gram matrix with lambda on
+  its diagonal, and fits any labelling of those rows by building its targets
+  and solving.  Split scoring fits every bipartition of a class set on one.
+
+New kinds can be plugged in through :func:`register_classifier_kind`.
 """
 
 from __future__ import annotations
@@ -364,7 +371,9 @@ class _TransformPlan:
     columns: np.ndarray  # positive-share feature column of each kernel, plan order
 
 
-def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+def ridge_solve(
+    features: np.ndarray, targets: np.ndarray, lam: float, gram: np.ndarray | None = None
+) -> np.ndarray:
     """Ridge weights W for (n, f) features F and (n, k) targets Y.
 
     W solves (F^T F + lam*I) W = F^T Y.  The form solved is the smaller of two
@@ -375,15 +384,35 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.nda
       (Rifkin & Lippert, "Notes on Regularized Least Squares", 2007).
 
     The two agree to rounding (about 1e-11 at n = 150, f = 1024).
+
+    Only Y depends on the labels.  The rest is done once: the raw features
+    once per run (:class:`Run`), and the centred F with its Gram matrix once
+    per row set (:class:`PreparedRows`), where `gram` is
+    :func:`_regularised_gram` of (F, lam).  Each call solves one labelling;
+    without `gram` it builds the matrix itself, with the same bits.
     """
+    if gram is None:
+        gram = _regularised_gram(features, lam)
+    if features.shape[0] < features.shape[1]:
+        return features.T @ np.linalg.solve(gram, targets)
+    return np.linalg.solve(gram, features.T @ targets)
+
+
+def _regularised_gram(features: np.ndarray, lam: float) -> np.ndarray:
+    """The matrix :func:`ridge_solve` solves with: F F^T + lam*I when n < f,
+    else F^T F + lam*I."""
     n, f = features.shape
     if n < f:
         gram = features @ features.T
         gram.flat[:: n + 1] += lam
-        return features.T @ np.linalg.solve(gram, targets)
-    gram = features.T @ features
-    gram.flat[:: f + 1] += lam
-    return np.linalg.solve(gram, features.T @ targets)
+    else:
+        gram = features.T @ features
+        gram.flat[:: f + 1] += lam
+    return gram
+
+
+def _standardise(raw: np.ndarray, mean: np.ndarray | None, scale: np.ndarray | None) -> np.ndarray:
+    return raw if mean is None else (raw - mean) / scale
 
 
 @dataclass(frozen=True)
@@ -406,8 +435,7 @@ class TrainedClassifier:
     def feature_scores(self, raw: np.ndarray) -> np.ndarray:
         """Per-class scores of rows given their raw (unstandardised) features:
         the kernel transform, or the series themselves."""
-        if self.feature_mean is not None:
-            raw = (raw - self.feature_mean) / self.feature_scale
+        raw = _standardise(raw, self.feature_mean, self.feature_scale)
         return raw @ self.weights.T + self.intercepts
 
     def decision_scores(self, values: np.ndarray) -> np.ndarray:
@@ -426,6 +454,11 @@ class TrainedClassifier:
     def predict_features(self, raw: np.ndarray) -> np.ndarray:
         """:meth:`predict` for rows whose raw features are at hand."""
         return self._argmax(self.feature_scores(raw))
+
+    def predict_standardised(self, feats: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for rows whose features are standardised already,
+        as :meth:`PreparedRows.standardise` gives them."""
+        return self._argmax(feats @ self.weights.T + self.intercepts)
 
     def _argmax(self, scores: np.ndarray) -> np.ndarray:
         ids = np.asarray(self.class_ids, dtype=np.int64)
@@ -496,44 +529,72 @@ def _one_vs_rest_targets(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarra
     return np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
 
 
-def _check_trainable(data: TimeSeriesDataset | Rows) -> np.ndarray:
-    class_ids = np.unique(data.labels)
-    if class_ids.size < 2:
-        raise TrainingDataError("training data must contain at least two classes")
-    return class_ids
+class PreparedRows:
+    """The label-independent half of a closed-form ridge fit on one row set.
 
+    Built from `feats`, the raw features of the rows in order: standardised
+    per row set when they come from `kernels`, then centred, and the Gram
+    matrix of the centred features with lambda on its diagonal, in the form
+    :func:`ridge_solve` picks from the shape.  :meth:`fit` then fits any
+    labelling of these rows, with the same operations in the same order as a
+    fit from scratch, so its weights are the same bits.
+    """
 
-def _fit_on_features(
-    spec: ClassifierSpec,
-    data: TimeSeriesDataset | Rows,
-    feats: np.ndarray,
-    kernels: KernelBank | None,
-) -> TrainedClassifier:
-    """Closed-form ridge on `feats` (the raw features of `data`'s rows, in
-    order), standardised per fit when they come from `kernels`."""
-    class_ids = _check_trainable(data)
-    if kernels is not None:
-        mean = feats.mean(axis=0)
-        scale = feats.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        feats = (feats - mean) / scale
-    else:
-        mean = scale = None
-    targets = _one_vs_rest_targets(data.labels, class_ids)
-    f_mean = feats.mean(axis=0)
-    t_mean = targets.mean(axis=0)
-    w = ridge_solve(feats - f_mean, targets - t_mean, spec.ridge_lambda)
-    intercepts = t_mean - f_mean @ w
-    return TrainedClassifier(
-        spec=spec,
-        class_ids=tuple(int(c) for c in class_ids),
-        weights=w.T,
-        intercepts=intercepts,
-        series_length=data.series_length,
-        kernels=kernels,
-        feature_mean=mean,
-        feature_scale=scale,
-    )
+    def __init__(
+        self,
+        spec: ClassifierSpec,
+        feats: np.ndarray,
+        kernels: KernelBank | None,
+        series_length: int,
+    ) -> None:
+        self.spec = spec
+        self.kernels = kernels
+        self.series_length = series_length
+        self.mean = self.scale = None
+        if kernels is not None:
+            self.mean = feats.mean(axis=0)
+            scale = feats.std(axis=0)
+            self.scale = np.where(scale == 0.0, 1.0, scale)
+            feats = self.standardise(feats)
+        self.centre = feats.mean(axis=0)
+        self.centred = feats - self.centre
+        self.gram = _regularised_gram(self.centred, spec.ridge_lambda)
+
+    @staticmethod
+    def of(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> "PreparedRows | None":
+        """The rows of `data` (a dataset becomes a new run) prepared for a
+        built-in `spec`; None for a registered custom kind, which fits only
+        through :func:`fit_classifier`."""
+        if spec.kind in _FITTERS:
+            return None
+        if spec.kind not in _BUILT_IN_KINDS:
+            raise ValueError(f"unknown classifier kind '{spec.kind}'")
+        rows = Run.rows_of(data, spec)
+        return PreparedRows(spec, rows.feats, rows.run.bank, rows.series_length)
+
+    def standardise(self, raw: np.ndarray) -> np.ndarray:
+        """Raw features of any rows, standardised as these rows' fits read them."""
+        return _standardise(raw, self.mean, self.scale)
+
+    def fit(self, labels: np.ndarray) -> TrainedClassifier:
+        """One-vs-rest ridge for `labels`, one per prepared row, in order."""
+        class_ids = np.unique(labels)
+        if class_ids.size < 2:
+            raise TrainingDataError("training data must contain at least two classes")
+        targets = _one_vs_rest_targets(labels, class_ids)
+        t_mean = targets.mean(axis=0)
+        w = ridge_solve(self.centred, targets - t_mean, self.spec.ridge_lambda, self.gram)
+        intercepts = t_mean - self.centre @ w
+        return TrainedClassifier(
+            spec=self.spec,
+            class_ids=tuple(int(c) for c in class_ids),
+            weights=w.T,
+            intercepts=intercepts,
+            series_length=self.series_length,
+            kernels=self.kernels,
+            feature_mean=self.mean,
+            feature_scale=self.scale,
+        )
 
 
 class Run:
@@ -660,12 +721,9 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     Built-in kinds take the raw features of the rows from their run; a
     dataset becomes a new run.  Custom kinds get a dataset.
     """
-    fitter = _FITTERS.get(spec.kind)
-    if fitter is not None:
-        if isinstance(data, Rows):
-            data = TimeSeriesDataset(data.values, data.labels)
-        return fitter(spec, data)
-    if spec.kind not in _BUILT_IN_KINDS:
-        raise ValueError(f"unknown classifier kind '{spec.kind}'")
-    rows = Run.rows_of(data, spec)
-    return _fit_on_features(spec, rows, rows.feats, rows.run.bank)
+    prepared = PreparedRows.of(spec, data)
+    if prepared is not None:
+        return prepared.fit(data.labels)
+    if isinstance(data, Rows):
+        data = TimeSeriesDataset(data.values, data.labels)
+    return _FITTERS[spec.kind](spec, data)

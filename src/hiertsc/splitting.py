@@ -8,12 +8,12 @@ replace the incumbent, and a perfect score stops the search immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Rows, Run, fit_classifier
+from .classifiers import ClassifierSpec, PreparedRows, Rows, Run, fit_classifier
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
 from .tree import ClassSet
@@ -35,12 +35,17 @@ class SplitContext:
     then become the rows of one new run over both.
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
+
+    Every bipartition of one class set is fit on the same training rows, so
+    the context keeps one live prepared set: the training rows of the class
+    set last scored and the validation rows' standardised features.
     """
 
     train: Rows | TimeSeriesDataset
     val: Rows | TimeSeriesDataset
     spec: ClassifierSpec
     rng: np.random.Generator
+    _live: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.train, Rows):
@@ -59,6 +64,20 @@ class SplitContext:
 
     def score(self, c0: Iterable[int], c1: Iterable[int]) -> float:
         return score_bipartition(self, c0, c1)
+
+    def _prepared(
+        self, classes: frozenset[int], train: Rows, val: Rows
+    ) -> tuple[PreparedRows, np.ndarray] | None:
+        """(the prepared `train` rows, the standardised features of `val`) of
+        `classes`; built when another class set was scored last, which frees
+        that one first.  None for a custom kind."""
+        if self._live is None or self._live[0] != classes:
+            self._live = None
+            prepared = PreparedRows.of(self.spec, train)
+            if prepared is None:
+                return None
+            self._live = (classes, prepared, prepared.standardise(val.feats))
+        return self._live[1:]
 
 
 @dataclass(frozen=True)
@@ -83,7 +102,9 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
 
     Instances of classes in c0 are relabelled group 0, those in c1 group 1;
     the base classifier is fit on the training part only.  Symmetric in
-    (c0, c1) by macro averaging.
+    (c0, c1) by macro averaging.  A built-in classifier is fit on the
+    context's prepared rows of c0 | c1, so scoring another bipartition of the
+    same class set only builds targets, solves and predicts.
     """
     c0 = frozenset(int(c) for c in c0)
     c1 = frozenset(int(c) for c in c1)
@@ -97,8 +118,11 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         if empty is not None:
             group = sorted((c0, c1)[empty])
             raise ScoringError(f"group {group} has no instances in the {part} part")
-    model = fit_classifier(ctx.spec, train)
-    return f1_macro(val.labels, val.predict(model))
+    prepared = ctx._prepared(c0 | c1, train, val)
+    if prepared is None:
+        return f1_macro(val.labels, val.predict(fit_classifier(ctx.spec, train)))
+    rows, val_feats = prepared
+    return f1_macro(val.labels, rows.fit(train.labels).predict_standardised(val_feats))
 
 
 def update_score_and_groups(

@@ -123,9 +123,12 @@ def test_predictions_ignore_row_order_and_batching(kind, seed, n_classes, sparse
         labels, depths = predict_lcpn(model, values)
         shuffled = predict_lcpn(model, values[order])
         assert np.array_equal(shuffled[0], labels[order]) and np.array_equal(shuffled[1], depths[order])
-        parts = [predict_lcpn(model, values[:cut]), predict_lcpn(model, values[cut:])]
-        assert np.array_equal(np.concatenate([p[0] for p in parts]), labels)
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), depths)
+        batchings = [[values[:cut], values[cut:]]]
+        batchings += [[values[at : at + size] for at in range(0, len(values), size)] for size in (1, 3, 7)]
+        for batches in batchings:
+            parts = [predict_lcpn(model, batch) for batch in batches]
+            assert np.array_equal(np.concatenate([p[0] for p in parts]), labels)
+            assert np.array_equal(np.concatenate([p[1] for p in parts]), depths)
 
 
 def test_bundle_is_compact_json_with_the_token_map():

@@ -203,9 +203,10 @@ def test_spec_validation():
         ClassifierSpec(seed=-1)
 
 
-def primal_ridge(features, targets, lam):
+def primal_ridge(features, targets, lam, _gram=None):
     """Oracle: the f x f normal equations (F^T F + lam*I) W = F^T Y, solved as
-    written, whatever the shape."""
+    written, whatever the shape.  A prepared Gram matrix is ignored, so the
+    oracle builds its own system from the features of every labelling."""
     gram = features.T @ features + lam * np.eye(features.shape[1])
     return np.linalg.solve(gram, features.T @ targets)
 
@@ -271,11 +272,16 @@ def test_cv_reports_match_primal_only_solves(spec, monkeypatch):
     # a small, noisy set: fits land on both sides of n = f and no fold scores
     # 1.0, so a label flipped by the dual form would change a report
     data = collinear_superclusters(n_per_class=12, series_length=32, noise=1.5)
-    shapes = []
+    shapes, oracle_calls = [], []
 
-    def counted(features, targets, lam):
+    def counted(features, targets, lam, gram):
+        assert gram is not None  # every fit solves on a prepared Gram matrix
         shapes.append(features.shape)
-        return ridge_solve(features, targets, lam)
+        return ridge_solve(features, targets, lam, gram)
+
+    def counted_oracle(features, targets, lam, gram):
+        oracle_calls.append(features.shape)
+        return primal_ridge(features, targets, lam, gram)
 
     def reports():
         return [
@@ -286,8 +292,9 @@ def test_cv_reports_match_primal_only_solves(spec, monkeypatch):
 
     monkeypatch.setattr(classifiers, "ridge_solve", counted)
     shipped = reports()
-    monkeypatch.setattr(classifiers, "ridge_solve", primal_ridge)
+    monkeypatch.setattr(classifiers, "ridge_solve", counted_oracle)
     oracle = reports()
+    assert oracle_calls == shapes  # the oracle replaced every solve
     assert any(n < f for n, f in shapes) and any(n >= f for n, f in shapes)
     assert all(
         fold.outer_test_score < 1.0 for report in shipped for fold in report.folds

@@ -27,7 +27,7 @@ from hiertsc import (
     predict_lcpn,
     save_dataset,
 )
-from hiertsc.classifiers import _PASS_ELEMENTS, Run, TrainingDataError, _fit_on_features
+from hiertsc.classifiers import _PASS_ELEMENTS, PreparedRows, Run, TrainingDataError
 
 from conftest import classifier_state
 
@@ -301,8 +301,7 @@ def test_featurised_model_equals_nodes_fit_with_their_own_bank():
         in1 = np.isin(data.labels, sorted(parent.right))
         values, groups = data.values[in0 | in1], in1[in0 | in1].astype(np.int64)
         bank = KernelBank.generate(data.series_length, KERNEL.num_kernels, KERNEL.seed)
-        node_data = TimeSeriesDataset(values, groups)
-        alone = _fit_on_features(KERNEL, node_data, bank.transform(values), bank)
+        alone = PreparedRows(KERNEL, bank.transform(values), bank, data.series_length).fit(groups)
         assert classifier_state(alone) == classifier_state(node)
 
 

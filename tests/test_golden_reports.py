@@ -1,7 +1,7 @@
 """Byte parity of the CLI's outputs with digests captured at a known-good commit.
 
 The corpus runs ``cv --mode nested``, ``cv --mode flat`` and ``fit`` then
-``predict`` for every splitter (potr, srtr, lsoo) and both built-in
+``predict`` for every splitter (potr, srtr, lsoo, exhaustive) and both built-in
 classifiers (``linear``, ``kernel-ridge --kernels 16``) on two datasets, at
 3 iterations and 3 x 3 folds, and hashes ``report.json``, ``folds.csv``,
 ``predictions.csv`` and stdout.  No fold scores 1.0, so a change in which
@@ -36,15 +36,36 @@ from hiertsc import (
     tree_to_text,
 )
 
-SPLITTERS = ("potr", "srtr", "lsoo")
+SPLITTERS = ("potr", "srtr", "lsoo", "exhaustive")
 CLASSIFIERS = {
     "linear": ("--classifier", "linear"),
     "kernel16": ("--classifier", "kernel-ridge", "--kernels", "16"),
 }
 COMMON = ("--iters", "3", "--inner-folds", "3", "--seed", "0")
 
-#: captured at commit 05c1744, before folds and fits became row-index runs
+#: captured at commit 05c1744, before folds and fits became row-index runs;
+#: the ``exhaustive`` entries at commit afc8e29, before split scoring prepared
+#: each class set's rows once (``exhaustive`` scores every bipartition of a
+#: class set on one prepared row set, so it leans hardest on that reuse)
 GOLDEN = {
+    "collinear-exhaustive-kernel16-fit/stdout": "b3fe6be284f8bd70a106da6e57daf1fb6be2a2a99f3d9e994d0481a8ea1cfc78",
+    "collinear-exhaustive-kernel16-flat/folds.csv": "d3887f1abc15fb1637500052be14ac93058ce9c9078b14265a0d66218058bd1d",
+    "collinear-exhaustive-kernel16-flat/report.json": "ecde61d28b339578c289e31c051ce4e11356e5c4b223362d123d40200ea34488",
+    "collinear-exhaustive-kernel16-flat/stdout": "bc89f64525dd1118d75b716fb95d7f70a00e23e76e1e0c44a96811d8a445ae89",
+    "collinear-exhaustive-kernel16-nested/folds.csv": "232d9b537b20bbfda2a1896d39faacdd6c7eeab3c4182b6f6bc85451b63bfa85",
+    "collinear-exhaustive-kernel16-nested/report.json": "c1ada1bb916d542e62ef93da744a17ca03dbf9439d3010ff979c7ee684f5b8dc",
+    "collinear-exhaustive-kernel16-nested/stdout": "908193dbcd51bd45df4eecbe2ae92958cd4c36a9f59283156ebdd5ef46e22bcd",
+    "collinear-exhaustive-kernel16-predict/predictions.csv": "8fa551b2457fd811da393312fa1850d41a6fcac3382c4194ca80db2bb9bc65f0",
+    "collinear-exhaustive-kernel16-predict/stdout": "813710593c1a8d4b6ba211398da7195c9723560e5a20b468525cd59e52b67bbd",
+    "collinear-exhaustive-linear-fit/stdout": "a83b6070659a8ac26bd50ec3a6b943bd4addbffcfd785cd591110273109e803b",
+    "collinear-exhaustive-linear-flat/folds.csv": "aff6e39889567f94504c6d51fe5ceb348dbd13e9d35de072fd978cd8c1e0fa08",
+    "collinear-exhaustive-linear-flat/report.json": "026b59e33d8ddf1583c62306dff4f240a802dcc8549d43292146f8422c3afd38",
+    "collinear-exhaustive-linear-flat/stdout": "8f396176b4072bd97d0a9b4f6ee2c3e0ecc2638653497500f4699fbb0a3cce8b",
+    "collinear-exhaustive-linear-nested/folds.csv": "9398344e1693b590b4637716d2227046495b13b9ea1785c3a2e2cae19e8583f5",
+    "collinear-exhaustive-linear-nested/report.json": "e20b0b80e6d200052257925443d9590d2080de12c729c7bf8b75d4b4c5020b9a",
+    "collinear-exhaustive-linear-nested/stdout": "6b6cf5af41b895930d10557c852e273f10c10664083ccad5f822dc6b92756d2e",
+    "collinear-exhaustive-linear-predict/predictions.csv": "ef2d53ba9715584bda17989149dfc989ee658f76e617a10408238044b6da9bf5",
+    "collinear-exhaustive-linear-predict/stdout": "acbeeb0af86502ab7aabff1c8d65cf7da81767ab4a3295405e3f1b9e166aae69",
     "collinear-lsoo-kernel16-fit/stdout": "7b9d417f3ec44f6cfe9747c0429cc108957b508e6ff51b2e3040ff1bd4cf743e",
     "collinear-lsoo-kernel16-flat/folds.csv": "33561184056051b5f7295c510ce57e980a0c127e6d0ac047868d59da5ade835e",
     "collinear-lsoo-kernel16-flat/report.json": "43dd78ac19e72a1164251566ae20e848b8a69928a7142325d55fec8acb647f45",
@@ -99,6 +120,24 @@ GOLDEN = {
     "collinear-srtr-linear-nested/stdout": "6b6cf5af41b895930d10557c852e273f10c10664083ccad5f822dc6b92756d2e",
     "collinear-srtr-linear-predict/predictions.csv": "ef2d53ba9715584bda17989149dfc989ee658f76e617a10408238044b6da9bf5",
     "collinear-srtr-linear-predict/stdout": "acbeeb0af86502ab7aabff1c8d65cf7da81767ab4a3295405e3f1b9e166aae69",
+    "shifted-exhaustive-kernel16-fit/stdout": "06df970ef26c4e8f88a825ef355b4af49c3a157952e6d2e882edaafd8c1b39e2",
+    "shifted-exhaustive-kernel16-flat/folds.csv": "0c08cce99cb2ec7202e485d9c7e69b4c4fdd524194005bb8a6748bcc18f52c67",
+    "shifted-exhaustive-kernel16-flat/report.json": "93bd85bc843213eb58388eead76fb6670a24c5172d84d92e8c1c7053bad840a0",
+    "shifted-exhaustive-kernel16-flat/stdout": "cb974b385523d3f8d3ada8e594723ea283e34e725a1c00dfd6972e661ff8704c",
+    "shifted-exhaustive-kernel16-nested/folds.csv": "93fab3da789a47c59becfca3f66faebc91378f38d1fb0953eaaa0c8cbe8da4ac",
+    "shifted-exhaustive-kernel16-nested/report.json": "4cb90e3dae425d8b270d5c80e00ac13fdcdf23ba156498c5457b0814bba9db5b",
+    "shifted-exhaustive-kernel16-nested/stdout": "95f2da3ecec4d958106a1f85c769a6f7f181dd326de3f4d9f6b8dba2a8bf1191",
+    "shifted-exhaustive-kernel16-predict/predictions.csv": "bb863c3b65c1229cda6b499e7761cbcea68b4ec880a99a3b9264294b1cbe1724",
+    "shifted-exhaustive-kernel16-predict/stdout": "f28c9f81644cfaccf16a9e677c19322e2733e6542d5a51aa66860490f4b3d537",
+    "shifted-exhaustive-linear-fit/stdout": "9a4fbe6b371c98710d203c7c3794121427c1c75ffec239ed4a2873cd6e60031a",
+    "shifted-exhaustive-linear-flat/folds.csv": "9fab251ca3d4be493d4e9fe0602510523842d0b47f1e963de44b868cb6b69193",
+    "shifted-exhaustive-linear-flat/report.json": "d205e591ded6de7f222ff67e0db5d166e12b148155e5cacba7491913626e0f29",
+    "shifted-exhaustive-linear-flat/stdout": "f414a702774490e153467a910cdd6bf2fbce705525a5eb4e81682e1bfa9897af",
+    "shifted-exhaustive-linear-nested/folds.csv": "a03543e5bfa290958befe59d168b2e68fe7d02fd9bf259af853ae751988f5d12",
+    "shifted-exhaustive-linear-nested/report.json": "b66d19f7f3dedd289a0468b6598b3af014b10eefb50fe3193749e40e3737b6f6",
+    "shifted-exhaustive-linear-nested/stdout": "56dd941a0db7a0ea921c4da2fb53bd5c400aba9731a33e7a9fa3417e6ad49eee",
+    "shifted-exhaustive-linear-predict/predictions.csv": "74786e7693c7fcb6653e847b806ae40884e31556a56c061664bb18d47f1e97d6",
+    "shifted-exhaustive-linear-predict/stdout": "b483c2ba8819b471883520ad8709df0a7b271502645778f627a4c7dd3e2833fa",
     "shifted-lsoo-kernel16-fit/stdout": "f33a4deba09fc75f5dba9ef60d63054f06eeb5a92f065bd05d91c270aad4924e",
     "shifted-lsoo-kernel16-flat/folds.csv": "ccf9f8ad243abfa4e5638f376eb5979be5d98f9c237406dfd36596d431f41ded",
     "shifted-lsoo-kernel16-flat/report.json": "c653b9f719c17d0d644c33f4448662b9ee1338528ff733292bd258d8d3daa088",
@@ -160,8 +199,24 @@ GOLDEN = {
 PINNED_ARRAYS = ("weights", "intercepts", "feature_mean", "feature_scale")
 MODEL_TOLERANCE = 1e-9
 
-#: captured at commit 801ef7d
+#: captured at commit 801ef7d; the ``exhaustive`` entries at commit afc8e29
 GOLDEN_MODELS = {
+    "collinear-exhaustive-kernel16-fit": (
+        "{{{0,1},{2,3}},{{0},{1}},{{2},{3}}}",
+        [
+            [0.5014859047020385, 9.664358428769292e-17, 216.02593076249386, 60.00588548248679],
+            [-1.0368987588578575, -1.74392869567252e-16, 203.74317903193642, 50.18682066763684],
+            [0.2149227865015304, 7.625923323701646e-16, 228.3086824930513, 55.94966370653375],
+        ],
+    ),
+    "collinear-exhaustive-linear-fit": (
+        "{{{0,1},{2,3}},{{0},{1}},{{2},{3}}}",
+        [
+            [0.17639529263028814, -1.0279794914134148, None, None],
+            [0.9754937278360032, -0.7706903765486565, None, None],
+            [1.0140968733012976, -10.996083754566902, None, None],
+        ],
+    ),
     "collinear-lsoo-kernel16-fit": (
         "{{{1},{0,2,3}},{{0},{2,3}},{{2},{3}}}",
         [
@@ -208,6 +263,24 @@ GOLDEN_MODELS = {
             [-0.17639529263028814, 1.0279794914134148, None, None],
             [1.0140968733012976, -10.996083754566902, None, None],
             [0.9754937278360032, -0.7706903765486565, None, None],
+        ],
+    ),
+    "shifted-exhaustive-kernel16-fit": (
+        "{{{0,1},{2,3,4}},{{2,3},{4}},{{0},{1}},{{2},{3}}}",
+        [
+            [1.4032493417488752, 0.19999999999999818, 62.50890183659618, 15.908607529176045],
+            [0.181016212781289, -0.33333333333333404, 64.31141838685991, 15.227786388228992],
+            [0.95082623167367, 5.184705977411596e-16, 59.80512701120059, 14.144572857747693],
+            [-0.19894205560706096, -7.926596539009107e-17, 67.27303889367475, 13.11217918486187],
+        ],
+    ),
+    "shifted-exhaustive-linear-fit": (
+        "{{{0,4},{1,2,3}},{{1,2},{3}},{{0},{4}},{{1},{2}}}",
+        [
+            [0.36916365548883956, -0.11174080157559613, None, None],
+            [2.0779999018775293, -0.7536263528279403, None, None],
+            [0.534472248228709, -0.0006491094545892154, None, None],
+            [-0.05905276920459945, 0.056981153216574064, None, None],
         ],
     ),
     "shifted-lsoo-kernel16-fit": (
@@ -395,7 +468,7 @@ def test_no_fold_scores_one(corpus):
         for key in ("inner_mean_score", "outer_test_score", "fc_score")
         if f[key] is not None
     ]
-    assert len(scores) == 2 * 3 * 2 * 3 * 5
+    assert len(scores) == 2 * len(SPLITTERS) * 2 * 3 * 5
     assert max(scores) < 1.0
 
 

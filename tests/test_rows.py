@@ -144,7 +144,8 @@ def test_sparse_ids_fit_and_predict_like_their_densified_copy(spec):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts TimeSeriesDataset constructions and ridge solves (one per fit)."""
+    """Counts TimeSeriesDataset constructions and ridge solves (one per
+    labelling fit, node fits and split scores alike)."""
     counts = {"datasets": 0, "fits": 0}
     post_init, ridge_solve = TimeSeriesDataset.__post_init__, classifiers.ridge_solve
 
@@ -152,9 +153,9 @@ def constructions(monkeypatch):
         counts["datasets"] += 1
         post_init(self)
 
-    def counted_ridge_solve(*args):
+    def counted_ridge_solve(features, targets, lam, gram):
         counts["fits"] += 1
-        return ridge_solve(*args)
+        return ridge_solve(features, targets, lam, gram)
 
     monkeypatch.setattr(TimeSeriesDataset, "__post_init__", counted_post_init)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_ridge_solve)

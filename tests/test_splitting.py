@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiertsc import (
     ClassifierSpec,
     SplitContext,
+    TimeSeriesDataset,
     exhaustive_split,
+    f1_macro,
+    fit_classifier,
+    grow_tree,
     leave_salient_one_out,
     pick_one_then_regroup,
     score_bipartition,
     split_randomly_then_regroup,
     update_score_and_groups,
 )
-from hiertsc.splitting import ScoredSplit, ScoringError, resolve_splitter
+from hiertsc import classifiers
+from hiertsc.classifiers import PreparedRows
+from hiertsc.splitting import SPLITTERS, ScoredSplit, ScoringError, resolve_splitter
 
 from conftest import (
     StubContext,
@@ -78,6 +86,101 @@ def test_score_rejects_bad_groups():
         score_bipartition(ctx, {0, 1}, {1, 2})
     with pytest.raises(ScoringError):
         score_bipartition(ctx, set(), {0, 1})
+
+
+# -- prepared row sets -----------------------------------------------------------
+
+
+def noisy_context(kind, seed, n_classes, n_per_class, length, num_kernels=8):
+    """A context over overlapping classes, so no search stops at a perfect
+    score: every third row of each class validates, the rest train."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_classes), n_per_class)
+    values = 0.7 * labels[:, None] + rng.normal(0.0, 1.0, (labels.size, length))
+    data = TimeSeriesDataset(values, labels)
+    idx = np.arange(data.n_instances)
+    spec = ClassifierSpec(kind=kind, num_kernels=num_kernels, seed=seed)
+    return SplitContext(
+        train=data.subset(idx[idx % 3 != 0]),
+        val=data.subset(idx[idx % 3 == 0]),
+        spec=spec,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def _bipartitions_of(members, rng, count=3):
+    members = sorted(members)
+    out = []
+    for _ in range(count):
+        mask = int(rng.integers(1, 2 ** len(members) - 1))
+        c0 = {c for i, c in enumerate(members) if mask >> i & 1}
+        out.append((c0, set(members) - c0))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "kernel-ridge"]),
+    n_per_class=st.integers(3, 10),
+    n_features=st.integers(4, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="linear", n_per_class=3, n_features=40, seed=0)  # n < f: dual
+@example(kind="linear", n_per_class=10, n_features=4, seed=1)  # n >= f: primal
+@example(kind="kernel-ridge", n_per_class=3, n_features=40, seed=2)
+@example(kind="kernel-ridge", n_per_class=10, n_features=4, seed=3)
+def test_prepared_scores_equal_fresh_fits(kind, n_per_class, n_features, seed):
+    # linear fits the series, so f is the series length; kernel-ridge has
+    # f = 2 * num_kernels
+    length, num_kernels = (n_features, 8) if kind == "linear" else (16, n_features // 2)
+    args = (kind, seed, 5, n_per_class, length, num_kernels)
+    ctx = noisy_context(*args)
+    rng = np.random.default_rng(seed)
+    set_a = [int(c) for c in rng.choice(5, int(rng.integers(2, 5)), replace=False)]
+    set_b = [c for c in range(5) if c not in set_a] + set_a[:1]  # overlaps A
+    splits_a = _bipartitions_of(set_a, rng)
+    # set A, then set B, then A again: the live prepared set is replaced twice
+    sequence = splits_a + _bipartitions_of(set_b, rng) + splits_a
+    shared = [score_bipartition(ctx, c0, c1) for c0, c1 in sequence]
+    fresh, refit = [], []
+    for c0, c1 in sequence:
+        alone = noisy_context(*args)
+        fresh.append(score_bipartition(alone, c0, c1))
+        train, _ = alone.train.binary_groups(c0, c1)
+        val, _ = alone.val.binary_groups(c0, c1)
+        refit.append(f1_macro(val.labels, val.predict(fit_classifier(alone.spec, train))))
+    assert shared == fresh == refit
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("name", sorted(SPLITTERS))
+def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
+    """The paper's cost model counts one fit per parent node; the search
+    prepares one row set per splitter call and solves once per bipartition."""
+    ctx = noisy_context(kind, seed=4, n_classes=7, n_per_class=6, length=16)
+    counts = {"prepared": 0, "solved": 0}
+    init, solve = PreparedRows.__init__, classifiers.ridge_solve
+
+    def counted_init(self, *args):
+        counts["prepared"] += 1
+        init(self, *args)
+
+    def counted_solve(*args):
+        counts["solved"] += 1
+        return solve(*args)
+
+    outcomes = []
+
+    def splitter(ctx, classes):
+        outcomes.append(SPLITTERS[name](ctx, classes))
+        return outcomes[-1]
+
+    monkeypatch.setattr(PreparedRows, "__init__", counted_init)
+    monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
+    tree = grow_tree(ctx, splitter)
+    assert len(outcomes) == sum(len(p.left | p.right) >= 3 for p in tree.parents) > 1
+    assert counts["prepared"] == len(outcomes)
+    assert counts["solved"] == sum(o.evaluations for o in outcomes) > len(outcomes)
 
 
 # -- update rule ---------------------------------------------------------------
