@@ -61,8 +61,6 @@ from .tree import (
     datapoint_balance_factor,
     parse_tree_text,
     reflect,
-    tree_from_json,
-    tree_to_json,
     tree_to_text,
     trees_similar,
 )
@@ -135,8 +133,6 @@ __all__ = [
     "score_bipartition",
     "split_data",
     "split_randomly_then_regroup",
-    "tree_from_json",
-    "tree_to_json",
     "tree_to_text",
     "trees_similar",
     "update_score_and_groups",

@@ -73,9 +73,6 @@ class FeatureRow:
     def improved(self) -> bool:
         return self.delta_g > 0
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "improved": self.improved}
-
     def feature(self, name: str) -> float:
         if name not in FEATURE_NAMES:
             raise KeyError(name)
@@ -260,9 +257,6 @@ class CostDiscrepancyReport:
     @property
     def ok(self) -> bool:
         return self.units_match and self.per_parent_match and self.depth_match
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
 
 
 def verify_cost_model(

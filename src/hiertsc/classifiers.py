@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -123,19 +123,15 @@ class ClassifierSpec:
         return asdict(self)
 
     @staticmethod
-    def from_dict(doc: dict) -> "ClassifierSpec":
-        return ClassifierSpec(*(doc[f.name] for f in fields(ClassifierSpec)))
-
-    @staticmethod
     def decode(doc) -> "ClassifierSpec":
-        """:meth:`from_dict` of a decoded model document; ModelFormatError
+        """The spec of a decoded :meth:`to_dict` document; ModelFormatError
         when a field is missing, of the wrong type or out of range."""
         for name, types in _SPEC_TYPES.items():
             value = _field(doc, name, "classifier spec")
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ModelFormatError(f"classifier spec '{name}' has the wrong type: {value!r}")
         try:
-            return ClassifierSpec.from_dict(doc)
+            return ClassifierSpec(**{name: doc[name] for name in _SPEC_TYPES})
         except ValueError as exc:
             raise ModelFormatError(f"classifier spec: {exc}") from None
 
@@ -307,15 +303,8 @@ class KernelBank:
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "KernelBank":
-        return KernelBank(
-            series_length=doc["series_length"],
-            **{name: doc[name] for name, _ in _BANK_ARRAYS},
-        )
-
-    @staticmethod
     def decode(doc) -> "KernelBank":
-        """:meth:`from_dict` of a decoded model document.  Raises
+        """The bank of a decoded :meth:`to_dict` document.  Raises
         ModelFormatError unless its arrays describe kernels :meth:`generate`
         could draw: each dilated kernel fits inside an unpadded series and
         pads by at most half its span."""
@@ -432,37 +421,26 @@ class TrainedClassifier:
     feature_mean: np.ndarray | None = None
     feature_scale: np.ndarray | None = None
 
-    def feature_scores(self, raw: np.ndarray) -> np.ndarray:
-        """Per-class scores of rows given their raw (unstandardised) features:
-        the kernel transform, or the series themselves."""
-        raw = _standardise(raw, self.feature_mean, self.feature_scale)
-        return raw @ self.weights.T + self.intercepts
-
-    def decision_scores(self, values: np.ndarray) -> np.ndarray:
+    def predict(self, values: np.ndarray) -> np.ndarray:
+        """Argmax over per-class scores; ties go to the smallest class id."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != self.series_length:
             raise ValueError(
                 f"expected (n, {self.series_length}) input, got {values.shape}"
             )
         raw = self.kernels.transform(values) if self.kernels is not None else values
-        return self.feature_scores(raw)
-
-    def predict(self, values: np.ndarray) -> np.ndarray:
-        """Argmax over per-class scores; ties go to the smallest class id."""
-        return self._argmax(self.decision_scores(values))
+        return self.predict_features(raw)
 
     def predict_features(self, raw: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows whose raw features are at hand."""
-        return self._argmax(self.feature_scores(raw))
+        """:meth:`predict` for rows whose raw (unstandardised) features are at
+        hand: the kernel transform, or the series themselves."""
+        return self.predict_standardised(_standardise(raw, self.feature_mean, self.feature_scale))
 
     def predict_standardised(self, feats: np.ndarray) -> np.ndarray:
         """:meth:`predict` for rows whose features are standardised already,
         as :meth:`PreparedRows.standardise` gives them."""
-        return self._argmax(feats @ self.weights.T + self.intercepts)
-
-    def _argmax(self, scores: np.ndarray) -> np.ndarray:
-        ids = np.asarray(self.class_ids, dtype=np.int64)
-        return ids[np.argmax(scores, axis=1)]
+        scores = feats @ self.weights.T + self.intercepts
+        return np.asarray(self.class_ids, dtype=np.int64)[np.argmax(scores, axis=1)]
 
     # -- serialization -----------------------------------------------------
 

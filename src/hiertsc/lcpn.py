@@ -141,8 +141,6 @@ class LcpnModel:
         for i, node in enumerate(nodes):
             if node.class_ids != (0, 1):
                 raise ModelFormatError(f"node model {i} has class ids {list(node.class_ids)}, not [0, 1]")
-            if node.series_length != nodes[0].series_length:
-                raise ModelFormatError("model bundle node models disagree on the series length")
         try:
             return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
         except ValueError as exc:
@@ -189,12 +187,18 @@ def _decode_v2(doc):
 
 
 def _decode_label_names(doc) -> dict[int, str]:
+    """The id -> token map of a bundle.  Each key must be spelled ``str(id)``,
+    so no two keys ('1', '01', '+1') can name one class."""
     if not isinstance(doc, dict) or not all(isinstance(t, str) for t in doc.values()):
         raise ModelFormatError("model bundle 'label_names' must map class ids to strings")
-    try:
-        return {int(c): t for c, t in doc.items()}
-    except ValueError:
-        raise ModelFormatError("model bundle 'label_names' keys must be class ids") from None
+    for key in doc:
+        try:
+            canonical = str(int(key)) == key
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ModelFormatError(f"model bundle 'label_names' key {key!r} is not a class id")
+    return {int(key): token for key, token in doc.items()}
 
 
 def _fit_node(parent, rows: Rows, spec: ClassifierSpec) -> tuple[TrainedClassifier, int]:

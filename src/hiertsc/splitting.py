@@ -16,7 +16,7 @@ import numpy as np
 from .classifiers import ClassifierSpec, PreparedRows, Rows, Run, fit_classifier
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
-from .tree import ClassSet
+from .tree import ClassSet, bipartitions
 
 PERFECT_SCORE = 1.0
 EXHAUSTIVE_CAP = 12
@@ -241,9 +241,8 @@ def leave_salient_one_out(ctx, classes) -> SplitOutcome:
 def exhaustive_split(ctx, classes) -> SplitOutcome:
     """Score all 2**(|classes|-1) - 1 unordered bipartitions; return the best.
 
-    Ties keep the first bipartition in canonical enumeration order (smallest
-    member anchored in the first group, remaining membership by ascending
-    bitmask).  Refuses class sets larger than ``EXHAUSTIVE_CAP``.
+    Ties keep the first bipartition in the canonical order of
+    :func:`~hiertsc.tree.bipartitions`.  Refuses class sets larger than ``EXHAUSTIVE_CAP``.
     """
     class_set = _require_splittable(classes)
     members = sorted(class_set)
@@ -251,13 +250,10 @@ def exhaustive_split(ctx, classes) -> SplitOutcome:
         raise ValueError(
             f"exhaustive split over {len(members)} classes exceeds the cap of {EXHAUSTIVE_CAP}"
         )
-    anchor, rest = members[0], members[1:]
     best: ScoredSplit | None = None
     evaluations = 0
-    for mask in range(2 ** len(rest) - 1):
-        chosen = {rest[i] for i in range(len(rest)) if mask >> i & 1}
-        c0 = frozenset({anchor} | chosen)
-        c1 = class_set - c0
+    for first, second in bipartitions(members):
+        c0, c1 = frozenset(first), frozenset(second)
         score = ctx.score(c0, c1)
         evaluations += 1
         candidate = ScoredSplit(score, c0, c1)

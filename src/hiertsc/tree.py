@@ -8,10 +8,9 @@ parent, and every class appears as exactly one singleton leaf.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 ClassSet = frozenset[int]
 
@@ -126,16 +125,8 @@ class HierarchyTree:
     # -- navigation ------------------------------------------------------
 
     @property
-    def root(self) -> ParentNode:
-        return self.parents[0]
-
-    @property
     def n_classes(self) -> int:
         return len(self.root_classes)
-
-    @property
-    def label_space(self) -> tuple[int, ...]:
-        return tuple(sorted(self.root_classes))
 
     @property
     def n_nodes(self) -> int:
@@ -179,6 +170,16 @@ def build_tree(pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Hierarch
         for i, (l, r) in enumerate(pair_list)
     )
     return HierarchyTree(parents=parents, root_classes=parents[0].class_set)
+
+
+def bipartitions(members: Sequence[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every unordered bipartition of `members` once, in canonical order: the
+    first member stays on the first side, the others join it by ascending bitmask."""
+    anchor, rest = members[0], members[1:]
+    for mask in range(2 ** len(rest) - 1):
+        first = [anchor] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
+        second = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
+        yield tuple(first), tuple(second)
 
 
 # -- balance metrics -----------------------------------------------------
@@ -266,7 +267,7 @@ def reflect(tree: HierarchyTree) -> HierarchyTree:
     return build_tree((p.right, p.left) for p in tree.parents)
 
 
-# -- text and JSON forms --------------------------------------------------
+# -- text form -----------------------------------------------------------
 
 
 def tree_to_text(tree: HierarchyTree, id_to_label: Mapping[int, str] | None = None) -> str:
@@ -389,35 +390,3 @@ def _parse_outer(tokens: list[str], pos: int):
             continue
         pair, pos = _parse_pair(tokens, pos)
         pairs.append(pair)
-
-
-def tree_to_json_dict(
-    tree: HierarchyTree, id_to_label: Mapping[int, str] | None = None
-) -> dict:
-    def side(s: ClassSet) -> list:
-        if id_to_label is not None:
-            return [id_to_label[c] for c in sorted(s)]
-        return sorted(s)
-
-    return {"parents": [{"left": side(p.left), "right": side(p.right)} for p in tree.parents]}
-
-
-def tree_from_json_dict(doc: Mapping) -> HierarchyTree:
-    pairs = [(list(pair["left"]), list(pair["right"])) for pair in doc["parents"]]
-    members = [m for left, right in pairs for m in (*left, *right)]
-    if all(isinstance(m, int) for m in members):
-        return build_tree(pairs)
-    # label tokens instead of ids: densify exactly like the text form
-    to_id = token_ids(str(m) for m in members)
-    return build_tree(
-        ([to_id[str(m)] for m in left], [to_id[str(m)] for m in right])
-        for left, right in pairs
-    )
-
-
-def tree_to_json(tree: HierarchyTree, id_to_label: Mapping[int, str] | None = None) -> str:
-    return json.dumps(tree_to_json_dict(tree, id_to_label), sort_keys=True)
-
-
-def tree_from_json(text: str) -> HierarchyTree:
-    return tree_from_json_dict(json.loads(text))

@@ -11,7 +11,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .splitting import resolve_splitter
-from .tree import ClassSet, HierarchyTree, ParentNode, build_tree, canonical_signature
+from .tree import ClassSet, HierarchyTree, ParentNode, bipartitions, build_tree, canonical_signature
 
 MAX_COUNT_CLASSES = 20
 HARD_TREE_LIMIT = 10**6
@@ -128,20 +128,11 @@ def default_tree_limit(n_classes: int) -> int:
 # -- exhaustive enumeration (oracle for the counts) -------------------------
 
 
-def _bipartitions(members: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All unordered bipartitions, anchor member fixed on the first side."""
-    anchor, rest = members[0], members[1:]
-    for mask in range(2 ** len(rest) - 1):
-        first = [anchor] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        second = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-        yield tuple(first), tuple(second)
-
-
 def _hierarchies(members: tuple[int, ...]) -> Iterator[list[tuple[tuple, tuple]]]:
     if len(members) == 1:
         yield []
         return
-    for first, second in _bipartitions(members):
+    for first, second in bipartitions(members):
         for below_first in _hierarchies(first):
             for below_second in _hierarchies(second):
                 yield [(first, second), *below_first, *below_second]

@@ -141,7 +141,7 @@ def test_bundle_is_compact_json_with_the_token_map():
     doc = json.loads(text)
     assert doc["label_names"] == {"0": "x", "1": "y", "2": "z"}
     assert doc["series_length"] == data.series_length
-    assert ClassifierSpec.from_dict(doc["spec"]) == SPECS["kernel-ridge"]
+    assert ClassifierSpec.decode(doc["spec"]) == SPECS["kernel-ridge"]
     assert LcpnModel.from_bundle(text).label_names == {0: "x", 1: "y", 2: "z"}
 
 
@@ -209,6 +209,12 @@ def _without(key):
     return json.dumps(doc)
 
 
+def _with_label_key(key):
+    doc = json.loads(_linear_bundle())
+    doc["label_names"][key] = "b"
+    return json.dumps(doc)
+
+
 def _nodes(keep):
     doc = json.loads(_linear_bundle())
     doc["nodes"] = keep(doc["nodes"])
@@ -225,6 +231,9 @@ def _nodes(keep):
         (lambda: _without("label_names"), "has no 'label_names'"),
         (lambda: _linear_bundle().replace('"2":"2"', '"2":"0"'), "'label_names' repeats a token"),
         (lambda: _linear_bundle().replace(',"2":"2"', ""), r"'label_names' names classes \[0, 1\], the tree has \[0, 1, 2\]"),
+        (lambda: _with_label_key("01"), "'label_names' key '01' is not a class id"),
+        (lambda: _with_label_key("+1"), r"'label_names' key '\+1' is not a class id"),
+        (lambda: _with_label_key("0_3"), "'label_names' key '0_3' is not a class id"),
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),

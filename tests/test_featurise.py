@@ -133,7 +133,7 @@ def with_paddings(bank, mode):
         doc["paddings"] = (bank.lengths - 1) * bank.dilations // 2
     else:
         doc["paddings"] = np.zeros_like(bank.paddings)
-    return KernelBank.from_dict(doc)
+    return KernelBank(**doc)
 
 
 def assert_same_bits(a, b):
@@ -180,8 +180,8 @@ def test_transform_rejects_input_of_the_wrong_shape():
 
 def test_transform_rejects_a_kernel_that_does_not_fit():
     doc = KernelBank.generate(20, 4, seed=0).to_dict()
-    doc["dilations"][2], doc["paddings"][2] = 20, 0  # from_dict builds it; KernelBank.decode would not
-    bank = KernelBank.from_dict(doc)
+    doc["dilations"][2], doc["paddings"][2] = 20, 0  # the constructor builds it; KernelBank.decode would not
+    bank = KernelBank(**doc)
     with pytest.raises(TrainingDataError, match="kernel does not fit the series even when padded"):
         bank.transform(np.zeros((2, 20)))
 
@@ -201,7 +201,7 @@ def test_kernel_bank_is_a_read_only_value():
     for array in (bank.lengths, bank.weights, bank.biases, bank.dilations, bank.paddings):
         with pytest.raises(ValueError):
             array[0] = 5
-    again = KernelBank.from_dict(bank.to_dict())
+    again = KernelBank.decode(bank.to_dict())
     assert again == bank and hash(again) == hash(bank)
     assert again != KernelBank.generate(20, 6, seed=5)
     assert bank != "not a bank"
@@ -303,20 +303,3 @@ def test_featurised_model_equals_nodes_fit_with_their_own_bank():
         bank = KernelBank.generate(data.series_length, KERNEL.num_kernels, KERNEL.seed)
         alone = PreparedRows(KERNEL, bank.transform(values), bank, data.series_length).fit(groups)
         assert classifier_state(alone) == classifier_state(node)
-
-
-@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
-def test_predict_labels_ignore_row_order_and_batching(kind):
-    spec = ClassifierSpec(kind=kind, num_kernels=16, seed=1)
-    model = fit_lcpn(build_tree(CHAIN5), shifted_dataset(seed=7), spec)
-    values = shifted_dataset(seed=8).values
-    labels, depths = predict_lcpn(model, values)
-    order = np.random.default_rng(0).permutation(len(values))
-    shuffled, _ = predict_lcpn(model, values[order])
-    assert np.array_equal(shuffled, labels[order])
-    for size in (1, 3, 7):
-        batched = [
-            predict_lcpn(model, values[at : at + size]) for at in range(0, len(values), size)
-        ]
-        assert np.array_equal(np.concatenate([b[0] for b in batched]), labels)
-        assert np.array_equal(np.concatenate([b[1] for b in batched]), depths)

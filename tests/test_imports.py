@@ -1,4 +1,5 @@
-"""The import footprint: scipy is loaded only by ``analyze``'s p-values.
+"""The import surface: ``__all__`` names exactly what the package exports, and
+scipy is loaded only by ``analyze``'s p-values.
 
 Every ``hiertsc cv`` cell of an evaluation grid and every served
 ``hiertsc predict`` batch is its own process, so what the package imports at
@@ -11,8 +12,10 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import hiertsc
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
 from hiertsc.io import save_dataset
@@ -22,6 +25,15 @@ PACKAGE = ROOT / "src" / "hiertsc"
 
 #: what a module of the package may import when it is itself imported
 ALLOWED_AT_IMPORT = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_all_names_every_public_binding_of_the_package():
+    public = {
+        name
+        for name, value in vars(hiertsc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(hiertsc.__all__) == public
 
 
 def _import_time_imports(tree: ast.Module):

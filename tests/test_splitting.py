@@ -287,6 +287,21 @@ def test_exhaustive_finds_stub_target():
     assert {outcome.c0, outcome.c1} == {frozenset({0, 1}), frozenset({2, 3})}
 
 
+def test_exhaustive_constant_scores_keep_the_first_bipartition():
+    outcome = exhaustive_split(StubContext(lambda c0, c1: 0.5, 0), {9, 3, 8, 5})
+    assert (outcome.c0, outcome.c1) == (frozenset({3}), frozenset({5, 8, 9}))
+
+
+@pytest.mark.parametrize("first, second", [({10, 12}, {10, 11, 13}), ({10, 11, 12}, {10, 13})])
+def test_exhaustive_ties_keep_the_lower_mask(first, second):
+    # bit i of the mask puts member 11 + i beside the anchor 10: masks 2 < 5 and 3 < 4;
+    # sorted-member order would pick the other set in the first case, smaller size in the second
+    tops = {frozenset(first), frozenset(second)}
+    ctx = StubContext(lambda c0, c1: 0.9 if c0 in tops else 0.1, 0)
+    outcome = exhaustive_split(ctx, {10, 11, 12, 13})
+    assert outcome.c0 == frozenset(first) and outcome.score == 0.9
+
+
 def test_exhaustive_cap():
     with pytest.raises(ValueError):
         exhaustive_split(StubContext(hash_scorer(), 0), set(range(13)))

@@ -20,12 +20,11 @@ from hiertsc import (
     datapoint_balance_factor,
     parse_tree_text,
     reflect,
-    tree_to_json,
     tree_to_text,
     trees_similar,
 )
 import hiertsc
-from hiertsc.tree import LabelSpaceMismatchError, token_ids, tree_from_json
+from hiertsc.tree import LabelSpaceMismatchError, token_ids
 
 from conftest import random_tree
 
@@ -211,7 +210,7 @@ def test_rebuild_from_flatten_is_identity(fig_tree):
     assert rebuilt.parents == fig_tree.parents
 
 
-# -- text and JSON forms ---------------------------------------------------------
+# -- text form -------------------------------------------------------------------
 
 
 def test_parse_worked_example_text(fig_tree):
@@ -244,22 +243,6 @@ def test_text_round_trip_random_trees(rng):
         tree = random_tree(range(n), rng)
         parsed, _ = parse_tree_text(tree_to_text(tree))
         assert trees_similar(tree, parsed)
-
-
-def test_json_round_trip(fig_tree):
-    doc = tree_to_json(fig_tree)
-    again = tree_from_json(doc)
-    assert trees_similar(fig_tree, again)
-    parsed = json.loads(doc)
-    assert set(parsed) == {"parents"}
-    assert set(parsed["parents"][0]) == {"left", "right"}
-
-
-def test_json_with_label_tokens(fig_tree):
-    names = {i: f"c{i}" for i in range(5)}
-    doc = tree_to_json(fig_tree, names)
-    again = tree_from_json(doc)
-    assert trees_similar(fig_tree, again)
 
 
 def test_leaf_depths_chain():
