@@ -23,7 +23,10 @@ parts:
 - the regularised system, once per row set: a :class:`PreparedRows` holds the
   standardisation, the centred features and the Gram matrix with lambda on
   its diagonal, and fits any labelling of those rows by building its targets
-  and solving.  Split scoring fits every bipartition of a class set on one.
+  and solving.  Split scoring makes one solve per class set, with one
+  right-hand side per class (:meth:`PreparedRows.class_solutions`), and sums
+  those solutions for each bipartition: its scores equal a fresh fit's, and
+  its decision values agree with that fit's to rounding.
 
 New kinds can be plugged in through :func:`register_classifier_kind`.
 """
@@ -377,8 +380,11 @@ def ridge_solve(
     Only Y depends on the labels.  The rest is done once: the raw features
     once per run (:class:`Run`), and the centred F with its Gram matrix once
     per row set (:class:`PreparedRows`), where `gram` is
-    :func:`_regularised_gram` of (F, lam).  Each call solves one labelling;
-    without `gram` it builds the matrix itself, with the same bits.
+    :func:`_regularised_gram` of (F, lam).  A node fit solves for one
+    labelling; split scoring solves once per class set, for every class
+    indicator at once, and sums the solutions per bipartition, so its scores
+    equal a fresh fit's and its decision values agree to rounding.  Without
+    `gram` the matrix is built here, with the same bits.
     """
     if gram is None:
         gram = _regularised_gram(features, lam)
@@ -553,6 +559,20 @@ class PreparedRows:
     def standardise(self, raw: np.ndarray) -> np.ndarray:
         """Raw features of any rows, standardised as these rows' fits read them."""
         return _standardise(raw, self.mean, self.scale)
+
+    def class_solutions(self, codes: np.ndarray, n_classes: int) -> np.ndarray:
+        """(f, n_classes) ridge weights whose column j fits the indicator of
+        ``codes == j``, `codes` holding one class in ``range(n_classes)`` per
+        prepared row, in order: every class in one solve.
+
+        A ridge solution is linear in its targets, so the weights for any
+        targets that are constant on each class are a sum of these columns
+        (how split scoring scores every bipartition of a class set).  A class
+        with no rows has a zero column.
+        """
+        indicators = np.zeros((codes.size, n_classes))
+        indicators[np.arange(codes.size), codes] = 1.0
+        return ridge_solve(self.centred, indicators, self.spec.ridge_lambda, self.gram)
 
     def fit(self, labels: np.ndarray) -> TrainedClassifier:
         """One-vs-rest ridge for `labels`, one per prepared row, in order."""

@@ -36,16 +36,19 @@ class SplitContext:
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
 
-    Every bipartition of one class set is fit on the same training rows, so
-    the context keeps one live prepared set: the training rows of the class
-    set last scored and the validation rows' standardised features.
+    Every bipartition of one class set is fit on the same training rows, and
+    its +/-1 targets are a signed sum of the set's class indicators.  So the
+    context makes one solve per class set, for every indicator at once, and
+    keeps one live :class:`_ClassBasis`, from which each bipartition's scores
+    equal a fresh fit's and its decision values agree with that fit's to
+    rounding.
     """
 
     train: Rows | TimeSeriesDataset
     val: Rows | TimeSeriesDataset
     spec: ClassifierSpec
     rng: np.random.Generator
-    _live: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _live: _ClassBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.train, Rows):
@@ -65,19 +68,59 @@ class SplitContext:
     def score(self, c0: Iterable[int], c1: Iterable[int]) -> float:
         return score_bipartition(self, c0, c1)
 
-    def _prepared(
-        self, classes: frozenset[int], train: Rows, val: Rows
-    ) -> tuple[PreparedRows, np.ndarray] | None:
-        """(the prepared `train` rows, the standardised features of `val`) of
-        `classes`; built when another class set was scored last, which frees
-        that one first.  None for a custom kind."""
-        if self._live is None or self._live[0] != classes:
+    def _basis(self, classes: frozenset[int], train: Rows, val: Rows) -> _ClassBasis | None:
+        """The basis of `classes` for its `train` and `val` rows; built when
+        another class set was scored last, which frees that one first.  None
+        for a custom kind."""
+        if self._live is None or self._live.classes != classes:
             self._live = None
             prepared = PreparedRows.of(self.spec, train)
             if prepared is None:
                 return None
-            self._live = (classes, prepared, prepared.standardise(val.feats))
-        return self._live[1:]
+            run = train.run
+            codes = [run.code_of[c] for c in sorted(classes) if c in run.code_of]
+            local = np.searchsorted(codes, run.codes[train.idx])
+            weights = prepared.class_solutions(local, len(codes))
+            per_class = (prepared.standardise(val.feats) - prepared.centre) @ weights
+            counts = np.bincount(local, minlength=len(codes))
+            self._live = _ClassBasis(classes, run.classes[codes].tolist(), counts, per_class)
+        return self._live
+
+
+class _ClassBasis(NamedTuple):
+    """One class set's ridge solutions, seen from the validation rows.
+
+    `order` lists the set's classes and `counts` each one's training rows;
+    `per_class` is (validation rows, classes): the centred, standardised
+    validation features times each class indicator's weights.
+    """
+
+    classes: frozenset[int]
+    order: list[int]
+    counts: np.ndarray
+    per_class: np.ndarray
+
+    def decisions(self, c0: frozenset[int]) -> np.ndarray:
+        """Each validation row's group-0 decision value when the classes in
+        `c0` are group 0 and the rest of the set group 1.
+
+        The group-0 targets are +1 on c0 and -1 on the rest.  With s those
+        signs per class and t their training mean, the targets less t are
+        the class indicators times (s - t), and so are the weights: the
+        decision value is ``per_class @ (s - t) + t``.
+        """
+        signs = np.array([1.0 if c in c0 else -1.0 for c in self.order])
+        mean = (signs @ self.counts) / self.counts.sum()
+        return self.per_class @ (signs - mean) + mean
+
+
+def predicted_groups(decisions: np.ndarray) -> np.ndarray:
+    """Group 1 where the group-0 decision value is below 0, else group 0.
+
+    A two-group fit's group-1 scores are the negated group-0 ones, so this is
+    its argmax, ties (0) going to group 0.
+    """
+    return (decisions < 0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -102,9 +145,11 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
 
     Instances of classes in c0 are relabelled group 0, those in c1 group 1;
     the base classifier is fit on the training part only.  Symmetric in
-    (c0, c1) by macro averaging.  A built-in classifier is fit on the
-    context's prepared rows of c0 | c1, so scoring another bipartition of the
-    same class set only builds targets, solves and predicts.
+    (c0, c1) by macro averaging.
+
+    A built-in classifier is not fit per bipartition: the context solves
+    once for the class set, and :meth:`_ClassBasis.decisions` sums those
+    solutions into this bipartition's decision values.
     """
     c0 = frozenset(int(c) for c in c0)
     c1 = frozenset(int(c) for c in c1)
@@ -118,11 +163,10 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         if empty is not None:
             group = sorted((c0, c1)[empty])
             raise ScoringError(f"group {group} has no instances in the {part} part")
-    prepared = ctx._prepared(c0 | c1, train, val)
-    if prepared is None:
+    basis = ctx._basis(c0 | c1, train, val)
+    if basis is None:
         return f1_macro(val.labels, val.predict(fit_classifier(ctx.spec, train)))
-    rows, val_feats = prepared
-    return f1_macro(val.labels, rows.fit(train.labels).predict_standardised(val_feats))
+    return f1_macro(val.labels, predicted_groups(basis.decisions(c0)))
 
 
 def update_score_and_groups(

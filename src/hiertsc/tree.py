@@ -151,9 +151,6 @@ class HierarchyTree:
                     stack.append((side, above + 1))
         return depths
 
-    def flatten(self) -> list[tuple[ClassSet, ClassSet]]:
-        return [(p.left, p.right) for p in self.parents]
-
 
 def build_tree(pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> HierarchyTree:
     """Assemble a hierarchy from (left, right) class-set pairs.

@@ -2,9 +2,9 @@
 
 The corpus runs ``cv --mode nested``, ``cv --mode flat`` and ``fit`` then
 ``predict`` for every splitter (potr, srtr, lsoo, exhaustive) and both built-in
-classifiers (``linear``, ``kernel-ridge --kernels 16``) on two datasets, at
-3 iterations and 3 x 3 folds, and hashes ``report.json``, ``folds.csv``,
-``predictions.csv`` and stdout.  No fold scores 1.0, so a change in which
+classifiers (``linear``, ``kernel-ridge --kernels 16``) on three datasets (4,
+5 and 9 classes), at 3 iterations and 3 x 3 folds, and hashes
+``report.json``, ``folds.csv``, ``predictions.csv`` and stdout.  No fold scores 1.0, so a change in which
 tree is selected changes a digest.
 
 ``model.json`` is not hashed, as its weight bits depend on the BLAS.  Each
@@ -46,7 +46,10 @@ COMMON = ("--iters", "3", "--inner-folds", "3", "--seed", "0")
 #: captured at commit 05c1744, before folds and fits became row-index runs;
 #: the ``exhaustive`` entries at commit afc8e29, before split scoring prepared
 #: each class set's rows once (``exhaustive`` scores every bipartition of a
-#: class set on one prepared row set, so it leans hardest on that reuse)
+#: class set on one prepared row set, so it leans hardest on that reuse); the
+#: ``many`` entries (nine classes) at commit b1ada01, before split scoring
+#: solved once per class set, so that the per-class solutions it sums are
+#: held to the old per-bipartition fits on a large class set
 GOLDEN = {
     "collinear-exhaustive-kernel16-fit/stdout": "b3fe6be284f8bd70a106da6e57daf1fb6be2a2a99f3d9e994d0481a8ea1cfc78",
     "collinear-exhaustive-kernel16-flat/folds.csv": "d3887f1abc15fb1637500052be14ac93058ce9c9078b14265a0d66218058bd1d",
@@ -120,6 +123,78 @@ GOLDEN = {
     "collinear-srtr-linear-nested/stdout": "6b6cf5af41b895930d10557c852e273f10c10664083ccad5f822dc6b92756d2e",
     "collinear-srtr-linear-predict/predictions.csv": "ef2d53ba9715584bda17989149dfc989ee658f76e617a10408238044b6da9bf5",
     "collinear-srtr-linear-predict/stdout": "acbeeb0af86502ab7aabff1c8d65cf7da81767ab4a3295405e3f1b9e166aae69",
+    "many-exhaustive-kernel16-fit/stdout": "10711387d2c742d51a2643df76dcd56146202bc60161c152f72a449a6c195678",
+    "many-exhaustive-kernel16-flat/folds.csv": "baab736a40814484073c4a70ce05171bd05aa7107044ba77bff81e0586f806ee",
+    "many-exhaustive-kernel16-flat/report.json": "074366d308ccfe584f2385c9fca55000e09aca3637ce8bcfbf0cf3ea5f338376",
+    "many-exhaustive-kernel16-flat/stdout": "6779b0469b69682715c00acebbced0d8cfc63b52e14a6cec188d9cc20e1317b7",
+    "many-exhaustive-kernel16-nested/folds.csv": "cfb366512bb50425da9aca875da045fe22c5365c0ce3fbd619b189af1a0d531a",
+    "many-exhaustive-kernel16-nested/report.json": "beb424026dbbb441cc8c3bcf57f8e6654fa399398f8b49fa51c149e43f406397",
+    "many-exhaustive-kernel16-nested/stdout": "a7dd00b5e5c0bdf7688e96ee8750558082446775292521db61c05d48c598be34",
+    "many-exhaustive-kernel16-predict/predictions.csv": "9655e7c4fcb954af493fd7a583c6b225d9a02d1d17f04e65d444c265af5650d8",
+    "many-exhaustive-kernel16-predict/stdout": "2d4685e47feb4b4a455010e66c98102d9b984e140e5da746bf02adff0d8705f0",
+    "many-exhaustive-linear-fit/stdout": "d37ab5a3e1dcfc809cc730247f3b1c1d73b87003e1d397f66cdf872f49a0c98b",
+    "many-exhaustive-linear-flat/folds.csv": "450c5289cb7cb6caa1721458d475d461e0fd33ff2e6a06d46989eaaee4fb5f6e",
+    "many-exhaustive-linear-flat/report.json": "4b45aa0241b50994bc40dfd3208ea913e5f9577ec9ee490a1e36670f1db454ae",
+    "many-exhaustive-linear-flat/stdout": "572f13d9b1b9f53ba3f5904d9205bcb1cfae0a621b583ea74bb5a07f374b55ce",
+    "many-exhaustive-linear-nested/folds.csv": "8a861701077cd76d70eca65eeaaf967cba6d72db492598863d697b410997c206",
+    "many-exhaustive-linear-nested/report.json": "9feca01adfdb7e3f1edc544de73f0be4dbcaf54232729dcb46f54f62c2a3e032",
+    "many-exhaustive-linear-nested/stdout": "6985031e56a34b5f1f1d75411091380c6b01d474c870c855d87c320b5541a1cd",
+    "many-exhaustive-linear-predict/predictions.csv": "c43fdeaf332ac2802a532a06d014ae131404739b7860c9838affbdf68b248967",
+    "many-exhaustive-linear-predict/stdout": "b345c75f30d3e8ae99c64786f6b72df64fabe922db6a43441736570b47689fb0",
+    "many-lsoo-kernel16-fit/stdout": "95a7eaab3db7d62d62451c1a6ab8f3b2e6b550063a550fba372b700153f5755a",
+    "many-lsoo-kernel16-flat/folds.csv": "eb523e63a8afa78065785ae217b745e5843fdf0094f8d963e778b5a4122c89a6",
+    "many-lsoo-kernel16-flat/report.json": "17ac50dabaa81b03893abba37725df891ac5213b35de2abb7430bd229bca7fd9",
+    "many-lsoo-kernel16-flat/stdout": "9d77539f3a9f6654765802135d7969990540e711ba6d78cf7fe5f1d826a9d678",
+    "many-lsoo-kernel16-nested/folds.csv": "4ea0a4d41451ac6b2529cb1c4a9948736bdfee0be2814d093252d9e2a1fa9c0b",
+    "many-lsoo-kernel16-nested/report.json": "aed2e5d9e301712691e8c0216e8eccb0e4e936840ee39049bd9168be8d16bbbb",
+    "many-lsoo-kernel16-nested/stdout": "78301681aae1bd11cd6e24d3674be54097d2d332775416d1c97aecffbc181c7f",
+    "many-lsoo-kernel16-predict/predictions.csv": "cfdd655a10ed8d2c801bb8f973bd31433130805e5abe000e87033ef9473d9d39",
+    "many-lsoo-kernel16-predict/stdout": "6cb1360f6a0bb6c2b6df5d604078875e31c6d545759893fa59eafde478195285",
+    "many-lsoo-linear-fit/stdout": "008e497bfca195c2f7878db3384b88d7595e36b74f23389614e2b123632dc2a6",
+    "many-lsoo-linear-flat/folds.csv": "7170d85b8ae399ac82b3e2054df31c48d79fa5663ffb8ef520db2a6b7155eea6",
+    "many-lsoo-linear-flat/report.json": "a5c34f98ab676690315fd710c050211876ac4deffb522e42686c8bcebce387bb",
+    "many-lsoo-linear-flat/stdout": "85ee9d173e4c942d50fc2a383d9996a1dc193eadb42cb5544c8663c04bb52b34",
+    "many-lsoo-linear-nested/folds.csv": "1bc680fd8b0a00e7723f4f6b2e4fb36070a7fd8978506c52d4ff466f86614af9",
+    "many-lsoo-linear-nested/report.json": "a8e1befa3ad186dca262ca8d5704862339cd14053f807d7607177e7a81f388a0",
+    "many-lsoo-linear-nested/stdout": "4ba9e276227b9d940e6860796155f262ad888083e033d2765d187a01e59f3c88",
+    "many-lsoo-linear-predict/predictions.csv": "a83e2a855cfd4038b2fd9cc10f2922188ad7678c10cafa38abeee59fb2ea7892",
+    "many-lsoo-linear-predict/stdout": "30b5161b6cd7c2e2d030d6da7695c9224d3afc6e204c0544f93e1b32f29b2cc0",
+    "many-potr-kernel16-fit/stdout": "0a168da577e276fdff5cdc0e2fb1fffaa70a5e4388456f5f182540682d2e4ccf",
+    "many-potr-kernel16-flat/folds.csv": "a65c90671392d7c38edde4ac72d390f7e33206420d350461f4995eed8c12bf3f",
+    "many-potr-kernel16-flat/report.json": "beaa10d8977d3d0ba12a605220642fb2a046880dc639761868a4410477f4d9e2",
+    "many-potr-kernel16-flat/stdout": "c00a9bb33a94c4f1663819996722ab9eb8d97b9a6b19292523dd41b0004f0bfc",
+    "many-potr-kernel16-nested/folds.csv": "b9a44a3fee9c3725610fb8c5547904563ca7a390c722d88cb0cf39deff330ea9",
+    "many-potr-kernel16-nested/report.json": "3bcf65cac93645dc7205a6b2096fa3d1d6df9d93940cc7bef550396907015591",
+    "many-potr-kernel16-nested/stdout": "8cbed3d5b96694f996e44c094b1c8b9da6e64c6982616498b02cdbcd0fd557d7",
+    "many-potr-kernel16-predict/predictions.csv": "4403b9844231a05a2f935c26ba1140c74f716b425b6a394d46cbe4c00349e32f",
+    "many-potr-kernel16-predict/stdout": "d7e537fdefde7f4292ae4bd48f5e90ad3701017b137c8c24a17f27732d597ef1",
+    "many-potr-linear-fit/stdout": "d5a29b9f8d858a075b49035b569ddb8d59ef6e92aefb9d88e31f40b29e4c1de2",
+    "many-potr-linear-flat/folds.csv": "597962b2f7b9454186605b4d0df4d9002a0695508b0eb486554b59198c13b028",
+    "many-potr-linear-flat/report.json": "95fc9feeab72e268287b293d9d55015b60bc669527502aee63cb64506cb82e26",
+    "many-potr-linear-flat/stdout": "cc61c5fb2b906e4226518f3cdcff91e92ecb5642c4cd3558b2a3dacfd775efb0",
+    "many-potr-linear-nested/folds.csv": "ee71c14050a5ea0384d522b9e69fa930e49569f3aefdff3f1076dd56bcb912a0",
+    "many-potr-linear-nested/report.json": "7f54831f01fd42570a6da66fe53c4f9ad81b4b4fe3a2bc51da05fb7b3b431791",
+    "many-potr-linear-nested/stdout": "00a4dcfb8cbd9a4330ccb8fd9dd8408d8180988ac08887c939191ecd28c5e28b",
+    "many-potr-linear-predict/predictions.csv": "449f887a707b744af0b8ce82f1c45d32240bb4733801855b16d56a4c5351959c",
+    "many-potr-linear-predict/stdout": "f01d819b3447d0d2e15613cc90ba66144863eb21be42e5355ff6276338020e3f",
+    "many-srtr-kernel16-fit/stdout": "ee1d65224ffe71837e9d28490cc38d1bc880a372b482f8384a240d51aeade39c",
+    "many-srtr-kernel16-flat/folds.csv": "c24cee10acdaa9e5e60ae2618cc0ce51657f5d0ad80d6a1895aa61d75c8f0f73",
+    "many-srtr-kernel16-flat/report.json": "4f207ea844984ecc9e0ff481e027853b27b7fe2ed35dae4afc46fd43899a972c",
+    "many-srtr-kernel16-flat/stdout": "7116b1c9193670a31d564f2aba707f49e1fa5e5ae0ad3ab0eb2f6e1671d6f688",
+    "many-srtr-kernel16-nested/folds.csv": "2d8e3d06cf8ea385e86f894e962df76851e9b8556b86361cfffd8d398344f29b",
+    "many-srtr-kernel16-nested/report.json": "6bf13f7082bb55efbf5f843ba6d3b21fde7b9f042338c66804f3d80d2ce99e59",
+    "many-srtr-kernel16-nested/stdout": "1fbc71fa219357c6f4e7adfc3809d595ad1a64d704bfaf58f45c1f4c4c65ede3",
+    "many-srtr-kernel16-predict/predictions.csv": "33e59e5bc7019879129d9f13b71886f8498764d41e2939ef1e1f69be97dcd47e",
+    "many-srtr-kernel16-predict/stdout": "3fa929ba40c83e2341fb5f29b24a8d684c36270645002de136d73ae30f74a057",
+    "many-srtr-linear-fit/stdout": "e5be7a39b6e2e05474bb03c5161f39a9d70ccbec81c53da36d8c6526b71deca8",
+    "many-srtr-linear-flat/folds.csv": "e95e38e7007852663bfa5c70981688188c14f9af178b5cae8101b300b0811a1c",
+    "many-srtr-linear-flat/report.json": "9f56074dd3a563239ea81ed4053c23ad78932e70cd8dc2e94eb973d6cc9f3238",
+    "many-srtr-linear-flat/stdout": "821cb900a9123691ad61df4baec1bf5315c0dd0baad424e31f58fd29ec9138c3",
+    "many-srtr-linear-nested/folds.csv": "738b0ffc828fc14fedb1fca4b032c5c7f7813c7b4a4f30c0d43d7b24b743b1c6",
+    "many-srtr-linear-nested/report.json": "8a355baefcc4d96cb120c4f878a872cf340481cf037fc299cd5684db9bc7fba5",
+    "many-srtr-linear-nested/stdout": "9ea44afb9da14ed2b2fe20dde4945f285b5bffeecfe5742bdf8b6529ace60b7c",
+    "many-srtr-linear-predict/predictions.csv": "3be5412634958517a5f1933b66cb164b10fb7f5f255c724f65a886f5d19cbfce",
+    "many-srtr-linear-predict/stdout": "171abb75a5caaa7de2e680c2de19efbac87a8e11e81a2051b9c26abc1ef4a1bc",
     "shifted-exhaustive-kernel16-fit/stdout": "06df970ef26c4e8f88a825ef355b4af49c3a157952e6d2e882edaafd8c1b39e2",
     "shifted-exhaustive-kernel16-flat/folds.csv": "0c08cce99cb2ec7202e485d9c7e69b4c4fdd524194005bb8a6748bcc18f52c67",
     "shifted-exhaustive-kernel16-flat/report.json": "93bd85bc843213eb58388eead76fb6670a24c5172d84d92e8c1c7053bad840a0",
@@ -199,7 +274,8 @@ GOLDEN = {
 PINNED_ARRAYS = ("weights", "intercepts", "feature_mean", "feature_scale")
 MODEL_TOLERANCE = 1e-9
 
-#: captured at commit 801ef7d; the ``exhaustive`` entries at commit afc8e29
+#: captured at commit 801ef7d; the ``exhaustive`` entries at commit afc8e29;
+#: the ``many`` entries at commit b1ada01
 GOLDEN_MODELS = {
     "collinear-exhaustive-kernel16-fit": (
         "{{{0,1},{2,3}},{{0},{1}},{{2},{3}}}",
@@ -263,6 +339,110 @@ GOLDEN_MODELS = {
             [-0.17639529263028814, 1.0279794914134148, None, None],
             [1.0140968733012976, -10.996083754566902, None, None],
             [0.9754937278360032, -0.7706903765486565, None, None],
+        ],
+    ),
+    "many-exhaustive-kernel16-fit": (
+        "{{{0,1,2},{3,4,5,6,7,8}},{{3,4,6,7},{5,8}},{{3,4,7},{6}},{{0},{1,2}},{{3,4},{7}},{{5},{8}},{{1},{2}},{{3},{4}}}",
+        [
+            [0.0020259760612338362, 0.33333333333333276, 62.038727515718975, 16.190654480159452],
+            [-0.4793109422864713, -0.333333333333334, 63.67089989044356, 15.112689345490125],
+            [-0.6711890277713878, -0.5000000000000038, 63.52633140024517, 14.806817619649955],
+            [0.0524424483763532, 0.3333333333333342, 58.77438276626981, 15.224314167035864],
+            [-0.24203809707258053, -0.3333333333333339, 64.83616754674405, 14.677918570487481],
+            [0.04866978178888265, -5.1645419576389654e-17, 63.96003687084033, 15.261856775236053],
+            [0.1809881124409912, 6.008571916363007e-16, 59.61710160598575, 14.199800746804788],
+            [-0.40335436928185164, -6.109184339020206e-16, 65.0063116972708, 12.731941467062656],
+        ],
+    ),
+    "many-exhaustive-linear-fit": (
+        "{{{0,1,2},{3,4,5,6,7,8}},{{3,4},{5,6,7,8}},{{5,6,8},{7}},{{0,1},{2}},{{5},{6,8}},{{3},{4}},{{0},{1}},{{6},{8}}}",
+        [
+            [-0.03479538052324116, 0.45988182495212304, None, None],
+            [0.7271448836819592, -0.3191187420757647, None, None],
+            [2.8832648072971923, -1.655385718361978, None, None],
+            [1.5833755838792543, -1.682124500979188, None, None],
+            [0.9051383606376981, 1.1477441204414114, None, None],
+            [-0.329592805736142, -0.6029278803276659, None, None],
+            [1.7327634470201216, -0.32405897775824355, None, None],
+            [0.1024110017775186, 0.3678733095465159, None, None],
+        ],
+    ),
+    "many-lsoo-kernel16-fit": (
+        "{{{0},{1,2,3,4,5,6,7,8}},{{1},{2,3,4,5,6,7,8}},{{4},{2,3,5,6,7,8}},{{3},{2,5,6,7,8}},{{5},{2,6,7,8}},{{8},{2,6,7}},{{7},{2,6}},{{2},{6}}}",
+        [
+            [-0.28347787993601, 0.7777777777777768, 62.038727515718975, 16.190654480159452],
+            [0.44842972846229456, 0.7499999999999998, 62.65745031932911, 15.665694899119657],
+            [-0.8778218529352153, 0.7142857142857127, 63.07683662649349, 15.467091130744786],
+            [0.613130696671577, 0.6666666666666675, 62.939633332955815, 15.911349132616667],
+            [0.9192063595817139, 0.6000000000000023, 62.30504659818257, 15.991485544697838],
+            [2.2296026397103614, 0.4999999999999994, 60.49333617665752, 15.868334500470446],
+            [-0.920570524517863, 0.3333333333333349, 61.20171974974406, 16.010547716810635],
+            [-0.5972392697785738, -3.0402579129469346e-16, 59.55464000177082, 14.612263917253529],
+        ],
+    ),
+    "many-lsoo-linear-fit": (
+        "{{{1},{0,2,3,4,5,6,7,8}},{{5},{0,2,3,4,6,7,8}},{{0},{2,3,4,6,7,8}},{{2},{3,4,6,7,8}},{{7},{3,4,6,8}},{{8},{3,4,6}},{{6},{3,4}},{{3},{4}}}",
+        [
+            [0.23952966178017832, 0.8326221688743716, None, None],
+            [0.2873177930687031, 0.9714676691645683, None, None],
+            [0.9220749336945738, 0.3616528993473145, None, None],
+            [-0.5737127123730612, 1.0264799482335003, None, None],
+            [0.3877644773790986, 0.6989641504882209, None, None],
+            [-1.4397897844232388, 1.5576943730405273, None, None],
+            [-1.7210303129264084, 0.4756858617960744, None, None],
+            [-0.329592805736142, -0.6029278803276659, None, None],
+        ],
+    ),
+    "many-potr-kernel16-fit": (
+        "{{{0},{1,2,3,4,5,6,7,8}},{{1,5,7,8},{2,3,4,6}},{{1,7,8},{5}},{{2,3},{4,6}},{{1},{7,8}},{{2},{3}},{{4},{6}},{{7},{8}}}",
+        [
+            [-0.28347787993601, 0.7777777777777768, 62.038727515718975, 16.190654480159452],
+            [0.3569630150086447, 1.8426881689131227e-15, 62.65745031932911, 15.665694899119657],
+            [1.8739963351170021, -0.5000000000000059, 63.0344247891374, 16.392269576905107],
+            [0.17052391476534945, -9.102780487946985e-16, 62.280475849520826, 14.389086380149841],
+            [0.6402765388498828, 0.3333333333333344, 60.86193695742226, 16.394079587759443],
+            [-0.5847943386776817, 2.1204602590371645e-16, 62.81251202480759, 14.529103071372596],
+            [-0.34151387064379646, 3.5283965954848855e-17, 61.748439674234035, 13.07837769684272],
+            [-0.4937370351177134, 5.457608425335438e-16, 61.4320323515442, 15.199751347925877],
+        ],
+    ),
+    "many-potr-linear-fit": (
+        "{{{6,7,8},{0,1,2,3,4,5}},{{0},{1,2,3,4,5}},{{1,2,4,5},{3}},{{1,2},{4,5}},{{6,8},{7}},{{1},{2}},{{4},{5}},{{6},{8}}}",
+        [
+            [-0.8634058880347761, 0.31358141048278915, None, None],
+            [1.2836507642203105, 0.5505518588306709, None, None],
+            [4.690307314930408, -0.2209128300866281, None, None],
+            [0.60766968284493, 1.2672960621292049, None, None],
+            [3.289817021525603, -2.083748925798406, None, None],
+            [0.4986817482199226, -0.8694137211635569, None, None],
+            [0.7036643629044871, -0.8951946446437785, None, None],
+            [0.1024110017775186, 0.3678733095465159, None, None],
+        ],
+    ),
+    "many-srtr-kernel16-fit": (
+        "{{{3,4,5,6,7,8},{0,1,2}},{{4,7},{3,5,6,8}},{{6,8},{3,5}},{{2},{0,1}},{{4},{7}},{{6},{8}},{{3},{5}},{{0},{1}}}",
+        [
+            [-0.0020259760612338362, -0.33333333333333276, 62.038727515718975, 16.190654480159452],
+            [-1.0831512306380033, 0.3333333333333343, 63.67089989044356, 15.112689345490125],
+            [-2.208265561067445, -6.8021822006192945e-15, 63.4073659273128, 15.179529405970005],
+            [-0.056834305109646016, 0.3333333333333338, 58.77438276626981, 15.224314167035864],
+            [0.0393836346105195, 3.863715111229354e-16, 64.19796781670506, 14.531116548465427],
+            [0.008780632397662053, 6.680220362894783e-16, 58.98250420907317, 13.935363845404334],
+            [1.4959162507182158, -2.0835958496848816e-16, 67.83222764555242, 13.374777315922525],
+            [-0.061149230720358716, 1.070938918893212e-15, 58.40534562800814, 15.225182903797283],
+        ],
+    ),
+    "many-srtr-linear-fit": (
+        "{{{0,4,7,8},{1,2,3,5,6}},{{5,6},{1,2,3}},{{0,4},{7,8}},{{1,2},{3}},{{5},{6}},{{0},{4}},{{7},{8}},{{1},{2}}}",
+        [
+            [1.4643077089717023, -0.6732899062571449, None, None],
+            [0.7647548179105632, 0.1123349915595887, None, None],
+            [0.46099096121748034, -0.29415131515767645, None, None],
+            [1.257338520980025, 0.43113292658061725, None, None],
+            [1.324144998220135, 0.8018944039336237, None, None],
+            [1.2857381662322762, -0.1626419774283997, None, None],
+            [-2.3919015178879026, 1.0790681195083305, None, None],
+            [0.4986817482199226, -0.8694137211635569, None, None],
         ],
     ),
     "shifted-exhaustive-kernel16-fit": (
@@ -361,6 +541,10 @@ def _datasets():
             collinear_superclusters(n_per_class=6, series_length=32, noise=1.5, seed=1),
         ),
         "shifted": (shifted_bumps(seed=0), shifted_bumps(seed=1, n_per_class=4)),
+        "many": (
+            shifted_bumps(seed=2, n_per_class=8, n_classes=9),
+            shifted_bumps(seed=3, n_per_class=3, n_classes=9),
+        ),
     }
 
 
@@ -468,7 +652,7 @@ def test_no_fold_scores_one(corpus):
         for key in ("inner_mean_score", "outer_test_score", "fc_score")
         if f[key] is not None
     ]
-    assert len(scores) == 2 * len(SPLITTERS) * 2 * 3 * 5
+    assert len(scores) == len(_datasets()) * len(SPLITTERS) * 2 * 3 * 5
     assert max(scores) < 1.0
 
 

@@ -144,8 +144,8 @@ def test_sparse_ids_fit_and_predict_like_their_densified_copy(spec):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts TimeSeriesDataset constructions and ridge solves (one per
-    labelling fit, node fits and split scores alike)."""
+    """Counts TimeSeriesDataset constructions and ridge solves (one per node
+    fit, and one per class set a splitter scores, for all its bipartitions)."""
     counts = {"datasets": 0, "fits": 0}
     post_init, ridge_solve = TimeSeriesDataset.__post_init__, classifiers.ridge_solve
 

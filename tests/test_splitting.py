@@ -21,7 +21,13 @@ from hiertsc import (
 )
 from hiertsc import classifiers
 from hiertsc.classifiers import PreparedRows
-from hiertsc.splitting import SPLITTERS, ScoredSplit, ScoringError, resolve_splitter
+from hiertsc.splitting import (
+    SPLITTERS,
+    ScoredSplit,
+    ScoringError,
+    predicted_groups,
+    resolve_splitter,
+)
 
 from conftest import (
     StubContext,
@@ -152,11 +158,73 @@ def test_prepared_scores_equal_fresh_fits(kind, n_per_class, n_features, seed):
     assert shared == fresh == refit
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "kernel-ridge"]),
+    n_per_class=st.integers(3, 10),
+    n_features=st.integers(4, 40),
+    seed=st.integers(0, 2**16),
+    untrained=st.booleans(),
+)
+@example(kind="linear", n_per_class=3, n_features=40, seed=0, untrained=False)  # n < f
+@example(kind="linear", n_per_class=10, n_features=4, seed=1, untrained=False)  # n >= f
+@example(kind="kernel-ridge", n_per_class=3, n_features=40, seed=2, untrained=True)
+@example(kind="kernel-ridge", n_per_class=10, n_features=4, seed=3, untrained=True)
+def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, untrained):
+    """The decision values a class set's basis sums for a bipartition are a
+    fresh two-group fit's to rounding, and predict the same groups.  With
+    `untrained`, one class of the set has validation rows but no training
+    rows, so its indicator column is zero."""
+    length, num_kernels = (n_features, 8) if kind == "linear" else (16, n_features // 2)
+    ctx = noisy_context(kind, seed, 5, n_per_class, length, num_kernels)
+    rng = np.random.default_rng(seed)
+    members = sorted(int(c) for c in rng.choice(5, int(rng.integers(3, 6)), replace=False))
+    missing = members[0] if untrained else None
+    ctx.train = ctx.train.subset(np.flatnonzero(ctx.train.labels != missing))
+    for _ in range(4):
+        while True:
+            mask = int(rng.integers(1, 2 ** len(members) - 1))
+            c0 = frozenset(c for i, c in enumerate(members) if mask >> i & 1)
+            c1 = frozenset(members) - c0
+            if c0 - {missing} and c1 - {missing}:  # both groups train
+                break
+        train, _ = ctx.train.binary_groups(c0, c1)
+        val, _ = ctx.val.binary_groups(c0, c1)
+        basis = ctx._basis(c0 | c1, train, val)
+        got = basis.decisions(c0)
+        prepared = PreparedRows.of(ctx.spec, train)
+        fit = prepared.fit(train.labels)
+        feats = prepared.standardise(val.feats)
+        want = feats @ fit.weights[0] + fit.intercepts[0]
+        assert np.array_equal(predicted_groups(got), fit.predict_standardised(feats))
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    if untrained:
+        assert basis.counts[basis.order.index(missing)] == 0
+
+
+def test_zero_decision_goes_to_group_zero():
+    assert predicted_groups(np.array([0.0, -0.0, -1e-300, 1e-300])).tolist() == [0, 0, 1, 0]
+    # identical series: every decision value is the training mean of the
+    # group-0 targets, 0 on balanced groups, so all rows go to group 0,
+    # as in a fresh fit's argmax tie
+    data = TimeSeriesDataset(np.ones((8, 5)), np.array([0, 0, 1, 1, 2, 2, 3, 3]))
+    ctx = SplitContext(
+        train=data, val=data, spec=ClassifierSpec(kind="linear"), rng=np.random.default_rng(0)
+    )
+    c0, c1 = {0, 3}, {1, 2}
+    train, _ = ctx.train.binary_groups(c0, c1)
+    val, _ = ctx.val.binary_groups(c0, c1)
+    assert not fit_classifier(ctx.spec, train).predict(val.values).any()
+    assert score_bipartition(ctx, c0, c1) == pytest.approx(1 / 3, abs=1e-12)
+    assert not predicted_groups(ctx._live.decisions(frozenset(c0))).any()
+
+
 @pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
 @pytest.mark.parametrize("name", sorted(SPLITTERS))
 def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
     """The paper's cost model counts one fit per parent node; the search
-    prepares one row set per splitter call and solves once per bipartition."""
+    prepares one row set and solves once per splitter call, however many
+    bipartitions it scores."""
     ctx = noisy_context(kind, seed=4, n_classes=7, n_per_class=6, length=16)
     counts = {"prepared": 0, "solved": 0}
     init, solve = PreparedRows.__init__, classifiers.ridge_solve
@@ -179,8 +247,8 @@ def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
     monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
     tree = grow_tree(ctx, splitter)
     assert len(outcomes) == sum(len(p.left | p.right) >= 3 for p in tree.parents) > 1
-    assert counts["prepared"] == len(outcomes)
-    assert counts["solved"] == sum(o.evaluations for o in outcomes) > len(outcomes)
+    assert counts["solved"] == counts["prepared"] == len(outcomes)
+    assert sum(o.evaluations for o in outcomes) > len(outcomes)
 
 
 # -- update rule ---------------------------------------------------------------

@@ -204,8 +204,8 @@ def test_premise_counts(seed, n_classes):
     assert sorted(leaves) == list(range(n_classes))
 
 
-def test_rebuild_from_flatten_is_identity(fig_tree):
-    rebuilt = build_tree(fig_tree.flatten())
+def test_rebuild_from_parent_pairs_is_identity(fig_tree):
+    rebuilt = build_tree([(p.left, p.right) for p in fig_tree.parents])
     assert trees_similar(fig_tree, rebuilt)
     assert rebuilt.parents == fig_tree.parents
 
