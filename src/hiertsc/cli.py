@@ -76,7 +76,7 @@ def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -124,7 +124,8 @@ def _run_cv(args: argparse.Namespace) -> int:
         n_iter=args.iters,
         n_outer=args.outer_folds,
         seed=args.seed,
-        dataset_id=Path(args.data).stem,
+        # the file name's bytes read as UTF-8, like every file hiertsc writes
+        dataset_id=os.fsencode(Path(args.data).stem).decode("utf-8", "surrogateescape"),
     )
     if args.mode == "nested":
         report = nested_cv(n_inner=args.inner_folds, **common)
@@ -172,7 +173,7 @@ def _run_fit(args: argparse.Namespace) -> int:
 
 def _load_model(path: str) -> LcpnModel:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model bundle {path}: {exc}") from None
     return LcpnModel.from_bundle(text)
@@ -223,7 +224,7 @@ def _run_predict(args: argparse.Namespace) -> int:
 
 def _load_report(path: str) -> CvReport:
     try:
-        return CvReport.from_json(Path(path).read_text())
+        return CvReport.from_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ConfigError(f"cannot read CV report {path}: {type(exc).__name__}: {exc}") from None
 

@@ -30,6 +30,7 @@ from .tree import (
     HierarchyTree,
     class_balance_factor,
     datapoint_balance_factor,
+    parse_tree_text,
     tree_to_text,
 )
 from .treegen import (
@@ -82,8 +83,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    shuffled: bool
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -115,7 +114,7 @@ def split_data(
         if rng is not None:
             idx = idx[rng.permutation(idx.size)]
         assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k=k, assignments=assignments, shuffled=shuffle, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def flat_baseline(
@@ -274,8 +273,6 @@ class CvReport:
         the wrong type ValueError naming it.  ``n_inner`` and each fold's
         ``inner_mean_score`` may be null only in a flat report."""
         doc = json.loads(text)
-        from .tree import parse_tree_text
-
         if not isinstance(doc, dict):
             raise TypeError(f"a CV report must be a JSON object, got {type(doc).__name__}")
         scheme = _report_field(doc, "scheme", str)
@@ -291,7 +288,7 @@ class CvReport:
                 name: _report_field(f, name, kind, where, nullable=flat and name == "inner_mean_score")
                 for name, kind in _FOLD_FIELDS.items()
             }
-            record["selected_tree"], _ = parse_tree_text(record["selected_tree"])
+            record["selected_tree"] = parse_tree_text(record["selected_tree"])
             folds.append(FoldRecord(**record))
         return CvReport(
             scheme=scheme,
@@ -556,6 +553,8 @@ def flat_cv(
 # -- the dataset-selection filter ---------------------------------------------
 
 ACCURACY_EXCLUSION_THRESHOLD = 0.995
+#: fold count of the unshuffled split the filter's accuracies are measured on
+FILTER_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -570,12 +569,11 @@ class FilterDecision:
 def filter_datasets(
     entries: Iterable[CatalogEntry],
     specs: tuple[ClassifierSpec, ClassifierSpec],
-    k: int = 5,
 ) -> list[FilterDecision]:
     """Apply the dataset-selection rule to a catalog.
 
     A dataset is kept when it has more than two classes and is not near
-    ceiling: entries whose fixed unshuffled k-fold accuracy exceeds 99.5%
+    ceiling: entries whose fixed unshuffled 5-fold accuracy exceeds 99.5%
     under BOTH configured classifiers are excluded.  Unreadable entries are
     listed with their error, never fatal.
     """
@@ -603,7 +601,7 @@ def filter_datasets(
             )
             continue
         try:
-            plan = split_data(merged, k)
+            plan = split_data(merged, FILTER_FOLDS)
             accuracies = tuple(
                 float(np.mean(flat_baseline(merged, plan, spec, accuracy))) for spec in specs
             )

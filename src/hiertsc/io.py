@@ -1,10 +1,10 @@
 """Dataset ingestion: delimited label-first rows and the '@data' text format.
 
 Original label tokens are kept in a side map; class ids are densified to
-0..|C|-1 by :func:`hiertsc.tree.token_ids`: tokens that parse as numbers
-first, in numeric order (even next to tokens that do not), then those that
-parse as NaN, then the rest in text order.  So {10, 9, a} loads as
-{0: 9, 1: 10, 2: a}.
+0..|C|-1 by :func:`token_ids`, the one map from label tokens to ids: tokens
+that parse as numbers first, in numeric order (even next to tokens that do
+not), then those that parse as NaN, then the rest in text order.  So
+{10, 9, a} loads as {0: 9, 1: 10, 2: a}.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .dataset import DataValidationError, TimeSeriesDataset
-from .tree import token_ids
 
 
 class DatasetFormatError(ValueError):
@@ -36,6 +35,24 @@ class LabelledRows(NamedTuple):
     tokens: list[str]
     values: np.ndarray
     lines: list[int]
+
+
+def token_ids(tokens: Iterable[str]) -> dict[str, int]:
+    """Dense class ids 0..k-1 for the distinct label tokens, in sorted order:
+    tokens that parse as numbers first, by value, then those that parse as
+    NaN, then the rest as text.  So {'10', '9', 'nan', 'a'} gives
+    {'9': 0, '10': 1, 'nan': 2, 'a': 3}, whatever the input order."""
+    return {token: i for i, token in enumerate(sorted(set(tokens), key=_token_sort_key))}
+
+
+def _token_sort_key(token: str):
+    """Numbers by value, then NaN spellings, then the other tokens; ties in
+    text order.  NaN has no place among the numbers, so it gets its own."""
+    try:
+        value = float(token)
+    except ValueError:
+        return (2, 0.0, token)
+    return (1, 0.0, token) if math.isnan(value) else (0, value, token)
 
 
 def _densify(raw_labels: list[str], rows) -> TimeSeriesDataset:
@@ -193,7 +210,7 @@ def save_dataset(data: TimeSeriesDataset, path: str | Path) -> None:
     """Write tab-separated label-first rows; floats keep full precision so a
     reload reproduces values and labels exactly."""
     path = Path(path)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for row, token in zip(data.values, _tokens(data)):
             fh.write("\t".join([token, *[repr(float(v)) for v in row]]) + "\n")
 

@@ -22,7 +22,7 @@ from .classifiers import (
     fit_classifier,
 )
 from .dataset import TimeSeriesDataset
-from .tree import HierarchyTree, build_tree, parse_tree_text, tree_to_text
+from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
 _BUNDLE_VERSION = 2
 _NO_TOKEN_MAP = (
@@ -152,11 +152,7 @@ def _decode_tree(text) -> HierarchyTree:
     if not isinstance(text, str):
         raise ModelFormatError("model bundle 'tree' must be a string")
     try:
-        dense, names = parse_tree_text(text)
-        ids = {i: int(name) for i, name in names.items()}
-        return build_tree(
-            ([ids[c] for c in p.left], [ids[c] for c in p.right]) for p in dense.parents
-        )
+        return parse_tree_text(text)
     except ValueError as exc:
         raise ModelFormatError(f"model bundle tree: {exc}") from None
 

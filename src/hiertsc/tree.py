@@ -1,4 +1,4 @@
-"""Binary class hierarchies: structure, balance metrics, similarity, text forms.
+"""Binary class hierarchies: structure, balance metrics, similarity, text form.
 
 A hierarchy over a label set C is stored as an ordered collection of parent
 nodes, each a disjoint pair of class sets.  The first parent is the root;
@@ -8,9 +8,9 @@ parent, and every class appears as exactly one singleton leaf.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ClassSet = frozenset[int]
 
@@ -220,35 +220,14 @@ def datapoint_balance_factor(tree: HierarchyTree, data) -> float:
 # -- similarity and canonical form ---------------------------------------
 
 
-def _child_order_key(class_set: ClassSet) -> tuple[int, int]:
-    return (min(class_set), len(class_set))
+def canonical_signature(tree: HierarchyTree) -> frozenset[frozenset[ClassSet]]:
+    """The tree's parents as unordered pairs of child sets.
 
-
-def canonical_signature(tree: HierarchyTree) -> bytes:
-    """Byte signature invariant under sibling swaps and within-set order.
-
-    Children at every parent are ordered by (smallest member, set size) and
-    the tree is serialised pre-order; two trees are similar iff their
-    signatures are equal.
+    Each parent hangs off the smallest parent set that holds it, so these
+    pairs fix the tree up to sibling swaps and parent order: two trees are
+    similar iff their signatures are equal.
     """
-    parts: list[str] = []
-
-    def visit(class_set: ClassSet) -> None:
-        node = tree.parents[tree.parent_index_of(class_set)]
-        first, second = sorted((node.left, node.right), key=_child_order_key)
-        parts.append(
-            "{%s|%s}"
-            % (
-                ",".join(map(str, sorted(first))),
-                ",".join(map(str, sorted(second))),
-            )
-        )
-        for side in (first, second):
-            if len(side) > 1:
-                visit(side)
-
-    visit(tree.root_classes)
-    return "".join(parts).encode("ascii")
+    return frozenset(frozenset((p.left, p.right)) for p in tree.parents)
 
 
 def trees_similar(a: HierarchyTree, b: HierarchyTree) -> bool:
@@ -266,124 +245,37 @@ def reflect(tree: HierarchyTree) -> HierarchyTree:
 
 # -- text form -----------------------------------------------------------
 
+_ID = r"(?:0|-?[1-9][0-9]*)"  # a class id spelled str(id)
+_SET = r"\{%s(?:,%s)*\}" % (_ID, _ID)
+_PAIR = r"\{%s,%s\}" % (_SET, _SET)
+_TREE_TEXT = re.compile(r"\{%s(?:,%s)*\}" % (_PAIR, _PAIR))
+_SPACE_BY_MARK = re.compile(r"\s+(?=[{},])|(?<=[{},])\s+")
+_CLASS_SET = re.compile(r"\{([^{}]*)\}")
 
-def tree_to_text(tree: HierarchyTree, id_to_label: Mapping[int, str] | None = None) -> str:
+
+def tree_to_text(tree: HierarchyTree) -> str:
     """Nested-set text form, e.g. ``{{{0},{1,2}},{{1},{2}}}``.
 
     Set members are emitted sorted by class id; parents keep their stored
     order (root first).
     """
 
-    def token(c: int) -> str:
-        return id_to_label[c] if id_to_label is not None else str(c)
-
     def fmt_set(s: ClassSet) -> str:
-        return "{%s}" % ",".join(token(c) for c in sorted(s))
+        return "{%s}" % ",".join(map(str, sorted(s)))
 
     body = ",".join("{%s,%s}" % (fmt_set(p.left), fmt_set(p.right)) for p in tree.parents)
     return "{%s}" % body
 
 
-def parse_tree_text(text: str) -> tuple[HierarchyTree, dict[int, str]]:
-    """Parse the nested-set text form.
+def parse_tree_text(text: str) -> HierarchyTree:
+    """The tree of a :func:`tree_to_text` text, over the class ids it names.
 
-    Returns the tree over dense integer ids plus the id -> original-token
-    map, with ids assigned by :func:`token_ids`.  Whitespace between tokens
-    and braces is ignored.
+    Each member must be a class id spelled ``str(id)``; whitespace next to a
+    brace or a comma is ignored.  Raises TreeStructureError otherwise, or
+    when the pairs do not form a tree.
     """
-    tokens = _lex(text)
-    pairs_raw, pos = _parse_outer(tokens, 0)
-    if pos != len(tokens):
-        raise TreeStructureError(f"trailing content after tree text: {tokens[pos:]}")
-    to_id = token_ids(t for pair in pairs_raw for side in pair for t in side)
-    pairs = [
-        (frozenset(to_id[t] for t in left), frozenset(to_id[t] for t in right))
-        for left, right in pairs_raw
-    ]
-    return build_tree(pairs), {i: name for name, i in to_id.items()}
-
-
-def token_ids(tokens: Iterable[str]) -> dict[str, int]:
-    """Dense class ids 0..k-1 for the distinct label tokens, in sorted order:
-    tokens that parse as numbers first, by value, then those that parse as
-    NaN, then the rest as text.  So {'10', '9', 'nan', 'a'} gives
-    {'9': 0, '10': 1, 'nan': 2, 'a': 3}, whatever the input order."""
-    return {token: i for i, token in enumerate(sorted(set(tokens), key=_token_sort_key))}
-
-
-def _token_sort_key(token: str):
-    """Numbers by value, then NaN spellings, then the other tokens; ties in
-    text order.  NaN has no place among the numbers, so it gets its own."""
-    try:
-        value = float(token)
-    except ValueError:
-        return (2, 0.0, token)
-    return (1, 0.0, token) if math.isnan(value) else (0, value, token)
-
-
-def _lex(text: str) -> list[str]:
-    out: list[str] = []
-    word = []
-    for ch in text:
-        if ch in "{},":
-            if word:
-                out.append("".join(word).strip())
-                word = []
-            out.append(ch)
-        elif ch.isspace():
-            if word:
-                out.append("".join(word).strip())
-                word = []
-        else:
-            word.append(ch)
-    if word:
-        out.append("".join(word).strip())
-    return out
-
-
-def _expect(tokens: list[str], pos: int, want: str) -> int:
-    if pos >= len(tokens) or tokens[pos] != want:
-        got = tokens[pos] if pos < len(tokens) else "<end>"
-        raise TreeStructureError(f"expected '{want}' at token {pos}, got '{got}'")
-    return pos + 1
-
-
-def _parse_set(tokens: list[str], pos: int) -> tuple[tuple[str, ...], int]:
-    pos = _expect(tokens, pos, "{")
-    members: list[str] = []
-    while True:
-        if pos >= len(tokens):
-            raise TreeStructureError("unterminated class set")
-        if tokens[pos] == "}":
-            return tuple(members), pos + 1
-        if tokens[pos] == ",":
-            pos += 1
-            continue
-        if tokens[pos] == "{":
-            raise TreeStructureError("unexpected nested set inside a class set")
-        members.append(tokens[pos])
-        pos += 1
-
-
-def _parse_pair(tokens: list[str], pos: int):
-    pos = _expect(tokens, pos, "{")
-    left, pos = _parse_set(tokens, pos)
-    pos = _expect(tokens, pos, ",")
-    right, pos = _parse_set(tokens, pos)
-    pos = _expect(tokens, pos, "}")
-    return (left, right), pos
-
-
-def _parse_outer(tokens: list[str], pos: int):
-    pos = _expect(tokens, pos, "{")
-    pairs = []
-    while True:
-        if pos >= len(tokens):
-            raise TreeStructureError("unterminated tree text")
-        if tokens[pos] == "}":
-            return pairs, pos + 1
-        if tokens[pos] == ",":
-            pos += 1
-            continue
-        pair, pos = _parse_pair(tokens, pos)
-        pairs.append(pair)
+    compact = _SPACE_BY_MARK.sub("", text)
+    if not _TREE_TEXT.fullmatch(compact):
+        raise TreeStructureError(f"not a tree text over class ids: {text[:80]!r}")
+    sets = [[int(c) for c in members.split(",")] for members in _CLASS_SET.findall(compact)]
+    return build_tree(zip(sets[::2], sets[1::2]))

@@ -161,10 +161,12 @@ class CheckResult(enum.Enum):
 
 @dataclass
 class TreeSearchState:
-    """Mutable record of the distinct trees met during candidate generation."""
+    """Mutable record of the distinct trees met during candidate generation:
+    `seen` holds the :func:`canonical_signature` of each, so similar trees
+    count once."""
 
     limit: int
-    seen: set[bytes] = field(default_factory=set)
+    seen: set[frozenset] = field(default_factory=set)
 
     @property
     def distinct_count(self) -> int:

@@ -215,6 +215,12 @@ def _with_label_key(key):
     return json.dumps(doc)
 
 
+def _with_tree(edit):
+    doc = json.loads(_linear_bundle())
+    doc["tree"] = edit(doc["tree"])
+    return json.dumps(doc)
+
+
 def _nodes(keep):
     doc = json.loads(_linear_bundle())
     doc["nodes"] = keep(doc["nodes"])
@@ -234,6 +240,7 @@ def _nodes(keep):
         (lambda: _with_label_key("01"), "'label_names' key '01' is not a class id"),
         (lambda: _with_label_key("+1"), r"'label_names' key '\+1' is not a class id"),
         (lambda: _with_label_key("0_3"), "'label_names' key '0_3' is not a class id"),
+        (lambda: _with_tree(lambda text: text.replace("1", "01")), "tree: not a tree text over class ids"),
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),

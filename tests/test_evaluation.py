@@ -18,6 +18,7 @@ from hiertsc import (
     split_data,
 )
 from hiertsc.cli import main
+from hiertsc.dataset import collinear_superclusters
 from hiertsc.evaluation import (
     FoldFeasibilityError,
     _candidate_trees,
@@ -301,6 +302,17 @@ def test_report_json_round_trip():
         data, ClassifierSpec(kind="linear"), "potr", n_iter=2, seed=0, dataset_id="rt"
     )
     again = CvReport.from_json(report.to_json())
+    assert again.to_json() == report.to_json()
+
+
+def test_report_json_round_trip_keeps_sparse_class_ids():
+    dense = collinear_superclusters(n_per_class=6, series_length=16, noise=1.5)
+    sparse = np.array([-5, 3, 7, 10**9])
+    data = TimeSeriesDataset(dense.values, sparse[dense.labels])
+    report = nested_cv(data, ClassifierSpec(kind="linear"), "srtr", n_iter=2, n_outer=3, n_inner=3)
+    again = CvReport.from_json(report.to_json())
+    assert [f.selected_tree for f in again.folds] == [f.selected_tree for f in report.folds]
+    assert again.folds[0].selected_tree.root_classes == frozenset(sparse.tolist())
     assert again.to_json() == report.to_json()
 
 

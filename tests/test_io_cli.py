@@ -1,13 +1,18 @@
 """Dataset ingestion, the selection filter, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hiertsc import ClassifierSpec, filter_datasets, load_dataset, save_dataset
+import hiertsc
+from hiertsc import ClassifierSpec, TimeSeriesDataset, filter_datasets, load_dataset, save_dataset
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
 from hiertsc.io import (
@@ -514,6 +519,11 @@ def _edited(field, value):
             id="nested-inner_mean_score-null",
         ),
         pytest.param(
+            _edited("folds[0].selected_tree", "{{{a},{b}}}"),
+            "TreeStructureError: not a tree text over class ids",
+            id="selected_tree-tokens",
+        ),
+        pytest.param(
             _edited("dataset_id", 3),
             "ValueError: report field 'dataset_id' must be a string, got 3",
             id="dataset_id-int",
@@ -530,6 +540,43 @@ def test_cli_analyze_rejects_an_unreadable_report(tmp_path, capsys, nested_repor
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(f"cannot read CV report {report}: {cause}")
+
+
+def test_cli_writes_utf8_under_a_non_utf8_locale(tmp_path):
+    """Every text artifact is UTF-8, the encoding every reader uses, whatever
+    the locale's preferred encoding is."""
+    data = collinear_superclusters(n_per_class=8, series_length=16, seed=0)
+    names = {0: "é", 1: "猫", 2: "b", 3: "c"}
+    path = tmp_path / "Café.tsv"
+    save_dataset(TimeSeriesDataset(data.values, data.labels, names), path)
+    assert "猫" in path.read_bytes().decode("utf-8")
+    env = {
+        **os.environ,
+        "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        "PYTHONPATH": str(Path(hiertsc.__file__).parents[1]),
+    }
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+        )
+
+    probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert probe.stdout.strip().lower().replace("-", "") != "utf8"
+    for argv in [
+        ["cv", "--data", str(path), "--iters", "1", "--out", str(tmp_path / "cv")],
+        ["fit", "--data", str(path), "--iters", "1", "--out", str(tmp_path / "fit")],
+        ["predict", "--model", str(tmp_path / "fit" / "model.json"), "--data", str(path),
+         "--out", str(tmp_path / "p")],
+    ]:
+        done = run("-m", "hiertsc", *argv)
+        assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "cv" / "report.json").read_bytes().decode("utf-8"))["dataset_id"] == "Café"
+    assert (tmp_path / "cv" / "folds.csv").read_bytes().decode("utf-8").splitlines()[1].startswith("Café,")
+    model = json.loads((tmp_path / "fit" / "model.json").read_bytes().decode("utf-8"))
+    assert sorted(model["label_names"].values()) == sorted(names.values())
+    predicted = (tmp_path / "p" / "predictions.csv").read_bytes().decode("utf-8")
+    assert {"é", "猫"} <= {row.split(",")[2] for row in predicted.splitlines()[1:]}
 
 
 def test_cli_env_var_data_dir(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,8 @@ from hiertsc import (
     trees_similar,
 )
 import hiertsc
-from hiertsc.tree import LabelSpaceMismatchError, token_ids
+from hiertsc.io import token_ids
+from hiertsc.tree import LabelSpaceMismatchError
 
 from conftest import random_tree
 
@@ -214,35 +215,45 @@ def test_rebuild_from_parent_pairs_is_identity(fig_tree):
 
 
 def test_parse_worked_example_text(fig_tree):
-    text = "{{{c1,c4},{c0,c2,c3}},{{c3},{c2,c0}},{{c1},{c4}},{{c2},{c0}}}"
-    tree, names = parse_tree_text(text)
-    assert names == {0: "c0", 1: "c1", 2: "c2", 3: "c3", 4: "c4"}
+    text = "{{{1,4},{0,2,3}},{{3},{2,0}},{{1},{4}},{{2},{0}}}"
+    tree = parse_tree_text(text)
+    assert tree.root_classes == frozenset(range(5))
     assert trees_similar(tree, fig_tree)
     # emission normalises member order; a second round trip is stable
-    emitted = tree_to_text(tree, names)
-    tree2, names2 = parse_tree_text(emitted)
-    assert tree_to_text(tree2, names2) == emitted
+    emitted = tree_to_text(tree)
+    tree2 = parse_tree_text(emitted)
+    assert tree_to_text(tree2) == emitted
     assert trees_similar(tree, tree2)
 
 
 def test_parse_tolerates_whitespace():
-    tree, _ = parse_tree_text(" { { {a} , {b} } } ")
+    tree = parse_tree_text(" { { {0} , {1} } } ")
     assert len(tree.parents) == 1
 
 
 def test_parse_errors():
-    with pytest.raises(TreeStructureError):
-        parse_tree_text("{{{a},{b}}")  # unbalanced
-    with pytest.raises(TreeStructureError):
-        parse_tree_text("{{{a},{b}}} trailing")
+    for text in [
+        "{{{0},{1}}",  # unbalanced
+        "{{{0},{1}}} trailing",
+        "{{{01},{1}}}",  # every member is a class id spelled str(id)
+        "{{{+1},{0}}}",
+        "{{{-0},{1}}}",
+        "{{{a},{b}}}",
+        "{{{1 2},{0}}}",
+        "{{{0},{1}},}",  # stray commas
+        "{{{0,},{1}}}",
+        "",
+    ]:
+        with pytest.raises(TreeStructureError):
+            parse_tree_text(text)
 
 
 def test_text_round_trip_random_trees(rng):
+    ids = [-(2**63), -7, -1, 0, 3, 10**9, 2**63 - 1]
     for _ in range(20):
-        n = int(rng.integers(2, 9))
-        tree = random_tree(range(n), rng)
-        parsed, _ = parse_tree_text(tree_to_text(tree))
-        assert trees_similar(tree, parsed)
+        n = int(rng.integers(2, len(ids) + 1))
+        tree = random_tree(rng.choice(ids, size=n, replace=False).tolist(), rng)
+        assert parse_tree_text(tree_to_text(tree)) == tree
 
 
 def test_leaf_depths_chain():
@@ -264,7 +275,7 @@ def test_token_ids_put_nan_after_the_numbers_and_break_ties_by_text():
 def test_token_ids_give_one_map_under_every_hash_seed():
     """Set order depends on PYTHONHASHSEED; the ids of a file's labels must not."""
     code = (
-        "import json; from hiertsc.tree import token_ids; "
+        "import json; from hiertsc.io import token_ids; "
         "print(json.dumps(token_ids(['nan', '1', '2', '0.5', 'inf', '-inf'])))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(hiertsc.__file__).parents[1])}
