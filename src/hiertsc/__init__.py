@@ -24,7 +24,6 @@ from .classifiers import (
     ModelFormatError,
     TrainedClassifier,
     fit_classifier,
-    register_classifier_kind,
 )
 from .dataset import DataValidationError, TimeSeriesDataset, collinear_superclusters
 from .evaluation import (
@@ -127,7 +126,6 @@ __all__ = [
     "pick_one_then_regroup",
     "predict_lcpn",
     "reflect",
-    "register_classifier_kind",
     "save_dataset",
     "scan_catalog",
     "score_bipartition",

@@ -1,6 +1,6 @@
 """Base classifiers used at split evaluation and at hierarchy nodes.
 
-Two kinds are built in:
+Two kinds, the :data:`KINDS`:
 
 ``linear``
     L2-regularised least squares on the raw series, one-vs-rest with +/-1
@@ -27,8 +27,6 @@ parts:
   right-hand side per class (:meth:`PreparedRows.class_solutions`), and sums
   those solutions for each bipartition: its scores equal a fresh fit's, and
   its decision values agree with that fit's to rounding.
-
-New kinds can be plugged in through :func:`register_classifier_kind`.
 """
 
 from __future__ import annotations
@@ -37,13 +35,16 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .dataset import Labelled, TimeSeriesDataset
 
 _KERNEL_LENGTHS = (7, 9, 11)
+
+#: The classifier kinds a :class:`ClassifierSpec` may name.
+KINDS = ("linear", "kernel-ridge")
 
 
 class TrainingDataError(ValueError):
@@ -105,7 +106,7 @@ def _array_or_none(array: np.ndarray | None):
 class ClassifierSpec:
     """Configuration of a base classifier.
 
-    kind is ``linear`` or ``kernel-ridge`` (or a registered custom kind);
+    kind is one of :data:`KINDS`, ``linear`` or ``kernel-ridge``;
     num_kernels and seed only matter for the kernel transform.
     """
 
@@ -115,6 +116,8 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown classifier kind {self.kind!r} (choose from {', '.join(KINDS)})")
         if self.num_kernels < 1:
             raise ValueError("num_kernels must be >= 1")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
@@ -545,14 +548,8 @@ class PreparedRows:
         self.gram = _regularised_gram(self.centred, spec.ridge_lambda)
 
     @staticmethod
-    def of(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> "PreparedRows | None":
-        """The rows of `data` (a dataset becomes a new run) prepared for a
-        built-in `spec`; None for a registered custom kind, which fits only
-        through :func:`fit_classifier`."""
-        if spec.kind in _FITTERS:
-            return None
-        if spec.kind not in _BUILT_IN_KINDS:
-            raise ValueError(f"unknown classifier kind '{spec.kind}'")
+    def of(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> "PreparedRows":
+        """The rows of `data` (a dataset becomes a new run) prepared for `spec`."""
         rows = Run.rows_of(data, spec)
         return PreparedRows(spec, rows.feats, rows.run.bank, rows.series_length)
 
@@ -688,40 +685,19 @@ class Rows(Labelled):
         keep = mark >= 0
         return Rows(self.run, self.idx[keep], mark[keep]), empty
 
-    def predict(self, model) -> np.ndarray:
+    def predict(self, model: TrainedClassifier) -> np.ndarray:
         """``model.predict(self.values)``, from the run's features when
         `model` was fit on them."""
-        if isinstance(model, TrainedClassifier) and model.kernels is self.run.bank:
+        if model.kernels is self.run.bank:
             return model.predict_features(self.feats)
         return model.predict(self.values)
-
-
-_BUILT_IN_KINDS = ("linear", "kernel-ridge")
-
-_FITTERS: dict[str, Callable[[ClassifierSpec, TimeSeriesDataset], TrainedClassifier]] = {}
-
-
-def register_classifier_kind(
-    kind: str, fitter: Callable[[ClassifierSpec, TimeSeriesDataset], TrainedClassifier]
-) -> None:
-    """Install a custom classifier kind (used by tests to inject stubs).
-
-    A custom fitter gets a :class:`TimeSeriesDataset` of the rows, not the
-    run's features.
-    """
-    _FITTERS[kind] = fitter
 
 
 def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> TrainedClassifier:
     """Fit the classifier described by `spec`; deterministic for fixed inputs.
 
-    `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run.
-    Built-in kinds take the raw features of the rows from their run; a
-    dataset becomes a new run.  Custom kinds get a dataset.
+    `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
+    takes the raw features of the rows from their run, and a dataset becomes
+    a new run.
     """
-    prepared = PreparedRows.of(spec, data)
-    if prepared is not None:
-        return prepared.fit(data.labels)
-    if isinstance(data, Rows):
-        data = TimeSeriesDataset(data.values, data.labels)
-    return _FITTERS[spec.kind](spec, data)
+    return PreparedRows.of(spec, data).fit(data.labels)

@@ -23,7 +23,7 @@ from .analysis import (
     cost_bounds,
     extract_features,
 )
-from .classifiers import ClassifierSpec, ModelFormatError, Run, TrainingDataError
+from .classifiers import KINDS, ClassifierSpec, ModelFormatError, Run, TrainingDataError
 from .dataset import DataValidationError
 from .evaluation import (
     CSV_COLUMNS,
@@ -425,7 +425,7 @@ def _run_filter(args: argparse.Namespace) -> int:
 
 
 def _add_classifier_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classifier", choices=["linear", "kernel-ridge"], default="linear")
+    p.add_argument("--classifier", choices=KINDS, default="linear")
     p.add_argument("--kernels", type=int, default=512)
     p.add_argument("--ridge-lambda", type=float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)

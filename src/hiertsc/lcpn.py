@@ -60,13 +60,14 @@ class LcpnModel:
     """A hierarchy plus one binary classifier per parent node.
 
     Node model group 0 is the parent's left side, group 1 the right side.
-    Every node of a fitted or loaded ``kernel-ridge`` model holds the same
-    :class:`KernelBank` object, so :func:`predict_lcpn` transforms each row
-    once, and the bundle stores that bank once.  `label_names` maps each of
-    the tree's class ids to a distinct label token: the tokens of the data
-    the model was fit on, or ``str(id)`` when none are given.  Raises
-    ValueError when a given map does not name every class of the tree once
-    with a string.
+    The nodes are :class:`TrainedClassifier` objects with class ids (0, 1)
+    and one spec, series length and kernel bank (none for ``linear``, one
+    for ``kernel-ridge``), so :func:`predict_lcpn` featurises each row once
+    and the bundle stores that bank once.  `label_names` maps each of the
+    tree's class ids to a distinct label token: the tokens of the data the
+    model was fit on, or ``str(id)`` when none are given.  Raises ValueError
+    when the nodes break these rules or a given map does not name every
+    class of the tree once with a string.
     """
 
     tree: HierarchyTree
@@ -74,6 +75,22 @@ class LcpnModel:
     label_names: Mapping[int, str] | None = None
 
     def __post_init__(self) -> None:
+        nodes = self.node_models
+        if len(nodes) != len(self.tree.parents):
+            raise ValueError(f"has {len(nodes)} node models for {len(self.tree.parents)} parent nodes")
+        first = nodes[0]
+        for i, m in enumerate(nodes):
+            if not (
+                isinstance(m, TrainedClassifier)
+                and m.spec == first.spec
+                and m.series_length == first.series_length
+                and (m.kernels is first.kernels or m.kernels == first.kernels)
+            ):
+                raise ValueError("node models must be classifiers of one spec, series length and kernel bank")
+            if m.class_ids != (0, 1):
+                raise ValueError(f"node model {i} has class ids {list(m.class_ids)}, not [0, 1]")
+        if (first.kernels is None) != (first.spec.kind == "linear"):
+            raise ValueError("linear node models have no kernel bank, kernel-ridge ones have one")
         classes = sorted(self.tree.root_classes)
         names = {c: str(c) for c in classes} if self.label_names is None else dict(self.label_names)
         if names.keys() != self.tree.root_classes:
@@ -90,30 +107,20 @@ class LcpnModel:
 
     def to_bundle(self) -> str:
         """The model as one version 2 JSON document: the tree text, the spec,
-        the series length and the id -> token map once, each distinct kernel
-        bank once under ``banks``, and per node its arrays and the index of
-        its bank (or null).  Raises ValueError unless the nodes are
-        :class:`TrainedClassifier` objects of one spec and series length."""
+        the series length and the id -> token map once, the kernel bank (if
+        any) once under ``banks``, and per node its arrays and the index of
+        that bank (or null)."""
         first = self.node_models[0]
-        if not all(
-            isinstance(m, TrainedClassifier)
-            and m.spec == first.spec
-            and m.series_length == first.series_length
-            for m in self.node_models
-        ):
-            raise ValueError("a bundle holds node models of one spec and series length")
-        banks: dict[KernelBank, int] = {}
-        nodes = [
-            {**m.to_node_doc(), "bank": None if m.kernels is None else banks.setdefault(m.kernels, len(banks))}
-            for m in self.node_models
-        ]
+        banks = [] if first.kernels is None else [first.kernels.to_dict()]
+        bank = None if first.kernels is None else 0
+        nodes = [{**m.to_node_doc(), "bank": bank} for m in self.node_models]
         doc = {
             "version": _BUNDLE_VERSION,
             "tree": tree_to_text(self.tree),
             "spec": first.spec.to_dict(),
             "series_length": first.series_length,
             "label_names": {str(c): t for c, t in self.label_names.items()},
-            "banks": [bank.to_dict() for bank in banks],
+            "banks": banks,
             "nodes": nodes,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -123,7 +130,7 @@ class LcpnModel:
         """The model of a version 2 bundle.  Nodes that name one bank get one
         :class:`KernelBank` object.  Raises ModelFormatError when `blob` is
         not such a bundle, has no token map (a version 1 bundle, or a null
-        map), or its nodes do not match its tree's parents."""
+        map), or its nodes break a rule of :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
@@ -134,13 +141,6 @@ class LcpnModel:
             raise ModelFormatError(_NO_TOKEN_MAP)
         names = _decode_label_names(names)
         tree, nodes = _decode_v2(doc)
-        if len(nodes) != len(tree.parents):
-            raise ModelFormatError(
-                f"model bundle has {len(nodes)} node models for {len(tree.parents)} parent nodes"
-            )
-        for i, node in enumerate(nodes):
-            if node.class_ids != (0, 1):
-                raise ModelFormatError(f"node model {i} has class ids {list(node.class_ids)}, not [0, 1]")
         try:
             return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
         except ValueError as exc:
@@ -172,13 +172,16 @@ def _decode_v2(doc):
     banks = [KernelBank.decode(bank) for bank in _list_field(doc, "banks")]
     if any(bank.series_length != series_length for bank in banks):
         raise ModelFormatError(f"{what} has a kernel bank for another series length")
-    nodes = []
+    nodes, named = [], set()
     for node in _list_field(doc, "nodes"):
         index = _field(node, "bank", "node model")
         if index is not None and not (_is_int(index) and 0 <= index < len(banks)):
             raise ModelFormatError(f"node model 'bank' must be null or an index into {len(banks)} banks")
+        named.add(index)
         kernels = None if index is None else banks[index]
         nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels))
+    if len(named - {None}) != len(banks):
+        raise ModelFormatError(f"{what} lists a kernel bank that no node names")
     return tree, nodes
 
 
@@ -243,18 +246,10 @@ def fit_lcpn(
     return LcpnModel(tree=tree, node_models=tuple(model for model, _ in fitted), label_names=names)
 
 
-def _shared_features(
-    model: LcpnModel, values: np.ndarray, rows: Rows | None
-) -> np.ndarray | None:
-    """Raw features of every row when all node models share one
-    featurisation (one bank object, or none); None otherwise.  Taken from
+def _shared_features(model: LcpnModel, values: np.ndarray, rows: Rows | None) -> np.ndarray:
+    """Raw features of every row, which all node models share: taken from
     the run of `rows` when the model was fit on it."""
-    nodes = model.node_models
-    if not all(isinstance(m, TrainedClassifier) for m in nodes):
-        return None
-    bank = nodes[0].kernels
-    if any(m.kernels is not bank for m in nodes):
-        return None
+    bank = model.node_models[0].kernels
     if bank is None:
         return values
     if rows is not None and rows.run.bank is bank:
@@ -267,10 +262,10 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
     every prediction is a leaf class of the hierarchy.  `values` is an
-    (n, M) array or :class:`Rows` of a run.  When the node models share one
-    bank, each row is featurised once per call (taken from the run when the
-    model was fit on it) and each node scores its rows from those features;
-    served rows are not kept after the call.
+    (n, M) array or :class:`Rows` of a run.  Each row is featurised once per
+    call (taken from the run when the model was fit on it) and each node
+    scores its rows from those features; served rows are not kept after the
+    call.
     """
     rows_in = values if isinstance(values, Rows) else None
     values = np.asarray(values if rows_in is None else rows_in.values, dtype=np.float64)
@@ -289,11 +284,7 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
         if rows.size == 0:
             continue
         parent = tree.parents[node_idx]
-        node = model.node_models[node_idx]
-        if feats is None:
-            decisions = node.predict(values[rows])
-        else:
-            decisions = node.predict_features(feats[rows])
+        decisions = model.node_models[node_idx].predict_features(feats[rows])
         for side, group in (
             (parent.left, rows[decisions == 0]),
             (parent.right, rows[decisions == 1]),

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, PreparedRows, Rows, Run, fit_classifier
+from .classifiers import ClassifierSpec, PreparedRows, Rows, Run
 from .dataset import TimeSeriesDataset
 from .metrics import f1_macro
 from .tree import ClassSet, bipartitions
@@ -68,15 +68,12 @@ class SplitContext:
     def score(self, c0: Iterable[int], c1: Iterable[int]) -> float:
         return score_bipartition(self, c0, c1)
 
-    def _basis(self, classes: frozenset[int], train: Rows, val: Rows) -> _ClassBasis | None:
+    def _basis(self, classes: frozenset[int], train: Rows, val: Rows) -> _ClassBasis:
         """The basis of `classes` for its `train` and `val` rows; built when
-        another class set was scored last, which frees that one first.  None
-        for a custom kind."""
+        another class set was scored last, which frees that one first."""
         if self._live is None or self._live.classes != classes:
             self._live = None
             prepared = PreparedRows.of(self.spec, train)
-            if prepared is None:
-                return None
             run = train.run
             codes = [run.code_of[c] for c in sorted(classes) if c in run.code_of]
             local = np.searchsorted(codes, run.codes[train.idx])
@@ -147,9 +144,9 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
     the base classifier is fit on the training part only.  Symmetric in
     (c0, c1) by macro averaging.
 
-    A built-in classifier is not fit per bipartition: the context solves
-    once for the class set, and :meth:`_ClassBasis.decisions` sums those
-    solutions into this bipartition's decision values.
+    The classifier is not fit per bipartition: the context solves once for
+    the class set, and :meth:`_ClassBasis.decisions` sums those solutions
+    into this bipartition's decision values.
     """
     c0 = frozenset(int(c) for c in c0)
     c1 = frozenset(int(c) for c in c1)
@@ -164,8 +161,6 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
             group = sorted((c0, c1)[empty])
             raise ScoringError(f"group {group} has no instances in the {part} part")
     basis = ctx._basis(c0 | c1, train, val)
-    if basis is None:
-        return f1_macro(val.labels, val.predict(fit_classifier(ctx.spec, train)))
     return f1_macro(val.labels, predicted_groups(basis.decisions(c0)))
 
 

@@ -245,7 +245,7 @@ def reflect(tree: HierarchyTree) -> HierarchyTree:
 
 # -- text form -----------------------------------------------------------
 
-_ID = r"(?:0|-?[1-9][0-9]*)"  # a class id spelled str(id)
+_ID = r"(?:0|-?[1-9][0-9]{0,18})"  # an int64 class id spelled str(id)
 _SET = r"\{%s(?:,%s)*\}" % (_ID, _ID)
 _PAIR = r"\{%s,%s\}" % (_SET, _SET)
 _TREE_TEXT = re.compile(r"\{%s(?:,%s)*\}" % (_PAIR, _PAIR))
@@ -270,12 +270,15 @@ def tree_to_text(tree: HierarchyTree) -> str:
 def parse_tree_text(text: str) -> HierarchyTree:
     """The tree of a :func:`tree_to_text` text, over the class ids it names.
 
-    Each member must be a class id spelled ``str(id)``; whitespace next to a
-    brace or a comma is ignored.  Raises TreeStructureError otherwise, or
-    when the pairs do not form a tree.
+    Each member must be a class id of at most 19 digits spelled ``str(id)``,
+    named once in its set; whitespace next to a brace or a comma is ignored.
+    Raises TreeStructureError otherwise, or when the pairs do not form a
+    tree.
     """
     compact = _SPACE_BY_MARK.sub("", text)
     if not _TREE_TEXT.fullmatch(compact):
         raise TreeStructureError(f"not a tree text over class ids: {text[:80]!r}")
     sets = [[int(c) for c in members.split(",")] for members in _CLASS_SET.findall(compact)]
+    if any(len(set(members)) != len(members) for members in sets):
+        raise TreeStructureError(f"a class id repeats within one set: {text[:80]!r}")
     return build_tree(zip(sets[::2], sets[1::2]))

@@ -1,4 +1,5 @@
-"""Shared test doubles: stub split contexts, scorers, and stub classifiers."""
+"""Shared test doubles and data: stub split contexts, scorers, random trees,
+and small datasets with known structure."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from hiertsc import TimeSeriesDataset, build_tree, register_classifier_kind
+from hiertsc import TimeSeriesDataset, build_tree
 
 
 class StubContext:
@@ -84,62 +85,6 @@ def random_tree(labels, rng):
     return build_tree(split(labels))
 
 
-class _PeekModel:
-    """Perfect-memorisation stub: 1-nearest-neighbour on the first time point.
-
-    Stays perfect under any meta-group relabelling because it matches rows by
-    their encoded first value and returns that row's training label.
-    """
-
-    def __init__(self, first_points, labels, series_length):
-        self._first = np.asarray(first_points, dtype=np.float64)
-        self._labels = np.asarray(labels, dtype=np.int64)
-        self.class_ids = tuple(int(c) for c in np.unique(self._labels))
-        self.series_length = series_length
-
-    def predict(self, values):
-        values = np.asarray(values)
-        nearest = np.argmin(np.abs(values[:, :1] - self._first[None, :]), axis=1)
-        return self._labels[nearest]
-
-
-class _GroupPeekModel:
-    """Binary stub for relabelled group data: 1 iff the encoded class is in
-    the group-1 class set."""
-
-    def __init__(self, group1_classes, series_length):
-        self.class_ids = (0, 1)
-        self.series_length = series_length
-        self._group1 = frozenset(group1_classes)
-
-    def predict(self, values):
-        values = np.asarray(values)
-        raw = np.rint(values[:, 0]).astype(np.int64)
-        return np.asarray([1 if r in self._group1 else 0 for r in raw], dtype=np.int64)
-
-
-class _ConstModel:
-    def __init__(self, label, series_length):
-        self.class_ids = (int(label),)
-        self.series_length = series_length
-        self._label = int(label)
-
-    def predict(self, values):
-        return np.full(np.asarray(values).shape[0], self._label, dtype=np.int64)
-
-
-def _fit_peek(spec, data):
-    return _PeekModel(data.values[:, 0], data.labels, data.series_length)
-
-
-def _fit_const0(spec, data):
-    return _ConstModel(int(np.min(np.unique(data.labels))), data.series_length)
-
-
-register_classifier_kind("test-peek", _fit_peek)
-register_classifier_kind("test-const-min", _fit_const0)
-
-
 def classifier_state(model):
     """What a bundle stores of a fitted classifier, for comparing two: the
     node arrays as JSON text (a float's repr keeps its bits), the spec, the
@@ -148,7 +93,8 @@ def classifier_state(model):
 
 
 def peek_dataset(labels, series_length=6):
-    """Dataset whose first time point encodes the class id (for peek stubs)."""
+    """Dataset whose first time point is the class id; the second varies
+    within a class, so rows rarely repeat."""
     labels = np.asarray(labels, dtype=np.int64)
     values = np.zeros((labels.size, series_length))
     values[:, 0] = labels

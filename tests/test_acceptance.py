@@ -41,6 +41,7 @@ from hiertsc.treegen import double_factorial_trees
 from conftest import (
     StubContext,
     hash_scorer,
+    orthogonal_dataset,
     peek_dataset,
     random_tree,
     separable_dataset,
@@ -237,8 +238,8 @@ def test_criterion_7_cv_protocol():
     for nested_fold, flat_fold in zip(first.folds, flat.folds):
         assert flat_fold.outer_test_score >= nested_fold.outer_test_score - 1e-12
 
-    three = peek_dataset(np.repeat(np.arange(3), 20))
-    capped = nested_cv(three, ClassifierSpec(kind="test-peek"), "srtr", n_iter=50, seed=0)
+    three = orthogonal_dataset(n_per_class=20, n_classes=3)
+    capped = nested_cv(three, spec, "srtr", n_iter=50, seed=0)
     for fold in capped.folds:
         assert fold.distinct_trees <= 3
     _report(

@@ -227,6 +227,30 @@ def _nodes(keep):
     return json.dumps(doc)
 
 
+def _kind(bundle, kind):
+    """`bundle` with its spec naming `kind`: a kernel-ridge bundle's nodes
+    then name a bank under a linear spec, a linear one's have none."""
+    doc = json.loads(bundle)
+    doc["spec"]["kind"] = kind
+    return json.dumps(doc)
+
+
+def _unnamed_bank():
+    """A linear bundle that lists a kernel bank no node names."""
+    doc = json.loads(_linear_bundle())
+    doc["banks"] = [{**json.loads(_small_kernel_bundle())["banks"][0], "series_length": doc["series_length"]}]
+    return json.dumps(doc)
+
+
+def _second_bank():
+    """A kernel-ridge bundle whose last node names a second, different bank."""
+    doc = json.loads(_small_kernel_bundle())
+    bank = doc["banks"][0]
+    doc["banks"].append({**bank, "biases": [b / 2 for b in bank["biases"]]})
+    doc["nodes"][-1]["bank"] = 1
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -247,6 +271,11 @@ def _nodes(keep):
         (lambda: _nodes(lambda nodes: [{**n, "weights": n["weights"][:1]} for n in nodes]), "shape"),
         (lambda: _nodes(lambda nodes: [{**n, "class_ids": [0, 2]} for n in nodes]), r"class ids \[0, 2\], not \[0, 1\]"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":Infinity'), "finite and positive"),
+        (lambda: _kind(_linear_bundle(), "no-such-kind"), "unknown classifier kind 'no-such-kind'"),
+        (lambda: _kind(_small_kernel_bundle(), "linear"), "linear node models have no kernel bank"),
+        (lambda: _kind(_linear_bundle(), "kernel-ridge"), "kernel-ridge ones have one"),
+        (_second_bank, "one spec, series length and kernel bank"),
+        (_unnamed_bank, "lists a kernel bank that no node names"),
     ],
 )
 def test_malformed_bundles_raise_model_format_error(text, message):

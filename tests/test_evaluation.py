@@ -29,7 +29,7 @@ from hiertsc.io import load_dataset, save_dataset
 from hiertsc.splitting import resolve_splitter
 from hiertsc.tree import tree_to_text
 
-from conftest import peek_dataset, separable_dataset
+from conftest import orthogonal_dataset, peek_dataset, separable_dataset
 
 
 # -- macro F1 -------------------------------------------------------------------
@@ -169,16 +169,17 @@ def test_infeasible_fold_names_class():
 
 
 def test_flat_baseline_memorizing_stub_is_perfect():
-    data = peek_dataset([0, 1, 2] * 10)
+    data = orthogonal_dataset(n_per_class=10, n_classes=3)
     plan = split_data(data, 5)
-    scores = flat_baseline(data, plan, ClassifierSpec(kind="test-peek"))
+    scores = flat_baseline(data, plan, ClassifierSpec(kind="linear"))
     assert scores == [1.0] * 5
 
 
 def test_flat_baseline_constant_stub_macro():
-    data = peek_dataset([0, 1, 2] * 10)
+    # all-zero series: zero weights, so every row goes to the smallest class
+    data = TimeSeriesDataset(np.zeros((30, 6)), np.asarray([0, 1, 2] * 10))
     plan = split_data(data, 5)
-    scores = flat_baseline(data, plan, ClassifierSpec(kind="test-const-min"))
+    scores = flat_baseline(data, plan, ClassifierSpec(kind="linear"))
     assert scores == pytest.approx([1 / 6] * 5, abs=1e-12)
 
 
@@ -198,14 +199,9 @@ def test_flat_baseline_class_permutation_equivariance():
 # -- CV protocols ----------------------------------------------------------------------
 
 
-def cv_data(n_per_class=20, n_classes=4):
-    labels = np.repeat(np.arange(n_classes), n_per_class)
-    return peek_dataset(labels, series_length=6)
-
-
 def test_nested_cv_perfect_stub_all_ones():
     report = nested_cv(
-        cv_data(), ClassifierSpec(kind="test-peek"), "potr", n_iter=3, seed=0
+        orthogonal_dataset(n_per_class=20, n_classes=4), ClassifierSpec(kind="linear"), "potr", n_iter=3, seed=0
     )
     assert all(f.inner_mean_score == 1.0 for f in report.folds)
     assert all(f.outer_test_score == 1.0 for f in report.folds)
@@ -214,9 +210,8 @@ def test_nested_cv_perfect_stub_all_ones():
 
 
 def test_nested_cv_three_classes_halts_at_distinct_limit():
-    labels = np.repeat(np.arange(3), 20)
     report = nested_cv(
-        peek_dataset(labels), ClassifierSpec(kind="test-peek"), "srtr", n_iter=50, seed=0
+        orthogonal_dataset(n_per_class=20, n_classes=3), ClassifierSpec(kind="linear"), "srtr", n_iter=50, seed=0
     )
     for fold in report.folds:
         assert fold.distinct_trees <= 3

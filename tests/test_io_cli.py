@@ -264,7 +264,7 @@ def test_filter_keeps_dataset_hard_for_one_classifier(tmp_path):
     root = tmp_path / "catalog"
     easy3 = orthogonal_dataset(n_per_class=12, n_classes=3, seed=0)
     write_dataset_dir(root, "OneSided", easy3)
-    specs = (ClassifierSpec(kind="linear"), ClassifierSpec(kind="test-const-min"))
+    specs = (ClassifierSpec(kind="linear"), ClassifierSpec(kind="kernel-ridge", num_kernels=1, seed=0))
     decisions = filter_datasets(scan_catalog(root), specs)
     assert decisions[0].kept
 
@@ -522,6 +522,11 @@ def _edited(field, value):
             _edited("folds[0].selected_tree", "{{{a},{b}}}"),
             "TreeStructureError: not a tree text over class ids",
             id="selected_tree-tokens",
+        ),
+        pytest.param(
+            lambda doc: json.dumps({**doc, "classifier": {**doc["classifier"], "kind": "no-such-kind"}}),
+            "ModelFormatError: classifier spec: unknown classifier kind 'no-such-kind'",
+            id="classifier-kind-unknown",
         ),
         pytest.param(
             _edited("dataset_id", 3),

@@ -12,15 +12,34 @@ from hiertsc import (
     fit_lcpn,
     predict_lcpn,
 )
+from hiertsc.classifiers import TrainedClassifier
 from hiertsc.lcpn import NodeTrainingError
 
-from conftest import _GroupPeekModel, classifier_state, peek_dataset, separable_dataset
+from conftest import classifier_state, peek_dataset, separable_dataset
+
+LINEAR = ClassifierSpec(kind="linear")
+
+
+def one_hot(labels, series_length=6):
+    """Series that are 1 at the position of their class id, 0 elsewhere."""
+    labels = np.asarray(labels, dtype=np.int64)
+    values = np.zeros((labels.size, series_length))
+    values[np.arange(labels.size), labels] = 1.0
+    return values
+
+
+def node(weights, intercepts=(0.0, 0.0)):
+    """A linear node classifier with hand-set weights over one-hot series."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return TrainedClassifier(LINEAR, (0, 1), weights, np.asarray(intercepts), weights.shape[1])
 
 
 def oracle_model(tree, series_length=6):
-    """LCPN model whose node decisions read the class encoded in the data."""
+    """LCPN model whose node decisions read the class of a one-hot series:
+    each node's weight rows are its left and right class indicators."""
     models = tuple(
-        _GroupPeekModel(p.right, series_length) for p in tree.parents
+        node([one_hot(sorted(side), series_length).sum(axis=0) for side in (p.left, p.right)])
+        for p in tree.parents
     )
     return LcpnModel(tree=tree, node_models=models)
 
@@ -36,7 +55,7 @@ def test_worked_example_node_allocation(fig_tree):
     )
     data = peek_dataset(labels)
     counters = FitCounters()
-    model = fit_lcpn(fig_tree, data, ClassifierSpec(kind="test-peek"), counters=counters)
+    model = fit_lcpn(fig_tree, data, LINEAR, counters=counters)
     assert len(model.node_models) == 4
     # parent 1 is ({3}, {0, 2}): it sees only those classes' instances
     assert counters.per_parent_instances[1] == counts[3] + counts[0] + counts[2]
@@ -47,7 +66,7 @@ def test_two_class_tree_single_model_sees_everything():
     data = peek_dataset([0, 0, 0, 1, 1, 1])
     counters = FitCounters()
     model = fit_lcpn(
-        build_tree([({0}, {1})]), data, ClassifierSpec(kind="test-peek"), counters=counters
+        build_tree([({0}, {1})]), data, LINEAR, counters=counters
     )
     assert len(model.node_models) == 1
     assert counters.per_parent_instances == [6]
@@ -57,16 +76,15 @@ def test_balanced_tree_datapoint_routing():
     labels = np.repeat(np.arange(4), 25)
     data = peek_dataset(labels)
     counters = FitCounters()
-    fit_lcpn(build_tree(BALANCED4), data, ClassifierSpec(kind="test-peek"), counters=counters)
+    fit_lcpn(build_tree(BALANCED4), data, LINEAR, counters=counters)
     assert counters.per_parent_instances == [100, 50, 50]
     assert counters.datapoint_class_units == 100 * 4 + 50 * 2 + 50 * 2
 
 
 def test_perfect_node_models_reproduce_labels(fig_tree):
     labels = np.asarray([0, 1, 2, 3, 4] * 6)
-    data = peek_dataset(labels)
     model = oracle_model(fig_tree)
-    predicted, depths = predict_lcpn(model, data.values)
+    predicted, depths = predict_lcpn(model, one_hot(labels))
     assert np.array_equal(predicted, labels)
     assert np.all((1 <= depths) & (depths <= 4))
 
@@ -75,15 +93,9 @@ def test_predictions_are_leaves_under_any_models():
     # constant-0 routing drives everything into the root's left subtree
     tree = build_tree(CHAIN4)
 
-    class Const0:
-        series_length = 6
-        class_ids = (0, 1)
-
-        def predict(self, values):
-            return np.zeros(np.asarray(values).shape[0], dtype=np.int64)
-
-    model = LcpnModel(tree=tree, node_models=(Const0(), Const0(), Const0()))
-    values = peek_dataset([0, 1, 2, 3] * 3).values
+    const0 = node(np.zeros((2, 6)), intercepts=(1.0, 0.0))
+    model = LcpnModel(tree=tree, node_models=(const0, const0, const0))
+    values = one_hot([0, 1, 2, 3] * 3)
     predicted, depths = predict_lcpn(model, values)
     assert set(predicted) <= set(tree.parents[0].left)
     assert np.all(predicted == 0)
@@ -92,25 +104,22 @@ def test_predictions_are_leaves_under_any_models():
 
 def test_chain_mean_depth_uniform_classes():
     labels = np.repeat(np.arange(4), 24)
-    data = peek_dataset(labels)
     model = oracle_model(build_tree(CHAIN4))
-    _, depths = predict_lcpn(model, data.values)
+    _, depths = predict_lcpn(model, one_hot(labels))
     assert float(np.mean(depths)) == pytest.approx(2.25, abs=1e-12)
 
 
 def test_balanced_tree_depth_exactly_log2():
     labels = np.repeat(np.arange(4), 10)
-    data = peek_dataset(labels)
     model = oracle_model(build_tree(BALANCED4))
-    _, depths = predict_lcpn(model, data.values)
+    _, depths = predict_lcpn(model, one_hot(labels))
     assert np.all(depths == 2)
 
 
 def test_depth_bounds_hold():
     labels = np.asarray([0, 1, 2, 3, 4] * 5)
-    data = peek_dataset(labels)
     tree = build_tree([({0}, {1, 2, 3, 4}), ({1}, {2, 3, 4}), ({2}, {3, 4}), ({3}, {4})])
-    _, depths = predict_lcpn(oracle_model(tree), data.values)
+    _, depths = predict_lcpn(oracle_model(tree), one_hot(labels))
     assert np.all((1 <= depths) & (depths <= 4))
 
 
@@ -132,7 +141,7 @@ def test_missing_side_raises_with_parent_identity():
     tree = build_tree(CHAIN4)
     data = peek_dataset([0, 0, 1, 1, 3, 3])  # class 2 absent
     with pytest.raises(NodeTrainingError) as err:
-        fit_lcpn(tree, data, ClassifierSpec(kind="test-peek"))
+        fit_lcpn(tree, data, LINEAR)
     assert "parent 2" in str(err.value)
 
 
@@ -140,12 +149,12 @@ def test_foreign_labels_rejected():
     tree = build_tree([({0}, {1})])
     data = peek_dataset([0, 1, 5, 5])
     with pytest.raises(NodeTrainingError):
-        fit_lcpn(tree, data, ClassifierSpec(kind="test-peek"))
+        fit_lcpn(tree, data, LINEAR)
 
 
 def test_predict_length_mismatch():
     data = peek_dataset([0, 0, 1, 1])
-    model = fit_lcpn(build_tree([({0}, {1})]), data, ClassifierSpec(kind="test-peek"))
+    model = fit_lcpn(build_tree([({0}, {1})]), data, LINEAR)
     with pytest.raises(ValueError):
         predict_lcpn(model, np.ones((2, 99)))
 

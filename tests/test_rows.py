@@ -26,7 +26,6 @@ from hiertsc import (
     flat_cv,
     nested_cv,
     predict_lcpn,
-    register_classifier_kind,
     save_dataset,
     split_data,
 )
@@ -169,20 +168,6 @@ def test_nested_cv_builds_datasets_per_fold_not_per_fit(constructions, n_iter):
     nested_cv(data, LINEAR, "potr", n_iter=n_iter, n_outer=n_outer, n_inner=n_inner)
     assert constructions["datasets"] <= n_outer * (n_inner + n_iter)
     assert constructions["fits"] > 2 * n_outer * (n_inner + n_iter)
-
-
-def test_custom_kinds_still_get_a_dataset():
-    seen = []
-
-    def fitter(spec, data):
-        seen.append(type(data))
-        return classifiers.fit_classifier(LINEAR, data)
-
-    register_classifier_kind("test-dataset-only", fitter)
-    spec = ClassifierSpec(kind="test-dataset-only")
-    data = collinear_superclusters(n_per_class=8, series_length=8)
-    nested_cv(data, spec, "lsoo", n_iter=1, n_outer=2, n_inner=2)
-    assert seen and set(seen) == {TimeSeriesDataset}
 
 
 class TransformSpy:

@@ -65,12 +65,13 @@ def test_score_symmetric_under_swap():
 
 
 def test_score_constant_predictor_macro_value():
-    # all predictions group 0 on a balanced validation part: (2/3 + 0) / 2
-    data = peek_dataset([0, 0, 0, 0, 1, 1, 1, 1])
+    # all predictions group 0 on a balanced validation part: (2/3 + 0) / 2;
+    # all-zero series give zero weights, so every row goes to group 0
+    data = TimeSeriesDataset(np.zeros((8, 6)), np.asarray([0, 0, 0, 0, 1, 1, 1, 1]))
     ctx = SplitContext(
         train=data,
         val=data,
-        spec=ClassifierSpec(kind="test-const-min"),
+        spec=ClassifierSpec(kind="linear"),
         rng=np.random.default_rng(0),
     )
     assert score_bipartition(ctx, {0}, {1}) == pytest.approx(1 / 3, abs=1e-12)

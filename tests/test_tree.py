@@ -242,6 +242,8 @@ def test_parse_errors():
         "{{{1 2},{0}}}",
         "{{{0},{1}},}",  # stray commas
         "{{{0,},{1}}}",
+        "{{{0,0},{1}}}",  # a member named twice in one set
+        "{{{%s},{0}}}" % ("1" * 5000),  # longer than any int64 id
         "",
     ]:
         with pytest.raises(TreeStructureError):
