@@ -443,11 +443,7 @@ class TrainedClassifier:
     def predict_features(self, raw: np.ndarray) -> np.ndarray:
         """:meth:`predict` for rows whose raw (unstandardised) features are at
         hand: the kernel transform, or the series themselves."""
-        return self.predict_standardised(_standardise(raw, self.feature_mean, self.feature_scale))
-
-    def predict_standardised(self, feats: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows whose features are standardised already,
-        as :meth:`PreparedRows.standardise` gives them."""
+        feats = _standardise(raw, self.feature_mean, self.feature_scale)
         scores = feats @ self.weights.T + self.intercepts
         return np.asarray(self.class_ids, dtype=np.int64)[np.argmax(scores, axis=1)]
 

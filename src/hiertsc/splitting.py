@@ -2,14 +2,15 @@
 
 Three stochastic splitters plus an exhaustive oracle, all maximising the
 binary-group score of a base classifier fit on a training part and scored on
-a validation part.  Move acceptance is shared: strictly better candidates
-replace the incumbent, and a perfect score stops the search immediately.
+a validation part.  Each splitter is only its proposal rule; one shared loop
+scores the proposals, keeps strictly better ones and, in all four splitters,
+stops on a perfect score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
@@ -165,25 +166,48 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
 
 
 def update_score_and_groups(
-    best: ScoredSplit, candidate: ScoredSplit
+    best: ScoredSplit | None, candidate: ScoredSplit
 ) -> tuple[ScoredSplit, bool]:
-    """Keep the strictly better split; signal stop on a perfect score."""
-    if candidate.score > best.score:
+    """Keep the first or a strictly better split; signal stop on a perfect score."""
+    if best is None or candidate.score > best.score:
         return candidate, candidate.score >= PERFECT_SCORE
     return best, False
 
 
-def _shuffled_members(classes: Iterable[int], rng: np.random.Generator) -> list[int]:
-    members = sorted(int(c) for c in classes)
-    order = rng.permutation(len(members))
-    return [members[i] for i in order]
+def _search(ctx, proposals: Generator[tuple, ScoredSplit, None]) -> SplitOutcome:
+    """The acceptance loop every splitter shares.
+
+    Scores each (c0, c1) that `proposals` yields and sends it the incumbent
+    after that score, so a proposal rule can build its next move from it.
+    The first candidate becomes the incumbent; see
+    :func:`update_score_and_groups` for the rest.
+    """
+    best = None
+    evaluations = 0
+    pair = next(proposals)
+    while True:
+        c0, c1 = frozenset(pair[0]), frozenset(pair[1])
+        best, stopped = update_score_and_groups(best, ScoredSplit(ctx.score(c0, c1), c0, c1))
+        evaluations += 1
+        if stopped:
+            break
+        try:
+            pair = proposals.send(best)
+        except StopIteration:
+            break
+    return SplitOutcome(best.c0, best.c1, best.score, evaluations, stopped)
 
 
-def _require_splittable(classes) -> frozenset[int]:
-    class_set = frozenset(int(c) for c in classes)
-    if len(class_set) < 2:
+def _members(classes: Iterable[int]) -> list[int]:
+    members = sorted({int(c) for c in classes})
+    if len(members) < 2:
         raise ValueError("need at least two classes to split")
-    return class_set
+    return members
+
+
+def _shuffled_members(classes: Iterable[int], rng: np.random.Generator) -> list[int]:
+    members = _members(classes)
+    return [members[i] for i in rng.permutation(len(members))]
 
 
 def pick_one_then_regroup(ctx, classes) -> SplitOutcome:
@@ -194,27 +218,16 @@ def pick_one_then_regroup(ctx, classes) -> SplitOutcome:
     would empty the other group is never attempted.  At most ``|classes|``
     scoring calls.
     """
-    class_set = _require_splittable(classes)
-    order = _shuffled_members(class_set, ctx.rng)
-    c0 = frozenset((order[0],))
-    c1 = frozenset(order[1:])
-    best = ScoredSplit(ctx.score(c0, c1), c0, c1)
-    evaluations = 1
-    stopped = best.score >= PERFECT_SCORE
-    if not stopped:
+    order = _shuffled_members(classes, ctx.rng)
+
+    def proposals():
+        best = yield order[:1], order[1:]
         for member in order[1:]:
             if len(best.c1) == 1:
-                break  # any further move would empty the second group
-            cand0 = best.c0 | {member}
-            cand1 = best.c1 - {member}
-            score = ctx.score(cand0, cand1)
-            evaluations += 1
-            best, stopped = update_score_and_groups(
-                best, ScoredSplit(score, cand0, cand1)
-            )
-            if stopped:
-                break
-    return SplitOutcome(best.c0, best.c1, best.score, evaluations, stopped)
+                return  # any further move would empty the second group
+            best = yield best.c0 | {member}, best.c1 - {member}
+
+    return _search(ctx, proposals())
 
 
 def split_randomly_then_regroup(ctx, classes) -> SplitOutcome:
@@ -223,30 +236,18 @@ def split_randomly_then_regroup(ctx, classes) -> SplitOutcome:
     A translocation is only attempted when it leaves both groups non-empty;
     strictly better moves stick.  At most ``|classes| + 1`` scoring calls.
     """
-    class_set = _require_splittable(classes)
-    order = _shuffled_members(class_set, ctx.rng)
+    order = _shuffled_members(classes, ctx.rng)
     cut = int(ctx.rng.integers(1, len(order)))
-    c0 = frozenset(order[:cut])
-    c1 = frozenset(order[cut:])
-    best = ScoredSplit(ctx.score(c0, c1), c0, c1)
-    evaluations = 1
-    stopped = best.score >= PERFECT_SCORE
-    if not stopped:
+
+    def proposals():
+        best = yield order[:cut], order[cut:]
         for member in order:
             if member in best.c0 and len(best.c0) > 1:
-                cand0, cand1 = best.c0 - {member}, best.c1 | {member}
+                best = yield best.c0 - {member}, best.c1 | {member}
             elif member in best.c1 and len(best.c1) > 1:
-                cand0, cand1 = best.c0 | {member}, best.c1 - {member}
-            else:
-                continue
-            score = ctx.score(cand0, cand1)
-            evaluations += 1
-            best, stopped = update_score_and_groups(
-                best, ScoredSplit(score, cand0, cand1)
-            )
-            if stopped:
-                break
-    return SplitOutcome(best.c0, best.c1, best.score, evaluations, stopped)
+                best = yield best.c0 | {member}, best.c1 - {member}
+
+    return _search(ctx, proposals())
 
 
 def leave_salient_one_out(ctx, classes) -> SplitOutcome:
@@ -256,51 +257,24 @@ def leave_salient_one_out(ctx, classes) -> SplitOutcome:
     from this splitter are maximally right-heavy in class counts.  At most
     ``|classes|`` scoring calls.
     """
-    class_set = _require_splittable(classes)
-    order = _shuffled_members(class_set, ctx.rng)
-    best = ScoredSplit(0.0, frozenset(), frozenset())
-    evaluations = 0
-    stopped = False
-    first: ScoredSplit | None = None
-    for member in order:
-        cand0 = frozenset((member,))
-        cand1 = class_set - cand0
-        score = ctx.score(cand0, cand1)
-        evaluations += 1
-        if first is None:
-            first = ScoredSplit(score, cand0, cand1)
-        best, stopped = update_score_and_groups(best, ScoredSplit(score, cand0, cand1))
-        if stopped:
-            break
-    if not best.c0:
-        best = first  # every candidate scored 0.0; keep the first one tried
-    return SplitOutcome(best.c0, best.c1, best.score, evaluations, stopped)
+    order = _shuffled_members(classes, ctx.rng)
+    return _search(ctx, (((m,), set(order) - {m}) for m in order))
 
 
 def exhaustive_split(ctx, classes) -> SplitOutcome:
-    """Score all 2**(|classes|-1) - 1 unordered bipartitions; return the best.
+    """Score the 2**(|classes|-1) - 1 unordered bipartitions; keep the best.
 
     Ties keep the first bipartition in the canonical order of
-    :func:`~hiertsc.tree.bipartitions`.  Refuses class sets larger than ``EXHAUSTIVE_CAP``.
+    :func:`~hiertsc.tree.bipartitions`.  Like all four splitters it stops on a
+    perfect score, which nothing can beat, so the result is a full scan's.
+    Refuses class sets larger than ``EXHAUSTIVE_CAP``.
     """
-    class_set = _require_splittable(classes)
-    members = sorted(class_set)
+    members = _members(classes)
     if len(members) > EXHAUSTIVE_CAP:
         raise ValueError(
             f"exhaustive split over {len(members)} classes exceeds the cap of {EXHAUSTIVE_CAP}"
         )
-    best: ScoredSplit | None = None
-    evaluations = 0
-    for first, second in bipartitions(members):
-        c0, c1 = frozenset(first), frozenset(second)
-        score = ctx.score(c0, c1)
-        evaluations += 1
-        candidate = ScoredSplit(score, c0, c1)
-        if best is None:
-            best = candidate
-        else:
-            best, _ = update_score_and_groups(best, candidate)
-    return SplitOutcome(best.c0, best.c1, best.score, evaluations, early_stopped=False)
+    return _search(ctx, bipartitions(members))
 
 
 SPLITTERS: dict[str, Callable] = {

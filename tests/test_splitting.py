@@ -1,5 +1,7 @@
 """Split search: scoring, the three stochastic splitters, and the oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +24,14 @@ from hiertsc import (
 from hiertsc import classifiers
 from hiertsc.classifiers import PreparedRows
 from hiertsc.splitting import (
+    PERFECT_SCORE,
     SPLITTERS,
     ScoredSplit,
     ScoringError,
     predicted_groups,
     resolve_splitter,
 )
+from hiertsc.tree import bipartitions
 
 from conftest import (
     StubContext,
@@ -197,7 +201,7 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
         fit = prepared.fit(train.labels)
         feats = prepared.standardise(val.feats)
         want = feats @ fit.weights[0] + fit.intercepts[0]
-        assert np.array_equal(predicted_groups(got), fit.predict_standardised(feats))
+        assert np.array_equal(predicted_groups(got), fit.predict_features(val.feats))
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
     if untrained:
         assert basis.counts[basis.order.index(missing)] == 0
@@ -356,6 +360,26 @@ def test_exhaustive_finds_stub_target():
     assert {outcome.c0, outcome.c1} == {frozenset({0, 1}), frozenset({2, 3})}
 
 
+@pytest.mark.parametrize(
+    "size, side, c0, c1",
+    [
+        (4, {0, 1}, {0, 1}, {2, 3}),
+        (5, {1, 3}, {0, 2, 4}, {1, 3}),
+        (6, {2, 3, 5}, {0, 1, 4}, {2, 3, 5}),
+        (6, {0}, {0}, {1, 2, 3, 4, 5}),
+    ],
+)
+def test_exhaustive_stops_on_a_perfect_score(size, side, c0, c1):
+    # (c0, c1) is what a full scan of every bipartition returns: nothing beats 1.0
+    classes = set(range(size))
+    ctx = StubContext(flat_target_scorer(side, classes - side), 0)
+    outcome = exhaustive_split(ctx, classes)
+    position = [set(first) for first, _ in bipartitions(sorted(classes))].index(c0)
+    assert outcome.early_stopped
+    assert outcome.evaluations == ctx.calls == position + 1
+    assert (outcome.c0, outcome.c1, outcome.score) == (c0, c1, PERFECT_SCORE)
+
+
 def test_exhaustive_constant_scores_keep_the_first_bipartition():
     outcome = exhaustive_split(StubContext(lambda c0, c1: 0.5, 0), {9, 3, 8, 5})
     assert (outcome.c0, outcome.c1) == (frozenset({3}), frozenset({5, 8, 9}))
@@ -396,6 +420,46 @@ def test_single_move_reachable_optimum_found_for_every_seed(size, target):
             outcome = splitter(StubContext(scorer, seed=seed), set(range(size)))
             assert outcome.score == 1.0, (splitter.__name__, seed)
             assert {outcome.c0, outcome.c1} == expected
+
+
+# -- parity: each splitter's outcomes, pinned ------------------------------------
+
+STUB_SCORERS = {
+    "hash": lambda seed, size: hash_scorer(seed),
+    "target": lambda seed, size: target_scorer(range(0, size, 2), range(1, size, 2)),
+    "zero": lambda seed, size: lambda c0, c1: 0.0,
+}
+
+# sha256 of every outcome over sizes 2-8 and seeds 0-7, so that any change to
+# a proposal rule, its RNG draws or the shared acceptance loop shows; exhaustive
+# runs that can reach a perfect score are test_exhaustive_stops_on_a_perfect_score's
+OUTCOME_DIGESTS = {
+    ("potr", "hash"): "113ffe74c8e68906544f0db6017501a70edfb8c3d466b507a8a4e7c350a65b65",
+    ("potr", "target"): "824e7bd39035370b9cd486888a6c7cbae6df5f3b5ba722c38d404ca01e98ee0f",
+    ("potr", "zero"): "d4014166cb0c4c81ecc592816ee15603951a639d793938c9200cd1515877c3d9",
+    ("srtr", "hash"): "9a881ac7e7c4d4bbfa659bf98c32e1f14dcbfa5d32839fe2ac89f1cd40582a49",
+    ("srtr", "target"): "8cb81e2f4aed75b0b8f4e0ed347618ff9642e77d2f42f356089e787df3a56664",
+    ("srtr", "zero"): "31dbaf4a1bb0f53219746c3ab67d987ac90d051c3db8d2a8ce5110c73e956f04",
+    ("lsoo", "hash"): "1787d16acbe1572c2921aee5e1ebc8f6615b3b85f5d7a05244cbfa49bf962fbb",
+    ("lsoo", "target"): "0db8c5e123595dafe1af9b708ff8786a6202a697f5bf5752a6833a522071c17b",
+    ("lsoo", "zero"): "1531983c1f0db15c7c7f93d3690a2c160b448083b41d91979617eac0cd4348c1",
+    ("exhaustive", "hash"): "37d6a1b9a1929a2381f13e2363d625a020f57e055f71d3e205fa5a069116c7f1",
+    ("exhaustive", "zero"): "48cf01ba903632a609f6e37dd919829413f6dec1ce46ad7832a6135fa400df58",
+}
+
+
+@pytest.mark.parametrize("name, scorer", sorted(OUTCOME_DIGESTS))
+def test_splitter_outcomes_match_pinned_digests(name, scorer):
+    lines = []
+    for size in range(2, 9):
+        for seed in range(8):
+            stub = StubContext(STUB_SCORERS[scorer](seed, size), seed=seed)
+            o = SPLITTERS[name](stub, set(range(size)))
+            lines.append(
+                f"{size} {seed} {sorted(o.c0)} {sorted(o.c1)} {o.score!r} {o.evaluations} {o.early_stopped}"
+            )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OUTCOME_DIGESTS[name, scorer]
 
 
 @pytest.mark.parametrize("splitter", SSF_FUNCS + [exhaustive_split])
