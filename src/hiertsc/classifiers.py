@@ -98,6 +98,19 @@ def _decode_array(value, dtype, ndim: int, what: str) -> np.ndarray:
     return array
 
 
+def _series_input(values, series_length: int, finite: bool = False) -> np.ndarray:
+    """`values` as an (n, series_length) float64 array.  Raises ValueError
+    for any other shape and, when `finite`, names the first row holding a
+    NaN or an infinity."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != series_length:
+        raise ValueError(f"expected (n, {series_length}) input, got {values.shape}")
+    if finite and not np.isfinite(values).all():
+        row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        raise ValueError(f"row {row} of the input holds a NaN or an infinity")
+    return values
+
+
 def _array_or_none(array: np.ndarray | None):
     return None if array is None else array.tolist()
 
@@ -230,40 +243,48 @@ class KernelBank:
         """(n, M) series -> (n, 2*n_kernels) features: per kernel the share of
         positive convolution outputs and the maximum output.
 
-        Kernels that share (length, dilation, padding) are convolved together:
-        shift-and-add, one tap at a time over all of them, in slices of at
-        most ``_PASS_ELEMENTS`` outputs.  Each output sees the same
-        elementwise operations in the same order whatever its group, slice or
-        batch, so a row's features are the same bits in any batch.
+        The batch is laid out positions x rows and zero-padded once, to the
+        bank's largest padding; a group of kernels that share (length,
+        dilation, padding) reads it from its own offset.  Each group is
+        convolved by shift-and-add, one tap at a time over all its kernels,
+        into one buffer of at most ``_PASS_ELEMENTS`` outputs (or one
+        kernel's outputs, when those are more).  Each time the buffer is full
+        it is pooled with two segmented reductions, one per feature, over the
+        kernels it holds.  Each output sees the same elementwise operations
+        in the same order whatever its group, fill or batch, so a row's
+        features are the same bits in any batch.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.series_length:
-            raise ValueError(
-                f"expected (n, {self.series_length}) input, got {values.shape}"
-            )
+        values = _series_input(values, self.series_length)
         n = values.shape[0]
         plan = self._plan
+        pad = plan.padding
+        x = np.zeros((self.series_length + 2 * pad, n))
+        x[pad : pad + self.series_length] = values.T
         positive = np.empty((self.n_kernels, n))  # rows in plan order
         maximum = np.empty((self.n_kernels, n))
-        x, padding = values, 0
+        buf = np.empty((max(_PASS_ELEMENTS // max(1, n), plan.longest), n))
+        first = 0  # the first kernel in the buffer, in plan order
         for group in plan.groups:
-            if group.padding != padding:
-                padding = group.padding
-                x = np.zeros((n, self.series_length + 2 * padding))
-                x[:, padding : padding + self.series_length] = values
             out_len = group.out_len
-            step = max(1, _PASS_ELEMENTS // max(1, n * out_len))
-            for start in range(0, group.size, step):
-                stop = min(start + step, group.size)
-                taps = group.taps[:, start:stop]
-                out = taps[0] * x[:, :out_len]
+            origin = pad - group.padding
+            at, end = group.first, group.first + group.size
+            while at < end:
+                used = plan.starts[at] - plan.starts[first]
+                stop = min(end, at + (len(buf) - used) // out_len)
+                if stop == at:  # full: pool it and start again
+                    plan.pool(buf, first, at, positive, maximum)
+                    first = at
+                    continue
+                out = buf[used : used + (stop - at) * out_len].reshape(stop - at, out_len, n)
+                kernels = slice(at - group.first, stop - group.first)
+                taps = group.taps[:, kernels]
+                np.multiply(taps[0], x[origin : origin + out_len], out=out)
                 for k in range(1, group.length):
-                    at = k * group.dilation
-                    out += taps[k] * x[:, at : at + out_len]
-                out += group.biases[start:stop]
-                rows = slice(group.first + start, group.first + stop)
-                np.divide((out > 0).sum(axis=2), out_len, out=positive[rows])
-                out.max(axis=2, out=maximum[rows])
+                    tap = origin + k * group.dilation
+                    out += taps[k] * x[tap : tap + out_len]
+                out += group.biases[kernels]
+                at = stop
+        plan.pool(buf, first, self.n_kernels, positive, maximum)
         feats = np.empty((n, 2 * self.n_kernels))
         feats[:, plan.columns] = positive.T
         feats[:, plan.columns + 1] = maximum.T
@@ -274,9 +295,9 @@ class KernelBank:
         """The kernels grouped by (length, dilation, padding); built on first
         use and not part of the bank's value.
 
-        Groups are ordered by padding, then by first appearance, so a batch is
-        padded once per distinct padding and one padded copy is alive at a
-        time (cycling through them all was slower on large batches).
+        Groups are ordered by padding, then by first appearance, and each
+        kernel's outputs follow the previous kernel's in that order, so a
+        buffer holds a run of kernels that one segmented reduction pools.
         """
         members: dict[tuple[int, int, int], list[int]] = {}
         keys = zip(self.lengths.tolist(), self.dilations.tolist(), self.paddings.tolist())
@@ -285,7 +306,7 @@ class KernelBank:
         members = dict(sorted(members.items(), key=lambda item: item[0][2]))
         offsets = np.cumsum(self.lengths) - self.lengths  # each kernel's first weight
         groups = []
-        first = 0
+        out_lens = []
         for (length, dilation, padding), kernels in members.items():
             out_len = self.series_length + 2 * padding - (length - 1) * dilation
             if out_len < 1:
@@ -294,13 +315,18 @@ class KernelBank:
             biases = self.biases[kernels]
             groups.append(
                 _KernelGroup(
-                    length, dilation, padding, out_len, len(kernels), first,
+                    length, dilation, padding, out_len, len(kernels), len(out_lens),
                     taps[:, :, None, None], biases[:, None, None],
                 )
             )
-            first += len(kernels)
+            out_lens += [out_len] * len(kernels)
         order = [i for kernels in members.values() for i in kernels]
-        return _TransformPlan(tuple(groups), 2 * np.asarray(order, dtype=np.int64))
+        return _TransformPlan(
+            tuple(groups),
+            2 * np.asarray(order, dtype=np.int64),
+            np.asarray(out_lens, dtype=np.int64),
+            [0, *np.cumsum(out_lens).tolist()],
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -340,8 +366,8 @@ class KernelBank:
         return KernelBank(series_length, **arrays)
 
 
-#: The most outputs (kernels x rows x positions) one shift-and-add slice
-#: holds: a larger group is convolved a slice of its kernels at a time, so
+#: The most outputs (positions x rows) the transform's buffer holds, unless
+#: one kernel has more: a batch is convolved a run of kernels at a time, so
 #: the temporaries stay small.
 _PASS_ELEMENTS = 32768
 
@@ -364,6 +390,28 @@ class _KernelGroup:
 class _TransformPlan:
     groups: tuple[_KernelGroup, ...]
     columns: np.ndarray  # positive-share feature column of each kernel, plan order
+    out_lens: np.ndarray  # outputs per row of each kernel, plan order
+    starts: list[int]  # where each kernel's outputs start, plan order, then the end
+
+    @property
+    def padding(self) -> int:
+        """The largest padding, the last group's."""
+        return self.groups[-1].padding
+
+    @property
+    def longest(self) -> int:
+        """The most outputs per row of one kernel."""
+        return int(self.out_lens.max())
+
+    def pool(self, buf, first, stop, positive, maximum) -> None:
+        """Pool the outputs of kernels first..stop-1 (plan order), which fill
+        `buf` from its top, into rows first..stop-1 of `positive` and
+        `maximum`."""
+        filled = buf[: self.starts[stop] - self.starts[first]]
+        seg = np.asarray(self.starts[first:stop]) - self.starts[first]
+        counts = np.add.reduceat(filled > 0, seg, axis=0, dtype=np.int64)
+        np.divide(counts, self.out_lens[first:stop, None], out=positive[first:stop])
+        np.maximum.reduceat(filled, seg, axis=0, out=maximum[first:stop])
 
 
 def ridge_solve(
@@ -431,12 +479,10 @@ class TrainedClassifier:
     feature_scale: np.ndarray | None = None
 
     def predict(self, values: np.ndarray) -> np.ndarray:
-        """Argmax over per-class scores; ties go to the smallest class id."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.series_length:
-            raise ValueError(
-                f"expected (n, {self.series_length}) input, got {values.shape}"
-            )
+        """Argmax over per-class scores; ties go to the smallest class id.
+        Raises ValueError for input of another shape or holding a NaN or an
+        infinity."""
+        values = _series_input(values, self.series_length, finite=True)
         raw = self.kernels.transform(values) if self.kernels is not None else values
         return self.predict_features(raw)
 

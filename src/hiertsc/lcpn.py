@@ -19,6 +19,7 @@ from .classifiers import (
     _field,
     _is_int,
     _positive_int,
+    _series_input,
     fit_classifier,
 )
 from .dataset import TimeSeriesDataset
@@ -265,14 +266,13 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
     (n, M) array or :class:`Rows` of a run.  Each row is featurised once per
     call (taken from the run when the model was fit on it) and each node
     scores its rows from those features; served rows are not kept after the
-    call.
+    call.  Raises ValueError for an array of another shape or holding a NaN
+    or an infinity.
     """
     rows_in = values if isinstance(values, Rows) else None
-    values = np.asarray(values if rows_in is None else rows_in.values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != model.series_length:
-        raise ValueError(
-            f"expected (n, {model.series_length}) input, got {values.shape}"
-        )
+    values = _series_input(
+        values if rows_in is None else rows_in.values, model.series_length, finite=rows_in is None
+    )
     n = values.shape[0]
     labels = np.empty(n, dtype=np.int64)
     depths = np.zeros(n, dtype=np.int64)

@@ -8,6 +8,7 @@ a per-kernel oracle, bit for bit.
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from hiertsc import (
     predict_lcpn,
     save_dataset,
 )
-from hiertsc.classifiers import _PASS_ELEMENTS, PreparedRows, Run, TrainingDataError
+from hiertsc.classifiers import (
+    _PASS_ELEMENTS,
+    PreparedRows,
+    Run,
+    TrainingDataError,
+    _TransformPlan,
+)
 
 from conftest import classifier_state
 
@@ -153,6 +160,7 @@ def assert_same_bits(a, b):
 @example(length=10, n_kernels=24, seed=1, n=1, padding="drawn")  # lengths 7 and 9
 @example(length=300, n_kernels=64, seed=2, n=160, padding="all")
 @example(length=64, n_kernels=64, seed=3, n=0, padding="none")
+@example(length=300, n_kernels=8, seed=4, n=600, padding="all")  # one kernel > _PASS_ELEMENTS
 def test_grouped_transform_is_bitwise_the_per_kernel_transform(length, n_kernels, seed, n, padding):
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, 1.0, size=(n, length)) * rng.uniform(0.1, 10.0)
@@ -160,15 +168,42 @@ def test_grouped_transform_is_bitwise_the_per_kernel_transform(length, n_kernels
     assert_same_bits(bank.transform(values), per_kernel_transform(bank, values))
 
 
-def test_a_large_batch_convolves_groups_in_several_slices():
+def test_a_large_batch_fills_the_bounded_buffer_several_times(monkeypatch):
     rng = np.random.default_rng(11)
     values = rng.normal(0.0, 2.0, size=(240, 128))
     bank = KernelBank.generate(128, 64, seed=11)
-    groups = bank._plan.groups
-    slices = [-(-g.size // max(1, _PASS_ELEMENTS // (len(values) * g.out_len))) for g in groups]
-    assert max(slices) > 1  # the case the slice bound protects
-    assert len(groups) < bank.n_kernels
-    assert_same_bits(bank.transform(values), per_kernel_transform(bank, values))
+    assert len(bank._plan.groups) < bank.n_kernels
+    fills = []
+    pool = _TransformPlan.pool
+
+    def spy_pool(plan, buf, first, stop, *pooled):
+        assert buf.size <= _PASS_ELEMENTS
+        fills.append(stop - first)
+        return pool(plan, buf, first, stop, *pooled)
+
+    monkeypatch.setattr(_TransformPlan, "pool", spy_pool)
+    feats = bank.transform(values)
+    assert len(fills) > 1 and sum(fills) == bank.n_kernels
+    assert_same_bits(feats, per_kernel_transform(bank, values))
+
+
+def test_a_transform_peaks_at_its_features_one_padded_copy_and_one_buffer():
+    """A 160-row transform on the bank of a 128-kernel fit of length-64
+    series.  Beyond the features, one padded copy and the buffer, the slack
+    holds the pooled shares and maxima (as large as the features) and 64 KiB;
+    a buffer for the whole batch would take about 8 MB."""
+    bank = KernelBank.generate(64, 128, seed=0)
+    values = np.random.default_rng(0).normal(size=(160, 64))
+    bank.transform(values[:1])  # build the plan outside the trace
+    tracemalloc.start()
+    try:
+        feats = bank.transform(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 8 * len(values) * (64 + 2 * int(bank.paddings.max()))
+    buffer = 8 * _PASS_ELEMENTS
+    assert peak < feats.nbytes + padded + buffer + (feats.nbytes + 65536)
 
 
 def test_transform_rejects_input_of_the_wrong_shape():

@@ -159,6 +159,22 @@ def test_predict_length_mismatch():
         predict_lcpn(model, np.ones((2, 99)))
 
 
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(kind, bad):
+    data = separable_dataset(n_per_class=6, n_classes=2, series_length=8)
+    model = fit_lcpn(build_tree([({0}, {1})]), data, ClassifierSpec(kind=kind, num_kernels=8))
+    values = data.values[:4].copy()
+    values[2, 5] = values[3, 0] = bad
+    message = "row 2 of the input holds a NaN or an infinity"
+    with pytest.raises(ValueError, match=message):
+        predict_lcpn(model, values)
+    with pytest.raises(ValueError, match=message):
+        model.node_models[0].predict(values)
+    labels, _ = predict_lcpn(model, values[:2])
+    assert np.array_equal(labels, data.labels[:2])
+
+
 def test_bundle_round_trip():
     data = separable_dataset(n_per_class=6, n_classes=4, seed=6)
     spec = ClassifierSpec(kind="linear")
