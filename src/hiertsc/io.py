@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 import os
+import struct
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,10 +95,7 @@ def _split_row(line: str) -> list[str]:
 
 
 def _parse_delimited(lines: Iterable[str]) -> LabelledRows:
-    raw_labels: list[str] = []
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    width: int | None = None
+    rows = _RowBuffer()
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -110,23 +110,13 @@ def _parse_delimited(lines: Iterable[str]) -> LabelledRows:
             label, tokens = parts[0], parts[1:]
         else:
             tokens = tokens[1:]
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise DatasetFormatError(
-                f"ragged row: {len(tokens)} values where {width} expected", line_no
-            )
-        raw_labels.append(label)
-        rows.append(parsed or [_parse_value(v, line_no) for v in tokens])
-        row_lines.append(line_no)
-    return _labelled_rows(raw_labels, rows, row_lines)
+        rows.check_width(len(tokens), line_no)
+        rows.append(label, parsed or [_parse_value(v, line_no) for v in tokens], line_no)
+    return rows.result()
 
 
 def _parse_ts_text(lines: Iterable[str]) -> LabelledRows:
-    raw_labels: list[str] = []
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    width: int | None = None
+    rows = _RowBuffer()
     in_data = False
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -152,34 +142,67 @@ def _parse_ts_text(lines: Iterable[str]) -> LabelledRows:
         ]
         if not values:
             raise DatasetFormatError("empty series", line_no)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        rows.check_width(len(values), line_no)
+        rows.append(label, values, line_no)
+    return rows.result()
+
+
+class _RowBuffer:
+    """Rows of one width as they are parsed: each row's label token and line
+    number, and all values packed as float64 into one growing buffer, so no
+    Python float outlives its row."""
+
+    def __init__(self):
+        self.labels: list[str] = []
+        self.lines: list[int] = []
+        self.width: int | None = None
+        self.packed = bytearray()
+
+    def check_width(self, width: int, line_no: int) -> None:
+        if self.width is None:
+            self.width = width
+        elif width != self.width:
             raise DatasetFormatError(
-                f"ragged row: {len(values)} values where {width} expected", line_no
+                f"ragged row: {width} values where {self.width} expected", line_no
             )
-        raw_labels.append(label)
-        rows.append(values)
-        row_lines.append(line_no)
-    return _labelled_rows(raw_labels, rows, row_lines)
+
+    def append(self, label: str, values: list[float], line_no: int) -> None:
+        self.labels.append(label)
+        self.packed += struct.pack(f"{len(values)}d", *values)
+        self.lines.append(line_no)
+
+    def result(self) -> LabelledRows:
+        if not self.labels:
+            raise DatasetFormatError("no data rows found")
+        values = np.frombuffer(self.packed, dtype=np.float64).reshape(len(self.labels), self.width)
+        return LabelledRows(self.labels, values, self.lines)
 
 
-def _labelled_rows(raw_labels: list[str], rows: list[list[float]], lines: list[int]) -> LabelledRows:
-    if not rows:
-        raise DatasetFormatError("no data rows found")
-    return LabelledRows(raw_labels, np.asarray(rows, dtype=np.float64), lines)
+def _read_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file one at a time, exactly as ``text.splitlines()``
+    would give them.  Text mode turns each CR LF pair and each lone CR into
+    one newline, so every piece the file yields ends at a break of its own;
+    each piece is split again at the other breaks str.splitlines knows (form
+    feed, U+2028 and the rest).  A leading byte-order mark is dropped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for piece in fh:
+                yield from piece.splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_file(path: Path) -> LabelledRows:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    first_real = next((l.strip() for l in lines if l.strip()), "")
-    if path.suffix.lower() == ".ts" or first_real.startswith("@"):
-        return _parse_ts_text(lines)
-    return _parse_delimited(lines)
+    """Parse a file in one pass over its lines; the first non-blank line (or
+    the suffix) picks the format."""
+    with closing(_read_lines(path)) as lines:
+        head: list[str] = []
+        for line in lines:
+            head.append(line)
+            if line.strip():
+                break
+        is_ts = path.suffix.lower() == ".ts" or (head and head[-1].lstrip().startswith("@"))
+        return (_parse_ts_text if is_ts else _parse_delimited)(chain(head, lines))
 
 
 def load_dataset(path: str | Path) -> TimeSeriesDataset:

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hiertsc
@@ -17,6 +18,9 @@ from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
 from hiertsc.io import (
     DatasetFormatError,
+    _parse_delimited,
+    _parse_file,
+    _parse_ts_text,
     read_labelled_rows,
     scan_catalog,
 )
@@ -201,6 +205,95 @@ def test_any_bytes_load_or_raise_a_format_error(tmp_path, content, suffix):
             load(path)
         except DatasetFormatError:
             pass
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bom.tsv", "0\t0.1\t0.2\n0\t0.3\t0.4\n1\t0.5\t0.6\n1\t0.7\t0.8\n"),
+        ("bom.ts", "@data\n0.1,0.2:0\n0.3,0.4:0\n0.5,0.6:1\n0.7,0.8:1\n"),
+    ],
+    ids=["tsv", "ts"],
+)
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_row(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_labelled_rows(path).tokens == ["0", "0", "1", "1"]
+    data = load_dataset(path)
+    assert data.label_names == {0: "0", 1: "1"}
+    assert list(data.labels) == [0, 0, 1, 1]
+
+
+def _parse_text(text: str, suffix: str):
+    """What the parsers make of the whole text split by str.splitlines, or
+    the error they raise: the reference a streamed read must reproduce."""
+    lines = text.splitlines()
+    first_real = next((l.strip() for l in lines if l.strip()), "")
+    parse = _parse_ts_text if suffix == ".ts" or first_real.startswith("@") else _parse_delimited
+    return _outcome(parse, lines)
+
+
+def _outcome(parse, source):
+    try:
+        rows = parse(source)
+    except DatasetFormatError as exc:
+        return type(exc), str(exc)
+    return rows.tokens, rows.values.shape, rows.values.tobytes(), rows.lines
+
+
+def _assert_streams_like_splitlines(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(_parse_file, path) == _parse_text(text, path.suffix)
+
+
+#: every line break str.splitlines knows
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ROW_TEXTS = st.sampled_from(
+    ["a\t0.1\t0.2", "b,0.3,0.4", "b 0.5 -1e3", "a\t0.1\t0.2\t0.3", "0.1,0.2:a", "0.3,0.4:b",
+     "0.1,0.2,0.3:a", "", "  ", "# note", "@data", "@problemName x", "a\tnan\t1", "b\tx\t1", "é,1,2"]
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.tuples(ROW_TEXTS, st.sampled_from(LINE_BREAKS)), max_size=12),
+    final_break=st.booleans(),
+    suffix=st.sampled_from([".tsv", ".ts"]),
+)
+@example(rows=[("a\t0.1\t0.2", "\r"), ("b\t0.3\t0.4", "\r\n")], final_break=False, suffix=".tsv")
+def test_a_streamed_read_splits_lines_like_splitlines(tmp_path, rows, final_break, suffix):
+    text = "".join(row + brk for row, brk in rows)
+    if rows and not final_break:
+        text = text[: -len(rows[-1][1])]
+    _assert_streams_like_splitlines(tmp_path / f"lines{suffix}", text)
+
+
+@pytest.mark.parametrize("offset", range(-2, 3))
+def test_a_cr_lf_pair_across_a_read_chunk_is_one_break(tmp_path, offset):
+    """A row about 8 KiB long, the size text files are decoded in, puts its
+    CR LF pair on either side of the first chunk's end."""
+    row = "a\t" + "\t".join(["0.5"] * 2047)
+    row += "0" * (8191 + offset - len(row))
+    text = row + "\r\n" + row.replace("a", "b", 1) + "\r\n"
+    _assert_streams_like_splitlines(tmp_path / "long.tsv", text)
+    assert read_labelled_rows(tmp_path / "long.tsv").lines == [1, 2]
+
+
+def test_a_load_peaks_under_four_times_its_values(tmp_path):
+    """Loading 300 x 256 values streams them into one buffer: the traced
+    peak stays under four times the values, where holding the text, its
+    lines and a Python float per value took about ten."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.tsv"
+    save_dataset(TimeSeriesDataset(rng.normal(size=(300, 256)), np.arange(300) % 20), path)
+    load_dataset(path)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        data = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * data.values.nbytes
 
 
 def test_missing_ts_label_rejected(tmp_path):
