@@ -23,10 +23,13 @@ parts:
 - the regularised system, once per row set: a :class:`PreparedRows` holds the
   standardisation, the centred features and the Gram matrix with lambda on
   its diagonal, and fits any labelling of those rows by building its targets
-  and solving.  Split scoring makes one solve per class set, with one
-  right-hand side per class (:meth:`PreparedRows.class_solutions`), and sums
-  those solutions for each bipartition: its scores equal a fresh fit's, and
-  its decision values agree with that fit's to rounding.
+  and solving.  Split scoring relabels a class set's rows once
+  (:meth:`Rows.grouped`, by class within the set) and makes one solve
+  with one right-hand side per class
+  (:meth:`PreparedRows.class_solutions`); each bipartition is then a sign
+  per class, one matrix-vector product and a 2x2 confusion.  Its scores
+  equal a fresh fit's, and its decision values agree with that fit's to
+  rounding.
 """
 
 from __future__ import annotations
@@ -682,8 +685,8 @@ class Rows(Labelled):
     """Ascending row indices into a :class:`Run`, read like a
     :class:`TimeSeriesDataset` without copying the rows.
 
-    `labels` are the run's labels of the rows, or the 0/1 groups of
-    :meth:`binary_groups`.  A fit gathers ``feats`` in row order, so it sees
+    `labels` are the run's labels of the rows, or the set indices of
+    :meth:`grouped`.  A fit gathers ``feats`` in row order, so it sees
     the same bits as a fit on a dataset holding those rows.
     """
 
@@ -708,24 +711,31 @@ class Rows(Labelled):
     def _codes(self) -> np.ndarray:
         return self.run.codes[self.idx]
 
-    @cached_property
-    def _present(self) -> set[int]:
-        return set(np.unique(self._codes).tolist())
+    def grouped(self, sets) -> tuple["Rows", np.ndarray]:
+        """The rows whose run class lies in any of the class sets `sets`,
+        labelled by the index of the last set holding it, and each set's row
+        count: the rows whose class it holds.  One lookup table from run class
+        codes to set indices relabels the rows."""
+        code_of = self.run.code_of
+        members = [(code_of[c], g) for g, classes in enumerate(sets) for c in classes if c in code_of]
+        set_of = dict(members)  # a class in several sets keeps the last
+        group = np.full(self.run.classes.size, -1, dtype=np.int64)
+        group[list(set_of)] = list(set_of.values())
+        mark = group[self._codes]
+        keep = mark >= 0
+        per_class = np.bincount(self._codes, minlength=self.run.classes.size).tolist()
+        counts = [0] * len(sets)
+        for code, g in members:
+            counts[g] += per_class[code]
+        return Rows(self.run, self.idx[keep], mark[keep]), np.array(counts, dtype=np.int64)
 
     def binary_groups(self, c0, c1) -> tuple["Rows", int | None]:
         """The rows whose run class lies in c0 or c1, labelled group 0 /
         group 1 (group 1 when a class is in both), and `empty`: the first
         side (0 or 1) with no rows, or None.  Callers raise their own error
         for it."""
-        code_of = self.run.code_of
-        sides = [[code_of[c] for c in side if c in code_of] for side in (c0, c1)]
-        group = np.full(self.run.classes.size, -1, dtype=np.int64)
-        for g, codes in enumerate(sides):
-            group[codes] = g
-        empty = next((g for g, codes in enumerate(sides) if self._present.isdisjoint(codes)), None)
-        mark = group[self._codes]
-        keep = mark >= 0
-        return Rows(self.run, self.idx[keep], mark[keep]), empty
+        node, counts = self.grouped((c0, c1))
+        return node, next((g for g in (0, 1) if counts[g] == 0), None)
 
     def predict(self, model: TrainedClassifier) -> np.ndarray:
         """``model.predict(self.values)``, from the run's features when

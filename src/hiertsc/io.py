@@ -183,13 +183,31 @@ def _read_lines(path: Path) -> Iterator[str]:
     would give them.  Text mode turns each CR LF pair and each lone CR into
     one newline, so every piece the file yields ends at a break of its own;
     each piece is split again at the other breaks str.splitlines knows (form
-    feed, U+2028 and the rest).  A leading byte-order mark is dropped."""
+    feed, U+2028 and the rest).  A leading byte-order mark is dropped.
+
+    The reader decodes a block at a time, so its decode error counts bytes
+    from the start of the block; the error raised decodes the whole file
+    again, to count them from the start of the file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for piece in fh:
                 yield from piece.splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {_file_decode_error(path, exc)}") from exc
+    except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _file_decode_error(path: Path, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """The error of decoding all of the file's bytes at once, whose position
+    is the bad byte's offset in the file; `exc` when that decode succeeds."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return whole
+    except OSError:
+        pass
+    return exc
 
 
 def _parse_file(path: Path) -> LabelledRows:

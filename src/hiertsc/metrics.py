@@ -24,11 +24,22 @@ def f1_macro(truth, predicted) -> float:
     p = np.minimum(np.searchsorted(classes, predicted), k - 1)
     p[classes[p] != predicted] = k  # foreign: a column of its own
     confusion = np.bincount(t * (k + 1) + p, minlength=k * (k + 1)).reshape(k, k + 1)
+    return _f1_mean(confusion)
+
+
+def _f1_mean(confusion: np.ndarray) -> float:
+    """Mean per-class F1 of a (k, m >= k) confusion matrix of counts: row i
+    holds the rows of true class i, column j < k their predictions as class
+    j and any further column predictions of no true class.
+
+    Sums left to right, as np.sum's pairwise order could move low bits.
+    """
+    k = confusion.shape[0]
     tp = confusion.diagonal()
     denom = confusion.sum(axis=0)[:k] + confusion.sum(axis=1)  # 2tp + fp + fn
     f1 = np.divide(2 * tp, denom, out=np.zeros(k), where=denom > 0)
     total = 0.0
-    for value in f1.tolist():  # left to right, as np.sum's pairwise order could move low bits
+    for value in f1.tolist():
         total += value
     return total / k
 

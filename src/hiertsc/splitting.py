@@ -5,18 +5,26 @@ binary-group score of a base classifier fit on a training part and scored on
 a validation part.  Each splitter is only its proposal rule; one shared loop
 scores the proposals, keeps strictly better ones and, in all four splitters,
 stops on a perfect score.
+
+Scoring works from one table per class set, built when the set is first
+scored: its training and validation rows are relabelled once, by local class
+index, and one ridge solve fits every class indicator.  Each bipartition of
+the set is then a sign per class, looked up at the validation rows for the
+truth, one matrix-vector product for the decision values, and a 2x2
+confusion for the F1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
 from .classifiers import ClassifierSpec, PreparedRows, Rows, Run
 from .dataset import TimeSeriesDataset
-from .metrics import f1_macro
+from .metrics import _f1_mean
 from .tree import ClassSet, bipartitions
 
 PERFECT_SCORE = 1.0
@@ -39,10 +47,10 @@ class SplitContext:
 
     Every bipartition of one class set is fit on the same training rows, and
     its +/-1 targets are a signed sum of the set's class indicators.  So the
-    context makes one solve per class set, for every indicator at once, and
-    keeps one live :class:`_ClassBasis`, from which each bipartition's scores
-    equal a fresh fit's and its decision values agree with that fit's to
-    rounding.
+    context relabels the rows and makes one solve once per class set, for
+    every indicator at once, and keeps one live :class:`_ClassBasis`, from
+    which each bipartition's scores equal a fresh fit's and its decision
+    values agree with that fit's to rounding.
     """
 
     train: Rows | TimeSeriesDataset
@@ -69,34 +77,43 @@ class SplitContext:
     def score(self, c0: Iterable[int], c1: Iterable[int]) -> float:
         return score_bipartition(self, c0, c1)
 
-    def _basis(self, classes: frozenset[int], train: Rows, val: Rows) -> _ClassBasis:
-        """The basis of `classes` for its `train` and `val` rows; built when
-        another class set was scored last, which frees that one first."""
+    def _basis(self, classes: frozenset[int]) -> _ClassBasis:
+        """The basis of `classes`; built when another class set was scored
+        last, which frees that one first."""
         if self._live is None or self._live.classes != classes:
             self._live = None
-            prepared = PreparedRows.of(self.spec, train)
-            run = train.run
-            codes = [run.code_of[c] for c in sorted(classes) if c in run.code_of]
-            local = np.searchsorted(codes, run.codes[train.idx])
-            weights = prepared.class_solutions(local, len(codes))
-            per_class = (prepared.standardise(val.feats) - prepared.centre) @ weights
-            counts = np.bincount(local, minlength=len(codes))
-            self._live = _ClassBasis(classes, run.classes[codes].tolist(), counts, per_class)
+            self._live = _ClassBasis(classes, self.train, self.val, self.spec)
         return self._live
 
 
-class _ClassBasis(NamedTuple):
-    """One class set's ridge solutions, seen from the validation rows.
+class _ClassBasis:
+    """One class set's rows and ridge solutions, seen from the validation rows.
 
-    `order` lists the set's classes and `counts` each one's training rows;
-    `per_class` is (validation rows, classes): the centred, standardised
-    validation features times each class indicator's weights.
+    `order` lists the set's classes present in the run; `counts` and
+    `val_counts` hold each one's training and validation rows, and
+    `val_local` each validation row's index into `order`.  `per_class` is
+    (validation rows, classes): the centred, standardised validation features
+    times each class indicator's weights, solved on first use.
     """
 
-    classes: frozenset[int]
-    order: list[int]
-    counts: np.ndarray
-    per_class: np.ndarray
+    def __init__(self, classes: frozenset[int], train: Rows, val: Rows, spec: ClassifierSpec):
+        self.classes = classes
+        self.order = sorted(c for c in classes if c in train.run.code_of)
+        singletons = [(c,) for c in self.order]
+        self._train, self.counts = train.grouped(singletons)
+        self._val, self.val_counts = val.grouped(singletons)
+        self.val_local = self._val.labels
+        self._spec = spec
+
+    @cached_property
+    def per_class(self) -> np.ndarray:
+        prepared = PreparedRows.of(self._spec, self._train)
+        weights = prepared.class_solutions(self._train.labels, len(self.order))
+        return (prepared.standardise(self._val.feats) - prepared.centre) @ weights
+
+    def signs(self, c0: frozenset[int]) -> np.ndarray:
+        """+1 for each class of `order` in c0, -1 for the rest."""
+        return np.array([1.0 if c in c0 else -1.0 for c in self.order])
 
     def decisions(self, c0: frozenset[int]) -> np.ndarray:
         """Each validation row's group-0 decision value when the classes in
@@ -107,7 +124,7 @@ class _ClassBasis(NamedTuple):
         the class indicators times (s - t), and so are the weights: the
         decision value is ``per_class @ (s - t) + t``.
         """
-        signs = np.array([1.0 if c in c0 else -1.0 for c in self.order])
+        signs = self.signs(c0)
         mean = (signs @ self.counts) / self.counts.sum()
         return self.per_class @ (signs - mean) + mean
 
@@ -141,13 +158,14 @@ class ScoredSplit(NamedTuple):
 def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -> float:
     """Macro-F1 of the two meta-groups on the validation part.
 
-    Instances of classes in c0 are relabelled group 0, those in c1 group 1;
-    the base classifier is fit on the training part only.  Symmetric in
-    (c0, c1) by macro averaging.
+    Instances of classes in c0 are group 0, those in c1 group 1; the base
+    classifier is fit on the training part only.  Symmetric in (c0, c1) by
+    macro averaging.
 
-    The classifier is not fit per bipartition: the context solves once for
-    the class set, and :meth:`_ClassBasis.decisions` sums those solutions
-    into this bipartition's decision values.
+    The classifier is not fit per bipartition, nor are the rows relabelled:
+    the context builds one :class:`_ClassBasis` per class set, whose counts
+    find an empty group before any solve, whose local class indices give the
+    truth and whose solutions give the decision values.
     """
     c0 = frozenset(int(c) for c in c0)
     c1 = frozenset(int(c) for c in c1)
@@ -155,14 +173,21 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
         raise ScoringError("both groups must be non-empty")
     if c0 & c1:
         raise ScoringError(f"groups overlap on {sorted(c0 & c1)}")
-    train, train_empty = ctx.train.binary_groups(c0, c1)
-    val, val_empty = ctx.val.binary_groups(c0, c1)
-    for empty, part in ((train_empty, "training"), (val_empty, "validation")):
-        if empty is not None:
-            group = sorted((c0, c1)[empty])
-            raise ScoringError(f"group {group} has no instances in the {part} part")
-    basis = ctx._basis(c0 | c1, train, val)
-    return f1_macro(val.labels, predicted_groups(basis.decisions(c0)))
+    basis = ctx._basis(c0 | c1)
+    in_c0 = basis.signs(c0) > 0
+    in_c1 = ~in_c0
+    for counts, part in ((basis.counts, "training"), (basis.val_counts, "validation")):
+        for group, members in ((c0, in_c0), (c1, in_c1)):
+            if counts @ members == 0:
+                raise ScoringError(f"group {sorted(group)} has no instances in the {part} part")
+    return _group_f1(in_c1[basis.val_local], predicted_groups(basis.decisions(c0)))
+
+
+def _group_f1(truth: np.ndarray, predicted: np.ndarray) -> float:
+    """Macro-F1 of two groups, 0/1 or False/True, both present in `truth`:
+    :func:`~hiertsc.metrics.f1_macro`'s value from a 2x2 confusion."""
+    confusion = np.bincount(2 * truth + predicted, minlength=4)
+    return _f1_mean(confusion.reshape(2, 2))
 
 
 def update_score_and_groups(

@@ -26,7 +26,7 @@ from hiertsc.evaluation import (
     select_tree,
 )
 from hiertsc.io import load_dataset, save_dataset
-from hiertsc.splitting import resolve_splitter
+from hiertsc.splitting import _group_f1, resolve_splitter
 from hiertsc.tree import tree_to_text
 
 from conftest import orthogonal_dataset, peek_dataset, separable_dataset
@@ -97,6 +97,22 @@ def test_f1_macro_sums_many_classes_left_to_right():
     truth = np.repeat(np.arange(40) * 1000 - 7, 3)
     predicted = np.where(rng.random(truth.size) < 0.6, truth, rng.permutation(truth))
     assert f1_macro(truth, predicted) == f1_macro_loop(truth, predicted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=80).filter(
+        lambda pairs: len({t for t, _ in pairs}) == 2
+    )
+)
+def test_the_split_scorer_f1_is_bitwise_f1_macro(pairs):
+    """Two groups, both present in the truth: the split scorer's 2x2
+    confusion gives f1_macro's bits."""
+    truth = np.asarray([t for t, _ in pairs])
+    predicted = np.asarray([p for _, p in pairs], dtype=np.int64)
+    got, want = _group_f1(truth, predicted), f1_macro(truth.astype(np.int64), predicted)
+    assert type(got) is float
+    assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)
 
 
 def test_f1_macro_length_mismatch():

@@ -182,6 +182,26 @@ def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys, name):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "DatasetFormatError"
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_decode_error_reports_the_offset_in_the_file(tmp_path, capsys, bom):
+    """The reader decodes 8 KiB at a time; a bad byte far past the first
+    block is still reported at its offset in the file, byte-order mark
+    included."""
+    rows = bom + b"0\t0.125\t0.25\n1\t0.5\t0.75\n" * 4000
+    data = bytearray(rows[:80404])
+    data[80400] = 0xFF
+    path = tmp_path / "late.tsv"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 80400: "
+        "invalid start byte"
+    )
+    assert main(["cv", "--data", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "DatasetFormatError"
+
+
 #: raw bytes, and byte strings built from the pieces the parsers look for
 FILE_BYTES = st.one_of(
     st.binary(max_size=200),

@@ -39,15 +39,24 @@ KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=2)
 # -- the relabel helper ------------------------------------------------------------
 
 
+def isin_sets(labels, idx, sets):
+    """Rows of `idx` whose label lies in any of `sets`, the index of the last
+    set holding each one and each set's row count, from one np.isin mask per
+    set."""
+    part = labels[idx]
+    masks = [np.isin(part, np.fromiter(s, dtype=np.int64, count=len(s))) for s in sets]
+    mark = np.full(part.size, -1)
+    for g, mask in enumerate(masks):
+        mark[mask] = g
+    keep = mark >= 0
+    return idx[keep], mark[keep], [int(mask.sum()) for mask in masks]
+
+
 def isin_groups(labels, idx, c0, c1):
     """Rows of `idx` whose label lies in c0 or c1, their 0/1 group (1 when in
-    c1) and the first side with no rows, from two np.isin masks."""
-    part = labels[idx]
-    in0 = np.isin(part, np.fromiter(c0, dtype=np.int64, count=len(c0)))
-    in1 = np.isin(part, np.fromiter(c1, dtype=np.int64, count=len(c1)))
-    empty = 0 if not in0.any() else 1 if not in1.any() else None
-    keep = in0 | in1
-    return idx[keep], np.where(in1[keep], 1, 0), empty
+    c1) and the first side with no rows."""
+    rows, groups, counts = isin_sets(labels, idx, (c0, c1))
+    return rows, groups, next((g for g in (0, 1) if counts[g] == 0), None)
 
 
 CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12, 2**63 - 1])
@@ -72,6 +81,28 @@ def test_binary_groups_matches_the_isin_oracle(labels, keep, c0, c1):
     assert np.array_equal(node.labels, want_groups)
     assert empty == want_empty
     assert np.array_equal(node.values, values[want_rows])
+    assert np.array_equal(node.feats, values[want_rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(CLASS_IDS, min_size=1, max_size=40),
+    keep=st.lists(st.booleans(), min_size=40, max_size=40),
+    sets=st.lists(st.frozensets(CLASS_IDS, max_size=5), min_size=1, max_size=5),
+)
+def test_grouped_matches_the_isin_oracle(labels, keep, sets):
+    """k class sets, overlapping or not: a class in several sets is labelled
+    by the last, and counts in every set holding it."""
+    labels = np.asarray(labels, dtype=np.int64)
+    values = np.arange(labels.size * 3, dtype=np.float64).reshape(-1, 3)
+    run = Run(values, labels, LINEAR)
+    idx = np.flatnonzero(keep[: labels.size])
+    node, counts = Rows(run, idx).grouped(sets)
+    want_rows, want_groups, want_counts = isin_sets(labels, idx, sets)
+    assert np.array_equal(node.idx, want_rows)
+    assert node.labels.dtype == np.int64
+    assert np.array_equal(node.labels, want_groups)
+    assert counts.tolist() == want_counts
     assert np.array_equal(node.feats, values[want_rows])
 
 

@@ -22,7 +22,7 @@ from hiertsc import (
     update_score_and_groups,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import PreparedRows
+from hiertsc.classifiers import PreparedRows, Rows
 from hiertsc.splitting import (
     PERFECT_SCORE,
     SPLITTERS,
@@ -195,7 +195,7 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
                 break
         train, _ = ctx.train.binary_groups(c0, c1)
         val, _ = ctx.val.binary_groups(c0, c1)
-        basis = ctx._basis(c0 | c1, train, val)
+        basis = ctx._basis(c0 | c1)
         got = basis.decisions(c0)
         prepared = PreparedRows.of(ctx.spec, train)
         fit = prepared.fit(train.labels)
@@ -229,10 +229,11 @@ def test_zero_decision_goes_to_group_zero():
 def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
     """The paper's cost model counts one fit per parent node; the search
     prepares one row set and solves once per splitter call, however many
-    bipartitions it scores."""
+    bipartitions it scores, and relabels its training and its validation
+    rows once each."""
     ctx = noisy_context(kind, seed=4, n_classes=7, n_per_class=6, length=16)
-    counts = {"prepared": 0, "solved": 0}
-    init, solve = PreparedRows.__init__, classifiers.ridge_solve
+    counts = {"prepared": 0, "solved": 0, "relabelled": 0}
+    init, solve, grouped = PreparedRows.__init__, classifiers.ridge_solve, Rows.grouped
 
     def counted_init(self, *args):
         counts["prepared"] += 1
@@ -242,6 +243,10 @@ def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
         counts["solved"] += 1
         return solve(*args)
 
+    def counted_grouped(self, sets):
+        counts["relabelled"] += 1
+        return grouped(self, sets)
+
     outcomes = []
 
     def splitter(ctx, classes):
@@ -250,9 +255,11 @@ def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
 
     monkeypatch.setattr(PreparedRows, "__init__", counted_init)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
+    monkeypatch.setattr(Rows, "grouped", counted_grouped)
     tree = grow_tree(ctx, splitter)
     assert len(outcomes) == sum(len(p.left | p.right) >= 3 for p in tree.parents) > 1
     assert counts["solved"] == counts["prepared"] == len(outcomes)
+    assert counts["relabelled"] == 2 * len(outcomes)
     assert sum(o.evaluations for o in outcomes) > len(outcomes)
 
 
