@@ -34,6 +34,7 @@ parts:
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -87,7 +88,7 @@ def _positive_int(doc, key: str, what: str) -> int:
 
 def _decode_array(value, dtype, ndim: int, what: str) -> np.ndarray:
     """A nested JSON list as an `ndim`-D array of `dtype`: int64 takes JSON
-    integers only, float64 takes finite JSON numbers."""
+    integers only, float64 takes JSON numbers."""
     kinds = "i" if dtype is np.int64 else "if"
     try:
         array = np.asarray(value)
@@ -95,8 +96,36 @@ def _decode_array(value, dtype, ndim: int, what: str) -> np.ndarray:
         array = None
     if array is None or array.ndim != ndim or array.dtype.kind not in kinds:
         raise ModelFormatError(f"{what} must be a {ndim}-D array of {np.dtype(dtype).name} numbers")
-    array = array.astype(dtype)
-    if dtype is np.float64 and not np.isfinite(array).all():
+    return array.astype(dtype)
+
+
+def _encode_floats(array: np.ndarray) -> str:
+    """A float64 array as one base64 string (RFC 4648) of its little-endian
+    IEEE-754 bytes in row-major order, which reads back to the same bits."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_floats(value, shape: tuple[int, ...], what: str, packed: bool) -> np.ndarray:
+    """The float64 array of `shape` that `value` holds: an
+    :func:`_encode_floats` string when `packed`, else a nested list of JSON
+    numbers (bundle version 2).  Raises ModelFormatError for any other
+    value, for another size and for a NaN or an infinity."""
+    if not packed:
+        array = _decode_array(value, np.float64, len(shape), what)
+    elif not isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a base64 string of float64 bytes")
+    else:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError:  # binascii.Error, or text that is not ASCII
+            raise ModelFormatError(f"{what} is not strict base64 text") from None
+        size = math.prod(shape)
+        if len(raw) != 8 * size:
+            raise ModelFormatError(f"{what} holds {len(raw)} bytes, not the 8 x {size} of shape {shape}")
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if array.shape != shape:
+        raise ModelFormatError(f"{what} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
         raise ModelFormatError(f"{what} holds a non-finite number")
     return array
 
@@ -112,10 +141,6 @@ def _series_input(values, series_length: int, finite: bool = False) -> np.ndarra
         row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
         raise ValueError(f"row {row} of the input holds a NaN or an infinity")
     return values
-
-
-def _array_or_none(array: np.ndarray | None):
-    return None if array is None else array.tolist()
 
 
 @dataclass(frozen=True)
@@ -332,41 +357,46 @@ class KernelBank:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "series_length": self.series_length,
-            **{name: getattr(self, name).tolist() for name, _ in _BANK_ARRAYS},
-        }
+        """The bank as JSON values: integer arrays as number lists, float
+        arrays as :func:`_encode_floats` strings."""
+        doc = {"series_length": self.series_length}
+        for name, dtype in _BANK_ARRAYS:
+            array = getattr(self, name)
+            doc[name] = _encode_floats(array) if dtype is np.float64 else array.tolist()
+        return doc
 
     @staticmethod
-    def decode(doc) -> "KernelBank":
-        """The bank of a decoded :meth:`to_dict` document.  Raises
-        ModelFormatError unless its arrays describe kernels :meth:`generate`
-        could draw: each dilated kernel fits inside an unpadded series and
-        pads by at most half its span."""
+    def decode(doc, packed: bool = True) -> "KernelBank":
+        """The bank of a decoded :meth:`to_dict` document, or, unless
+        `packed`, of one whose float arrays are number lists (bundle
+        version 2).  Raises ModelFormatError unless its arrays describe
+        kernels :meth:`generate` could draw: each dilated kernel fits inside
+        an unpadded series and pads by at most half its span."""
         what = "kernel bank"
         series_length = _positive_int(doc, "series_length", what)
-        arrays = {
-            name: _decode_array(_field(doc, name, what), dtype, 1, f"{what} {name}")
-            for name, dtype in _BANK_ARRAYS
-        }
-        lengths, weights = arrays["lengths"], arrays["weights"]
+        lengths, dilations, paddings = (
+            _decode_array(_field(doc, name, what), np.int64, 1, f"{what} {name}")
+            for name in ("lengths", "dilations", "paddings")
+        )
         if (
             lengths.size == 0
             or (lengths < 1).any()
-            or int(lengths.sum()) != weights.size
-            or any(arrays[name].size != lengths.size for name in ("biases", "dilations", "paddings"))
+            or dilations.size != lengths.size
+            or paddings.size != lengths.size
         ):
             raise ModelFormatError(f"{what} arrays disagree in size")
-        span = (lengths - 1.0) * arrays["dilations"]  # floats: no overflow
-        paddings = arrays["paddings"]
+        n_weights = int(lengths.sum())
+        weights = _decode_floats(_field(doc, "weights", what), (n_weights,), f"{what} weights", packed)
+        biases = _decode_floats(_field(doc, "biases", what), lengths.shape, f"{what} biases", packed)
+        span = (lengths - 1.0) * dilations  # floats: no overflow
         if (
-            (arrays["dilations"] < 1).any()
+            (dilations < 1).any()
             or (span > series_length - 1).any()
             or (paddings < 0).any()
             or (paddings > span // 2).any()
         ):
             raise ModelFormatError(f"{what} has a kernel that does not fit series of length {series_length}")
-        return KernelBank(series_length, **arrays)
+        return KernelBank(series_length, lengths, weights, biases, dilations, paddings)
 
 
 #: The most outputs (positions x rows) the transform's buffer holds, unless
@@ -499,25 +529,26 @@ class TrainedClassifier:
     # -- serialization -----------------------------------------------------
 
     def to_node_doc(self) -> dict:
-        """The fitted arrays as plain JSON values: ``class_ids``, ``weights``,
-        ``intercepts``, ``feature_mean`` and ``feature_scale`` (None for
-        ``linear``).  Floats are written as their repr, which reads back to
-        the same bits."""
-        return {
-            "class_ids": list(self.class_ids),
-            "weights": self.weights.tolist(),
-            "intercepts": self.intercepts.tolist(),
-            "feature_mean": _array_or_none(self.feature_mean),
-            "feature_scale": _array_or_none(self.feature_scale),
-        }
+        """The fitted arrays as JSON values: ``class_ids`` as a number list;
+        ``weights``, ``intercepts``, ``feature_mean`` and ``feature_scale``
+        (None for ``linear``) as :func:`_encode_floats` strings, which read
+        back to the same bits."""
+        doc = {"class_ids": list(self.class_ids)}
+        for name in ("weights", "intercepts", "feature_mean", "feature_scale"):
+            array = getattr(self, name)
+            doc[name] = None if array is None else _encode_floats(array)
+        return doc
 
     @staticmethod
     def from_node_doc(
-        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None
+        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None, packed: bool = True
     ) -> "TrainedClassifier":
         """The classifier of a :meth:`to_node_doc` document, with the fields a
-        container stores for it.  Raises ModelFormatError unless every array
-        has the shape the class ids, the series length and the bank imply."""
+        container stores for it, or, unless `packed`, of one whose float
+        arrays are number lists (bundle version 2).  Raises ModelFormatError
+        unless every array has the shape the class ids, the series length
+        and the bank imply, holds finite values and, for ``feature_scale``,
+        positive ones."""
         what = "node model"
         class_ids = _field(doc, "class_ids", what)
         if (
@@ -539,15 +570,12 @@ class TrainedClassifier:
             value = _field(doc, name, what)
             if value is None and name.startswith("feature_"):
                 arrays[name] = None
-                continue
-            array = _decode_array(value, np.float64, len(shape), f"{what} {name}")
-            if array.shape != shape:
-                raise ModelFormatError(f"{what} {name} has shape {array.shape}, expected {shape}")
-            arrays[name] = array
+            else:
+                arrays[name] = _decode_floats(value, shape, f"{what} {name}", packed)
         if (arrays["feature_mean"] is None) != (arrays["feature_scale"] is None):
             raise ModelFormatError(f"{what} has only one of feature_mean and feature_scale")
-        if arrays["feature_scale"] is not None and (arrays["feature_scale"] == 0).any():
-            raise ModelFormatError(f"{what} feature_scale holds a zero")
+        if arrays["feature_scale"] is not None and (arrays["feature_scale"] <= 0).any():
+            raise ModelFormatError(f"{what} feature_scale holds a value that is not positive")
         return TrainedClassifier(
             spec=spec,
             class_ids=tuple(class_ids),

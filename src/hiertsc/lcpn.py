@@ -25,7 +25,7 @@ from .classifiers import (
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
-_BUNDLE_VERSION = 2
+_BUNDLE_VERSION = 3
 _NO_TOKEN_MAP = (
     "model bundle has no token map (a version 1 bundle, or 'label_names' is null); "
     "refit the model to get a bundle that maps its class ids to label tokens"
@@ -92,6 +92,10 @@ class LcpnModel:
                 raise ValueError(f"node model {i} has class ids {list(m.class_ids)}, not [0, 1]")
         if (first.kernels is None) != (first.spec.kind == "linear"):
             raise ValueError("linear node models have no kernel bank, kernel-ridge ones have one")
+        if first.kernels is not None and first.kernels.n_kernels != first.spec.num_kernels:
+            raise ValueError(
+                f"spec names {first.spec.num_kernels} kernels, its kernel bank has {first.kernels.n_kernels}"
+            )
         classes = sorted(self.tree.root_classes)
         names = {c: str(c) for c in classes} if self.label_names is None else dict(self.label_names)
         if names.keys() != self.tree.root_classes:
@@ -107,10 +111,12 @@ class LcpnModel:
         return self.node_models[0].series_length
 
     def to_bundle(self) -> str:
-        """The model as one version 2 JSON document: the tree text, the spec,
+        """The model as one version 3 JSON document: the tree text, the spec,
         the series length and the id -> token map once, the kernel bank (if
         any) once under ``banks``, and per node its arrays and the index of
-        that bank (or null)."""
+        that bank (or null).  Every float64 array is one base64 string of
+        its little-endian bytes in row-major order, so it reads back to the
+        same bits; integer arrays are number lists."""
         first = self.node_models[0]
         banks = [] if first.kernels is None else [first.kernels.to_dict()]
         bank = None if first.kernels is None else 0
@@ -128,20 +134,22 @@ class LcpnModel:
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 2 bundle.  Nodes that name one bank get one
-        :class:`KernelBank` object.  Raises ModelFormatError when `blob` is
-        not such a bundle, has no token map (a version 1 bundle, or a null
-        map), or its nodes break a rule of :class:`LcpnModel`."""
+        """The model of a version 3 bundle, or of a version 2 one, whose
+        float arrays are number lists; each version takes only its own
+        encoding.  Nodes that name one bank get one :class:`KernelBank`
+        object.  Raises ModelFormatError when `blob` is not such a bundle,
+        has no token map (a version 1 bundle, or a null map), or its nodes
+        break a rule of :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
-        if version not in (1, _BUNDLE_VERSION):
+        if version not in (1, 2, _BUNDLE_VERSION):
             raise ModelFormatError(f"unsupported model bundle version {version!r}")
         names = None if version == 1 else _field(doc, "label_names", what)
         if names is None:
             raise ModelFormatError(_NO_TOKEN_MAP)
         names = _decode_label_names(names)
-        tree, nodes = _decode_v2(doc)
+        tree, nodes = _decode_body(doc, packed=version == _BUNDLE_VERSION)
         try:
             return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
         except ValueError as exc:
@@ -165,12 +173,14 @@ def _list_field(doc, key: str) -> list:
     return value
 
 
-def _decode_v2(doc):
+def _decode_body(doc, packed: bool):
+    """The tree and node models of a version 2 or 3 bundle; `packed` when
+    its float arrays are base64 strings (version 3)."""
     what = "model bundle"
     tree = _decode_tree(_field(doc, "tree", what))
     spec = ClassifierSpec.decode(_field(doc, "spec", what))
     series_length = _positive_int(doc, "series_length", what)
-    banks = [KernelBank.decode(bank) for bank in _list_field(doc, "banks")]
+    banks = [KernelBank.decode(bank, packed) for bank in _list_field(doc, "banks")]
     if any(bank.series_length != series_length for bank in banks):
         raise ModelFormatError(f"{what} has a kernel bank for another series length")
     nodes, named = [], set()
@@ -180,7 +190,7 @@ def _decode_v2(doc):
             raise ModelFormatError(f"node model 'bank' must be null or an index into {len(banks)} banks")
         named.add(index)
         kernels = None if index is None else banks[index]
-        nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels))
+        nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels, packed))
     if len(named - {None}) != len(banks):
         raise ModelFormatError(f"{what} lists a kernel bank that no node names")
     return tree, nodes

@@ -1,8 +1,10 @@
-"""Model bundles: the version 2 format, the token map every bundle carries,
-refusal of bundles without one, typed decode errors, and label-safe
-``predict`` through that map."""
+"""Model bundles: the version 3 format and reading version 2, the token map
+every bundle carries, refusal of bundles without one, typed decode errors,
+and label-safe ``predict`` through that map."""
 
+import base64
 import json
+import string
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from hiertsc import (
 from hiertsc.cli import main
 
 NODE_ARRAYS = ("weights", "intercepts", "feature_mean", "feature_scale")
+BANK_FLOATS = ("weights", "biases")
 SPECS = {
     "linear": ClassifierSpec("linear"),
     "kernel-ridge": ClassifierSpec("kernel-ridge", num_kernels=8, seed=3),
@@ -63,7 +66,33 @@ def _run(args, capsys):
     return code, out, err
 
 
-# -- version 2 round trip -------------------------------------------------------
+def _floats(text):
+    """The float64 values of a version 3 array string."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _packed(values):
+    """`values` as a version 3 array string."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _as_version_2(text):
+    """`text`, a version 3 bundle, in the version 2 layout: every float array
+    a list of numbers, a node's weights one list per class."""
+    doc = json.loads(text)
+    for node in doc["nodes"]:
+        for name in NODE_ARRAYS:
+            if node[name] is not None:
+                values = _floats(node[name])
+                node[name] = (values.reshape(len(node["class_ids"]), -1) if name == "weights" else values).tolist()
+    for bank in doc["banks"]:
+        for name in BANK_FLOATS:
+            bank[name] = _floats(bank[name]).tolist()
+    doc["version"] = 2
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# -- version 3 round trip -------------------------------------------------------
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -89,7 +118,10 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
         for got, want in zip(predict_lcpn(again, values), predict_lcpn(model, values)):
             assert np.array_equal(got, want)
     doc = json.loads(text)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    assert all(isinstance(node[name], str) for node in doc["nodes"] for name in NODE_ARRAYS[:2])
+    assert all(isinstance(node[name], str) == (kind == "kernel-ridge") for node in doc["nodes"] for name in NODE_ARRAYS[2:])
+    assert all(isinstance(bank[name], str) for bank in doc["banks"] for name in BANK_FLOATS)
     # every class of the tree is named: by the data's token, or by its id
     assert doc["label_names"] == {str(c): f"class-{c}" if named else str(c) for c in tree.root_classes}
     assert again.label_names == model.label_names
@@ -101,6 +133,36 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     else:
         assert doc["banks"] == [] and all(m.kernels is None for m in again.node_models)
     assert again.to_bundle() == text
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_a_version_2_bundle_loads_to_the_same_arrays_and_labels(kind):
+    data, unseen, tree = random_problem(11, 4, sparse_ids=True, named=True)
+    model = fit_lcpn(tree, data, SPECS[kind])
+    old = LcpnModel.from_bundle(_as_version_2(model.to_bundle()))
+    assert old.tree == model.tree and old.label_names == model.label_names
+    for a, b in zip(model.node_models, old.node_models):
+        for name in NODE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or (x.shape == y.shape and x.tobytes() == y.tobytes()), name
+    if kind == "kernel-ridge":
+        bank, again = model.node_models[0].kernels, old.node_models[0].kernels
+        for name in ("lengths", *BANK_FLOATS, "dilations", "paddings"):
+            assert getattr(bank, name).tobytes() == getattr(again, name).tobytes(), name
+    for values in (data.values, unseen):
+        for got, want in zip(predict_lcpn(old, values), predict_lcpn(model, values)):
+            assert np.array_equal(got, want)
+    assert old.to_bundle() == model.to_bundle()  # the writer emits version 3 only
+
+
+def test_a_kernel_bundle_takes_at_most_11_bytes_per_float():
+    """Base64 takes 10 2/3 characters per float64, number text about 20."""
+    data, _, tree = random_problem(3, 8, sparse_ids=False)
+    model = fit_lcpn(tree, data, ClassifierSpec("kernel-ridge", num_kernels=128))
+    bank = model.node_models[0].kernels
+    floats = sum(getattr(bank, name).size for name in BANK_FLOATS)
+    floats += sum(getattr(m, name).size for m in model.node_models for name in NODE_ARRAYS)
+    assert len(model.to_bundle().encode()) <= 11 * floats
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -246,8 +308,38 @@ def _second_bank():
     """A kernel-ridge bundle whose last node names a second, different bank."""
     doc = json.loads(_small_kernel_bundle())
     bank = doc["banks"][0]
-    doc["banks"].append({**bank, "biases": [b / 2 for b in bank["biases"]]})
+    doc["banks"].append({**bank, "biases": _packed(_floats(bank["biases"]) / 2)})
     doc["nodes"][-1]["bank"] = 1
+    return json.dumps(doc)
+
+
+def _first_row_weights(nodes):
+    """`nodes` with each node's weights cut to the first class's row."""
+    return [{**n, "weights": _packed(_floats(n["weights"]).reshape(2, -1)[:1])} for n in nodes]
+
+
+def _kernel_edit(edit):
+    """A kernel-ridge bundle (two kernels) after `edit` of its decoded document."""
+    doc = json.loads(_small_kernel_bundle())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _scales(value):
+    """A kernel-ridge bundle whose feature scales all equal `value`."""
+    def edit(doc):
+        for node in doc["nodes"]:
+            node["feature_scale"] = _packed(np.full(_floats(node["feature_scale"]).size, value))
+    return _kernel_edit(edit)
+
+
+def _other_encoding(version, section, name):
+    """A kernel-ridge bundle of `version` (2 or 3) whose first entry of
+    `section` holds its `name` array in the other version's encoding."""
+    text = _small_kernel_bundle()
+    v3, v2 = json.loads(text), json.loads(_as_version_2(text))
+    doc, other = (v3, v2) if version == 3 else (v2, v3)
+    doc[section][0][name] = other[section][0][name]
     return json.dumps(doc)
 
 
@@ -256,7 +348,7 @@ def _second_bank():
     [
         ("[]", "must be a JSON object, got list"),
         ("", "not valid JSON"),
-        ('{"version": 3}', "unsupported model bundle version 3"),
+        ('{"version": 4}', "unsupported model bundle version 4"),
         (lambda: _without("banks"), "has no 'banks'"),
         (lambda: _without("label_names"), "has no 'label_names'"),
         (lambda: _linear_bundle().replace('"2":"2"', '"2":"0"'), "'label_names' repeats a token"),
@@ -268,7 +360,7 @@ def _second_bank():
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),
-        (lambda: _nodes(lambda nodes: [{**n, "weights": n["weights"][:1]} for n in nodes]), "shape"),
+        (lambda: _nodes(_first_row_weights), "shape"),
         (lambda: _nodes(lambda nodes: [{**n, "class_ids": [0, 2]} for n in nodes]), r"class ids \[0, 2\], not \[0, 1\]"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":Infinity'), "finite and positive"),
         (lambda: _kind(_linear_bundle(), "no-such-kind"), "unknown classifier kind 'no-such-kind'"),
@@ -276,6 +368,19 @@ def _second_bank():
         (lambda: _kind(_linear_bundle(), "kernel-ridge"), "kernel-ridge ones have one"),
         (_second_bank, "one spec, series length and kernel bank"),
         (_unnamed_bank, "lists a kernel bank that no node names"),
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=5)), "spec names 5 kernels, its kernel bank has 2"),
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=10**30)), f"spec names {10**30} kernels"),
+        (lambda: _scales(-1.0), "feature_scale holds a value that is not positive"),
+        (lambda: _scales(0.0), "feature_scale holds a value that is not positive"),
+        (lambda: _scales(np.nan), "feature_scale holds a non-finite number"),
+        (lambda: _scales(-np.inf), "feature_scale holds a non-finite number"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(weights="é")), "weights is not strict base64 text"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==\n")), "intercepts is not strict base64"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 11 + "=")), r"intercepts holds 8 bytes, not the 8 x 2 of shape \(2,\)"),
+        (lambda: _other_encoding(3, "nodes", "weights"), "node model weights must be a base64 string"),
+        (lambda: _other_encoding(3, "banks", "biases"), "kernel bank biases must be a base64 string"),
+        (lambda: _other_encoding(2, "nodes", "intercepts"), "node model intercepts must be a 1-D array of float64 numbers"),
+        (lambda: _other_encoding(2, "banks", "weights"), "kernel bank weights must be a 1-D array of float64 numbers"),
     ],
 )
 def test_malformed_bundles_raise_model_format_error(text, message):
@@ -290,8 +395,13 @@ def _small_kernel_bundle():
     return LcpnModel(model.tree, model.node_models, {0: "a", 1: "b", 2: "c"}).to_bundle()
 
 
-#: the text the fuzz test mutates: every section of a version 2 bundle, small
+#: the text the fuzz tests mutate: every section of a version 3 bundle, small
 BUNDLE_TEXT = _small_kernel_bundle()
+
+
+#: JSON punctuation, digits, the letters of numbers and literals, and the
+#: base64 alphabet, so mutations land inside array strings too
+JUNK = '{}[],:"0123456789.-+/= ' + string.ascii_letters
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,7 +414,7 @@ def test_truncated_and_mutated_bundles_raise_only_model_format_errors(data):
         text = text[:at]
     else:
         width = data.draw(st.integers(1, 8))
-        junk = data.draw(st.text(alphabet='{}[],:"0123456789.-eE truefalsn', min_size=1, max_size=width))
+        junk = data.draw(st.text(alphabet=JUNK, min_size=1, max_size=width))
         if action == "replace":
             text = text[:at] + junk + text[at + width :]
         elif action == "delete":
@@ -326,6 +436,8 @@ def _paths(doc, at=()):
 
 
 BUNDLE_PATHS = list(_paths(json.loads(BUNDLE_TEXT)))
+V2_BUNDLE_TEXT = _as_version_2(BUNDLE_TEXT)
+V2_BUNDLE_PATHS = list(_paths(json.loads(V2_BUNDLE_TEXT)))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -333,10 +445,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(BUNDLE_PATHS), value=JSON_VALUES)
-def test_bundles_with_any_value_replaced_raise_only_model_format_errors(path, value):
-    doc = json.loads(BUNDLE_TEXT)
+def _load_with_value_replaced(text, path, value):
+    doc = json.loads(text)
     if path:
         parent = doc
         for key in path[:-1]:
@@ -348,6 +458,18 @@ def test_bundles_with_any_value_replaced_raise_only_model_format_errors(path, va
         LcpnModel.from_bundle(json.dumps(doc))
     except ModelFormatError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(BUNDLE_PATHS), value=JSON_VALUES)
+def test_bundles_with_any_value_replaced_raise_only_model_format_errors(path, value):
+    _load_with_value_replaced(BUNDLE_TEXT, path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(V2_BUNDLE_PATHS), value=JSON_VALUES)
+def test_version_2_bundles_with_any_value_replaced_raise_only_model_format_errors(path, value):
+    _load_with_value_replaced(V2_BUNDLE_TEXT, path, value)
 
 
 # -- the CLI ----------------------------------------------------------------------

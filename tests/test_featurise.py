@@ -9,6 +9,7 @@ a per-kernel oracle, bit for bit.
 import contextlib
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,12 +136,9 @@ def with_paddings(bank, mode):
     """`bank` as drawn, or with every kernel unpadded or padded."""
     if mode == "drawn":
         return bank
-    doc = bank.to_dict()
     if mode == "all":
-        doc["paddings"] = (bank.lengths - 1) * bank.dilations // 2
-    else:
-        doc["paddings"] = np.zeros_like(bank.paddings)
-    return KernelBank(**doc)
+        return replace(bank, paddings=(bank.lengths - 1) * bank.dilations // 2)
+    return replace(bank, paddings=np.zeros_like(bank.paddings))
 
 
 def assert_same_bits(a, b):
@@ -214,9 +212,10 @@ def test_transform_rejects_input_of_the_wrong_shape():
 
 
 def test_transform_rejects_a_kernel_that_does_not_fit():
-    doc = KernelBank.generate(20, 4, seed=0).to_dict()
-    doc["dilations"][2], doc["paddings"][2] = 20, 0  # the constructor builds it; KernelBank.decode would not
-    bank = KernelBank(**doc)
+    bank = KernelBank.generate(20, 4, seed=0)
+    dilations, paddings = bank.dilations.copy(), bank.paddings.copy()
+    dilations[2], paddings[2] = 20, 0  # the constructor builds it; KernelBank.decode would not
+    bank = replace(bank, dilations=dilations, paddings=paddings)
     with pytest.raises(TrainingDataError, match="kernel does not fit the series even when padded"):
         bank.transform(np.zeros((2, 20)))
 
