@@ -14,22 +14,18 @@ Two kinds, the :data:`KINDS`:
     fed to the same closed-form ridge.
 
 Both are deterministic functions of (spec, data); predictions break argmax
-ties toward the smallest class id.  A fit's label-independent half has two
-parts:
+ties toward the smallest class id.  A fit's label-independent half, the raw
+features, is computed once per run: a :class:`Run` draws its kernel bank and
+featurises all of its rows in one call, and every fit slices that one matrix
+by row index (:class:`Rows`).  Each fit then standardises and centres its
+rows and makes one :func:`ridge_solve`, which builds the Gram matrix:
 
-- the raw features, once per run: a :class:`Run` draws its kernel bank and
-  featurises all of its rows in one call, and every fit slices that one
-  matrix by row index (:class:`Rows`);
-- the regularised system, once per row set: a :class:`PreparedRows` holds the
-  standardisation, the centred features and the Gram matrix with lambda on
-  its diagonal, and fits any labelling of those rows by building its targets
-  and solving.  Split scoring relabels a class set's rows once
-  (:meth:`Rows.grouped`, by class within the set) and makes one solve
-  with one right-hand side per class
-  (:meth:`PreparedRows.class_solutions`); each bipartition is then a sign
-  per class, one matrix-vector product and a 2x2 confusion.  Its scores
-  equal a fresh fit's, and its decision values agree with that fit's to
-  rounding.
+- a node fit (:func:`fit_classifier`) solves for its one-vs-rest targets;
+- split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
+  class within the set) and solves once, with one right-hand side per class
+  indicator (:func:`_class_decisions`).  Each bipartition is then a sign per
+  class, one matrix-vector product and a 2x2 confusion.  Its scores equal a
+  fresh fit's, and its decision values agree with that fit's to rounding.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping
@@ -159,9 +156,21 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r} (choose from {', '.join(KINDS)})")
+        for name in ("num_kernels", "ridge_lambda", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):  # kept as the Python number it holds
+                object.__setattr__(self, name, value.item())
+        for name in ("num_kernels", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        lam = self.ridge_lambda
+        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
+            raise ValueError(f"ridge_lambda must be a real number, got {lam!r}")
         if self.num_kernels < 1:
             raise ValueError("num_kernels must be >= 1")
-        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
+        if not 0 < lam <= sys.float_info.max:  # an int too large for a float is not finite
             raise ValueError("ridge_lambda must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
@@ -173,17 +182,11 @@ class ClassifierSpec:
     def decode(doc) -> "ClassifierSpec":
         """The spec of a decoded :meth:`to_dict` document; ModelFormatError
         when a field is missing, of the wrong type or out of range."""
-        for name, types in _SPEC_TYPES.items():
-            value = _field(doc, name, "classifier spec")
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ModelFormatError(f"classifier spec '{name}' has the wrong type: {value!r}")
+        names = ("kind", "num_kernels", "ridge_lambda", "seed")
         try:
-            return ClassifierSpec(**{name: doc[name] for name in _SPEC_TYPES})
+            return ClassifierSpec(**{name: _field(doc, name, "classifier spec") for name in names})
         except ValueError as exc:
             raise ModelFormatError(f"classifier spec: {exc}") from None
-
-
-_SPEC_TYPES = {"kind": str, "num_kernels": int, "ridge_lambda": (int, float), "seed": int}
 
 
 _BANK_ARRAYS = (
@@ -447,9 +450,7 @@ class _TransformPlan:
         np.maximum.reduceat(filled, seg, axis=0, out=maximum[first:stop])
 
 
-def ridge_solve(
-    features: np.ndarray, targets: np.ndarray, lam: float, gram: np.ndarray | None = None
-) -> np.ndarray:
+def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     """Ridge weights W for (n, f) features F and (n, k) targets Y.
 
     W solves (F^T F + lam*I) W = F^T Y.  The form solved is the smaller of two
@@ -459,35 +460,19 @@ def ridge_solve(
     - n < f, the dual: W = F^T (F F^T + lam*I)^-1 Y, an n x n system
       (Rifkin & Lippert, "Notes on Regularized Least Squares", 2007).
 
-    The two agree to rounding (about 1e-11 at n = 150, f = 1024).
-
-    Only Y depends on the labels.  The rest is done once: the raw features
-    once per run (:class:`Run`), and the centred F with its Gram matrix once
-    per row set (:class:`PreparedRows`), where `gram` is
-    :func:`_regularised_gram` of (F, lam).  A node fit solves for one
-    labelling; split scoring solves once per class set, for every class
-    indicator at once, and sums the solutions per bipartition, so its scores
-    equal a fresh fit's and its decision values agree to rounding.  Without
-    `gram` the matrix is built here, with the same bits.
+    The two agree to rounding (about 1e-11 at n = 150, f = 1024).  Each call
+    builds its Gram matrix, with lam on its diagonal, and each row set is
+    solved once: a node fit for its one labelling, split scoring for every
+    class indicator of a set at once.
     """
-    if gram is None:
-        gram = _regularised_gram(features, lam)
-    if features.shape[0] < features.shape[1]:
-        return features.T @ np.linalg.solve(gram, targets)
-    return np.linalg.solve(gram, features.T @ targets)
-
-
-def _regularised_gram(features: np.ndarray, lam: float) -> np.ndarray:
-    """The matrix :func:`ridge_solve` solves with: F F^T + lam*I when n < f,
-    else F^T F + lam*I."""
     n, f = features.shape
     if n < f:
         gram = features @ features.T
         gram.flat[:: n + 1] += lam
-    else:
-        gram = features.T @ features
-        gram.flat[:: f + 1] += lam
-    return gram
+        return features.T @ np.linalg.solve(gram, targets)
+    gram = features.T @ features
+    gram.flat[:: f + 1] += lam
+    return np.linalg.solve(gram, features.T @ targets)
 
 
 def _standardise(raw: np.ndarray, mean: np.ndarray | None, scale: np.ndarray | None) -> np.ndarray:
@@ -582,86 +567,6 @@ class TrainedClassifier:
             series_length=series_length,
             kernels=kernels,
             **arrays,
-        )
-
-
-def _one_vs_rest_targets(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
-    return np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
-
-
-class PreparedRows:
-    """The label-independent half of a closed-form ridge fit on one row set.
-
-    Built from `feats`, the raw features of the rows in order: standardised
-    per row set when they come from `kernels`, then centred, and the Gram
-    matrix of the centred features with lambda on its diagonal, in the form
-    :func:`ridge_solve` picks from the shape.  :meth:`fit` then fits any
-    labelling of these rows, with the same operations in the same order as a
-    fit from scratch, so its weights are the same bits.
-    """
-
-    def __init__(
-        self,
-        spec: ClassifierSpec,
-        feats: np.ndarray,
-        kernels: KernelBank | None,
-        series_length: int,
-    ) -> None:
-        self.spec = spec
-        self.kernels = kernels
-        self.series_length = series_length
-        self.mean = self.scale = None
-        if kernels is not None:
-            self.mean = feats.mean(axis=0)
-            scale = feats.std(axis=0)
-            self.scale = np.where(scale == 0.0, 1.0, scale)
-            feats = self.standardise(feats)
-        self.centre = feats.mean(axis=0)
-        self.centred = feats - self.centre
-        self.gram = _regularised_gram(self.centred, spec.ridge_lambda)
-
-    @staticmethod
-    def of(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> "PreparedRows":
-        """The rows of `data` (a dataset becomes a new run) prepared for `spec`."""
-        rows = Run.rows_of(data, spec)
-        return PreparedRows(spec, rows.feats, rows.run.bank, rows.series_length)
-
-    def standardise(self, raw: np.ndarray) -> np.ndarray:
-        """Raw features of any rows, standardised as these rows' fits read them."""
-        return _standardise(raw, self.mean, self.scale)
-
-    def class_solutions(self, codes: np.ndarray, n_classes: int) -> np.ndarray:
-        """(f, n_classes) ridge weights whose column j fits the indicator of
-        ``codes == j``, `codes` holding one class in ``range(n_classes)`` per
-        prepared row, in order: every class in one solve.
-
-        A ridge solution is linear in its targets, so the weights for any
-        targets that are constant on each class are a sum of these columns
-        (how split scoring scores every bipartition of a class set).  A class
-        with no rows has a zero column.
-        """
-        indicators = np.zeros((codes.size, n_classes))
-        indicators[np.arange(codes.size), codes] = 1.0
-        return ridge_solve(self.centred, indicators, self.spec.ridge_lambda, self.gram)
-
-    def fit(self, labels: np.ndarray) -> TrainedClassifier:
-        """One-vs-rest ridge for `labels`, one per prepared row, in order."""
-        class_ids = np.unique(labels)
-        if class_ids.size < 2:
-            raise TrainingDataError("training data must contain at least two classes")
-        targets = _one_vs_rest_targets(labels, class_ids)
-        t_mean = targets.mean(axis=0)
-        w = ridge_solve(self.centred, targets - t_mean, self.spec.ridge_lambda, self.gram)
-        intercepts = t_mean - self.centre @ w
-        return TrainedClassifier(
-            spec=self.spec,
-            class_ids=tuple(int(c) for c in class_ids),
-            weights=w.T,
-            intercepts=intercepts,
-            series_length=self.series_length,
-            kernels=self.kernels,
-            feature_mean=self.mean,
-            feature_scale=self.scale,
         )
 
 
@@ -773,11 +678,68 @@ class Rows(Labelled):
         return model.predict(self.values)
 
 
+def _centred(rows: Rows) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The label-independent half of a ridge fit on `rows`, from the raw
+    features of its run in row order: (mean, scale, centre, centred).  Rows
+    of a run with a kernel bank are standardised by their own mean and scale
+    (a zero standard deviation reads as 1), else both are None; `centre` is
+    the mean of the standardised features and `centred` those features less
+    it."""
+    feats = rows.feats
+    mean = scale = None
+    if rows.run.bank is not None:
+        mean = feats.mean(axis=0)
+        scale = feats.std(axis=0)
+        scale = np.where(scale == 0.0, 1.0, scale)
+        feats = _standardise(feats, mean, scale)
+    centre = feats.mean(axis=0)
+    return mean, scale, centre, feats - centre
+
+
+def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: int) -> np.ndarray:
+    """(validation rows, n_classes): the centred, standardised features of
+    `val` times the ridge weights whose column j fits the indicator of
+    ``train.labels == j``, `train.labels` holding one class in
+    ``range(n_classes)`` per row: every class in one solve.
+
+    A ridge solution is linear in its targets, so the decisions for any
+    targets that are constant on each class are a sum of these columns (how
+    split scoring scores every bipartition of a class set).  A class with no
+    training rows has a zero column.  Raises ValueError when the rows'
+    run is for another spec.
+    """
+    mean, scale, centre, centred = _centred(Run.rows_of(train, spec))
+    codes = train.labels
+    indicators = np.zeros((codes.size, n_classes))
+    indicators[np.arange(codes.size), codes] = 1.0
+    weights = ridge_solve(centred, indicators, spec.ridge_lambda)
+    return (_standardise(val.feats, mean, scale) - centre) @ weights
+
+
 def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> TrainedClassifier:
-    """Fit the classifier described by `spec`; deterministic for fixed inputs.
+    """Fit the classifier described by `spec`, one-vs-rest ridge on +/-1
+    targets; deterministic for fixed inputs.
 
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
     takes the raw features of the rows from their run, and a dataset becomes
-    a new run.
+    a new run.  Raises TrainingDataError for fewer than two classes.
     """
-    return PreparedRows.of(spec, data).fit(data.labels)
+    rows = Run.rows_of(data, spec)
+    labels = rows.labels
+    class_ids = np.unique(labels)
+    if class_ids.size < 2:
+        raise TrainingDataError("training data must contain at least two classes")
+    mean, scale, centre, centred = _centred(rows)
+    targets = np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    t_mean = targets.mean(axis=0)
+    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    return TrainedClassifier(
+        spec=spec,
+        class_ids=tuple(int(c) for c in class_ids),
+        weights=w.T,
+        intercepts=t_mean - centre @ w,
+        series_length=rows.series_length,
+        kernels=rows.run.bank,
+        feature_mean=mean,
+        feature_scale=scale,
+    )

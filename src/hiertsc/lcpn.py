@@ -143,7 +143,7 @@ class LcpnModel:
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
-        if version not in (1, 2, _BUNDLE_VERSION):
+        if not _is_int(version) or version not in (1, 2, _BUNDLE_VERSION):  # not 3.0, not true
             raise ModelFormatError(f"unsupported model bundle version {version!r}")
         names = None if version == 1 else _field(doc, "label_names", what)
         if names is None:

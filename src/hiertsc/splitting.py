@@ -22,7 +22,7 @@ from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, PreparedRows, Rows, Run
+from .classifiers import ClassifierSpec, Rows, Run, _class_decisions
 from .dataset import TimeSeriesDataset
 from .metrics import _f1_mean
 from .tree import ClassSet, bipartitions
@@ -107,9 +107,7 @@ class _ClassBasis:
 
     @cached_property
     def per_class(self) -> np.ndarray:
-        prepared = PreparedRows.of(self._spec, self._train)
-        weights = prepared.class_solutions(self._train.labels, len(self.order))
-        return (prepared.standardise(self._val.feats) - prepared.centre) @ weights
+        return _class_decisions(self._spec, self._train, self._val, len(self.order))
 
     def signs(self, c0: frozenset[int]) -> np.ndarray:
         """+1 for each class of `order` in c0, -1 for the rest."""

@@ -349,6 +349,10 @@ def _other_encoding(version, section, name):
         ("[]", "must be a JSON object, got list"),
         ("", "not valid JSON"),
         ('{"version": 4}', "unsupported model bundle version 4"),
+        (lambda: _kernel_edit(lambda doc: doc.update(version=3.0)), "unsupported model bundle version 3.0"),
+        (lambda: _kernel_edit(lambda doc: doc.update(version=True)), "unsupported model bundle version True"),
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(seed=True)), "seed must be an integer, got True"),
+        (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":1' + "0" * 400), "ridge_lambda must be finite and positive"),
         (lambda: _without("banks"), "has no 'banks'"),
         (lambda: _without("label_names"), "has no 'label_names'"),
         (lambda: _linear_bundle().replace('"2":"2"', '"2":"0"'), "'label_names' repeats a token"),
@@ -387,6 +391,46 @@ def test_malformed_bundles_raise_model_format_error(text, message):
     text = text() if callable(text) else text
     with pytest.raises(ModelFormatError, match=message):
         LcpnModel.from_bundle(text)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "kernel-ridge", "num_kernels": np.int64(2), "seed": np.uint8(1)},
+        {"ridge_lambda": np.float64(0.5)},
+        {"ridge_lambda": np.float32(0.1)},
+        {"ridge_lambda": np.int64(2)},
+        {"ridge_lambda": 2},
+    ],
+)
+def test_specs_with_numpy_or_int_fields_round_trip_as_python_numbers(fields):
+    spec = ClassifierSpec(**fields)
+    for name, value in fields.items():
+        want = value.item() if isinstance(value, np.generic) else value
+        assert type(getattr(spec, name)) is type(want) and getattr(spec, name) == want
+    data, _, tree = random_problem(5, 3, sparse_ids=False)
+    bundle = fit_lcpn(tree, data, spec).to_bundle()
+    assert json.loads(bundle)["spec"] == spec.to_dict()
+    assert LcpnModel.from_bundle(bundle).node_models[0].spec == spec
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"num_kernels": 2.5}, "num_kernels must be an integer, got 2.5"),
+        ({"num_kernels": True}, "num_kernels must be an integer, got True"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": np.bool_(False)}, "seed must be an integer, got False"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"ridge_lambda": True}, "ridge_lambda must be a real number, got True"),
+        ({"ridge_lambda": "0.1"}, "ridge_lambda must be a real number, got '0.1'"),
+        ({"ridge_lambda": 10**400}, "ridge_lambda must be finite and positive"),
+        ({"ridge_lambda": np.float64("nan")}, "ridge_lambda must be finite and positive"),
+    ],
+)
+def test_spec_refuses_fields_a_bundle_could_not_hold(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ClassifierSpec(**fields)
 
 
 def _small_kernel_bundle():

@@ -203,10 +203,9 @@ def test_spec_validation():
         ClassifierSpec(seed=-1)
 
 
-def primal_ridge(features, targets, lam, _gram=None):
+def primal_ridge(features, targets, lam):
     """Oracle: the f x f normal equations (F^T F + lam*I) W = F^T Y, solved as
-    written, whatever the shape.  A prepared Gram matrix is ignored, so the
-    oracle builds its own system from the features of every labelling."""
+    written, whatever the shape."""
     gram = features.T @ features + lam * np.eye(features.shape[1])
     return np.linalg.solve(gram, features.T @ targets)
 
@@ -274,14 +273,13 @@ def test_cv_reports_match_primal_only_solves(spec, monkeypatch):
     data = collinear_superclusters(n_per_class=12, series_length=32, noise=1.5)
     shapes, oracle_calls = [], []
 
-    def counted(features, targets, lam, gram):
-        assert gram is not None  # every fit solves on a prepared Gram matrix
+    def counted(features, targets, lam):
         shapes.append(features.shape)
-        return ridge_solve(features, targets, lam, gram)
+        return ridge_solve(features, targets, lam)
 
-    def counted_oracle(features, targets, lam, gram):
+    def counted_oracle(features, targets, lam):
         oracle_calls.append(features.shape)
-        return primal_ridge(features, targets, lam, gram)
+        return primal_ridge(features, targets, lam)
 
     def reports():
         return [

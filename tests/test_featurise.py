@@ -31,7 +31,6 @@ from hiertsc import (
 )
 from hiertsc.classifiers import (
     _PASS_ELEMENTS,
-    PreparedRows,
     Run,
     TrainingDataError,
     _TransformPlan,
@@ -334,6 +333,6 @@ def test_featurised_model_equals_nodes_fit_with_their_own_bank():
         in0 = np.isin(data.labels, sorted(parent.left))
         in1 = np.isin(data.labels, sorted(parent.right))
         values, groups = data.values[in0 | in1], in1[in0 | in1].astype(np.int64)
-        bank = KernelBank.generate(data.series_length, KERNEL.num_kernels, KERNEL.seed)
-        alone = PreparedRows(KERNEL, bank.transform(values), bank, data.series_length).fit(groups)
+        alone = fit_classifier(KERNEL, TimeSeriesDataset(values, groups))  # a new run, which draws its own bank
+        assert alone.kernels is not node.kernels
         assert classifier_state(alone) == classifier_state(node)

@@ -12,6 +12,7 @@ from hiertsc import (
     fit_lcpn,
     predict_lcpn,
 )
+from hiertsc import classifiers
 from hiertsc.classifiers import TrainedClassifier
 from hiertsc.lcpn import NodeTrainingError
 
@@ -79,6 +80,28 @@ def test_balanced_tree_datapoint_routing():
     fit_lcpn(build_tree(BALANCED4), data, LINEAR, counters=counters)
     assert counters.per_parent_instances == [100, 50, 50]
     assert counters.datapoint_class_units == 100 * 4 + 50 * 2 + 50 * 2
+
+
+@pytest.mark.parametrize(
+    "spec", [LINEAR, ClassifierSpec(kind="kernel-ridge", num_kernels=8)], ids=["linear", "kernel-ridge"]
+)
+def test_fit_lcpn_solves_once_per_parent_on_its_rows(fig_tree, spec, monkeypatch):
+    """The paper's cost model counts one fit per parent node: each parent is
+    one ridge solve over exactly the rows of its class set."""
+    labels = np.repeat(np.arange(5), [4, 5, 6, 7, 8])
+    data = TimeSeriesDataset(np.random.default_rng(2).normal(size=(labels.size, 16)) + labels[:, None], labels)
+    solved = []
+    solve = classifiers.ridge_solve
+
+    def counted(features, targets, lam):
+        solved.append(features.shape[0])
+        return solve(features, targets, lam)
+
+    monkeypatch.setattr(classifiers, "ridge_solve", counted)
+    counters = FitCounters()
+    fit_lcpn(fig_tree, data, spec, counters=counters)
+    assert solved == counters.per_parent_instances
+    assert solved == [np.isin(labels, sorted(p.class_set)).sum() for p in fig_tree.parents]
 
 
 def test_perfect_node_models_reproduce_labels(fig_tree):

@@ -22,7 +22,7 @@ from hiertsc import (
     update_score_and_groups,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import PreparedRows, Rows
+from hiertsc.classifiers import Rows, _standardise
 from hiertsc.splitting import (
     PERFECT_SCORE,
     SPLITTERS,
@@ -197,9 +197,8 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
         val, _ = ctx.val.binary_groups(c0, c1)
         basis = ctx._basis(c0 | c1)
         got = basis.decisions(c0)
-        prepared = PreparedRows.of(ctx.spec, train)
-        fit = prepared.fit(train.labels)
-        feats = prepared.standardise(val.feats)
+        fit = fit_classifier(ctx.spec, train)
+        feats = _standardise(val.feats, fit.feature_mean, fit.feature_scale)
         want = feats @ fit.weights[0] + fit.intercepts[0]
         assert np.array_equal(predicted_groups(got), fit.predict_features(val.feats))
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
@@ -233,11 +232,11 @@ def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
     rows once each."""
     ctx = noisy_context(kind, seed=4, n_classes=7, n_per_class=6, length=16)
     counts = {"prepared": 0, "solved": 0, "relabelled": 0}
-    init, solve, grouped = PreparedRows.__init__, classifiers.ridge_solve, Rows.grouped
+    centred, solve, grouped = classifiers._centred, classifiers.ridge_solve, Rows.grouped
 
-    def counted_init(self, *args):
+    def counted_centred(rows):
         counts["prepared"] += 1
-        init(self, *args)
+        return centred(rows)
 
     def counted_solve(*args):
         counts["solved"] += 1
@@ -253,7 +252,7 @@ def test_split_search_prepares_one_row_set_per_parent(name, kind, monkeypatch):
         outcomes.append(SPLITTERS[name](ctx, classes))
         return outcomes[-1]
 
-    monkeypatch.setattr(PreparedRows, "__init__", counted_init)
+    monkeypatch.setattr(classifiers, "_centred", counted_centred)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
     monkeypatch.setattr(Rows, "grouped", counted_grouped)
     tree = grow_tree(ctx, splitter)
