@@ -18,14 +18,16 @@ ties toward the smallest class id.  A fit's label-independent half, the raw
 features, is computed once per run: a :class:`Run` draws its kernel bank and
 featurises all of its rows in one call, and every fit slices that one matrix
 by row index (:class:`Rows`).  Each fit then standardises and centres its
-rows and makes one :func:`ridge_solve`, which builds the Gram matrix:
+rows in one pass over their gathered features (:func:`_centred`) and makes
+one :func:`ridge_solve`, which builds the Gram matrix:
 
 - a node fit (:func:`fit_classifier`) solves for its one-vs-rest targets;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
-  class within the set) and solves once, with one right-hand side per class
-  indicator (:func:`_class_decisions`).  Each bipartition is then a sign per
-  class, one matrix-vector product and a 2x2 confusion.  Its scores equal a
-  fresh fit's, and its decision values agree with that fit's to rounding.
+  class within the set, from class counts taken once per row set) and
+  solves once, with one right-hand side per class indicator
+  (:func:`_class_decisions`).  Each bipartition is then a sign per class,
+  one matrix-vector product and a 2x2 confusion.  Its scores equal a fresh
+  fit's, and its decision values agree with that fit's to rounding.
 """
 
 from __future__ import annotations
@@ -644,11 +646,17 @@ class Rows(Labelled):
     def _codes(self) -> np.ndarray:
         return self.run.codes[self.idx]
 
-    def grouped(self, sets) -> tuple["Rows", np.ndarray]:
+    @cached_property
+    def _per_class(self) -> list[int]:
+        """Each run class's row count, by class code."""
+        return np.bincount(self._codes, minlength=self.run.classes.size).tolist()
+
+    def grouped(self, sets) -> tuple["Rows", list[int]]:
         """The rows whose run class lies in any of the class sets `sets`,
         labelled by the index of the last set holding it, and each set's row
         count: the rows whose class it holds.  One lookup table from run class
-        codes to set indices relabels the rows."""
+        codes to set indices relabels the rows; the class counts behind the
+        set counts are taken once per row set."""
         code_of = self.run.code_of
         members = [(code_of[c], g) for g, classes in enumerate(sets) for c in classes if c in code_of]
         set_of = dict(members)  # a class in several sets keeps the last
@@ -656,11 +664,11 @@ class Rows(Labelled):
         group[list(set_of)] = list(set_of.values())
         mark = group[self._codes]
         keep = mark >= 0
-        per_class = np.bincount(self._codes, minlength=self.run.classes.size).tolist()
+        per_class = self._per_class
         counts = [0] * len(sets)
         for code, g in members:
             counts[g] += per_class[code]
-        return Rows(self.run, self.idx[keep], mark[keep]), np.array(counts, dtype=np.int64)
+        return Rows(self.run, self.idx[keep], mark[keep]), counts
 
     def binary_groups(self, c0, c1) -> tuple["Rows", int | None]:
         """The rows whose run class lies in c0 or c1, labelled group 0 /
@@ -684,16 +692,26 @@ def _centred(rows: Rows) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarr
     of a run with a kernel bank are standardised by their own mean and scale
     (a zero standard deviation reads as 1), else both are None; `centre` is
     the mean of the standardised features and `centred` those features less
-    it."""
+    it.
+
+    One pass over the fresh gather of the rows: each mean is
+    ``np.add.reduce(x, axis=0) / n`` and the scale the root of the summed
+    squares of ``x - mean`` over n, which is what ``x.mean(0)`` and
+    ``x.std(0)`` compute; the standardisation and the centring are made in
+    place.  So every value has the bits of those plain expressions.
+    """
     feats = rows.feats
+    n = feats.shape[0]
     mean = scale = None
     if rows.run.bank is not None:
-        mean = feats.mean(axis=0)
-        scale = feats.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        feats = _standardise(feats, mean, scale)
-    centre = feats.mean(axis=0)
-    return mean, scale, centre, feats - centre
+        mean = np.add.reduce(feats, axis=0) / n
+        feats -= mean
+        scale = np.sqrt(np.add.reduce(feats * feats, axis=0) / n)
+        scale[scale == 0.0] = 1.0
+        feats /= scale
+    centre = np.add.reduce(feats, axis=0) / n
+    feats -= centre
+    return mean, scale, centre, feats
 
 
 def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: int) -> np.ndarray:
@@ -731,7 +749,7 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
         raise TrainingDataError("training data must contain at least two classes")
     mean, scale, centre, centred = _centred(rows)
     targets = np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
-    t_mean = targets.mean(axis=0)
+    t_mean = np.add.reduce(targets, axis=0) / labels.size
     w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
     return TrainedClassifier(
         spec=spec,

@@ -5,6 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def _pair(truth, predicted) -> tuple[np.ndarray, np.ndarray]:
+    truth = np.asarray(truth)
+    predicted = np.asarray(predicted)
+    if truth.shape != predicted.shape or truth.ndim != 1:
+        raise ValueError("truth and predicted must be 1-D sequences of equal length")
+    if truth.size == 0:
+        raise ValueError("truth must be non-empty")
+    return truth, predicted
+
+
 def f1_macro(truth, predicted) -> float:
     """Unweighted mean of per-class F1 over the classes present in `truth`.
 
@@ -12,41 +22,32 @@ def f1_macro(truth, predicted) -> float:
     the truth label set count as false positives of their own (ignored)
     class and false negatives of the true one.
     """
-    truth = np.asarray(truth)
-    predicted = np.asarray(predicted)
-    if truth.shape != predicted.shape or truth.ndim != 1:
-        raise ValueError("truth and predicted must be 1-D sequences of equal length")
-    if truth.size == 0:
-        raise ValueError("truth must be non-empty")
+    truth, predicted = _pair(truth, predicted)
     classes = np.unique(truth)
     k = classes.size
     t = np.searchsorted(classes, truth)
     p = np.minimum(np.searchsorted(classes, predicted), k - 1)
     p[classes[p] != predicted] = k  # foreign: a column of its own
     confusion = np.bincount(t * (k + 1) + p, minlength=k * (k + 1)).reshape(k, k + 1)
-    return _f1_mean(confusion)
-
-
-def _f1_mean(confusion: np.ndarray) -> float:
-    """Mean per-class F1 of a (k, m >= k) confusion matrix of counts: row i
-    holds the rows of true class i, column j < k their predictions as class
-    j and any further column predictions of no true class.
-
-    Sums left to right, as np.sum's pairwise order could move low bits.
-    """
-    k = confusion.shape[0]
-    tp = confusion.diagonal()
     denom = confusion.sum(axis=0)[:k] + confusion.sum(axis=1)  # 2tp + fp + fn
-    f1 = np.divide(2 * tp, denom, out=np.zeros(k), where=denom > 0)
+    return _f1_mean(confusion.diagonal().tolist(), denom.tolist())
+
+
+def _f1_mean(tp: list[int], denom: list[int]) -> float:
+    """Mean per-class F1 of k classes from each one's true positives and
+    its ``2tp + fp + fn``, as Python ints: ``2tp / denom``, or 0 where the
+    denominator is 0.
+
+    Each quotient of two exact integers is correctly rounded, and the sum
+    runs left to right, as np.sum's pairwise order could move low bits.
+    """
     total = 0.0
-    for value in f1.tolist():
-        total += value
-    return total / k
+    for t, d in zip(tp, denom):
+        if d:
+            total += 2 * t / d
+    return total / len(tp)
 
 
 def accuracy(truth, predicted) -> float:
-    truth = np.asarray(truth)
-    predicted = np.asarray(predicted)
-    if truth.shape != predicted.shape or truth.ndim != 1:
-        raise ValueError("truth and predicted must be 1-D sequences of equal length")
+    truth, predicted = _pair(truth, predicted)
     return float(np.mean(truth == predicted))

@@ -8,16 +8,19 @@ stops on a perfect score.
 
 Scoring works from one table per class set, built when the set is first
 scored: its training and validation rows are relabelled once, by local class
-index, and one ridge solve fits every class indicator.  Each bipartition of
-the set is then a sign per class, looked up at the validation rows for the
-truth, one matrix-vector product for the decision values, and a 2x2
-confusion for the F1.
+index, with each class's row counts as Python ints, and one ridge solve fits
+every class indicator.  Each bipartition of the set is then a side per
+class: integer sums of the counts find an empty group and give the training
+target mean, the sides looked up at the validation rows give the truth, one
+matrix-vector product gives the decision values, and three counts of
+group-1 rows give the 2x2 confusion for the F1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
@@ -90,10 +93,11 @@ class _ClassBasis:
     """One class set's rows and ridge solutions, seen from the validation rows.
 
     `order` lists the set's classes present in the run; `counts` and
-    `val_counts` hold each one's training and validation rows, and
-    `val_local` each validation row's index into `order`.  `per_class` is
-    (validation rows, classes): the centred, standardised validation features
-    times each class indicator's weights, solved on first use.
+    `val_counts` hold each one's training and validation rows, as Python
+    ints, and `val_local` each validation row's index into `order`.
+    `per_class` is (validation rows, classes): the centred, standardised
+    validation features times each class indicator's weights, solved on
+    first use.
     """
 
     def __init__(self, classes: frozenset[int], train: Rows, val: Rows, spec: ClassifierSpec):
@@ -109,31 +113,35 @@ class _ClassBasis:
     def per_class(self) -> np.ndarray:
         return _class_decisions(self._spec, self._train, self._val, len(self.order))
 
-    def signs(self, c0: frozenset[int]) -> np.ndarray:
-        """+1 for each class of `order` in c0, -1 for the rest."""
-        return np.array([1.0 if c in c0 else -1.0 for c in self.order])
+    def in_group_one(self, c0: frozenset[int]) -> list[bool]:
+        """For each class of `order`, whether it is outside c0 (in group 1)."""
+        return [c not in c0 for c in self.order]
 
-    def decisions(self, c0: frozenset[int]) -> np.ndarray:
-        """Each validation row's group-0 decision value when the classes in
-        `c0` are group 0 and the rest of the set group 1.
+    def decisions(self, in_c1: list[bool]) -> np.ndarray:
+        """Each validation row's group-0 decision value when the classes of
+        `order` flagged in `in_c1` are group 1 and the rest group 0.
 
-        The group-0 targets are +1 on c0 and -1 on the rest.  With s those
-        signs per class and t their training mean, the targets less t are
-        the class indicators times (s - t), and so are the weights: the
-        decision value is ``per_class @ (s - t) + t``.
+        The group-0 targets are +1 on group 0 and -1 on group 1.  With s
+        those signs per class and t their training mean, the targets less t
+        are the class indicators times (s - t), and so are the weights: the
+        decision value is ``per_class @ (s - t) + t``.  t is
+        ``(n0 - n1) / n`` of the integer training counts, which is the sum
+        of the signed counts to the last bit.
         """
-        signs = self.signs(c0)
-        mean = (signs @ self.counts) / self.counts.sum()
-        return self.per_class @ (signs - mean) + mean
+        total = sum(self.counts)
+        n1 = sum(compress(self.counts, in_c1))
+        mean = (total - 2 * n1) / total
+        return self.per_class @ (np.where(in_c1, -1.0, 1.0) - mean) + mean
 
 
 def predicted_groups(decisions: np.ndarray) -> np.ndarray:
-    """Group 1 where the group-0 decision value is below 0, else group 0.
+    """True (group 1) where the group-0 decision value is below 0, else
+    False (group 0).
 
     A two-group fit's group-1 scores are the negated group-0 ones, so this is
     its argmax, ties (0) going to group 0.
     """
-    return (decisions < 0).astype(np.int64)
+    return decisions < 0
 
 
 @dataclass(frozen=True)
@@ -172,20 +180,27 @@ def score_bipartition(ctx: SplitContext, c0: Iterable[int], c1: Iterable[int]) -
     if c0 & c1:
         raise ScoringError(f"groups overlap on {sorted(c0 & c1)}")
     basis = ctx._basis(c0 | c1)
-    in_c0 = basis.signs(c0) > 0
-    in_c1 = ~in_c0
+    in_c1 = basis.in_group_one(c0)
     for counts, part in ((basis.counts, "training"), (basis.val_counts, "validation")):
-        for group, members in ((c0, in_c0), (c1, in_c1)):
-            if counts @ members == 0:
+        n1 = sum(compress(counts, in_c1))
+        for group, n in ((c0, sum(counts) - n1), (c1, n1)):
+            if n == 0:
                 raise ScoringError(f"group {sorted(group)} has no instances in the {part} part")
-    return _group_f1(in_c1[basis.val_local], predicted_groups(basis.decisions(c0)))
+    truth = np.array(in_c1)[basis.val_local]
+    return _group_f1(truth, predicted_groups(basis.decisions(in_c1)))
 
 
 def _group_f1(truth: np.ndarray, predicted: np.ndarray) -> float:
-    """Macro-F1 of two groups, 0/1 or False/True, both present in `truth`:
-    :func:`~hiertsc.metrics.f1_macro`'s value from a 2x2 confusion."""
-    confusion = np.bincount(2 * truth + predicted, minlength=4)
-    return _f1_mean(confusion.reshape(2, 2))
+    """Macro-F1 of two groups, boolean (True for group 1), both present in
+    `truth`: :func:`~hiertsc.metrics.f1_macro`'s value from the 2x2
+    confusion, counted as rows in group 1 by truth, by prediction and by
+    both."""
+    n = truth.size
+    t1 = int(np.count_nonzero(truth))
+    p1 = int(np.count_nonzero(predicted))
+    both = int(np.count_nonzero(truth & predicted))
+    # group 0: tp = n - t1 - p1 + both, 2tp + fp + fn = (n - p1) + (n - t1)
+    return _f1_mean([n - t1 - p1 + both, both], [2 * n - t1 - p1, t1 + p1])
 
 
 def update_score_and_groups(

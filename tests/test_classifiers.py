@@ -17,7 +17,7 @@ from hiertsc import (
     nested_cv,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import TrainedClassifier, TrainingDataError, ridge_solve
+from hiertsc.classifiers import Rows, Run, TrainedClassifier, TrainingDataError, _centred, ridge_solve
 
 from conftest import classifier_state, separable_dataset
 
@@ -260,6 +260,49 @@ def test_fit_with_fewer_rows_than_features_matches_primal_oracle(kind):
     assert np.max(np.abs(model.weights - w.T)) <= 1e-9
     assert np.max(np.abs(model.intercepts - (t_mean - f_mean @ w))) <= 1e-9
     assert np.array_equal(model.predict(data.values), data.labels)
+
+
+def random_features(rng, n, f):
+    """n x f raw features of mixed columns: normal, offset far from zero,
+    rounded to a few levels (as the proportion-of-positives pooling gives),
+    and constant, zero or not."""
+    feats = rng.normal(0.0, 1.0, (n, f)) * rng.choice([1e-3, 1.0, 1e3], f)
+    kind = rng.integers(0, 4, f)
+    feats[:, kind == 1] += 1e6
+    feats[:, kind == 2] = np.round(feats[:, kind == 2] * 4) / rng.integers(1, 200)
+    feats[:, kind == 3] = rng.choice([0.0, 1.0, -2.5, 1 / 3], (kind == 3).sum())
+    return feats
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("seed", range(20))
+def test_centred_is_bitwise_the_plain_numpy_expressions(kind, seed):
+    """The one-pass row-set preparation gives the bits of x.mean(0),
+    x.std(0) (zeros read as 1), (x - m) / s, its .mean(0) and x - c, and
+    leaves the run's feature matrix as it was."""
+    rng = np.random.default_rng(seed)
+    total, f = int(rng.integers(1, 260)), int(rng.integers(1, 1025))
+    idx = np.sort(rng.choice(total, min(total, int(rng.integers(1, 201))), replace=False))
+    feats = random_features(rng, total, f)
+    before = feats.copy()
+    spec = ClassifierSpec(kind=kind, num_kernels=1)
+    run = Run(feats if kind == "linear" else np.zeros((total, 9)), np.zeros(total, np.int64), spec)
+    run.feats = feats  # any raw features: the preparation never reads the bank
+    mean, scale, centre, centred = _centred(Rows(run, idx))
+    x = feats[idx]
+    if kind == "linear":
+        assert mean is None and scale is None
+        z = x
+    else:
+        want_scale = x.std(axis=0)
+        want_scale = np.where(want_scale == 0.0, 1.0, want_scale)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert scale.tobytes() == want_scale.tobytes()
+        z = (x - x.mean(axis=0)) / want_scale
+    assert centre.tobytes() == z.mean(axis=0).tobytes()
+    assert centred.shape == x.shape
+    assert centred.tobytes() == (z - z.mean(axis=0)).tobytes()
+    assert run.feats is feats and feats.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize(

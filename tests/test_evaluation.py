@@ -26,6 +26,7 @@ from hiertsc.evaluation import (
     select_tree,
 )
 from hiertsc.io import load_dataset, save_dataset
+from hiertsc.metrics import _f1_mean, accuracy
 from hiertsc.splitting import _group_f1, resolve_splitter
 from hiertsc.tree import tree_to_text
 
@@ -99,6 +100,31 @@ def test_f1_macro_sums_many_classes_left_to_right():
     assert f1_macro(truth, predicted) == f1_macro_loop(truth, predicted)
 
 
+def bits(value: float) -> int:
+    return int(np.array([value]).view(np.uint64)[0])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_f1_mean_is_bitwise_the_numpy_expression(seed):
+    """Random k x (k+1) count matrices, empty classes included: the per-class
+    quotients on Python ints and their left-to-right sum give the bits of
+    the array expression they replace."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 25))
+    confusion = rng.integers(0, int(rng.choice([3, 50, 10**6])), size=(k, k + 1))
+    confusion[rng.random(k) < 0.2] = 0
+    confusion[:, :k][:, rng.random(k) < 0.2] = 0
+    tp = confusion.diagonal()
+    denom = confusion.sum(axis=0)[:k] + confusion.sum(axis=1)
+    f1 = np.divide(2 * tp, denom, out=np.zeros(k), where=denom > 0)
+    want = 0.0
+    for value in f1.tolist():
+        want += value
+    got = _f1_mean(tp.tolist(), denom.tolist())
+    assert type(got) is float
+    assert bits(got) == bits(want / k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pairs=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=80).filter(
@@ -107,12 +133,14 @@ def test_f1_macro_sums_many_classes_left_to_right():
 )
 def test_the_split_scorer_f1_is_bitwise_f1_macro(pairs):
     """Two groups, both present in the truth: the split scorer's 2x2
-    confusion gives f1_macro's bits."""
+    confusion, counted from boolean group-1 masks as score_bipartition
+    passes them, gives f1_macro's bits, and so does an int 0/1 prediction."""
     truth = np.asarray([t for t, _ in pairs])
-    predicted = np.asarray([p for _, p in pairs], dtype=np.int64)
-    got, want = _group_f1(truth, predicted), f1_macro(truth.astype(np.int64), predicted)
-    assert type(got) is float
-    assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64)
+    predicted = np.asarray([p for _, p in pairs])
+    want = f1_macro(truth.astype(np.int64), predicted.astype(np.int64))
+    for got in (_group_f1(truth, predicted), _group_f1(truth, predicted.astype(np.int64))):
+        assert type(got) is float
+        assert bits(got) == bits(want)
 
 
 def test_f1_macro_length_mismatch():
@@ -120,6 +148,14 @@ def test_f1_macro_length_mismatch():
         f1_macro([0, 1], [0])
     with pytest.raises(ValueError):
         f1_macro([], [])
+
+
+def test_accuracy_refuses_what_f1_macro_refuses():
+    assert accuracy([0, 1, 1, 2], [0, 1, 2, 2]) == 0.75
+    with pytest.raises(ValueError, match="truth must be non-empty"):
+        accuracy([], [])
+    with pytest.raises(ValueError, match="equal length"):
+        accuracy([0, 1], [0])
 
 
 # -- fold plans -------------------------------------------------------------------

@@ -92,18 +92,45 @@ def test_binary_groups_matches_the_isin_oracle(labels, keep, c0, c1):
 )
 def test_grouped_matches_the_isin_oracle(labels, keep, sets):
     """k class sets, overlapping or not: a class in several sets is labelled
-    by the last, and counts in every set holding it."""
+    by the last, and counts in every set holding it.  A second relabelling
+    of the same rows, from their stored class counts, is as right."""
     labels = np.asarray(labels, dtype=np.int64)
     values = np.arange(labels.size * 3, dtype=np.float64).reshape(-1, 3)
     run = Run(values, labels, LINEAR)
     idx = np.flatnonzero(keep[: labels.size])
-    node, counts = Rows(run, idx).grouped(sets)
-    want_rows, want_groups, want_counts = isin_sets(labels, idx, sets)
-    assert np.array_equal(node.idx, want_rows)
-    assert node.labels.dtype == np.int64
-    assert np.array_equal(node.labels, want_groups)
-    assert counts.tolist() == want_counts
-    assert np.array_equal(node.feats, values[want_rows])
+    rows = Rows(run, idx)
+    for sets in (sets, sets[::-1]):
+        node, counts = rows.grouped(sets)
+        want_rows, want_groups, want_counts = isin_sets(labels, idx, sets)
+        assert np.array_equal(node.idx, want_rows)
+        assert node.labels.dtype == np.int64
+        assert np.array_equal(node.labels, want_groups)
+        assert counts == want_counts
+        assert np.array_equal(node.feats, values[want_rows])
+
+
+def test_grouped_counts_classes_once_per_row_set(monkeypatch):
+    """However often one row set is relabelled, its classes are counted
+    once; a subset is a new row set and is counted once more."""
+    calls = []
+    bincount = np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    labels = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4])
+    run = Run(np.zeros((labels.size, 2)), labels, LINEAR)
+    rows = Rows(run, np.arange(labels.size))
+    for sets in [((0,), (1,)), ((0, 1), (2, 3)), ((4,),), ((1,), (2,), (3,), (4,))]:
+        _, counts = rows.grouped(sets)
+        assert counts == [int(np.isin(labels, s).sum()) for s in sets]
+    assert len(calls) == 1
+    part = rows.subset(np.arange(4))
+    assert part.grouped(((0, 1), (2,)))[1] == [2, 1]
+    assert part.grouped(((3,),))[1] == [1]
+    assert len(calls) == 2
 
 
 def test_binary_groups_of_a_subset_compose_the_indices():

@@ -91,6 +91,33 @@ def test_score_requires_validation_instances():
         score_bipartition(ctx, {0, 1}, {2})
 
 
+@pytest.mark.parametrize(
+    "train, val, message",
+    [
+        # training lacks group 0 and validation group 1: training comes first
+        ([2, 3, 5, 5], [0, 1, 5], "group [0, 1] has no instances in the training part"),
+        # training lacks group 1 and validation group 0: training comes first
+        ([0, 5, 5], [2, 5], "group [2, 3] has no instances in the training part"),
+        # validation lacks both groups: group 0 comes first
+        ([0, 3], [4, 5], "group [0, 1] has no instances in the validation part"),
+        # one class of a group is enough to make it present
+        ([1, 2], [0, 5], "group [2, 3] has no instances in the validation part"),
+    ],
+)
+def test_score_names_the_first_empty_group(train, val, message):
+    """The four empty-group checks run in one order: training before
+    validation, and within a part group 0 before group 1."""
+    ctx = SplitContext(
+        train=peek_dataset(train),
+        val=peek_dataset(val),
+        spec=ClassifierSpec(kind="linear"),
+        rng=np.random.default_rng(0),
+    )
+    with pytest.raises(ScoringError) as raised:
+        score_bipartition(ctx, {0, 1}, {2, 3})
+    assert str(raised.value) == message
+
+
 def test_score_rejects_bad_groups():
     ctx = real_context()
     with pytest.raises(ScoringError):
@@ -196,7 +223,7 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
         train, _ = ctx.train.binary_groups(c0, c1)
         val, _ = ctx.val.binary_groups(c0, c1)
         basis = ctx._basis(c0 | c1)
-        got = basis.decisions(c0)
+        got = basis.decisions(basis.in_group_one(c0))
         fit = fit_classifier(ctx.spec, train)
         feats = _standardise(val.feats, fit.feature_mean, fit.feature_scale)
         want = feats @ fit.weights[0] + fit.intercepts[0]
@@ -220,7 +247,8 @@ def test_zero_decision_goes_to_group_zero():
     val, _ = ctx.val.binary_groups(c0, c1)
     assert not fit_classifier(ctx.spec, train).predict(val.values).any()
     assert score_bipartition(ctx, c0, c1) == pytest.approx(1 / 3, abs=1e-12)
-    assert not predicted_groups(ctx._live.decisions(frozenset(c0))).any()
+    live = ctx._live
+    assert not predicted_groups(live.decisions(live.in_group_one(frozenset(c0)))).any()
 
 
 @pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
