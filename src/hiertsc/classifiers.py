@@ -3,9 +3,9 @@
 Two kinds, the :data:`KINDS`:
 
 ``linear``
-    L2-regularised least squares on the raw series, one-vs-rest with +/-1
-    targets.  A deliberately plain stand-in for a linear-kernel margin
-    classifier.
+    L2-regularised least squares on the raw series with +/-1 targets: one
+    decision for two classes, one-vs-rest for more.  A deliberately plain
+    stand-in for a linear-kernel margin classifier.
 
 ``kernel-ridge``
     A random convolutional kernel transform (lengths 7/9/11, mean-centred
@@ -13,15 +13,16 @@ Two kinds, the :data:`KINDS`:
     producing (proportion-of-positives, max) per kernel, standardised and
     fed to the same closed-form ridge.
 
-Both are deterministic functions of (spec, data); predictions break argmax
-ties toward the smallest class id.  A fit's label-independent half, the raw
+Both are deterministic functions of (spec, data); predictions break ties
+toward the smallest class id.  A fit's label-independent half, the raw
 features, is computed once per run: a :class:`Run` draws its kernel bank and
 featurises all of its rows in one call, and every fit slices that one matrix
 by row index (:class:`Rows`).  Each fit then standardises and centres its
 rows in one pass over their gathered features (:func:`_centred`) and makes
 one :func:`ridge_solve`, which builds the Gram matrix:
 
-- a node fit (:func:`fit_classifier`) solves for its one-vs-rest targets;
+- a node fit (:func:`fit_classifier`) solves for its one +/-1 target
+  column;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
   class within the set, from class counts taken once per row set) and
   solves once, with one right-hand side per class indicator
@@ -481,27 +482,43 @@ def _standardise(raw: np.ndarray, mean: np.ndarray | None, scale: np.ndarray | N
     return raw if mean is None else (raw - mean) / scale
 
 
+def _decision_rows(n_classes: int) -> int:
+    """Weight rows of a classifier over `n_classes` classes: one decision for
+    two, one score per class for more."""
+    return 1 if n_classes == 2 else n_classes
+
+
 @dataclass(frozen=True)
 class TrainedClassifier:
-    """Fitted multi-class model: per-class weight vector plus intercept.
+    """Fitted model: weight rows plus intercepts over the features.
 
-    For ``linear`` the features are the raw series; for ``kernel-ridge`` the
-    standardised kernel features (weight dimension 2 * num_kernels).
+    Two classes make one decision: one row whose score is positive for the
+    first class and negative for the second.  More classes have one row per
+    class, scored one-vs-rest.  For ``linear`` the features are the raw
+    series; for ``kernel-ridge`` the standardised kernel features (weight
+    dimension 2 * num_kernels).  Raises ValueError when the weights or
+    intercepts have another number of rows.
     """
 
     spec: ClassifierSpec
     class_ids: tuple[int, ...]
-    weights: np.ndarray  # (n_classes, n_features)
-    intercepts: np.ndarray  # (n_classes,)
+    weights: np.ndarray  # (1, n_features) for two classes, else (n_classes, n_features)
+    intercepts: np.ndarray  # (1,) for two classes, else (n_classes,)
     series_length: int
     kernels: KernelBank | None = None
     feature_mean: np.ndarray | None = None
     feature_scale: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        rows = _decision_rows(len(self.class_ids))
+        if self.weights.ndim != 2 or self.weights.shape[0] != rows or self.intercepts.shape != (rows,):
+            raise ValueError(f"{len(self.class_ids)} classes take {rows} weight row(s) and intercept(s)")
+
     def predict(self, values: np.ndarray) -> np.ndarray:
-        """Argmax over per-class scores; ties go to the smallest class id.
-        Raises ValueError for input of another shape or holding a NaN or an
-        infinity."""
+        """The second of two classes where the decision is negative, else
+        the first; for more classes the argmax over per-class scores, ties
+        going to the smallest class id.  Raises ValueError for input of
+        another shape or holding a NaN or an infinity."""
         values = _series_input(values, self.series_length, finite=True)
         raw = self.kernels.transform(values) if self.kernels is not None else values
         return self.predict_features(raw)
@@ -511,7 +528,10 @@ class TrainedClassifier:
         hand: the kernel transform, or the series themselves."""
         feats = _standardise(raw, self.feature_mean, self.feature_scale)
         scores = feats @ self.weights.T + self.intercepts
-        return np.asarray(self.class_ids, dtype=np.int64)[np.argmax(scores, axis=1)]
+        ids = np.asarray(self.class_ids, dtype=np.int64)
+        if ids.size == 2:  # what argmax([s, -s]) picks, ties and -0.0 included
+            return np.where(scores[:, 0] < 0, ids[1], ids[0])
+        return ids[np.argmax(scores, axis=1)]
 
     # -- serialization -----------------------------------------------------
 
@@ -519,7 +539,8 @@ class TrainedClassifier:
         """The fitted arrays as JSON values: ``class_ids`` as a number list;
         ``weights``, ``intercepts``, ``feature_mean`` and ``feature_scale``
         (None for ``linear``) as :func:`_encode_floats` strings, which read
-        back to the same bits."""
+        back to the same bits.  A two-class node holds one weight row and
+        one intercept (bundle version 4)."""
         doc = {"class_ids": list(self.class_ids)}
         for name in ("weights", "intercepts", "feature_mean", "feature_scale"):
             array = getattr(self, name)
@@ -528,14 +549,18 @@ class TrainedClassifier:
 
     @staticmethod
     def from_node_doc(
-        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None, packed: bool = True
+        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None, version: int = 4
     ) -> "TrainedClassifier":
         """The classifier of a :meth:`to_node_doc` document, with the fields a
-        container stores for it, or, unless `packed`, of one whose float
-        arrays are number lists (bundle version 2).  Raises ModelFormatError
-        unless every array has the shape the class ids, the series length
-        and the bank imply, holds finite values and, for ``feature_scale``,
-        positive ones."""
+        container stores for it, as a bundle of `version` holds it.
+
+        Version 2 float arrays are number lists, later ones base64 strings.
+        Versions 2 and 3 store one row per class; a two-class node is folded
+        to its first row and intercept, which it may be only when the second
+        ones are their exact negations, as every such writer made them.
+        Raises ModelFormatError unless that holds and every array has the
+        shape the class ids, the series length and the bank imply, holds
+        finite values and, for ``feature_scale``, positive ones."""
         what = "node model"
         class_ids = _field(doc, "class_ids", what)
         if (
@@ -546,9 +571,10 @@ class TrainedClassifier:
         ):
             raise ModelFormatError(f"{what} 'class_ids' must be a list of distinct integers")
         n_features = series_length if kernels is None else 2 * kernels.n_kernels
+        rows = len(class_ids) if version < 4 else _decision_rows(len(class_ids))
         shapes = {
-            "weights": (len(class_ids), n_features),
-            "intercepts": (len(class_ids),),
+            "weights": (rows, n_features),
+            "intercepts": (rows,),
             "feature_mean": (n_features,),
             "feature_scale": (n_features,),
         }
@@ -558,11 +584,19 @@ class TrainedClassifier:
             if value is None and name.startswith("feature_"):
                 arrays[name] = None
             else:
-                arrays[name] = _decode_floats(value, shape, f"{what} {name}", packed)
+                arrays[name] = _decode_floats(value, shape, f"{what} {name}", version >= 3)
         if (arrays["feature_mean"] is None) != (arrays["feature_scale"] is None):
             raise ModelFormatError(f"{what} has only one of feature_mean and feature_scale")
         if arrays["feature_scale"] is not None and (arrays["feature_scale"] <= 0).any():
             raise ModelFormatError(f"{what} feature_scale holds a value that is not positive")
+        weights, intercepts = arrays["weights"], arrays["intercepts"]
+        if version < 4 and len(class_ids) == 2:
+            if not (np.array_equal(weights[1], -weights[0]) and intercepts[1] == -intercepts[0]):
+                raise ModelFormatError(
+                    f"{what} of this version {version} bundle has two-class rows that are not "
+                    "exact negations of each other; refit the model"
+                )
+            arrays.update(weights=weights[:1], intercepts=intercepts[:1])
         return TrainedClassifier(
             spec=spec,
             class_ids=tuple(class_ids),
@@ -731,12 +765,19 @@ def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: in
     indicators = np.zeros((codes.size, n_classes))
     indicators[np.arange(codes.size), codes] = 1.0
     weights = ridge_solve(centred, indicators, spec.ridge_lambda)
-    return (_standardise(val.feats, mean, scale) - centre) @ weights
+    feats = val.feats  # a fresh gather: standardised and centred in place
+    if mean is not None:
+        feats -= mean
+        feats /= scale
+    feats -= centre
+    return feats @ weights
 
 
 def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> TrainedClassifier:
-    """Fit the classifier described by `spec`, one-vs-rest ridge on +/-1
-    targets; deterministic for fixed inputs.
+    """Fit the classifier described by `spec`, ridge on +/-1 targets;
+    deterministic for fixed inputs.  Two classes are one target column, +1
+    for the first class and -1 for the second; more are one-vs-rest, one
+    column per class.
 
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
     takes the raw features of the rows from their run, and a dataset becomes
@@ -748,7 +789,8 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     if class_ids.size < 2:
         raise TrainingDataError("training data must contain at least two classes")
     mean, scale, centre, centred = _centred(rows)
-    targets = np.where(labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    columns = class_ids[: _decision_rows(class_ids.size)]
+    targets = np.where(labels[:, None] == columns[None, :], 1.0, -1.0)
     t_mean = np.add.reduce(targets, axis=0) / labels.size
     w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
     return TrainedClassifier(

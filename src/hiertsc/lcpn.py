@@ -25,7 +25,7 @@ from .classifiers import (
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
-_BUNDLE_VERSION = 3
+_BUNDLE_VERSION = 4
 _NO_TOKEN_MAP = (
     "model bundle has no token map (a version 1 bundle, or 'label_names' is null); "
     "refit the model to get a bundle that maps its class ids to label tokens"
@@ -61,10 +61,12 @@ class LcpnModel:
     """A hierarchy plus one binary classifier per parent node.
 
     Node model group 0 is the parent's left side, group 1 the right side.
-    The nodes are :class:`TrainedClassifier` objects with class ids (0, 1)
-    and one spec, series length and kernel bank (none for ``linear``, one
-    for ``kernel-ridge``), so :func:`predict_lcpn` featurises each row once
-    and the bundle stores that bank once.  `label_names` maps each of the
+    The nodes are :class:`TrainedClassifier` objects with class ids (0, 1):
+    each is one weight row and one intercept, whose decision sends a row
+    right where it is negative and left otherwise.  They share one spec,
+    series length and kernel bank (none for ``linear``, one for
+    ``kernel-ridge``), so :func:`predict_lcpn` featurises each row once and
+    the bundle stores that bank once.  `label_names` maps each of the
     tree's class ids to a distinct label token: the tokens of the data the
     model was fit on, or ``str(id)`` when none are given.  Raises ValueError
     when the nodes break these rules or a given map does not name every
@@ -111,12 +113,13 @@ class LcpnModel:
         return self.node_models[0].series_length
 
     def to_bundle(self) -> str:
-        """The model as one version 3 JSON document: the tree text, the spec,
+        """The model as one version 4 JSON document: the tree text, the spec,
         the series length and the id -> token map once, the kernel bank (if
-        any) once under ``banks``, and per node its arrays and the index of
-        that bank (or null).  Every float64 array is one base64 string of
-        its little-endian bytes in row-major order, so it reads back to the
-        same bits; integer arrays are number lists."""
+        any) once under ``banks``, and per node its arrays (one weight row
+        and one intercept, the left side's decision) and the index of that
+        bank (or null).  Every float64 array is one base64 string of its
+        little-endian bytes in row-major order, so it reads back to the same
+        bits; integer arrays are number lists."""
         first = self.node_models[0]
         banks = [] if first.kernels is None else [first.kernels.to_dict()]
         bank = None if first.kernels is None else 0
@@ -134,22 +137,26 @@ class LcpnModel:
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 3 bundle, or of a version 2 one, whose
-        float arrays are number lists; each version takes only its own
-        encoding.  Nodes that name one bank get one :class:`KernelBank`
-        object.  Raises ModelFormatError when `blob` is not such a bundle,
-        has no token map (a version 1 bundle, or a null map), or its nodes
-        break a rule of :class:`LcpnModel`."""
+        """The model of a version 4 bundle, or of a version 2 or 3 one.
+        Version 2 float arrays are number lists, later ones base64 strings,
+        and each version takes only its own encoding.  Versions 2 and 3
+        store two rows per node, the left and right sides' scores; each
+        node is folded to its first row, which it may be only when the
+        second is its exact negation (see
+        :meth:`TrainedClassifier.from_node_doc`).  Nodes that name one bank
+        get one :class:`KernelBank` object.  Raises ModelFormatError when
+        `blob` is not such a bundle, has no token map (a version 1 bundle,
+        or a null map), or its nodes break a rule of :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
-        if not _is_int(version) or version not in (1, 2, _BUNDLE_VERSION):  # not 3.0, not true
+        if not _is_int(version) or version not in (1, 2, 3, _BUNDLE_VERSION):  # not 4.0, not true
             raise ModelFormatError(f"unsupported model bundle version {version!r}")
         names = None if version == 1 else _field(doc, "label_names", what)
         if names is None:
             raise ModelFormatError(_NO_TOKEN_MAP)
         names = _decode_label_names(names)
-        tree, nodes = _decode_body(doc, packed=version == _BUNDLE_VERSION)
+        tree, nodes = _decode_body(doc, version)
         try:
             return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
         except ValueError as exc:
@@ -173,14 +180,14 @@ def _list_field(doc, key: str) -> list:
     return value
 
 
-def _decode_body(doc, packed: bool):
-    """The tree and node models of a version 2 or 3 bundle; `packed` when
-    its float arrays are base64 strings (version 3)."""
+def _decode_body(doc, version: int):
+    """The tree and node models of a bundle of `version`, 2 or later; its
+    float arrays are base64 strings from version 3 on."""
     what = "model bundle"
     tree = _decode_tree(_field(doc, "tree", what))
     spec = ClassifierSpec.decode(_field(doc, "spec", what))
     series_length = _positive_int(doc, "series_length", what)
-    banks = [KernelBank.decode(bank, packed) for bank in _list_field(doc, "banks")]
+    banks = [KernelBank.decode(bank, version >= 3) for bank in _list_field(doc, "banks")]
     if any(bank.series_length != series_length for bank in banks):
         raise ModelFormatError(f"{what} has a kernel bank for another series length")
     nodes, named = [], set()
@@ -190,7 +197,7 @@ def _decode_body(doc, packed: bool):
             raise ModelFormatError(f"node model 'bank' must be null or an index into {len(banks)} banks")
         named.add(index)
         kernels = None if index is None else banks[index]
-        nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels, packed))
+        nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels, version))
     if len(named - {None}) != len(banks):
         raise ModelFormatError(f"{what} lists a kernel bank that no node names")
     return tree, nodes

@@ -1,6 +1,6 @@
-"""Model bundles: the version 3 format and reading version 2, the token map
-every bundle carries, refusal of bundles without one, typed decode errors,
-and label-safe ``predict`` through that map."""
+"""Model bundles: the version 4 format and reading versions 2 and 3, the
+token map every bundle carries, refusal of bundles without one, typed decode
+errors, and label-safe ``predict`` through that map."""
 
 import base64
 import json
@@ -67,19 +67,39 @@ def _run(args, capsys):
 
 
 def _floats(text):
-    """The float64 values of a version 3 array string."""
+    """The float64 values of a version 3 or 4 array string."""
     return np.frombuffer(base64.b64decode(text), "<f8")
 
 
 def _packed(values):
-    """`values` as a version 3 array string."""
+    """`values` as a version 3 or 4 array string."""
     return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
 
 
-def _as_version_2(text):
-    """`text`, a version 3 bundle, in the version 2 layout: every float array
-    a list of numbers, a node's weights one list per class."""
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _as_version_3(text):
+    """`text`, a version 4 bundle, in the version 3 layout: a node's weights
+    one row per class, the second row and intercept the exact negations of
+    the first, as the version 3 writer made them."""
     doc = json.loads(text)
+    for node in doc["nodes"]:
+        for name in ("weights", "intercepts"):
+            first = _floats(node[name])
+            node[name] = _packed([first, -first])
+    doc["version"] = 3
+    return _dumps(doc)
+
+
+def _as_version_2(text):
+    """`text`, a version 3 or 4 bundle, in the version 2 layout: the
+    version 3 rows, every float array a list of numbers, a node's weights
+    one list per class."""
+    doc = json.loads(text)
+    if doc["version"] == 4:
+        doc = json.loads(_as_version_3(text))
     for node in doc["nodes"]:
         for name in NODE_ARRAYS:
             if node[name] is not None:
@@ -89,10 +109,10 @@ def _as_version_2(text):
         for name in BANK_FLOATS:
             bank[name] = _floats(bank[name]).tolist()
     doc["version"] = 2
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _dumps(doc)
 
 
-# -- version 3 round trip -------------------------------------------------------
+# -- version 4 round trip -------------------------------------------------------
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -111,6 +131,7 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     assert again.tree == model.tree
     for a, b in zip(model.node_models, again.node_models):
         assert a.class_ids == b.class_ids
+        assert b.weights.shape[0] == 1 and b.intercepts.shape == (1,)
         for name in NODE_ARRAYS:
             x, y = getattr(a, name), getattr(b, name)
             assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
@@ -118,7 +139,7 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
         for got, want in zip(predict_lcpn(again, values), predict_lcpn(model, values)):
             assert np.array_equal(got, want)
     doc = json.loads(text)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert all(isinstance(node[name], str) for node in doc["nodes"] for name in NODE_ARRAYS[:2])
     assert all(isinstance(node[name], str) == (kind == "kernel-ridge") for node in doc["nodes"] for name in NODE_ARRAYS[2:])
     assert all(isinstance(bank[name], str) for bank in doc["banks"] for name in BANK_FLOATS)
@@ -137,9 +158,20 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_a_version_2_bundle_loads_to_the_same_arrays_and_labels(kind):
+    _loads_to_the_same_arrays_and_labels(kind, _as_version_2)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_a_version_3_bundle_loads_to_the_same_arrays_and_labels(kind):
+    _loads_to_the_same_arrays_and_labels(kind, _as_version_3)
+
+
+def _loads_to_the_same_arrays_and_labels(kind, convert):
+    """A model written in an older layout by `convert` folds back to the
+    fitted node arrays, bit for bit, and predicts the same labels."""
     data, unseen, tree = random_problem(11, 4, sparse_ids=True, named=True)
     model = fit_lcpn(tree, data, SPECS[kind])
-    old = LcpnModel.from_bundle(_as_version_2(model.to_bundle()))
+    old = LcpnModel.from_bundle(convert(model.to_bundle()))
     assert old.tree == model.tree and old.label_names == model.label_names
     for a, b in zip(model.node_models, old.node_models):
         for name in NODE_ARRAYS:
@@ -152,7 +184,61 @@ def test_a_version_2_bundle_loads_to_the_same_arrays_and_labels(kind):
     for values in (data.values, unseen):
         for got, want in zip(predict_lcpn(old, values), predict_lcpn(model, values)):
             assert np.array_equal(got, want)
-    assert old.to_bundle() == model.to_bundle()  # the writer emits version 3 only
+    assert old.to_bundle() == model.to_bundle()  # the writer emits version 4 only
+
+
+#: A version 3 bundle, the unseen rows it was served and the predictions.csv
+#: it gave, all written by the version 3 program: `fit` (``--splitter lsoo
+#: --iters 2 --inner-folds 2 --classifier kernel-ridge --kernels 16 --seed
+#: 0``) on ``collinear_superclusters(n_per_class=10, series_length=24,
+#: noise=0.5, seed=4)``, then `predict` on the same generator's ``n_per_class=4,
+#: seed=5`` rows.  Its three nodes route rows to all four classes.
+LEGACY = Path(__file__).parent / "data" / "bundle_v3"
+
+
+@pytest.mark.parametrize("convert", [lambda text: text, _as_version_2], ids=["version-3", "version-2"])
+def test_a_committed_version_3_bundle_folds_to_one_row_and_predicts_its_labels(convert, tmp_path, capsys):
+    text = (LEGACY / "model.json").read_text()
+    doc = json.loads(text)
+    assert doc["version"] == 3
+    (tmp_path / "model.json").write_text(convert(text))
+    model = LcpnModel.from_bundle((tmp_path / "model.json").read_text())
+    for node, stored in zip(model.node_models, doc["nodes"]):
+        rows, intercepts = _floats(stored["weights"]).reshape(2, -1), _floats(stored["intercepts"])
+        assert node.weights.tobytes() == rows[:1].tobytes()
+        assert node.intercepts.tobytes() == intercepts[:1].tobytes()
+    code, _, _ = _run(["predict", "--model", tmp_path / "model.json", "--data", LEGACY / "unseen.tsv",
+                       "--out", tmp_path / "p"], capsys)
+    assert code == 0
+    assert (tmp_path / "p" / "predictions.csv").read_text() == (LEGACY / "predictions.csv").read_text()
+    assert json.loads(model.to_bundle())["version"] == 4
+
+
+def _negation_broken(version, name):
+    """The committed version 3 bundle, in the layout of `version`, with the
+    second row of its last node's `name` array one ulp off the negation of
+    the first."""
+    doc = json.loads((LEGACY / "model.json").read_text())
+    node = doc["nodes"][-1]
+    values = _floats(node[name]).copy()
+    values[-1] = np.nextafter(values[-1], np.inf)
+    node[name] = _packed(values)
+    text = _dumps(doc)
+    return text if version == 3 else _as_version_2(text)
+
+
+@pytest.mark.parametrize("name", ["weights", "intercepts"])
+@pytest.mark.parametrize("version", [2, 3])
+def test_a_legacy_node_whose_rows_are_not_negations_exits_2(version, name, tmp_path, capsys):
+    (tmp_path / "model.json").write_text(_negation_broken(version, name))
+    code, stdout, err = _run(["predict", "--model", tmp_path / "model.json", "--data", LEGACY / "unseen.tsv",
+                              "--out", tmp_path / "p"], capsys)
+    assert code == 2 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelFormatError"
+    assert f"version {version} bundle" in error["message"] and "not exact negations" in error["message"]
+    assert "refit" in error["message"]
+    assert not (tmp_path / "p").exists()
 
 
 def test_a_kernel_bundle_takes_at_most_11_bytes_per_float():
@@ -313,14 +399,17 @@ def _second_bank():
     return json.dumps(doc)
 
 
-def _first_row_weights(nodes):
-    """`nodes` with each node's weights cut to the first class's row."""
-    return [{**n, "weights": _packed(_floats(n["weights"]).reshape(2, -1)[:1])} for n in nodes]
+def _two_row_weights(nodes):
+    """`nodes` with each node's weight row stored twice, as one row per
+    class, which only versions 2 and 3 take."""
+    return [{**n, "weights": _packed(np.tile(_floats(n["weights"]), 2))} for n in nodes]
 
 
-def _kernel_edit(edit):
-    """A kernel-ridge bundle (two kernels) after `edit` of its decoded document."""
-    doc = json.loads(_small_kernel_bundle())
+def _kernel_edit(edit, version=4):
+    """A kernel-ridge bundle (two kernels) in the layout of `version` (3 or
+    4) after `edit` of its decoded document."""
+    text = _small_kernel_bundle()
+    doc = json.loads(text if version == 4 else _as_version_3(text))
     edit(doc)
     return json.dumps(doc)
 
@@ -334,11 +423,11 @@ def _scales(value):
 
 
 def _other_encoding(version, section, name):
-    """A kernel-ridge bundle of `version` (2 or 3) whose first entry of
+    """A kernel-ridge bundle of `version` (2 or 4) whose first entry of
     `section` holds its `name` array in the other version's encoding."""
     text = _small_kernel_bundle()
-    v3, v2 = json.loads(text), json.loads(_as_version_2(text))
-    doc, other = (v3, v2) if version == 3 else (v2, v3)
+    v4, v2 = json.loads(text), json.loads(_as_version_2(text))
+    doc, other = (v4, v2) if version == 4 else (v2, v4)
     doc[section][0][name] = other[section][0][name]
     return json.dumps(doc)
 
@@ -348,8 +437,8 @@ def _other_encoding(version, section, name):
     [
         ("[]", "must be a JSON object, got list"),
         ("", "not valid JSON"),
-        ('{"version": 4}', "unsupported model bundle version 4"),
-        (lambda: _kernel_edit(lambda doc: doc.update(version=3.0)), "unsupported model bundle version 3.0"),
+        ('{"version": 5}', "unsupported model bundle version 5"),
+        (lambda: _kernel_edit(lambda doc: doc.update(version=4.0)), "unsupported model bundle version 4.0"),
         (lambda: _kernel_edit(lambda doc: doc.update(version=True)), "unsupported model bundle version True"),
         (lambda: _kernel_edit(lambda doc: doc["spec"].update(seed=True)), "seed must be an integer, got True"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":1' + "0" * 400), "ridge_lambda must be finite and positive"),
@@ -364,7 +453,7 @@ def _other_encoding(version, section, name):
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "index into 0 banks"),
-        (lambda: _nodes(_first_row_weights), "shape"),
+        (lambda: _nodes(_two_row_weights), "shape"),
         (lambda: _nodes(lambda nodes: [{**n, "class_ids": [0, 2]} for n in nodes]), r"class ids \[0, 2\], not \[0, 1\]"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":Infinity'), "finite and positive"),
         (lambda: _kind(_linear_bundle(), "no-such-kind"), "unknown classifier kind 'no-such-kind'"),
@@ -380,9 +469,10 @@ def _other_encoding(version, section, name):
         (lambda: _scales(-np.inf), "feature_scale holds a non-finite number"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(weights="é")), "weights is not strict base64 text"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==\n")), "intercepts is not strict base64"),
-        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 11 + "=")), r"intercepts holds 8 bytes, not the 8 x 2 of shape \(2,\)"),
-        (lambda: _other_encoding(3, "nodes", "weights"), "node model weights must be a base64 string"),
-        (lambda: _other_encoding(3, "banks", "biases"), "kernel bank biases must be a base64 string"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==")), r"intercepts holds 16 bytes, not the 8 x 1 of shape \(1,\)"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 11 + "="), 3), r"intercepts holds 8 bytes, not the 8 x 2 of shape \(2,\)"),
+        (lambda: _other_encoding(4, "nodes", "weights"), "node model weights must be a base64 string"),
+        (lambda: _other_encoding(4, "banks", "biases"), "kernel bank biases must be a base64 string"),
         (lambda: _other_encoding(2, "nodes", "intercepts"), "node model intercepts must be a 1-D array of float64 numbers"),
         (lambda: _other_encoding(2, "banks", "weights"), "kernel bank weights must be a 1-D array of float64 numbers"),
     ],
@@ -439,7 +529,7 @@ def _small_kernel_bundle():
     return LcpnModel(model.tree, model.node_models, {0: "a", 1: "b", 2: "c"}).to_bundle()
 
 
-#: the text the fuzz tests mutate: every section of a version 3 bundle, small
+#: the text the fuzz tests mutate: every section of a version 4 bundle, small
 BUNDLE_TEXT = _small_kernel_bundle()
 
 
@@ -482,6 +572,8 @@ def _paths(doc, at=()):
 BUNDLE_PATHS = list(_paths(json.loads(BUNDLE_TEXT)))
 V2_BUNDLE_TEXT = _as_version_2(BUNDLE_TEXT)
 V2_BUNDLE_PATHS = list(_paths(json.loads(V2_BUNDLE_TEXT)))
+V3_BUNDLE_TEXT = _as_version_3(BUNDLE_TEXT)
+V3_BUNDLE_PATHS = list(_paths(json.loads(V3_BUNDLE_TEXT)))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -514,6 +606,12 @@ def test_bundles_with_any_value_replaced_raise_only_model_format_errors(path, va
 @given(path=st.sampled_from(V2_BUNDLE_PATHS), value=JSON_VALUES)
 def test_version_2_bundles_with_any_value_replaced_raise_only_model_format_errors(path, value):
     _load_with_value_replaced(V2_BUNDLE_TEXT, path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(V3_BUNDLE_PATHS), value=JSON_VALUES)
+def test_version_3_bundles_with_any_value_replaced_raise_only_model_format_errors(path, value):
+    _load_with_value_replaced(V3_BUNDLE_TEXT, path, value)
 
 
 # -- the CLI ----------------------------------------------------------------------

@@ -17,7 +17,16 @@ from hiertsc import (
     nested_cv,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import Rows, Run, TrainedClassifier, TrainingDataError, _centred, ridge_solve
+from hiertsc.classifiers import (
+    Rows,
+    Run,
+    TrainedClassifier,
+    TrainingDataError,
+    _centred,
+    _class_decisions,
+    _standardise,
+    ridge_solve,
+)
 
 from conftest import classifier_state, separable_dataset
 
@@ -41,8 +50,8 @@ def test_linear_matches_normal_equations_oracle():
     lam = 1e-2
     model = fit_classifier(ClassifierSpec(kind="linear", ridge_lambda=lam), data)
     centered = data.values - data.values.mean(axis=0)
-    class_ids = np.unique(data.labels)
-    targets = np.where(data.labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    # two classes are one target column: +1 for the first class, -1 for the second
+    targets = np.where(data.labels[:, None] == data.labels.min(), 1.0, -1.0)
     targets = targets - targets.mean(axis=0)
     gram = centered.T @ centered + lam * np.eye(centered.shape[1])
     residual = gram @ model.weights.T - centered.T @ targets
@@ -129,6 +138,20 @@ def test_all_zero_weights_predicts_smallest_class():
     assert np.all(out == 2)
 
 
+@pytest.mark.parametrize("intercept, want", [(0.0, 5), (-0.0, 5), (1e-300, 5), (-1e-300, 9)])
+def test_a_two_class_decision_picks_the_second_class_only_below_zero(intercept, want):
+    """As argmax([s, -s]) did: a zero decision, of either sign, is a tie
+    and goes to the first class."""
+    model = TrainedClassifier(ClassifierSpec(kind="linear"), (5, 9), np.zeros((1, 4)), np.array([intercept]), 4)
+    assert np.array_equal(model.predict(np.ones((3, 4))), [want] * 3)
+
+
+@pytest.mark.parametrize("class_ids, rows", [((0, 1), 2), ((0, 1, 2), 1), ((0, 1, 2), 2)])
+def test_a_classifier_refuses_weight_rows_its_classes_do_not_take(class_ids, rows):
+    with pytest.raises(ValueError, match="weight row"):
+        TrainedClassifier(ClassifierSpec(kind="linear"), class_ids, np.zeros((rows, 4)), np.zeros(rows), 4)
+
+
 def test_single_instance_prediction_shape():
     data = gaussian_two_class(n=6, m=5)
     model = fit_classifier(ClassifierSpec(kind="linear"), data)
@@ -170,9 +193,12 @@ def test_relabeling_equivariance():
 def test_weight_dimensions():
     data = gaussian_two_class(n=8, m=14)
     linear = fit_classifier(ClassifierSpec(kind="linear"), data)
-    assert linear.weights.shape == (2, 14)
+    assert linear.weights.shape == (1, 14) and linear.intercepts.shape == (1,)
     kernel = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=9), data)
-    assert kernel.weights.shape == (2, 18)
+    assert kernel.weights.shape == (1, 18) and kernel.intercepts.shape == (1,)
+    three = separable_dataset(n_per_class=4, n_classes=3, seed=1)
+    model = fit_classifier(ClassifierSpec(kind="linear"), three)
+    assert model.weights.shape == (3, three.series_length) and model.intercepts.shape == (3,)
 
 
 def test_blob_round_trip():
@@ -253,8 +279,7 @@ def test_fit_with_fewer_rows_than_features_matches_primal_oracle(kind):
         assert np.array_equal(model.feature_scale, scale)
         feats = (raw - raw.mean(axis=0)) / scale
     assert feats.shape[0] < feats.shape[1]
-    class_ids = np.unique(data.labels)
-    targets = np.where(data.labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    targets = np.where(data.labels[:, None] == data.labels.min(), 1.0, -1.0)
     f_mean, t_mean = feats.mean(axis=0), targets.mean(axis=0)
     w = primal_ridge(feats - f_mean, targets - t_mean, spec.ridge_lambda)
     assert np.max(np.abs(model.weights - w.T)) <= 1e-9
@@ -303,6 +328,83 @@ def test_centred_is_bitwise_the_plain_numpy_expressions(kind, seed):
     assert centred.shape == x.shape
     assert centred.tobytes() == (z - z.mean(axis=0)).tobytes()
     assert run.feats is feats and feats.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("seed", range(10))
+def test_class_decisions_are_bitwise_the_out_of_place_expression(kind, seed):
+    """Standardising and centring the validation rows in place on their
+    fresh gather gives the bits of ``(_standardise(x, mean, scale) - centre)
+    @ weights`` and leaves the run's feature matrix as it was."""
+    rng = np.random.default_rng(seed)
+    total, f, k = int(rng.integers(8, 200)), int(rng.integers(1, 300)), int(rng.integers(2, 6))
+    feats = random_features(rng, total, f)
+    before = feats.copy()
+    spec = ClassifierSpec(kind=kind, num_kernels=1)
+    run = Run(feats if kind == "linear" else np.zeros((total, 9)), np.zeros(total, np.int64), spec)
+    run.feats = feats  # any raw features: the decisions never read the bank
+    order = rng.permutation(total)
+    cut = int(rng.integers(k, total - 1))
+    train_idx, val_idx = np.sort(order[:cut]), np.sort(order[cut:])
+    train = Rows(run, train_idx, rng.integers(0, k, train_idx.size))
+    val = Rows(run, val_idx, np.zeros(val_idx.size, np.int64))
+    got = _class_decisions(spec, train, val, k)
+    mean, scale, centre, centred = _centred(train)
+    indicators = np.zeros((train_idx.size, k))
+    indicators[np.arange(train_idx.size), train.labels] = 1.0
+    weights = ridge_solve(centred, indicators, spec.ridge_lambda)
+    want = (_standardise(feats[val_idx], mean, scale) - centre) @ weights
+    assert got.tobytes() == want.tobytes()
+    assert run.feats is feats and feats.tobytes() == before.tobytes()
+
+
+def two_column_fit(spec, data):
+    """Oracle: the two-class fit as it was before one decision per node,
+    one-vs-rest with one +/-1 column per class; (weights, intercepts, labels
+    predicted for rows whose raw features are given) as the argmax of the
+    two scores."""
+    rows = Run.rows_of(data, spec)
+    class_ids = np.unique(rows.labels)
+    mean, scale, centre, centred = _centred(rows)
+    targets = np.where(rows.labels[:, None] == class_ids[None, :], 1.0, -1.0)
+    t_mean = np.add.reduce(targets, axis=0) / rows.labels.size
+    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    weights, intercepts = w.T, t_mean - centre @ w
+
+    def predict_features(raw):
+        scores = _standardise(raw, mean, scale) @ weights.T + intercepts
+        return class_ids[np.argmax(scores, axis=1)]
+
+    return weights, intercepts, predict_features
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("seed", range(12))
+def test_a_two_class_fit_is_the_first_of_the_old_two_columns(kind, seed):
+    """One +/-1 column gives the old column 0 to 1e-12 and the labels of
+    the old two-column argmax, on shapes on both sides of n = f.  The old
+    columns were exact negations.  No decision is near a tie, so a flipped
+    label fails the test rather than passing by luck."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 60))
+    dual = seed % 2 == 1
+    f = int(rng.integers(n + 1, 2 * n + 2)) if dual else int(rng.integers(2, n + 1))
+    length, num_kernels = (f, 1) if kind == "linear" else (16, (f + dual) // 2)
+    spec = ClassifierSpec(kind=kind, num_kernels=num_kernels, seed=seed)
+    side = np.arange(n + 40) % 2  # n training rows, then 40 unseen ones
+    values = rng.normal(0.0, 1.0, (side.size, length)) + np.outer(side, rng.normal(0.0, 0.5, length))
+    data = TimeSeriesDataset(values[:n], np.sort(rng.choice(50, 2, replace=False))[side[:n]])
+    model = fit_classifier(spec, data)
+    assert (model.weights.shape[1] > n) == dual
+    weights, intercepts, old_predict = two_column_fit(spec, data)
+    assert np.array_equal(weights[1], -weights[0]) and intercepts[1] == -intercepts[0]
+    assert model.weights.shape == (1, weights.shape[1]) and model.intercepts.shape == (1,)
+    assert np.abs(model.weights[0] - weights[0]).max() <= 1e-12 * np.abs(weights[0]).max()
+    assert abs(model.intercepts[0] - intercepts[0]) <= 1e-12 * max(1.0, abs(intercepts[0]))
+    raw = values if model.kernels is None else model.kernels.transform(values)
+    decisions = _standardise(raw, model.feature_mean, model.feature_scale) @ model.weights[0] + model.intercepts[0]
+    assert np.abs(decisions).min() > 1e-9 * np.abs(decisions).max()
+    assert np.array_equal(model.predict_features(raw), old_predict(raw))
 
 
 @pytest.mark.parametrize(

@@ -571,12 +571,17 @@ def _checksum(array):
 
 def model_checksums(bundle: str):
     """(tree text, per node [weights, intercepts, feature_mean, feature_scale]
-    checksums) of a model bundle."""
+    checksums) of a model bundle.  A node's one weight row w and intercept b
+    are checksummed as the two rows ``[w; -w]`` and ``[b; -b]`` that bundles
+    held before version 4, whose exact negations they were, so the pins
+    taken then still hold."""
     model = LcpnModel.from_bundle(bundle)
-    nodes = [
-        [_checksum(getattr(node, name)) for name in PINNED_ARRAYS]
-        for node in model.node_models
-    ]
+    nodes = []
+    for node in model.node_models:
+        arrays = {name: getattr(node, name) for name in PINNED_ARRAYS}
+        for name in ("weights", "intercepts"):
+            arrays[name] = np.concatenate([arrays[name], -arrays[name]])
+        nodes.append([_checksum(arrays[name]) for name in PINNED_ARRAYS])
     return tree_to_text(model.tree), nodes
 
 

@@ -29,19 +29,20 @@ def one_hot(labels, series_length=6):
     return values
 
 
-def node(weights, intercepts=(0.0, 0.0)):
-    """A linear node classifier with hand-set weights over one-hot series."""
+def node(weights, intercepts=(0.0,)):
+    """A linear node classifier with a hand-set weight row over one-hot
+    series: its decision sends a row right where it is negative."""
     weights = np.asarray(weights, dtype=np.float64)
     return TrainedClassifier(LINEAR, (0, 1), weights, np.asarray(intercepts), weights.shape[1])
 
 
 def oracle_model(tree, series_length=6):
     """LCPN model whose node decisions read the class of a one-hot series:
-    each node's weight rows are its left and right class indicators."""
-    models = tuple(
-        node([one_hot(sorted(side), series_length).sum(axis=0) for side in (p.left, p.right)])
-        for p in tree.parents
-    )
+    each node's weight row is its left class indicator less its right one."""
+    def indicator(classes):
+        return one_hot(sorted(classes), series_length).sum(axis=0)
+
+    models = tuple(node([indicator(p.left) - indicator(p.right)]) for p in tree.parents)
     return LcpnModel(tree=tree, node_models=models)
 
 
@@ -116,7 +117,7 @@ def test_predictions_are_leaves_under_any_models():
     # constant-0 routing drives everything into the root's left subtree
     tree = build_tree(CHAIN4)
 
-    const0 = node(np.zeros((2, 6)), intercepts=(1.0, 0.0))
+    const0 = node(np.zeros((1, 6)), intercepts=(1.0,))
     model = LcpnModel(tree=tree, node_models=(const0, const0, const0))
     values = one_hot([0, 1, 2, 3] * 3)
     predicted, depths = predict_lcpn(model, values)
