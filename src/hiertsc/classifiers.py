@@ -11,7 +11,9 @@ Two kinds, the :data:`KINDS`:
     A random convolutional kernel transform (lengths 7/9/11, mean-centred
     normal weights, uniform bias, dyadic dilations, optional zero padding)
     producing (proportion-of-positives, max) per kernel, standardised and
-    fed to the same closed-form ridge.
+    fed to the same closed-form ridge.  The fitted weights and intercepts
+    take the standardisation in, so a fitted classifier scores the raw
+    kernel features.
 
 Both are deterministic functions of (spec, data); predictions break ties
 toward the smallest class id.  A fit's label-independent half, the raw
@@ -22,7 +24,7 @@ rows in one pass over their gathered features (:func:`_centred`) and makes
 one :func:`ridge_solve`, which builds the Gram matrix:
 
 - a node fit (:func:`fit_classifier`) solves for its one +/-1 target
-  column;
+  column and folds its rows' mean and scale into the solved weights;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
   class within the set, from class counts taken once per row set) and
   solves once, with one right-hand side per class indicator
@@ -86,17 +88,28 @@ def _positive_int(doc, key: str, what: str) -> int:
     return value
 
 
-def _decode_array(value, dtype, ndim: int, what: str) -> np.ndarray:
-    """A nested JSON list as an `ndim`-D array of `dtype`: int64 takes JSON
-    integers only, float64 takes JSON numbers."""
-    kinds = "i" if dtype is np.int64 else "if"
+def _exact_keys(doc, keys, what: str) -> None:
+    """Raise ModelFormatError unless the decoded JSON object `doc` has
+    exactly the keys `keys`: a key the format does not define, such as an
+    array of an older layout, is refused rather than ignored."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    extra = sorted(doc.keys() - set(keys))
+    if extra:
+        raise ModelFormatError(f"{what} has a key its format does not define: {extra[0]!r}")
+    for key in keys:
+        _field(doc, key, what)
+
+
+def _decode_ints(value, what: str) -> np.ndarray:
+    """A JSON list of integers as a 1-D int64 array."""
     try:
         array = np.asarray(value)
     except (ValueError, OverflowError):  # ragged, or an int too large for a float
         array = None
-    if array is None or array.ndim != ndim or array.dtype.kind not in kinds:
-        raise ModelFormatError(f"{what} must be a {ndim}-D array of {np.dtype(dtype).name} numbers")
-    return array.astype(dtype)
+    if array is None or array.ndim != 1 or array.dtype.kind != "i":
+        raise ModelFormatError(f"{what} must be a 1-D array of int64 numbers")
+    return array.astype(np.int64)
 
 
 def _encode_floats(array: np.ndarray) -> str:
@@ -105,26 +118,20 @@ def _encode_floats(array: np.ndarray) -> str:
     return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode_floats(value, shape: tuple[int, ...], what: str, packed: bool) -> np.ndarray:
-    """The float64 array of `shape` that `value` holds: an
-    :func:`_encode_floats` string when `packed`, else a nested list of JSON
-    numbers (bundle version 2).  Raises ModelFormatError for any other
-    value, for another size and for a NaN or an infinity."""
-    if not packed:
-        array = _decode_array(value, np.float64, len(shape), what)
-    elif not isinstance(value, str):
+def _decode_floats(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The float64 array of `shape` that `value`, an :func:`_encode_floats`
+    string, holds.  Raises ModelFormatError for any other value, for another
+    size and for a NaN or an infinity."""
+    if not isinstance(value, str):
         raise ModelFormatError(f"{what} must be a base64 string of float64 bytes")
-    else:
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError:  # binascii.Error, or text that is not ASCII
-            raise ModelFormatError(f"{what} is not strict base64 text") from None
-        size = math.prod(shape)
-        if len(raw) != 8 * size:
-            raise ModelFormatError(f"{what} holds {len(raw)} bytes, not the 8 x {size} of shape {shape}")
-        array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if array.shape != shape:
-        raise ModelFormatError(f"{what} has shape {array.shape}, expected {shape}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise ModelFormatError(f"{what} is not strict base64 text") from None
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise ModelFormatError(f"{what} holds {len(raw)} bytes, not the 8 x {size} of shape {shape}")
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if not np.isfinite(array).all():
         raise ModelFormatError(f"{what} holds a non-finite number")
     return array
@@ -184,10 +191,11 @@ class ClassifierSpec:
     @staticmethod
     def decode(doc) -> "ClassifierSpec":
         """The spec of a decoded :meth:`to_dict` document; ModelFormatError
-        when a field is missing, of the wrong type or out of range."""
+        when a field is missing, unknown, of the wrong type or out of range."""
         names = ("kind", "num_kernels", "ridge_lambda", "seed")
+        _exact_keys(doc, names, "classifier spec")
         try:
-            return ClassifierSpec(**{name: _field(doc, name, "classifier spec") for name in names})
+            return ClassifierSpec(**{name: doc[name] for name in names})
         except ValueError as exc:
             raise ModelFormatError(f"classifier spec: {exc}") from None
 
@@ -372,17 +380,16 @@ class KernelBank:
         return doc
 
     @staticmethod
-    def decode(doc, packed: bool = True) -> "KernelBank":
-        """The bank of a decoded :meth:`to_dict` document, or, unless
-        `packed`, of one whose float arrays are number lists (bundle
-        version 2).  Raises ModelFormatError unless its arrays describe
-        kernels :meth:`generate` could draw: each dilated kernel fits inside
-        an unpadded series and pads by at most half its span."""
+    def decode(doc) -> "KernelBank":
+        """The bank of a decoded :meth:`to_dict` document.  Raises
+        ModelFormatError for a key it does not hold and unless its arrays
+        describe kernels :meth:`generate` could draw: each dilated kernel
+        fits inside an unpadded series and pads by at most half its span."""
         what = "kernel bank"
+        _exact_keys(doc, ("series_length", *(name for name, _ in _BANK_ARRAYS)), what)
         series_length = _positive_int(doc, "series_length", what)
         lengths, dilations, paddings = (
-            _decode_array(_field(doc, name, what), np.int64, 1, f"{what} {name}")
-            for name in ("lengths", "dilations", "paddings")
+            _decode_ints(doc[name], f"{what} {name}") for name in ("lengths", "dilations", "paddings")
         )
         if (
             lengths.size == 0
@@ -392,8 +399,8 @@ class KernelBank:
         ):
             raise ModelFormatError(f"{what} arrays disagree in size")
         n_weights = int(lengths.sum())
-        weights = _decode_floats(_field(doc, "weights", what), (n_weights,), f"{what} weights", packed)
-        biases = _decode_floats(_field(doc, "biases", what), lengths.shape, f"{what} biases", packed)
+        weights = _decode_floats(doc["weights"], (n_weights,), f"{what} weights")
+        biases = _decode_floats(doc["biases"], lengths.shape, f"{what} biases")
         span = (lengths - 1.0) * dilations  # floats: no overflow
         if (
             (dilations < 1).any()
@@ -478,26 +485,27 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.nda
     return np.linalg.solve(gram, features.T @ targets)
 
 
-def _standardise(raw: np.ndarray, mean: np.ndarray | None, scale: np.ndarray | None) -> np.ndarray:
-    return raw if mean is None else (raw - mean) / scale
-
-
 def _decision_rows(n_classes: int) -> int:
     """Weight rows of a classifier over `n_classes` classes: one decision for
     two, one score per class for more."""
     return 1 if n_classes == 2 else n_classes
 
 
+#: The arrays of a hierarchy node's document (:meth:`TrainedClassifier.to_node_doc`).
+_NODE_ARRAYS = ("weights", "intercepts")
+
+
 @dataclass(frozen=True)
 class TrainedClassifier:
-    """Fitted model: weight rows plus intercepts over the features.
+    """Fitted model: weight rows plus intercepts over the raw features.
 
     Two classes make one decision: one row whose score is positive for the
     first class and negative for the second.  More classes have one row per
-    class, scored one-vs-rest.  For ``linear`` the features are the raw
-    series; for ``kernel-ridge`` the standardised kernel features (weight
-    dimension 2 * num_kernels).  Raises ValueError when the weights or
-    intercepts have another number of rows.
+    class, scored one-vs-rest.  The features are the raw series for
+    ``linear`` and the raw kernel features for ``kernel-ridge`` (weight
+    dimension 2 * num_kernels): a ``kernel-ridge`` fit folds the
+    standardisation of its rows into its weights and intercepts.  Raises
+    ValueError when the weights or intercepts have another number of rows.
     """
 
     spec: ClassifierSpec
@@ -506,8 +514,6 @@ class TrainedClassifier:
     intercepts: np.ndarray  # (1,) for two classes, else (n_classes,)
     series_length: int
     kernels: KernelBank | None = None
-    feature_mean: np.ndarray | None = None
-    feature_scale: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         rows = _decision_rows(len(self.class_ids))
@@ -523,86 +529,55 @@ class TrainedClassifier:
         raw = self.kernels.transform(values) if self.kernels is not None else values
         return self.predict_features(raw)
 
-    def predict_features(self, raw: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows whose raw (unstandardised) features are at
-        hand: the kernel transform, or the series themselves."""
-        feats = _standardise(raw, self.feature_mean, self.feature_scale)
-        scores = feats @ self.weights.T + self.intercepts
+    def scores(self, feats: np.ndarray) -> np.ndarray:
+        """The (n,) decisions of two classes, or the (n, n_classes) scores of
+        more, for rows whose raw features are at hand.  A two-class decision
+        is a per-row sum (``einsum``), so each row's bits do not depend on
+        the other rows scored with it."""
+        if self.weights.shape[0] == 1:
+            return np.einsum("ij,j->i", feats, self.weights[0]) + self.intercepts[0]
+        return feats @ self.weights.T + self.intercepts
+
+    def predict_features(self, feats: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for rows whose raw features are at hand: the
+        kernel transform, or the series themselves."""
+        scores = self.scores(feats)
         ids = np.asarray(self.class_ids, dtype=np.int64)
         if ids.size == 2:  # what argmax([s, -s]) picks, ties and -0.0 included
-            return np.where(scores[:, 0] < 0, ids[1], ids[0])
+            return np.where(scores < 0, ids[1], ids[0])
         return ids[np.argmax(scores, axis=1)]
 
     # -- serialization -----------------------------------------------------
 
     def to_node_doc(self) -> dict:
-        """The fitted arrays as JSON values: ``class_ids`` as a number list;
-        ``weights``, ``intercepts``, ``feature_mean`` and ``feature_scale``
-        (None for ``linear``) as :func:`_encode_floats` strings, which read
-        back to the same bits.  A two-class node holds one weight row and
-        one intercept (bundle version 4)."""
-        doc = {"class_ids": list(self.class_ids)}
-        for name in ("weights", "intercepts", "feature_mean", "feature_scale"):
-            array = getattr(self, name)
-            doc[name] = None if array is None else _encode_floats(array)
-        return doc
+        """A hierarchy node's decision as JSON values: its ``weights`` row and
+        ``intercepts`` as :func:`_encode_floats` strings, which read back to
+        the same bits.  A node's class ids are (0, 1), the left and right
+        sides, so the document does not store them; any other classifier
+        raises ValueError."""
+        if self.class_ids != (0, 1):
+            raise ValueError(f"a node document holds class ids [0, 1], not {list(self.class_ids)}")
+        return {name: _encode_floats(getattr(self, name)) for name in _NODE_ARRAYS}
 
     @staticmethod
     def from_node_doc(
-        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None, version: int = 4
+        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None
     ) -> "TrainedClassifier":
-        """The classifier of a :meth:`to_node_doc` document, with the fields a
-        container stores for it, as a bundle of `version` holds it.
-
-        Version 2 float arrays are number lists, later ones base64 strings.
-        Versions 2 and 3 store one row per class; a two-class node is folded
-        to its first row and intercept, which it may be only when the second
-        ones are their exact negations, as every such writer made them.
-        Raises ModelFormatError unless that holds and every array has the
-        shape the class ids, the series length and the bank imply, holds
-        finite values and, for ``feature_scale``, positive ones."""
+        """The classifier, class ids (0, 1), of a :meth:`to_node_doc`
+        document, with the fields a container stores for it.  Raises
+        ModelFormatError for a key the document does not define and unless
+        its one weight row and one intercept have the shape the series length
+        and the bank imply and hold finite values."""
         what = "node model"
-        class_ids = _field(doc, "class_ids", what)
-        if (
-            not isinstance(class_ids, list)
-            or not class_ids
-            or not all(_is_int(c) for c in class_ids)
-            or len(set(class_ids)) != len(class_ids)
-        ):
-            raise ModelFormatError(f"{what} 'class_ids' must be a list of distinct integers")
+        _exact_keys(doc, _NODE_ARRAYS, what)
         n_features = series_length if kernels is None else 2 * kernels.n_kernels
-        rows = len(class_ids) if version < 4 else _decision_rows(len(class_ids))
-        shapes = {
-            "weights": (rows, n_features),
-            "intercepts": (rows,),
-            "feature_mean": (n_features,),
-            "feature_scale": (n_features,),
-        }
-        arrays = {}
-        for name, shape in shapes.items():
-            value = _field(doc, name, what)
-            if value is None and name.startswith("feature_"):
-                arrays[name] = None
-            else:
-                arrays[name] = _decode_floats(value, shape, f"{what} {name}", version >= 3)
-        if (arrays["feature_mean"] is None) != (arrays["feature_scale"] is None):
-            raise ModelFormatError(f"{what} has only one of feature_mean and feature_scale")
-        if arrays["feature_scale"] is not None and (arrays["feature_scale"] <= 0).any():
-            raise ModelFormatError(f"{what} feature_scale holds a value that is not positive")
-        weights, intercepts = arrays["weights"], arrays["intercepts"]
-        if version < 4 and len(class_ids) == 2:
-            if not (np.array_equal(weights[1], -weights[0]) and intercepts[1] == -intercepts[0]):
-                raise ModelFormatError(
-                    f"{what} of this version {version} bundle has two-class rows that are not "
-                    "exact negations of each other; refit the model"
-                )
-            arrays.update(weights=weights[:1], intercepts=intercepts[:1])
+        shapes = {"weights": (1, n_features), "intercepts": (1,)}
         return TrainedClassifier(
             spec=spec,
-            class_ids=tuple(class_ids),
+            class_ids=(0, 1),
             series_length=series_length,
             kernels=kernels,
-            **arrays,
+            **{name: _decode_floats(doc[name], shape, f"{what} {name}") for name, shape in shapes.items()},
         )
 
 
@@ -779,6 +754,11 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     for the first class and -1 for the second; more are one-vs-rest, one
     column per class.
 
+    For ``kernel-ridge`` the ridge weights w and intercepts b are solved on
+    the rows' standardised features ``(raw - mean) / scale``, and the fit
+    folds that map in: it keeps ``w / scale`` and ``b - mean . (w / scale)``,
+    which score the raw features with the same decisions to rounding.
+
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
     takes the raw features of the rows from their run, and a dataset becomes
     a new run.  Raises TrainingDataError for fewer than two classes.
@@ -793,13 +773,15 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     targets = np.where(labels[:, None] == columns[None, :], 1.0, -1.0)
     t_mean = np.add.reduce(targets, axis=0) / labels.size
     w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    intercepts = t_mean - centre @ w
+    if mean is not None:
+        w /= scale[:, None]
+        intercepts -= mean @ w
     return TrainedClassifier(
         spec=spec,
         class_ids=tuple(int(c) for c in class_ids),
         weights=w.T,
-        intercepts=t_mean - centre @ w,
+        intercepts=intercepts,
         series_length=rows.series_length,
         kernels=rows.run.bank,
-        feature_mean=mean,
-        feature_scale=scale,
     )

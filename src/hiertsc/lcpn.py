@@ -16,6 +16,7 @@ from .classifiers import (
     Run,
     TrainedClassifier,
     _decode_json,
+    _exact_keys,
     _field,
     _is_int,
     _positive_int,
@@ -25,9 +26,10 @@ from .classifiers import (
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
-_BUNDLE_VERSION = 4
+_BUNDLE_VERSION = 5
+_BUNDLE_KEYS = ("version", "tree", "spec", "series_length", "label_names", "bank", "nodes")
 _NO_TOKEN_MAP = (
-    "model bundle has no token map (a version 1 bundle, or 'label_names' is null); "
+    "model bundle has no token map ('label_names' is null); "
     "refit the model to get a bundle that maps its class ids to label tokens"
 )
 
@@ -113,50 +115,54 @@ class LcpnModel:
         return self.node_models[0].series_length
 
     def to_bundle(self) -> str:
-        """The model as one version 4 JSON document: the tree text, the spec,
-        the series length and the id -> token map once, the kernel bank (if
-        any) once under ``banks``, and per node its arrays (one weight row
-        and one intercept, the left side's decision) and the index of that
-        bank (or null).  Every float64 array is one base64 string of its
-        little-endian bytes in row-major order, so it reads back to the same
-        bits; integer arrays are number lists."""
+        """The model as one version 5 JSON document: the tree text, the spec,
+        the series length, the id -> token map and the kernel bank (null for
+        ``linear``) once each, and per node only its decision on the raw
+        features, one weight row and one intercept (the left side's score;
+        :meth:`TrainedClassifier.to_node_doc`).  Every float64 array is one
+        base64 string of its little-endian bytes in row-major order, so it
+        reads back to the same bits; integer arrays are number lists."""
         first = self.node_models[0]
-        banks = [] if first.kernels is None else [first.kernels.to_dict()]
-        bank = None if first.kernels is None else 0
-        nodes = [{**m.to_node_doc(), "bank": bank} for m in self.node_models]
         doc = {
             "version": _BUNDLE_VERSION,
             "tree": tree_to_text(self.tree),
             "spec": first.spec.to_dict(),
             "series_length": first.series_length,
             "label_names": {str(c): t for c, t in self.label_names.items()},
-            "banks": banks,
-            "nodes": nodes,
+            "bank": None if first.kernels is None else first.kernels.to_dict(),
+            "nodes": [m.to_node_doc() for m in self.node_models],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 4 bundle, or of a version 2 or 3 one.
-        Version 2 float arrays are number lists, later ones base64 strings,
-        and each version takes only its own encoding.  Versions 2 and 3
-        store two rows per node, the left and right sides' scores; each
-        node is folded to its first row, which it may be only when the
-        second is its exact negation (see
-        :meth:`TrainedClassifier.from_node_doc`).  Nodes that name one bank
-        get one :class:`KernelBank` object.  Raises ModelFormatError when
-        `blob` is not such a bundle, has no token map (a version 1 bundle,
-        or a null map), or its nodes break a rule of :class:`LcpnModel`."""
+        """The model of a version 5 bundle; every node gets the one
+        :class:`KernelBank` object it stores.  Raises ModelFormatError when
+        `blob` is not such a bundle: a bundle of any other version, which
+        must be refit; a document, bank or node with a key version 5 does
+        not define, such as an array of an older layout; a null token map;
+        or nodes that break a rule of :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
-        if not _is_int(version) or version not in (1, 2, 3, _BUNDLE_VERSION):  # not 4.0, not true
-            raise ModelFormatError(f"unsupported model bundle version {version!r}")
-        names = None if version == 1 else _field(doc, "label_names", what)
-        if names is None:
+        if not _is_int(version) or version != _BUNDLE_VERSION:  # not 5.0, not true
+            raise ModelFormatError(
+                f"unsupported model bundle version {version!r}: this program reads version "
+                f"{_BUNDLE_VERSION} only; refit the model (hiertsc fit) to get one"
+            )
+        _exact_keys(doc, _BUNDLE_KEYS, what)
+        if doc["label_names"] is None:
             raise ModelFormatError(_NO_TOKEN_MAP)
-        names = _decode_label_names(names)
-        tree, nodes = _decode_body(doc, version)
+        names = _decode_label_names(doc["label_names"])
+        tree = _decode_tree(doc["tree"])
+        spec = ClassifierSpec.decode(doc["spec"])
+        series_length = _positive_int(doc, "series_length", what)
+        bank = None if doc["bank"] is None else KernelBank.decode(doc["bank"])
+        if bank is not None and bank.series_length != series_length:
+            raise ModelFormatError(f"{what} has a kernel bank for another series length")
+        if not isinstance(doc["nodes"], list):
+            raise ModelFormatError(f"{what} 'nodes' must be a list")
+        nodes = [TrainedClassifier.from_node_doc(node, spec, series_length, bank) for node in doc["nodes"]]
         try:
             return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
         except ValueError as exc:
@@ -171,36 +177,6 @@ def _decode_tree(text) -> HierarchyTree:
         return parse_tree_text(text)
     except ValueError as exc:
         raise ModelFormatError(f"model bundle tree: {exc}") from None
-
-
-def _list_field(doc, key: str) -> list:
-    value = _field(doc, key, "model bundle")
-    if not isinstance(value, list):
-        raise ModelFormatError(f"model bundle '{key}' must be a list")
-    return value
-
-
-def _decode_body(doc, version: int):
-    """The tree and node models of a bundle of `version`, 2 or later; its
-    float arrays are base64 strings from version 3 on."""
-    what = "model bundle"
-    tree = _decode_tree(_field(doc, "tree", what))
-    spec = ClassifierSpec.decode(_field(doc, "spec", what))
-    series_length = _positive_int(doc, "series_length", what)
-    banks = [KernelBank.decode(bank, version >= 3) for bank in _list_field(doc, "banks")]
-    if any(bank.series_length != series_length for bank in banks):
-        raise ModelFormatError(f"{what} has a kernel bank for another series length")
-    nodes, named = [], set()
-    for node in _list_field(doc, "nodes"):
-        index = _field(node, "bank", "node model")
-        if index is not None and not (_is_int(index) and 0 <= index < len(banks)):
-            raise ModelFormatError(f"node model 'bank' must be null or an index into {len(banks)} banks")
-        named.add(index)
-        kernels = None if index is None else banks[index]
-        nodes.append(TrainedClassifier.from_node_doc(node, spec, series_length, kernels, version))
-    if len(named - {None}) != len(banks):
-        raise ModelFormatError(f"{what} lists a kernel bank that no node names")
-    return tree, nodes
 
 
 def _decode_label_names(doc) -> dict[int, str]:

@@ -4,7 +4,6 @@ and small datasets with known structure."""
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -86,10 +85,11 @@ def random_tree(labels, rng):
 
 
 def classifier_state(model):
-    """What a bundle stores of a fitted classifier, for comparing two: the
-    node arrays as JSON text (a float's repr keeps its bits), the spec, the
-    series length and the kernel bank."""
-    return json.dumps(model.to_node_doc(), sort_keys=True), model.spec, model.series_length, model.kernels
+    """Everything a fitted classifier holds, for comparing two: its class
+    ids, the bytes of its weights and intercepts, the spec, the series
+    length and the kernel bank."""
+    arrays = (model.weights.tobytes(), model.intercepts.tobytes())
+    return model.class_ids, arrays, model.spec, model.series_length, model.kernels
 
 
 def peek_dataset(labels, series_length=6):

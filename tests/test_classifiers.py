@@ -24,11 +24,25 @@ from hiertsc.classifiers import (
     TrainingDataError,
     _centred,
     _class_decisions,
-    _standardise,
     ridge_solve,
 )
 
 from conftest import classifier_state, separable_dataset
+
+
+def standardise(raw, mean, scale):
+    """`raw` features by the standardisation of a fit's rows; none for
+    ``linear``, whose mean and scale are None."""
+    return raw if mean is None else (raw - mean) / scale
+
+
+def unfolded(model, mean, scale):
+    """(weights, intercepts) of a fitted classifier on the standardised
+    features of its rows, which a ``kernel-ridge`` fit solves for and then
+    folds their `mean` and `scale` into."""
+    if mean is None:
+        return model.weights, model.intercepts
+    return model.weights * scale, model.intercepts + model.weights @ mean
 
 
 def gaussian_two_class(n=40, m=10, gap=3.0, seed=1):
@@ -270,20 +284,19 @@ def test_fit_with_fewer_rows_than_features_matches_primal_oracle(kind):
     data = gaussian_two_class(n=6, m=40)
     spec = ClassifierSpec(kind=kind, num_kernels=32, seed=5)
     model = fit_classifier(spec, data)
-    feats = data.values
+    feats, mean, scale = data.values, None, None
     if kind == "kernel-ridge":
         raw = KernelBank.generate(40, 32, seed=5).transform(data.values)
-        scale = raw.std(axis=0)
+        mean, scale = raw.mean(axis=0), raw.std(axis=0)
         scale[scale == 0.0] = 1.0
-        assert np.array_equal(model.feature_mean, raw.mean(axis=0))
-        assert np.array_equal(model.feature_scale, scale)
-        feats = (raw - raw.mean(axis=0)) / scale
+        feats = (raw - mean) / scale
     assert feats.shape[0] < feats.shape[1]
     targets = np.where(data.labels[:, None] == data.labels.min(), 1.0, -1.0)
     f_mean, t_mean = feats.mean(axis=0), targets.mean(axis=0)
     w = primal_ridge(feats - f_mean, targets - t_mean, spec.ridge_lambda)
-    assert np.max(np.abs(model.weights - w.T)) <= 1e-9
-    assert np.max(np.abs(model.intercepts - (t_mean - f_mean @ w))) <= 1e-9
+    weights, intercepts = unfolded(model, mean, scale)
+    assert np.max(np.abs(weights - w.T)) <= 1e-9
+    assert np.max(np.abs(intercepts - (t_mean - f_mean @ w))) <= 1e-9
     assert np.array_equal(model.predict(data.values), data.labels)
 
 
@@ -334,7 +347,7 @@ def test_centred_is_bitwise_the_plain_numpy_expressions(kind, seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_class_decisions_are_bitwise_the_out_of_place_expression(kind, seed):
     """Standardising and centring the validation rows in place on their
-    fresh gather gives the bits of ``(_standardise(x, mean, scale) - centre)
+    fresh gather gives the bits of ``(standardise(x, mean, scale) - centre)
     @ weights`` and leaves the run's feature matrix as it was."""
     rng = np.random.default_rng(seed)
     total, f, k = int(rng.integers(8, 200)), int(rng.integers(1, 300)), int(rng.integers(2, 6))
@@ -353,16 +366,16 @@ def test_class_decisions_are_bitwise_the_out_of_place_expression(kind, seed):
     indicators = np.zeros((train_idx.size, k))
     indicators[np.arange(train_idx.size), train.labels] = 1.0
     weights = ridge_solve(centred, indicators, spec.ridge_lambda)
-    want = (_standardise(feats[val_idx], mean, scale) - centre) @ weights
+    want = (standardise(feats[val_idx], mean, scale) - centre) @ weights
     assert got.tobytes() == want.tobytes()
     assert run.feats is feats and feats.tobytes() == before.tobytes()
 
 
 def two_column_fit(spec, data):
     """Oracle: the two-class fit as it was before one decision per node,
-    one-vs-rest with one +/-1 column per class; (weights, intercepts, labels
-    predicted for rows whose raw features are given) as the argmax of the
-    two scores."""
+    one-vs-rest with one +/-1 column per class; (weights, intercepts, the
+    standardisation's mean and scale, labels predicted for rows whose raw
+    features are given) as the argmax of the two scores."""
     rows = Run.rows_of(data, spec)
     class_ids = np.unique(rows.labels)
     mean, scale, centre, centred = _centred(rows)
@@ -372,19 +385,20 @@ def two_column_fit(spec, data):
     weights, intercepts = w.T, t_mean - centre @ w
 
     def predict_features(raw):
-        scores = _standardise(raw, mean, scale) @ weights.T + intercepts
+        scores = standardise(raw, mean, scale) @ weights.T + intercepts
         return class_ids[np.argmax(scores, axis=1)]
 
-    return weights, intercepts, predict_features
+    return weights, intercepts, mean, scale, predict_features
 
 
 @pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
 @pytest.mark.parametrize("seed", range(12))
 def test_a_two_class_fit_is_the_first_of_the_old_two_columns(kind, seed):
-    """One +/-1 column gives the old column 0 to 1e-12 and the labels of
-    the old two-column argmax, on shapes on both sides of n = f.  The old
-    columns were exact negations.  No decision is near a tie, so a flipped
-    label fails the test rather than passing by luck."""
+    """One +/-1 column gives the old column 0 to 1e-12, once the fold of the
+    standardisation is undone, and the labels of the old two-column argmax,
+    on shapes on both sides of n = f.  The old columns were exact
+    negations.  No decision is near a tie, so a flipped label fails the
+    test rather than passing by luck."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 60))
     dual = seed % 2 == 1
@@ -396,15 +410,75 @@ def test_a_two_class_fit_is_the_first_of_the_old_two_columns(kind, seed):
     data = TimeSeriesDataset(values[:n], np.sort(rng.choice(50, 2, replace=False))[side[:n]])
     model = fit_classifier(spec, data)
     assert (model.weights.shape[1] > n) == dual
-    weights, intercepts, old_predict = two_column_fit(spec, data)
+    weights, intercepts, mean, scale, old_predict = two_column_fit(spec, data)
     assert np.array_equal(weights[1], -weights[0]) and intercepts[1] == -intercepts[0]
     assert model.weights.shape == (1, weights.shape[1]) and model.intercepts.shape == (1,)
-    assert np.abs(model.weights[0] - weights[0]).max() <= 1e-12 * np.abs(weights[0]).max()
-    assert abs(model.intercepts[0] - intercepts[0]) <= 1e-12 * max(1.0, abs(intercepts[0]))
+    new_weights, new_intercepts = unfolded(model, mean, scale)
+    assert np.abs(new_weights[0] - weights[0]).max() <= 1e-12 * np.abs(weights[0]).max()
+    assert abs(new_intercepts[0] - intercepts[0]) <= 1e-12 * max(1.0, abs(intercepts[0]))
     raw = values if model.kernels is None else model.kernels.transform(values)
-    decisions = _standardise(raw, model.feature_mean, model.feature_scale) @ model.weights[0] + model.intercepts[0]
+    decisions = model.scores(raw)
     assert np.abs(decisions).min() > 1e-9 * np.abs(decisions).max()
     assert np.array_equal(model.predict_features(raw), old_predict(raw))
+
+
+@pytest.mark.parametrize("kind", ["linear", "kernel-ridge"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_decisions_match_the_standardised_ones_of_the_same_solve(kind, n_classes, dual, seed):
+    """A fit's weights and intercepts score the raw features with the
+    decisions that the ridge solution it folded gives the standardised
+    features, to 1e-12 of the largest, and the same labels.  No decision
+    (no gap between the two best scores, for three classes) is near a tie,
+    so a flipped label fails the test rather than passing by luck."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    f = int(rng.integers(n + 1, 2 * n + 2)) if dual else int(rng.integers(2, n + 1))
+    length, num_kernels = (f, 1) if kind == "linear" else (16, (f + dual) // 2)
+    spec = ClassifierSpec(kind=kind, num_kernels=num_kernels, seed=seed)
+    group = np.arange(n + 40) % n_classes  # n training rows, then 40 unseen ones
+    centres = rng.normal(0.0, 0.5, (n_classes, length))
+    values = rng.normal(0.0, 1.0, (group.size, length)) + centres[group]
+    data = TimeSeriesDataset(values[:n], group[:n])
+    model = fit_classifier(spec, data)
+    assert (model.weights.shape[1] > n) == dual
+    rows = Run.rows_of(data, spec)
+    mean, scale, centre, centred = _centred(rows)
+    ids = np.arange(n_classes)
+    targets = np.where(rows.labels[:, None] == ids[: 1 if n_classes == 2 else None], 1.0, -1.0)
+    t_mean = targets.mean(axis=0)
+    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    raw = values if model.kernels is None else model.kernels.transform(values)
+    want = standardise(raw, mean, scale) @ w + (t_mean - centre @ w)
+    got = model.scores(raw).reshape(want.shape)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if n_classes == 2:
+        margins, oracle = np.abs(want[:, 0]), np.where(want[:, 0] < 0, 1, 0)
+    else:
+        top = np.sort(want, axis=1)
+        margins, oracle = top[:, -1] - top[:, -2], np.argmax(want, axis=1)
+    assert margins.min() > 1e-9 * np.abs(want).max()
+    assert np.array_equal(model.predict_features(raw), oracle)
+
+
+@pytest.mark.parametrize("f", [7, 64, 256, 1000, 1024])
+def test_a_two_class_decision_has_the_same_bits_in_any_batch(f):
+    """Each row's decision is a per-row sum: the same bits alone, in any
+    batch and in any row order, where a matrix-vector product's bits can
+    depend on the rows sharing the call."""
+    rng = np.random.default_rng(f)
+    model = TrainedClassifier(
+        ClassifierSpec("linear"), (0, 1), rng.normal(size=(1, f)), rng.normal(size=1), series_length=f
+    )
+    feats = rng.normal(size=(199, f)) * rng.choice([1e-3, 1.0, 1e3], f)
+    decisions = model.scores(feats)
+    assert decisions.shape == (199,)
+    alone = np.concatenate([model.scores(feats[i : i + 1]) for i in range(len(feats))])
+    assert alone.tobytes() == decisions.tobytes()
+    for _ in range(20):
+        idx = rng.choice(len(feats), int(rng.integers(1, len(feats) + 1)), replace=False)
+        assert model.scores(feats[idx]).tobytes() == decisions[idx].tobytes()
 
 
 @pytest.mark.parametrize(

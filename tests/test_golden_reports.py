@@ -9,9 +9,11 @@ tree is selected changes a digest.
 
 ``model.json`` is not hashed, as its weight bits depend on the BLAS.  Each
 fitted bundle is decoded instead: its tree text must match exactly, and per
-node a weighted checksum of the weights, intercepts, ``feature_mean`` and
-``feature_scale`` must match within ``MODEL_TOLERANCE``, so a change that
-moves the fitted numbers but no prediction is still seen.
+node a weighted checksum of the weights, intercepts, feature mean and
+feature scale must match within ``MODEL_TOLERANCE``, so a change that moves
+the fitted numbers but no prediction is still seen.  A ``kernel-ridge`` node
+stores its decision on the raw features; the checksums are taken on the
+standardised-feature weights it was solved as (:func:`model_checksums`).
 
 After a deliberate change to the outputs, print the new digests and model
 checksums with ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -32,6 +34,7 @@ from hiertsc import (
     TimeSeriesDataset,
     cli,
     collinear_superclusters,
+    load_dataset,
     save_dataset,
     tree_to_text,
 )
@@ -569,18 +572,35 @@ def _checksum(array):
     return float(flat @ np.linspace(1.0, 2.0, flat.size))
 
 
-def model_checksums(bundle: str):
+def model_checksums(bundle: str, train: TimeSeriesDataset):
     """(tree text, per node [weights, intercepts, feature_mean, feature_scale]
-    checksums) of a model bundle.  A node's one weight row w and intercept b
-    are checksummed as the two rows ``[w; -w]`` and ``[b; -b]`` that bundles
+    checksums) of a model bundle fit on all of `train`.
+
+    A ``kernel-ridge`` node stores w / scale and b - mean . (w / scale): the
+    ridge weights w and intercept b it solved on standardised features, with
+    the mean and scale of its training rows folded in.  Those rows are the
+    ones whose class lies under the node's parent, transformed with the
+    bundle's bank; a zero standard deviation reads as 1.  The node is
+    unfolded with them, so the checksums are of the arrays bundles held
+    before version 5.  A node's one weight row w and intercept b are
+    checksummed as the two rows ``[w; -w]`` and ``[b; -b]`` that bundles
     held before version 4, whose exact negations they were, so the pins
     taken then still hold."""
     model = LcpnModel.from_bundle(bundle)
     nodes = []
-    for node in model.node_models:
-        arrays = {name: getattr(node, name) for name in PINNED_ARRAYS}
-        for name in ("weights", "intercepts"):
-            arrays[name] = np.concatenate([arrays[name], -arrays[name]])
+    for parent, node in zip(model.tree.parents, model.node_models):
+        arrays = dict.fromkeys(PINNED_ARRAYS)
+        weights, intercepts = node.weights, node.intercepts
+        if node.kernels is not None:
+            rows = np.isin(train.labels, sorted(parent.class_set))
+            feats = node.kernels.transform(train.values[rows])
+            mean, scale = feats.mean(axis=0), feats.std(axis=0)
+            scale[scale == 0.0] = 1.0
+            intercepts = intercepts + mean @ weights[0]
+            weights = weights * scale
+            arrays.update(feature_mean=mean, feature_scale=scale)
+        arrays["weights"] = np.concatenate([weights, -weights])
+        arrays["intercepts"] = np.concatenate([intercepts, -intercepts])
         nodes.append([_checksum(arrays[name]) for name in PINNED_ARRAYS])
     return tree_to_text(model.tree), nodes
 
@@ -608,7 +628,9 @@ def run_corpus(root: Path):
                             digests[f"{out}/{name}"] = _sha(Path(out, name).read_text())
                         reports.append(json.loads(Path(out, "report.json").read_text()))
                     digests[f"{tag}-fit/stdout"] = _sha(_run(("fit", *common, "--out", f"{tag}-fit")))
-                    models[f"{tag}-fit"] = model_checksums(Path(f"{tag}-fit", "model.json").read_text())
+                    models[f"{tag}-fit"] = model_checksums(
+                        Path(f"{tag}-fit", "model.json").read_text(), load_dataset(f"{ds}.tsv")
+                    )
                     out = f"{tag}-predict"
                     stdout = _run(
                         ("predict", "--model", f"{tag}-fit/model.json",
