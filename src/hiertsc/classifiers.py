@@ -285,30 +285,37 @@ class KernelBank:
         """(n, M) series -> (n, 2*n_kernels) features: per kernel the share of
         positive convolution outputs and the maximum output.
 
-        The batch is laid out positions x rows and zero-padded once, to the
-        bank's largest padding; a group of kernels that share (length,
-        dilation, padding) reads it from its own offset.  Each group is
-        convolved by shift-and-add, one tap at a time over all its kernels,
-        into one buffer of at most ``_PASS_ELEMENTS`` outputs (or one
-        kernel's outputs, when those are more).  Each time the buffer is full
-        it is pooled with two segmented reductions, one per feature, over the
-        kernels it holds.  Each output sees the same elementwise operations
-        in the same order whatever its group, fill or batch, so a row's
-        features are the same bits in any batch.
+        The batch is laid out positions x rows, at least two rows wide, and
+        zero-padded once, to the bank's largest padding.  Each group of
+        kernels that share (length, dilation, padding) is convolved by one
+        ``einsum`` of its taps with a (tap, position, row) view of the batch
+        from its own offset, into one buffer of at most ``_PASS_ELEMENTS``
+        outputs (or one kernel's outputs, when those are more).  Each time
+        the buffer is full it is pooled with two segmented reductions, one
+        per feature, over the kernels it holds.  With two or more rows the
+        row axis is einsum's innermost loop, so each output sums its taps in
+        order, ``(0 + t0*x0) + t1*x1 + ...``, and a row's features are the
+        same bits in any batch (one row lets einsum sum taps in SIMD partial
+        sums).  Where einsum fuses multiply and add (a numpy whose SIMD
+        baseline has FMA) the bits may differ from a shift-and-add in the
+        last place but still do not depend on the batch.
         """
         values = _series_input(values, self.series_length)
-        n = values.shape[0]
+        rows = values.shape[0]
+        n = max(rows, 2)
         plan = self._plan
         pad = plan.padding
         x = np.zeros((self.series_length + 2 * pad, n))
-        x[pad : pad + self.series_length] = values.T
+        x[pad : pad + self.series_length, :rows] = values.T
+        s0, s1 = x.strides
         positive = np.empty((self.n_kernels, n))  # rows in plan order
         maximum = np.empty((self.n_kernels, n))
-        buf = np.empty((max(_PASS_ELEMENTS // max(1, n), plan.longest), n))
+        buf = np.empty((max(_PASS_ELEMENTS // n, plan.longest), n))
         first = 0  # the first kernel in the buffer, in plan order
         for group in plan.groups:
             out_len = group.out_len
-            origin = pad - group.padding
+            offset, strides = (pad - group.padding) * s0, (group.dilation * s0, s0, s1)
+            windows = np.ndarray((group.length, out_len, n), np.float64, x, offset, strides)
             at, end = group.first, group.first + group.size
             while at < end:
                 used = plan.starts[at] - plan.starts[first]
@@ -319,17 +326,13 @@ class KernelBank:
                     continue
                 out = buf[used : used + (stop - at) * out_len].reshape(stop - at, out_len, n)
                 kernels = slice(at - group.first, stop - group.first)
-                taps = group.taps[:, kernels]
-                np.multiply(taps[0], x[origin : origin + out_len], out=out)
-                for k in range(1, group.length):
-                    tap = origin + k * group.dilation
-                    out += taps[k] * x[tap : tap + out_len]
+                np.einsum("kg,kpn->gpn", group.taps[:, kernels], windows, out=out)
                 out += group.biases[kernels]
                 at = stop
         plan.pool(buf, first, self.n_kernels, positive, maximum)
-        feats = np.empty((n, 2 * self.n_kernels))
-        feats[:, plan.columns] = positive.T
-        feats[:, plan.columns + 1] = maximum.T
+        feats = np.empty((rows, 2 * self.n_kernels))
+        feats[:, plan.columns] = positive.T[:rows]
+        feats[:, plan.columns + 1] = maximum.T[:rows]
         return feats
 
     @cached_property
@@ -358,7 +361,7 @@ class KernelBank:
             groups.append(
                 _KernelGroup(
                     length, dilation, padding, out_len, len(kernels), len(out_lens),
-                    taps[:, :, None, None], biases[:, None, None],
+                    taps, biases[:, None, None],
                 )
             )
             out_lens += [out_len] * len(kernels)
@@ -420,7 +423,8 @@ _PASS_ELEMENTS = 32768
 
 @dataclass(frozen=True)
 class _KernelGroup:
-    """Kernels that share (length, dilation, padding), convolved together."""
+    """Kernels that share (length, dilation, padding), convolved together by
+    one ``einsum`` of `taps` (see :meth:`KernelBank.transform`)."""
 
     length: int
     dilation: int
@@ -428,7 +432,7 @@ class _KernelGroup:
     out_len: int
     size: int  # g, the number of kernels
     first: int  # position of the group's first kernel in the plan order
-    taps: np.ndarray  # (length, g, 1, 1): tap k's weight in every kernel
+    taps: np.ndarray  # (length, g): tap k's weight in every kernel
     biases: np.ndarray  # (g, 1, 1)
 
 
@@ -531,12 +535,12 @@ class TrainedClassifier:
 
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """The (n,) decisions of two classes, or the (n, n_classes) scores of
-        more, for rows whose raw features are at hand.  A two-class decision
-        is a per-row sum (``einsum``), so each row's bits do not depend on
-        the other rows scored with it."""
+        more, for rows whose raw features are at hand.  Each score is a
+        per-row sum (``einsum``), so each row's bits do not depend on the
+        other rows scored with it."""
         if self.weights.shape[0] == 1:
             return np.einsum("ij,j->i", feats, self.weights[0]) + self.intercepts[0]
-        return feats @ self.weights.T + self.intercepts
+        return np.einsum("ij,kj->ik", feats, self.weights) + self.intercepts
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
         """:meth:`predict` for rows whose raw features are at hand: the

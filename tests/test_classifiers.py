@@ -481,6 +481,25 @@ def test_a_two_class_decision_has_the_same_bits_in_any_batch(f):
         assert model.scores(feats[idx]).tobytes() == decisions[idx].tobytes()
 
 
+@pytest.mark.parametrize("f", [7, 256, 1000])
+@pytest.mark.parametrize("k", [3, 20])
+def test_multi_class_scores_have_the_same_bits_in_any_batch(k, f):
+    """Each row's k scores are per-row sums too, as the flat baseline's
+    classifier takes them: the same bits alone, in any batch and order."""
+    rng = np.random.default_rng(100 * k + f)
+    model = TrainedClassifier(
+        ClassifierSpec("linear"), tuple(range(k)), rng.normal(size=(k, f)), rng.normal(size=k), series_length=f
+    )
+    feats = rng.normal(size=(199, f)) * rng.choice([1e-3, 1.0, 1e3], f)
+    scores = model.scores(feats)
+    assert scores.shape == (199, k)
+    alone = np.concatenate([model.scores(feats[i : i + 1]) for i in range(len(feats))])
+    assert alone.tobytes() == scores.tobytes()
+    for _ in range(20):
+        idx = rng.choice(len(feats), int(rng.integers(1, len(feats) + 1)), replace=False)
+        assert model.scores(feats[idx]).tobytes() == scores[idx].tobytes()
+
+
 @pytest.mark.parametrize(
     "spec",
     [ClassifierSpec(kind="linear"), ClassifierSpec(kind="kernel-ridge", num_kernels=16)],

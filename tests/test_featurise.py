@@ -150,11 +150,13 @@ def assert_same_bits(a, b):
     length=st.integers(7, 300),
     n_kernels=st.integers(1, 64),
     seed=st.integers(0, 2**16),
-    n=st.sampled_from([0, 1, 10, 10, 160]),
+    n=st.sampled_from([0, 1, 2, 10, 10, 160]),
     padding=st.sampled_from(["drawn", "none", "all"]),
 )
 @example(length=7, n_kernels=8, seed=0, n=10, padding="drawn")  # only length 7 fits
 @example(length=10, n_kernels=24, seed=1, n=1, padding="drawn")  # lengths 7 and 9
+@example(length=9, n_kernels=4, seed=0, n=1, padding="drawn")  # one row: needs the two-column floor
+@example(length=32, n_kernels=16, seed=0, n=1, padding="drawn")
 @example(length=300, n_kernels=64, seed=2, n=160, padding="all")
 @example(length=64, n_kernels=64, seed=3, n=0, padding="none")
 @example(length=300, n_kernels=8, seed=4, n=600, padding="all")  # one kernel > _PASS_ELEMENTS
@@ -163,6 +165,24 @@ def test_grouped_transform_is_bitwise_the_per_kernel_transform(length, n_kernels
     values = rng.normal(0.0, 1.0, size=(n, length)) * rng.uniform(0.1, 10.0)
     bank = with_paddings(KernelBank.generate(length, n_kernels, seed), padding)
     assert_same_bits(bank.transform(values), per_kernel_transform(bank, values))
+
+
+def test_einsum_rounds_each_product_on_this_build():
+    """The transform's einsum sums each output as rounded products.  With
+    taps (1, a) against (-(1 + 2**-29), 1 + 2**-30), a = 1 + 2**-30, a fused
+    multiply-add gives 2**-60 and two roundings give 0."""
+    a = 1 + 2.0**-30
+    x = np.array([-(1 + 2.0**-29), a])
+    windows = np.repeat(x[:, None, None], 2, axis=2)  # (tap, position, row)
+    conv = np.einsum("kg,kpn->gpn", np.array([[1.0], [a]]), windows)
+    bank = KernelBank(7, [7], [1.0, a, 0, 0, 0, 0, 0], [0.0], [1], [0])
+    feats = bank.transform(np.concatenate([x, np.zeros(5)])[None])
+    assert np.array_equal(conv, np.zeros((1, 1, 2))) and np.array_equal(feats, [[0.0, 0.0]]), (
+        "numpy's einsum fuses multiply and add on this build (see numpy.show_runtime()): "
+        "kernel outputs differ from a shift-and-add in the last bit, so the bitwise "
+        "transform tests and golden digests fail here, though features still do not "
+        "depend on the batch"
+    )
 
 
 def test_a_large_batch_fills_the_bounded_buffer_several_times(monkeypatch):
