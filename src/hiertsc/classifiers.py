@@ -23,8 +23,12 @@ by row index (:class:`Rows`).  Each fit then standardises and centres its
 rows in one pass over their gathered features (:func:`_centred`) and makes
 one :func:`ridge_solve`, which builds the Gram matrix:
 
-- a node fit (:func:`fit_classifier`) solves for its one +/-1 target
-  column and folds its rows' mean and scale into the solved weights;
+- a node fit (:func:`fit_classifier` on a parent's rows, relabelled into
+  its two sides by :meth:`Rows.grouped`) solves for its one +/-1 target
+  column and folds its rows' mean and scale into the solved weights.  Its
+  one weight row and intercept become the parent's row of an
+  ``lcpn.LcpnModel``'s decision matrix, and both decide through
+  :func:`_decisions`;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
   class within the set, from class counts taken once per row set) and
   solves once, with one right-hand side per class indicator
@@ -489,14 +493,18 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.nda
     return np.linalg.solve(gram, features.T @ targets)
 
 
+def _decisions(feats: np.ndarray, weights: np.ndarray, intercept) -> np.ndarray:
+    """The (n,) decisions ``feats . weights + intercept`` of one weight row
+    and intercept, for rows whose raw features are at hand: a per-row sum
+    (``einsum``), so each row's bits do not depend on the other rows scored
+    with it.  A two-class fit and a hierarchy node decide with it."""
+    return np.einsum("ij,j->i", feats, weights) + intercept
+
+
 def _decision_rows(n_classes: int) -> int:
     """Weight rows of a classifier over `n_classes` classes: one decision for
     two, one score per class for more."""
     return 1 if n_classes == 2 else n_classes
-
-
-#: The arrays of a hierarchy node's document (:meth:`TrainedClassifier.to_node_doc`).
-_NODE_ARRAYS = ("weights", "intercepts")
 
 
 @dataclass(frozen=True)
@@ -539,7 +547,7 @@ class TrainedClassifier:
         per-row sum (``einsum``), so each row's bits do not depend on the
         other rows scored with it."""
         if self.weights.shape[0] == 1:
-            return np.einsum("ij,j->i", feats, self.weights[0]) + self.intercepts[0]
+            return _decisions(feats, self.weights[0], self.intercepts[0])
         return np.einsum("ij,kj->ik", feats, self.weights) + self.intercepts
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
@@ -550,39 +558,6 @@ class TrainedClassifier:
         if ids.size == 2:  # what argmax([s, -s]) picks, ties and -0.0 included
             return np.where(scores < 0, ids[1], ids[0])
         return ids[np.argmax(scores, axis=1)]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_node_doc(self) -> dict:
-        """A hierarchy node's decision as JSON values: its ``weights`` row and
-        ``intercepts`` as :func:`_encode_floats` strings, which read back to
-        the same bits.  A node's class ids are (0, 1), the left and right
-        sides, so the document does not store them; any other classifier
-        raises ValueError."""
-        if self.class_ids != (0, 1):
-            raise ValueError(f"a node document holds class ids [0, 1], not {list(self.class_ids)}")
-        return {name: _encode_floats(getattr(self, name)) for name in _NODE_ARRAYS}
-
-    @staticmethod
-    def from_node_doc(
-        doc, spec: ClassifierSpec, series_length: int, kernels: KernelBank | None
-    ) -> "TrainedClassifier":
-        """The classifier, class ids (0, 1), of a :meth:`to_node_doc`
-        document, with the fields a container stores for it.  Raises
-        ModelFormatError for a key the document does not define and unless
-        its one weight row and one intercept have the shape the series length
-        and the bank imply and hold finite values."""
-        what = "node model"
-        _exact_keys(doc, _NODE_ARRAYS, what)
-        n_features = series_length if kernels is None else 2 * kernels.n_kernels
-        shapes = {"weights": (1, n_features), "intercepts": (1,)}
-        return TrainedClassifier(
-            spec=spec,
-            class_ids=(0, 1),
-            series_length=series_length,
-            kernels=kernels,
-            **{name: _decode_floats(doc[name], shape, f"{what} {name}") for name, shape in shapes.items()},
-        )
 
 
 class Run:
@@ -682,21 +657,6 @@ class Rows(Labelled):
         for code, g in members:
             counts[g] += per_class[code]
         return Rows(self.run, self.idx[keep], mark[keep]), counts
-
-    def binary_groups(self, c0, c1) -> tuple["Rows", int | None]:
-        """The rows whose run class lies in c0 or c1, labelled group 0 /
-        group 1 (group 1 when a class is in both), and `empty`: the first
-        side (0 or 1) with no rows, or None.  Callers raise their own error
-        for it."""
-        node, counts = self.grouped((c0, c1))
-        return node, next((g for g in (0, 1) if counts[g] == 0), None)
-
-    def predict(self, model: TrainedClassifier) -> np.ndarray:
-        """``model.predict(self.values)``, from the run's features when
-        `model` was fit on them."""
-        if model.kernels is self.run.bank:
-            return model.predict_features(self.feats)
-        return model.predict(self.values)
 
 
 def _centred(rows: Rows) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:

@@ -136,7 +136,7 @@ def flat_baseline(
         train = rows.subset(plan.train_indices(fold))
         test = rows.subset(plan.test_indices(fold))
         model = fit_classifier(spec, train)
-        scores.append(metric(test.labels, test.predict(model)))
+        scores.append(metric(test.labels, model.predict_features(test.feats)))
     return scores
 
 

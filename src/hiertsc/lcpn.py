@@ -15,7 +15,10 @@ from .classifiers import (
     Rows,
     Run,
     TrainedClassifier,
+    _decisions,
+    _decode_floats,
     _decode_json,
+    _encode_floats,
     _exact_keys,
     _field,
     _is_int,
@@ -60,45 +63,48 @@ class FitCounters:
 
 @dataclass(frozen=True)
 class LcpnModel:
-    """A hierarchy plus one binary classifier per parent node.
+    """A hierarchy plus one binary decision per parent node, as its bundle
+    stores it.
 
-    Node model group 0 is the parent's left side, group 1 the right side.
-    The nodes are :class:`TrainedClassifier` objects with class ids (0, 1):
-    each is one weight row and one intercept, whose decision sends a row
-    right where it is negative and left otherwise.  They share one spec,
-    series length and kernel bank (none for ``linear``, one for
-    ``kernel-ridge``), so :func:`predict_lcpn` featurises each row once and
-    the bundle stores that bank once.  `label_names` maps each of the
-    tree's class ids to a distinct label token: the tokens of the data the
-    model was fit on, or ``str(id)`` when none are given.  Raises ValueError
-    when the nodes break these rules or a given map does not name every
+    Parent i (in ``tree.parents`` order) decides with row i of `weights`,
+    (parents, features), and ``intercepts[i]``: its decision on a row's raw
+    features, the kernel transform with `bank` for ``kernel-ridge`` or the
+    series themselves for ``linear`` (`bank` None), is the left side's
+    score, and the row goes right where it is negative, else left.  A
+    ``kernel-ridge`` node fit folds the standardisation of its rows into its
+    row, so every node reads the same features and :func:`predict_lcpn`
+    featurises each row once.  `label_names` maps each of the tree's class
+    ids to a distinct label token: the tokens of the data the model was fit
+    on, or ``str(id)`` when none are given.  Raises ValueError when the bank
+    does not match the spec's kind, its kernel count or the series length,
+    when `weights` and `intercepts` are not one row and one number per
+    parent over those features, or when a given map does not name every
     class of the tree once with a string.
     """
 
     tree: HierarchyTree
-    node_models: tuple[TrainedClassifier, ...]
+    spec: ClassifierSpec
+    series_length: int
+    bank: KernelBank | None
+    weights: np.ndarray  # (parents, features)
+    intercepts: np.ndarray  # (parents,)
     label_names: Mapping[int, str] | None = None
 
     def __post_init__(self) -> None:
-        nodes = self.node_models
-        if len(nodes) != len(self.tree.parents):
-            raise ValueError(f"has {len(nodes)} node models for {len(self.tree.parents)} parent nodes")
-        first = nodes[0]
-        for i, m in enumerate(nodes):
-            if not (
-                isinstance(m, TrainedClassifier)
-                and m.spec == first.spec
-                and m.series_length == first.series_length
-                and (m.kernels is first.kernels or m.kernels == first.kernels)
-            ):
-                raise ValueError("node models must be classifiers of one spec, series length and kernel bank")
-            if m.class_ids != (0, 1):
-                raise ValueError(f"node model {i} has class ids {list(m.class_ids)}, not [0, 1]")
-        if (first.kernels is None) != (first.spec.kind == "linear"):
+        parents, bank, spec = len(self.tree.parents), self.bank, self.spec
+        if len(self.weights) != parents:
+            raise ValueError(f"has {len(self.weights)} node models for {parents} parent nodes")
+        if (bank is None) != (spec.kind == "linear"):
             raise ValueError("linear node models have no kernel bank, kernel-ridge ones have one")
-        if first.kernels is not None and first.kernels.n_kernels != first.spec.num_kernels:
+        if bank is not None and bank.n_kernels != spec.num_kernels:
+            raise ValueError(f"spec names {spec.num_kernels} kernels, its kernel bank has {bank.n_kernels}")
+        if bank is not None and bank.series_length != self.series_length:
+            raise ValueError("has a kernel bank for another series length")
+        n_features = _n_features(self.series_length, bank)
+        if self.weights.shape != (parents, n_features) or self.intercepts.shape != (parents,):
             raise ValueError(
-                f"spec names {first.spec.num_kernels} kernels, its kernel bank has {first.kernels.n_kernels}"
+                f"takes ({parents}, {n_features}) weights and ({parents},) intercepts, "
+                f"not {self.weights.shape} and {self.intercepts.shape}"
             )
         classes = sorted(self.tree.root_classes)
         names = {c: str(c) for c in classes} if self.label_names is None else dict(self.label_names)
@@ -110,38 +116,37 @@ class LcpnModel:
             raise ValueError("'label_names' repeats a token")
         object.__setattr__(self, "label_names", names)
 
-    @property
-    def series_length(self) -> int:
-        return self.node_models[0].series_length
-
     def to_bundle(self) -> str:
         """The model as one version 5 JSON document: the tree text, the spec,
         the series length, the id -> token map and the kernel bank (null for
-        ``linear``) once each, and per node only its decision on the raw
-        features, one weight row and one intercept (the left side's score;
-        :meth:`TrainedClassifier.to_node_doc`).  Every float64 array is one
-        base64 string of its little-endian bytes in row-major order, so it
-        reads back to the same bits; integer arrays are number lists."""
-        first = self.node_models[0]
+        ``linear``) once each, and per parent one ``nodes`` object: its
+        ``weights`` row and its ``intercepts`` number, as arrays of one row
+        and one value.  Every float64 array is one base64 string of its
+        little-endian bytes in row-major order, so it reads back to the same
+        bits; integer arrays are number lists."""
         doc = {
             "version": _BUNDLE_VERSION,
             "tree": tree_to_text(self.tree),
-            "spec": first.spec.to_dict(),
-            "series_length": first.series_length,
+            "spec": self.spec.to_dict(),
+            "series_length": self.series_length,
             "label_names": {str(c): t for c, t in self.label_names.items()},
-            "bank": None if first.kernels is None else first.kernels.to_dict(),
-            "nodes": [m.to_node_doc() for m in self.node_models],
+            "bank": None if self.bank is None else self.bank.to_dict(),
+            "nodes": [
+                {"weights": _encode_floats(w), "intercepts": _encode_floats(b)}
+                for w, b in zip(self.weights, self.intercepts)
+            ],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 5 bundle; every node gets the one
-        :class:`KernelBank` object it stores.  Raises ModelFormatError when
+        """The model of a version 5 bundle.  Raises ModelFormatError when
         `blob` is not such a bundle: a bundle of any other version, which
         must be refit; a document, bank or node with a key version 5 does
         not define, such as an array of an older layout; a null token map;
-        or nodes that break a rule of :class:`LcpnModel`."""
+        a node whose weight row or intercept has another size than the
+        series length and the bank imply, or holds a NaN or an infinity; or
+        fields that break a rule of :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
@@ -162,11 +167,29 @@ class LcpnModel:
             raise ModelFormatError(f"{what} has a kernel bank for another series length")
         if not isinstance(doc["nodes"], list):
             raise ModelFormatError(f"{what} 'nodes' must be a list")
-        nodes = [TrainedClassifier.from_node_doc(node, spec, series_length, bank) for node in doc["nodes"]]
+        n_features = _n_features(series_length, bank)
+        shapes = {"weights": (1, n_features), "intercepts": (1,)}
+        rows = []
+        for node in doc["nodes"]:
+            _exact_keys(node, shapes, "node model")
+            rows.append([_decode_floats(node[name], shape, f"node model {name}") for name, shape in shapes.items()])
         try:
-            return LcpnModel(tree=tree, node_models=tuple(nodes), label_names=names)
+            return LcpnModel(
+                tree=tree,
+                spec=spec,
+                series_length=series_length,
+                bank=bank,
+                weights=np.array([w for w, _ in rows]).reshape(len(rows), n_features),
+                intercepts=np.array([b for _, b in rows]).reshape(len(rows)),
+                label_names=names,
+            )
         except ValueError as exc:
             raise ModelFormatError(f"model bundle {exc}") from None
+
+
+def _n_features(series_length: int, bank: KernelBank | None) -> int:
+    """The raw features a decision reads: the series, or two per kernel."""
+    return series_length if bank is None else 2 * bank.n_kernels
 
 
 def _decode_tree(text) -> HierarchyTree:
@@ -195,11 +218,11 @@ def _decode_label_names(doc) -> dict[int, str]:
 
 
 def _fit_node(parent, rows: Rows, spec: ClassifierSpec) -> tuple[TrainedClassifier, int]:
-    node, empty = rows.binary_groups(parent.left, parent.right)
-    if empty is not None:
+    node, counts = rows.grouped((parent.left, parent.right))
+    if 0 in counts:
         raise NodeTrainingError(
             f"parent {parent.id} has no training instances on its "
-            f"{('left', 'right')[empty]} side "
+            f"{('left', 'right')[counts.index(0)]} side "
             f"({sorted(parent.left)} | {sorted(parent.right)})"
         )
     return fit_classifier(spec, node), node.n_instances
@@ -214,8 +237,9 @@ def fit_lcpn(
     """Train one binary classifier per parent on the instances under it.
 
     Each node sees exactly the rows whose class lies in the parent's class
-    set, relabelled left -> 0 / right -> 1.  Nodes are independent, so the
-    result does not depend on training order.  `data` is a dataset or
+    set, relabelled left -> 0 / right -> 1, and its fit's one weight row and
+    intercept become the parent's row of the model.  Nodes are independent,
+    so the result does not depend on training order.  `data` is a dataset or
     :class:`Rows` of a run; a dataset becomes one new run, and every node
     fit slices that run's features by row index.  The model keeps the
     data's token map over the tree's classes, or names each class by its id
@@ -237,18 +261,15 @@ def fit_lcpn(
     names = rows.run.label_names
     if names is not None:
         names = {c: names[c] for c in sorted(tree.root_classes) if c in names}
-    return LcpnModel(tree=tree, node_models=tuple(model for model, _ in fitted), label_names=names)
-
-
-def _shared_features(model: LcpnModel, values: np.ndarray, rows: Rows | None) -> np.ndarray:
-    """Raw features of every row, which all node models share: taken from
-    the run of `rows` when the model was fit on it."""
-    bank = model.node_models[0].kernels
-    if bank is None:
-        return values
-    if rows is not None and rows.run.bank is bank:
-        return rows.feats
-    return bank.transform(values)
+    return LcpnModel(
+        tree=tree,
+        spec=spec,
+        series_length=rows.series_length,
+        bank=rows.run.bank,
+        weights=np.vstack([node.weights for node, _ in fitted]),
+        intercepts=np.concatenate([node.intercepts for node, _ in fitted]),
+        label_names=names,
+    )
 
 
 def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
@@ -256,20 +277,25 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
     every prediction is a leaf class of the hierarchy.  `values` is an
-    (n, M) array or :class:`Rows` of a run.  Each row is featurised once per
-    call (taken from the run when the model was fit on it) and each node
-    scores its rows from those features; served rows are not kept after the
-    call.  Raises ValueError for an array of another shape or holding a NaN
-    or an infinity.
+    (n, M) array or :class:`Rows` of a run the model was fit on.  Each
+    array row is featurised once per call, rows of a run are read from its
+    features, and each parent routes its rows right where its decision
+    (:func:`~hiertsc.classifiers._decisions` with the parent's row of the
+    model) is negative; served rows are not kept after the call.  Raises
+    ValueError for an array of another shape or holding a NaN or an
+    infinity, and for rows of a run with another kernel bank or series
+    length than the model's.
     """
-    rows_in = values if isinstance(values, Rows) else None
-    values = _series_input(
-        values if rows_in is None else rows_in.values, model.series_length, finite=rows_in is None
-    )
-    n = values.shape[0]
+    if isinstance(values, Rows):
+        if values.run.bank is not model.bank or values.series_length != model.series_length:
+            raise ValueError("the rows are of a run featurised otherwise than the model's")
+        feats = values.feats
+    else:
+        values = _series_input(values, model.series_length, finite=True)
+        feats = values if model.bank is None else model.bank.transform(values)
+    n = feats.shape[0]
     labels = np.empty(n, dtype=np.int64)
     depths = np.zeros(n, dtype=np.int64)
-    feats = _shared_features(model, values, rows_in)
     tree = model.tree
     stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
     while stack:
@@ -277,11 +303,8 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
         if rows.size == 0:
             continue
         parent = tree.parents[node_idx]
-        decisions = model.node_models[node_idx].predict_features(feats[rows])
-        for side, group in (
-            (parent.left, rows[decisions == 0]),
-            (parent.right, rows[decisions == 1]),
-        ):
+        right = _decisions(feats[rows], model.weights[node_idx], model.intercepts[node_idx]) < 0
+        for side, group in ((parent.left, rows[~right]), (parent.right, rows[right])):
             if group.size == 0:
                 continue
             if len(side) == 1:

@@ -92,6 +92,13 @@ def classifier_state(model):
     return model.class_ids, arrays, model.spec, model.series_length, model.kernels
 
 
+def node_state(model, i):
+    """:func:`classifier_state` of parent i's decision in an LCPN model: a
+    two-class classifier, class ids (0, 1), holding row i of the model."""
+    arrays = (model.weights[i : i + 1].tobytes(), model.intercepts[i : i + 1].tobytes())
+    return (0, 1), arrays, model.spec, model.series_length, model.bank
+
+
 def peek_dataset(labels, series_length=6):
     """Dataset whose first time point is the class id; the second varies
     within a class, so rows rarely repeat."""

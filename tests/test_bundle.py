@@ -4,6 +4,7 @@ refusal of bundles without one, typed decode errors, and label-safe
 ``predict`` through that map."""
 
 import base64
+import dataclasses
 import json
 import string
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from hiertsc import (
     ClassifierSpec,
+    KernelBank,
     LcpnModel,
     ModelFormatError,
     TimeSeriesDataset,
@@ -117,11 +119,10 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     text = model.to_bundle()
     again = LcpnModel.from_bundle(text)
     assert again.tree == model.tree
-    for a, b in zip(model.node_models, again.node_models):
-        assert a.class_ids == b.class_ids == (0, 1)
-        assert b.weights.shape[0] == 1 and b.intercepts.shape == (1,)
-        for name in NODE_ARRAYS:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (again.spec, again.series_length) == (model.spec, model.series_length)
+    assert again.weights.shape == model.weights.shape and again.intercepts.shape == (len(tree.parents),)
+    for name in NODE_ARRAYS:
+        assert getattr(model, name).tobytes() == getattr(again, name).tobytes(), name
     for values in (data.values, unseen):
         for got, want in zip(predict_lcpn(again, values), predict_lcpn(model, values)):
             assert np.array_equal(got, want)
@@ -136,9 +137,9 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     assert again.label_names == model.label_names
     if kind == "kernel-ridge":
         assert all(isinstance(doc["bank"][name], str) for name in BANK_FLOATS)
-        assert all(m.kernels is again.node_models[0].kernels for m in again.node_models)
+        assert again.bank == model.bank
     else:
-        assert doc["bank"] is None and all(m.kernels is None for m in again.node_models)
+        assert doc["bank"] is None and again.bank is None
     assert again.to_bundle() == text
 
 
@@ -168,8 +169,8 @@ def test_a_kernel_bundle_takes_at_most_11_bytes_per_float():
     doc = json.loads(model.to_bundle())
     fields = [doc["bank"][name] for name in BANK_FLOATS]
     fields += [node[name] for node in doc["nodes"] for name in NODE_ARRAYS]
-    floats = sum(getattr(model.node_models[0].kernels, name).size for name in BANK_FLOATS)
-    floats += sum(getattr(m, name).size for m in model.node_models for name in NODE_ARRAYS)
+    floats = sum(getattr(model.bank, name).size for name in BANK_FLOATS)
+    floats += sum(getattr(model, name).size for name in NODE_ARRAYS)
     assert sum(_floats(text).size for text in fields) == floats
     assert sum(len(text.encode()) for text in fields) <= 11 * floats
 
@@ -231,7 +232,7 @@ def test_to_bundle_rejects_a_token_map_it_could_not_read_back(names, message):
     data, _, tree = random_problem(1, 3, sparse_ids=False)
     model = fit_lcpn(tree, data, SPECS["linear"])
     with pytest.raises(ValueError, match=message):
-        LcpnModel(model.tree, model.node_models, names).to_bundle()
+        dataclasses.replace(model, label_names=names).to_bundle()
     with pytest.raises(ValueError, match=message):  # fit_lcpn raises rather than drop the data's map
         fit_lcpn(tree, TimeSeriesDataset(data.values, data.labels, names), SPECS["linear"])
 
@@ -313,6 +314,14 @@ def _kind(bundle, kind):
     return json.dumps(doc)
 
 
+def _with_bank(bundle):
+    """`bundle`, a linear one, with a bank of two kernels for its series
+    length and its linear spec and nodes."""
+    doc = json.loads(bundle)
+    doc["bank"] = KernelBank.generate(doc["series_length"], 2, 1).to_dict()
+    return json.dumps(doc)
+
+
 def _two_row_weights(nodes):
     """`nodes` with each node's weight row stored twice, as one row per
     class, which only bundles before version 4 held."""
@@ -382,6 +391,11 @@ def _as_list(section, name):
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==\n")), "intercepts is not strict base64"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==")), r"intercepts holds 16 bytes, not the 8 x 1 of shape \(1,\)"),
         (lambda: _as_list("nodes", "weights"), "node model weights must be a base64 string"),
+        # the model's shape checks: a kind without its bank, a bank without
+        # its kind, a node row one float short
+        (lambda: _kernel_edit(lambda doc: doc.update(bank=None)), r"node model weights holds 32 bytes, not the 8 x \d+ of shape"),
+        (lambda: _with_bank(_linear_bundle()), r"node model weights holds \d+ bytes, not the 8 x 4 of shape \(1, 4\)"),
+        (lambda: _kernel_edit(lambda doc: doc["nodes"][1].update(weights=_packed(_floats(doc["nodes"][1]["weights"])[:-1]))), r"node model weights holds 24 bytes, not the 8 x 4 of shape \(1, 4\)"),
         (lambda: _as_list("bank", "biases"), "kernel bank biases must be a base64 string"),
     ],
 )
@@ -409,7 +423,7 @@ def test_specs_with_numpy_or_int_fields_round_trip_as_python_numbers(fields):
     data, _, tree = random_problem(5, 3, sparse_ids=False)
     bundle = fit_lcpn(tree, data, spec).to_bundle()
     assert json.loads(bundle)["spec"] == spec.to_dict()
-    assert LcpnModel.from_bundle(bundle).node_models[0].spec == spec
+    assert LcpnModel.from_bundle(bundle).spec == spec
 
 
 @pytest.mark.parametrize(
@@ -434,7 +448,7 @@ def test_spec_refuses_fields_a_bundle_could_not_hold(fields, message):
 def _small_kernel_bundle():
     data, _, tree = random_problem(5, 3, sparse_ids=False)
     model = fit_lcpn(tree, data, ClassifierSpec("kernel-ridge", num_kernels=2, seed=1))
-    return LcpnModel(model.tree, model.node_models, {0: "a", 1: "b", 2: "c"}).to_bundle()
+    return dataclasses.replace(model, label_names={0: "a", 1: "b", 2: "c"}).to_bundle()
 
 
 #: the text the fuzz tests mutate: every section of a version 5 bundle, small

@@ -1,7 +1,5 @@
 """Base classifier contracts: determinism, the ridge solve, kernel features."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -213,17 +211,6 @@ def test_weight_dimensions():
     three = separable_dataset(n_per_class=4, n_classes=3, seed=1)
     model = fit_classifier(ClassifierSpec(kind="linear"), three)
     assert model.weights.shape == (3, three.series_length) and model.intercepts.shape == (3,)
-
-
-def test_blob_round_trip():
-    """A classifier read back from its node document as JSON text, as a
-    bundle stores it, is the same classifier."""
-    data = gaussian_two_class(n=8, m=16)
-    model = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=12), data)
-    doc = json.loads(json.dumps(model.to_node_doc()))
-    again = TrainedClassifier.from_node_doc(doc, model.spec, model.series_length, model.kernels)
-    assert classifier_state(again) == classifier_state(model)
-    assert np.array_equal(again.predict(data.values), model.predict(data.values))
 
 
 def test_unknown_kind_rejected():

@@ -588,12 +588,12 @@ def model_checksums(bundle: str, train: TimeSeriesDataset):
     taken then still hold."""
     model = LcpnModel.from_bundle(bundle)
     nodes = []
-    for parent, node in zip(model.tree.parents, model.node_models):
+    for i, parent in enumerate(model.tree.parents):
         arrays = dict.fromkeys(PINNED_ARRAYS)
-        weights, intercepts = node.weights, node.intercepts
-        if node.kernels is not None:
+        weights, intercepts = model.weights[i : i + 1], model.intercepts[i : i + 1]
+        if model.bank is not None:
             rows = np.isin(train.labels, sorted(parent.class_set))
-            feats = node.kernels.transform(train.values[rows])
+            feats = model.bank.transform(train.values[rows])
             mean, scale = feats.mean(axis=0), feats.std(axis=0)
             scale[scale == 0.0] = 1.0
             intercepts = intercepts + mean @ weights[0]

@@ -1,5 +1,7 @@
 """Node routing, data allocation, instrumentation, and model bundles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,13 @@ from hiertsc import (
     predict_lcpn,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import TrainedClassifier
+from hiertsc.classifiers import Run, fit_classifier
 from hiertsc.lcpn import NodeTrainingError
 
-from conftest import classifier_state, peek_dataset, separable_dataset
+from conftest import node_state, peek_dataset, separable_dataset
 
 LINEAR = ClassifierSpec(kind="linear")
+KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=8)
 
 
 def one_hot(labels, series_length=6):
@@ -29,11 +32,12 @@ def one_hot(labels, series_length=6):
     return values
 
 
-def node(weights, intercepts=(0.0,)):
-    """A linear node classifier with a hand-set weight row over one-hot
-    series: its decision sends a row right where it is negative."""
+def linear_model(tree, weights, intercepts=None):
+    """A linear LCPN model with hand-set decisions over series as long as a
+    weight row: parent i sends a row right where its decision is negative."""
     weights = np.asarray(weights, dtype=np.float64)
-    return TrainedClassifier(LINEAR, (0, 1), weights, np.asarray(intercepts), weights.shape[1])
+    intercepts = np.zeros(len(weights)) if intercepts is None else np.asarray(intercepts, dtype=np.float64)
+    return LcpnModel(tree, LINEAR, weights.shape[1], None, weights, intercepts)
 
 
 def oracle_model(tree, series_length=6):
@@ -42,8 +46,7 @@ def oracle_model(tree, series_length=6):
     def indicator(classes):
         return one_hot(sorted(classes), series_length).sum(axis=0)
 
-    models = tuple(node([indicator(p.left) - indicator(p.right)]) for p in tree.parents)
-    return LcpnModel(tree=tree, node_models=models)
+    return linear_model(tree, [indicator(p.left) - indicator(p.right) for p in tree.parents])
 
 
 BALANCED4 = [({0, 1}, {2, 3}), ({0}, {1}), ({2}, {3})]
@@ -58,7 +61,7 @@ def test_worked_example_node_allocation(fig_tree):
     data = peek_dataset(labels)
     counters = FitCounters()
     model = fit_lcpn(fig_tree, data, LINEAR, counters=counters)
-    assert len(model.node_models) == 4
+    assert model.weights.shape == (4, 6) and model.intercepts.shape == (4,)
     # parent 1 is ({3}, {0, 2}): it sees only those classes' instances
     assert counters.per_parent_instances[1] == counts[3] + counts[0] + counts[2]
     assert counters.per_parent_classes == [5, 3, 2, 2]
@@ -70,7 +73,7 @@ def test_two_class_tree_single_model_sees_everything():
     model = fit_lcpn(
         build_tree([({0}, {1})]), data, LINEAR, counters=counters
     )
-    assert len(model.node_models) == 1
+    assert model.weights.shape == (1, 6) and model.intercepts.shape == (1,)
     assert counters.per_parent_instances == [6]
 
 
@@ -83,9 +86,7 @@ def test_balanced_tree_datapoint_routing():
     assert counters.datapoint_class_units == 100 * 4 + 50 * 2 + 50 * 2
 
 
-@pytest.mark.parametrize(
-    "spec", [LINEAR, ClassifierSpec(kind="kernel-ridge", num_kernels=8)], ids=["linear", "kernel-ridge"]
-)
+@pytest.mark.parametrize("spec", [LINEAR, KERNEL], ids=["linear", "kernel-ridge"])
 def test_fit_lcpn_solves_once_per_parent_on_its_rows(fig_tree, spec, monkeypatch):
     """The paper's cost model counts one fit per parent node: each parent is
     one ridge solve over exactly the rows of its class set."""
@@ -105,6 +106,64 @@ def test_fit_lcpn_solves_once_per_parent_on_its_rows(fig_tree, spec, monkeypatch
     assert solved == [np.isin(labels, sorted(p.class_set)).sum() for p in fig_tree.parents]
 
 
+@pytest.mark.parametrize("spec", [LINEAR, KERNEL], ids=["linear", "kernel-ridge"])
+def test_each_model_row_is_its_node_fit_bit_for_bit(fig_tree, spec):
+    """Parent i's row of the model is the one weight row and intercept of a
+    two-class fit on the parent's rows, left -> 0 and right -> 1, of the
+    same run, bit for bit; the model keeps that run's spec and bank."""
+    labels = np.repeat(np.arange(5), [4, 5, 6, 7, 8])
+    values = np.random.default_rng(3).normal(size=(labels.size, 16)) + labels[:, None]
+    rows = Run.rows_of(TimeSeriesDataset(values, labels), spec)
+    model = fit_lcpn(fig_tree, rows, spec)
+    n_features = 16 if spec.kind == "linear" else 2 * spec.num_kernels
+    assert model.weights.shape == (len(fig_tree.parents), n_features)
+    assert model.spec == spec and model.series_length == 16 and model.bank is rows.run.bank
+    for i, parent in enumerate(fig_tree.parents):
+        node, _ = rows.grouped((parent.left, parent.right))
+        fit = fit_classifier(spec, node)
+        assert fit.class_ids == (0, 1)
+        assert model.weights[i].tobytes() == fit.weights[0].tobytes()
+        assert model.intercepts[i].tobytes() == fit.intercepts[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: {"weights": m.weights[:2]}, "has 2 node models for 3 parent nodes"),
+        (lambda m: {"weights": m.weights[:, :-1]}, r"takes \(3, 8\) weights and \(3,\) intercepts, not \(3, 7\)"),
+        (lambda m: {"intercepts": m.intercepts[:, None]}, r"not \(3, 8\) and \(3, 1\)"),
+        (lambda m: {"spec": KERNEL}, "linear node models have no kernel bank, kernel-ridge ones have one"),
+        (lambda m: {"bank": classifiers.KernelBank.generate(8, 3, 0)}, "linear node models have no kernel bank"),
+        (lambda m: {"spec": KERNEL, "bank": classifiers.KernelBank.generate(8, 3, 0)}, "spec names 8 kernels, its kernel bank has 3"),
+        (lambda m: {"spec": KERNEL, "bank": classifiers.KernelBank.generate(9, 8, 0)}, "has a kernel bank for another series length"),
+        (lambda m: {"spec": KERNEL, "bank": classifiers.KernelBank.generate(8, 8, 0)}, r"takes \(3, 16\) weights"),
+    ],
+)
+def test_a_model_refuses_fields_of_another_shape(edit, message):
+    model = oracle_model(build_tree(CHAIN4), series_length=8)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(model, **edit(model))
+
+
+def test_predict_refuses_rows_of_a_run_with_another_bank():
+    """Rows are read from their run's features, which only a run with the
+    model's bank holds: rows of any other run raise rather than being
+    featurised again."""
+    data = separable_dataset(n_per_class=6, n_classes=2, series_length=12)
+    tree = build_tree([({0}, {1})])
+    own = Run.rows_of(data, KERNEL)
+    model = fit_lcpn(tree, own, KERNEL)
+    labels, _ = predict_lcpn(model, own)
+    assert np.array_equal(labels, predict_lcpn(model, data.values)[0])
+    for rows in (Run.rows_of(data, KERNEL), Run.rows_of(data, LINEAR)):
+        with pytest.raises(ValueError, match="featurised otherwise than the model's"):
+            predict_lcpn(model, rows)
+    linear = fit_lcpn(tree, data, LINEAR)
+    short = Run.rows_of(TimeSeriesDataset(data.values[:, :8], data.labels), LINEAR)
+    with pytest.raises(ValueError, match="featurised otherwise than the model's"):
+        predict_lcpn(linear, short)
+
+
 def test_perfect_node_models_reproduce_labels(fig_tree):
     labels = np.asarray([0, 1, 2, 3, 4] * 6)
     model = oracle_model(fig_tree)
@@ -117,8 +176,7 @@ def test_predictions_are_leaves_under_any_models():
     # constant-0 routing drives everything into the root's left subtree
     tree = build_tree(CHAIN4)
 
-    const0 = node(np.zeros((1, 6)), intercepts=(1.0,))
-    model = LcpnModel(tree=tree, node_models=(const0, const0, const0))
+    model = linear_model(tree, np.zeros((3, 6)), intercepts=np.ones(3))
     values = one_hot([0, 1, 2, 3] * 3)
     predicted, depths = predict_lcpn(model, values)
     assert set(predicted) <= set(tree.parents[0].left)
@@ -158,7 +216,7 @@ def test_node_model_ignores_data_outside_its_subtree():
     values[labels == 3] += 17.0
     perturbed = fit_lcpn(tree, TimeSeriesDataset(values, labels), spec)
     node_01 = tree.parent_index_of(frozenset({0, 1}))
-    assert classifier_state(base.node_models[node_01]) == classifier_state(perturbed.node_models[node_01])
+    assert node_state(base, node_01) == node_state(perturbed, node_01)
 
 
 def test_missing_side_raises_with_parent_identity():
@@ -194,7 +252,7 @@ def test_predict_rejects_non_finite_rows(kind, bad):
     with pytest.raises(ValueError, match=message):
         predict_lcpn(model, values)
     with pytest.raises(ValueError, match=message):
-        model.node_models[0].predict(values)
+        fit_classifier(model.spec, data).predict(values)
     labels, _ = predict_lcpn(model, values[:2])
     assert np.array_equal(labels, data.labels[:2])
 

@@ -52,13 +52,6 @@ def isin_sets(labels, idx, sets):
     return idx[keep], mark[keep], [int(mask.sum()) for mask in masks]
 
 
-def isin_groups(labels, idx, c0, c1):
-    """Rows of `idx` whose label lies in c0 or c1, their 0/1 group (1 when in
-    c1) and the first side with no rows."""
-    rows, groups, counts = isin_sets(labels, idx, (c0, c1))
-    return rows, groups, next((g for g in (0, 1) if counts[g] == 0), None)
-
-
 CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12, 2**63 - 1])
 
 
@@ -69,17 +62,19 @@ CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12
     c0=st.frozensets(CLASS_IDS, max_size=5),
     c1=st.frozensets(CLASS_IDS, max_size=5),
 )
-def test_binary_groups_matches_the_isin_oracle(labels, keep, c0, c1):
+def test_two_groups_match_the_isin_oracle(labels, keep, c0, c1):
+    """A parent's two sides, as a node fit relabels them: group 1 where a
+    class is on both, and a zero count for a side with no rows."""
     labels = np.asarray(labels, dtype=np.int64)
     values = np.arange(labels.size * 3, dtype=np.float64).reshape(-1, 3)
     run = Run(values, labels, LINEAR)
     idx = np.flatnonzero(keep[: labels.size])  # ascending; may drop whole classes
-    node, empty = Rows(run, idx).binary_groups(c0, c1)
-    want_rows, want_groups, want_empty = isin_groups(labels, idx, c0, c1)
+    node, counts = Rows(run, idx).grouped((c0, c1))
+    want_rows, want_groups, want_counts = isin_sets(labels, idx, (c0, c1))
     assert np.array_equal(node.idx, want_rows)
     assert node.labels.dtype == np.int64
     assert np.array_equal(node.labels, want_groups)
-    assert empty == want_empty
+    assert counts == want_counts
     assert np.array_equal(node.values, values[want_rows])
     assert np.array_equal(node.feats, values[want_rows])
 
@@ -133,13 +128,13 @@ def test_grouped_counts_classes_once_per_row_set(monkeypatch):
     assert len(calls) == 2
 
 
-def test_binary_groups_of_a_subset_compose_the_indices():
+def test_two_groups_of_a_subset_compose_the_indices():
     data = collinear_superclusters(n_per_class=5)
     rows = Run.rows_of(data, LINEAR)
     part = rows.subset(np.arange(3, 20, 2))
-    node, empty = part.binary_groups({0}, {2, 3})
-    want_rows, want_groups, _ = isin_groups(data.labels, np.arange(3, 20, 2), {0}, {2, 3})
-    assert empty is None
+    node, counts = part.grouped(({0}, {2, 3}))
+    want_rows, want_groups, want_counts = isin_sets(data.labels, np.arange(3, 20, 2), ({0}, {2, 3}))
+    assert counts == want_counts and 0 not in counts
     assert np.array_equal(node.idx, want_rows)
     assert np.array_equal(node.labels, want_groups)
 

@@ -184,9 +184,9 @@ def test_prepared_scores_equal_fresh_fits(kind, n_per_class, n_features, seed):
     for c0, c1 in sequence:
         alone = noisy_context(*args)
         fresh.append(score_bipartition(alone, c0, c1))
-        train, _ = alone.train.binary_groups(c0, c1)
-        val, _ = alone.val.binary_groups(c0, c1)
-        refit.append(f1_macro(val.labels, val.predict(fit_classifier(alone.spec, train))))
+        train, _ = alone.train.grouped((c0, c1))
+        val, _ = alone.val.grouped((c0, c1))
+        refit.append(f1_macro(val.labels, fit_classifier(alone.spec, train).predict_features(val.feats)))
     assert shared == fresh == refit
 
 
@@ -220,8 +220,8 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
             c1 = frozenset(members) - c0
             if c0 - {missing} and c1 - {missing}:  # both groups train
                 break
-        train, _ = ctx.train.binary_groups(c0, c1)
-        val, _ = ctx.val.binary_groups(c0, c1)
+        train, _ = ctx.train.grouped((c0, c1))
+        val, _ = ctx.val.grouped((c0, c1))
         basis = ctx._basis(c0 | c1)
         got = basis.decisions(basis.in_group_one(c0))
         fit = fit_classifier(ctx.spec, train)
@@ -242,8 +242,8 @@ def test_zero_decision_goes_to_group_zero():
         train=data, val=data, spec=ClassifierSpec(kind="linear"), rng=np.random.default_rng(0)
     )
     c0, c1 = {0, 3}, {1, 2}
-    train, _ = ctx.train.binary_groups(c0, c1)
-    val, _ = ctx.val.binary_groups(c0, c1)
+    train, _ = ctx.train.grouped((c0, c1))
+    val, _ = ctx.val.grouped((c0, c1))
     assert not fit_classifier(ctx.spec, train).predict(val.values).any()
     assert score_bipartition(ctx, c0, c1) == pytest.approx(1 / 3, abs=1e-12)
     live = ctx._live
