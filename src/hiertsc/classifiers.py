@@ -40,6 +40,7 @@ one :func:`ridge_solve`, which builds the Gram matrix:
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 import sys
@@ -103,17 +104,6 @@ def _exact_keys(doc, keys, what: str) -> None:
         raise ModelFormatError(f"{what} has a key its format does not define: {extra[0]!r}")
     for key in keys:
         _field(doc, key, what)
-
-
-def _decode_ints(value, what: str) -> np.ndarray:
-    """A JSON list of integers as a 1-D int64 array."""
-    try:
-        array = np.asarray(value)
-    except (ValueError, OverflowError):  # ragged, or an int too large for a float
-        array = None
-    if array is None or array.ndim != 1 or array.dtype.kind != "i":
-        raise ModelFormatError(f"{what} must be a 1-D array of int64 numbers")
-    return array.astype(np.int64)
 
 
 def _encode_floats(array: np.ndarray) -> str:
@@ -204,12 +194,14 @@ class ClassifierSpec:
             raise ModelFormatError(f"classifier spec: {exc}") from None
 
 
+#: A bank's arrays and their little-endian dtypes, in the order its digest
+#: hashes them.
 _BANK_ARRAYS = (
-    ("lengths", np.int64),
-    ("weights", np.float64),
-    ("biases", np.float64),
-    ("dilations", np.int64),
-    ("paddings", np.int64),
+    ("lengths", "<i8"),
+    ("weights", "<f8"),
+    ("biases", "<f8"),
+    ("dilations", "<i8"),
+    ("paddings", "<i8"),
 )
 
 
@@ -220,7 +212,9 @@ class KernelBank:
     A ``kernel-ridge`` :class:`Run` draws one bank, and every fit of the run,
     and every node of the models it fits, shares it.  The bank is a value:
     its arrays are read-only copies, and two banks are equal (and hash
-    equal) when their length and every array match.
+    equal) when their length and every array match.  A model bundle stores
+    no bank, only its :attr:`digest`: the spec's seed and kernel count and
+    the series length draw it again.
 
     Weights of each kernel are mean-centred; dilations are sampled as
     floor(2**u) with u uniform over [0, log2((M-1)/(len-1))] so the dilated
@@ -250,13 +244,20 @@ class KernelBank:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.series_length, *(getattr(self, name).tobytes() for name, _ in _BANK_ARRAYS))
-        )
+        return hash(self.digest)
 
     @property
     def n_kernels(self) -> int:
         return int(self.lengths.size)
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 (hex) of the series length and the five arrays, as
+        little-endian bytes: unlike ``hash`` of bytes, not salted per process."""
+        sha = hashlib.sha256(int(self.series_length).to_bytes(8, "little"))
+        for name, _ in _BANK_ARRAYS:
+            sha.update(getattr(self, name).tobytes())
+        return sha.hexdigest()
 
     @staticmethod
     def generate(series_length: int, num_kernels: int, seed: int) -> "KernelBank":
@@ -376,47 +377,6 @@ class KernelBank:
             np.asarray(out_lens, dtype=np.int64),
             [0, *np.cumsum(out_lens).tolist()],
         )
-
-    def to_dict(self) -> dict:
-        """The bank as JSON values: integer arrays as number lists, float
-        arrays as :func:`_encode_floats` strings."""
-        doc = {"series_length": self.series_length}
-        for name, dtype in _BANK_ARRAYS:
-            array = getattr(self, name)
-            doc[name] = _encode_floats(array) if dtype is np.float64 else array.tolist()
-        return doc
-
-    @staticmethod
-    def decode(doc) -> "KernelBank":
-        """The bank of a decoded :meth:`to_dict` document.  Raises
-        ModelFormatError for a key it does not hold and unless its arrays
-        describe kernels :meth:`generate` could draw: each dilated kernel
-        fits inside an unpadded series and pads by at most half its span."""
-        what = "kernel bank"
-        _exact_keys(doc, ("series_length", *(name for name, _ in _BANK_ARRAYS)), what)
-        series_length = _positive_int(doc, "series_length", what)
-        lengths, dilations, paddings = (
-            _decode_ints(doc[name], f"{what} {name}") for name in ("lengths", "dilations", "paddings")
-        )
-        if (
-            lengths.size == 0
-            or (lengths < 1).any()
-            or dilations.size != lengths.size
-            or paddings.size != lengths.size
-        ):
-            raise ModelFormatError(f"{what} arrays disagree in size")
-        n_weights = int(lengths.sum())
-        weights = _decode_floats(doc["weights"], (n_weights,), f"{what} weights")
-        biases = _decode_floats(doc["biases"], lengths.shape, f"{what} biases")
-        span = (lengths - 1.0) * dilations  # floats: no overflow
-        if (
-            (dilations < 1).any()
-            or (span > series_length - 1).any()
-            or (paddings < 0).any()
-            or (paddings > span // 2).any()
-        ):
-            raise ModelFormatError(f"{what} has a kernel that does not fit series of length {series_length}")
-        return KernelBank(series_length, lengths, weights, biases, dilations, paddings)
 
 
 #: The most outputs (positions x rows) the transform's buffer holds, unless

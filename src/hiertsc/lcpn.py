@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -15,6 +16,7 @@ from .classifiers import (
     Rows,
     Run,
     TrainedClassifier,
+    TrainingDataError,
     _decisions,
     _decode_floats,
     _decode_json,
@@ -29,8 +31,8 @@ from .classifiers import (
 from .dataset import TimeSeriesDataset
 from .tree import HierarchyTree, parse_tree_text, tree_to_text
 
-_BUNDLE_VERSION = 5
-_BUNDLE_KEYS = ("version", "tree", "spec", "series_length", "label_names", "bank", "nodes")
+_BUNDLE_VERSION = 6
+_BUNDLE_KEYS = ("version", "tree", "spec", "series_length", "label_names", "bank_sha256", "nodes")
 _NO_TOKEN_MAP = (
     "model bundle has no token map ('label_names' is null); "
     "refit the model to get a bundle that maps its class ids to label tokens"
@@ -61,7 +63,7 @@ class FitCounters:
         return sum(self.per_parent_units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcpnModel:
     """A hierarchy plus one binary decision per parent node, as its bundle
     stores it.
@@ -79,7 +81,8 @@ class LcpnModel:
     does not match the spec's kind, its kernel count or the series length,
     when `weights` and `intercepts` are not one row and one number per
     parent over those features, or when a given map does not name every
-    class of the tree once with a string.
+    class of the tree once with a string.  Two models are equal only when
+    they are the same object, and hash by identity.
     """
 
     tree: HierarchyTree
@@ -100,7 +103,7 @@ class LcpnModel:
             raise ValueError(f"spec names {spec.num_kernels} kernels, its kernel bank has {bank.n_kernels}")
         if bank is not None and bank.series_length != self.series_length:
             raise ValueError("has a kernel bank for another series length")
-        n_features = _n_features(self.series_length, bank)
+        n_features = _n_features(self.series_length, spec)
         if self.weights.shape != (parents, n_features) or self.intercepts.shape != (parents,):
             raise ValueError(
                 f"takes ({parents}, {n_features}) weights and ({parents},) intercepts, "
@@ -117,20 +120,22 @@ class LcpnModel:
         object.__setattr__(self, "label_names", names)
 
     def to_bundle(self) -> str:
-        """The model as one version 5 JSON document: the tree text, the spec,
-        the series length, the id -> token map and the kernel bank (null for
-        ``linear``) once each, and per parent one ``nodes`` object: its
-        ``weights`` row and its ``intercepts`` number, as arrays of one row
-        and one value.  Every float64 array is one base64 string of its
-        little-endian bytes in row-major order, so it reads back to the same
-        bits; integer arrays are number lists."""
+        """The model as one version 6 JSON document: the tree text, the spec,
+        the series length, the id -> token map and the kernel bank's
+        :attr:`~hiertsc.classifiers.KernelBank.digest` (null for ``linear``)
+        once each, and per parent one ``nodes`` object: its ``weights`` row
+        and its ``intercepts`` number, as arrays of one row and one value.
+        The bank's arrays are not stored: the spec's seed and kernel count
+        and the series length draw them again.  Every float64 array is one
+        base64 string of its little-endian bytes in row-major order, so it
+        reads back to the same bits."""
         doc = {
             "version": _BUNDLE_VERSION,
             "tree": tree_to_text(self.tree),
             "spec": self.spec.to_dict(),
             "series_length": self.series_length,
             "label_names": {str(c): t for c, t in self.label_names.items()},
-            "bank": None if self.bank is None else self.bank.to_dict(),
+            "bank_sha256": None if self.bank is None else self.bank.digest,
             "nodes": [
                 {"weights": _encode_floats(w), "intercepts": _encode_floats(b)}
                 for w, b in zip(self.weights, self.intercepts)
@@ -140,17 +145,20 @@ class LcpnModel:
 
     @staticmethod
     def from_bundle(blob: str) -> "LcpnModel":
-        """The model of a version 5 bundle.  Raises ModelFormatError when
-        `blob` is not such a bundle: a bundle of any other version, which
-        must be refit; a document, bank or node with a key version 5 does
-        not define, such as an array of an older layout; a null token map;
-        a node whose weight row or intercept has another size than the
-        series length and the bank imply, or holds a NaN or an infinity; or
-        fields that break a rule of :class:`LcpnModel`."""
+        """The model of a version 6 bundle.  Its node rows are decoded
+        against the spec's shapes before the bank is drawn again, so a bundle
+        cannot ask for more kernels than its own bytes hold.  Raises
+        ModelFormatError for a bundle of any other version, which must be
+        refit; a key version 6 does not define; a null token map; a
+        ``bank_sha256`` that is not null for ``linear`` and 64 lowercase hex
+        digits otherwise; a node row of another size or holding a NaN or an
+        infinity; a bank the spec cannot draw, or draws with another digest
+        (which must be refit); or fields that break a rule of
+        :class:`LcpnModel`."""
         what = "model bundle"
         doc = _decode_json(blob, what)
         version = _field(doc, "version", what)
-        if not _is_int(version) or version != _BUNDLE_VERSION:  # not 5.0, not true
+        if not _is_int(version) or version != _BUNDLE_VERSION:  # not 6.0, not true
             raise ModelFormatError(
                 f"unsupported model bundle version {version!r}: this program reads version "
                 f"{_BUNDLE_VERSION} only; refit the model (hiertsc fit) to get one"
@@ -162,17 +170,22 @@ class LcpnModel:
         tree = _decode_tree(doc["tree"])
         spec = ClassifierSpec.decode(doc["spec"])
         series_length = _positive_int(doc, "series_length", what)
-        bank = None if doc["bank"] is None else KernelBank.decode(doc["bank"])
-        if bank is not None and bank.series_length != series_length:
-            raise ModelFormatError(f"{what} has a kernel bank for another series length")
+        digest = doc["bank_sha256"]
+        if spec.kind == "linear" and digest is not None:
+            raise ModelFormatError(f"{what} 'bank_sha256' must be null: linear node models have no kernel bank")
+        if spec.kind != "linear" and not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+            raise ModelFormatError(f"{what} 'bank_sha256' must be 64 lowercase hex digits, got {digest!r}")
         if not isinstance(doc["nodes"], list):
             raise ModelFormatError(f"{what} 'nodes' must be a list")
-        n_features = _n_features(series_length, bank)
+        if len(doc["nodes"]) != len(tree.parents):  # before a bank that no node row bounds
+            raise ModelFormatError(f"{what} has {len(doc['nodes'])} node models for {len(tree.parents)} parent nodes")
+        n_features = _n_features(series_length, spec)
         shapes = {"weights": (1, n_features), "intercepts": (1,)}
         rows = []
         for node in doc["nodes"]:
             _exact_keys(node, shapes, "node model")
             rows.append([_decode_floats(node[name], shape, f"node model {name}") for name, shape in shapes.items()])
+        bank = None if digest is None else _drawn_bank(spec, series_length, digest)
         try:
             return LcpnModel(
                 tree=tree,
@@ -187,9 +200,27 @@ class LcpnModel:
             raise ModelFormatError(f"model bundle {exc}") from None
 
 
-def _n_features(series_length: int, bank: KernelBank | None) -> int:
+_SHA256 = re.compile("[0-9a-f]{64}")
+
+
+def _drawn_bank(spec: ClassifierSpec, series_length: int, digest: str) -> KernelBank:
+    """The bank the spec draws, if it has the bundle's `digest`."""
+    try:
+        bank = KernelBank.generate(series_length, spec.num_kernels, spec.seed)
+    except (TrainingDataError, OverflowError) as exc:  # too short, or too long for int64 dilations
+        raise ModelFormatError(f"model bundle kernel bank cannot be drawn: {exc}") from None
+    if bank.digest != digest:
+        raise ModelFormatError(
+            "model bundle 'bank_sha256' does not match the kernel bank its spec draws (an edited "
+            "seed or kernel count, or a numpy that draws another stream); refit the model "
+            "(hiertsc fit) on this installation"
+        )
+    return bank
+
+
+def _n_features(series_length: int, spec: ClassifierSpec) -> int:
     """The raw features a decision reads: the series, or two per kernel."""
-    return series_length if bank is None else 2 * bank.n_kernels
+    return series_length if spec.kind == "linear" else 2 * spec.num_kernels
 
 
 def _decode_tree(text) -> HierarchyTree:

@@ -1,7 +1,8 @@
-"""Model bundles: the version 5 format, refusal of every other version and
-of keys version 5 does not define, the token map every bundle carries,
-refusal of bundles without one, typed decode errors, and label-safe
-``predict`` through that map."""
+"""Model bundles: the version 6 format, refusal of every other version and
+of keys version 6 does not define, the kernel bank drawn again from the
+spec and checked against the stored digest, the token map every bundle
+carries, refusal of bundles without one, typed decode errors, and
+label-safe ``predict`` through that map."""
 
 import base64
 import dataclasses
@@ -31,7 +32,6 @@ from hiertsc import (
 from hiertsc.cli import main
 
 NODE_ARRAYS = ("weights", "intercepts")
-BANK_FLOATS = ("weights", "biases")
 SPECS = {
     "linear": ClassifierSpec("linear"),
     "kernel-ridge": ClassifierSpec("kernel-ridge", num_kernels=8, seed=3),
@@ -83,11 +83,27 @@ def _dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _as_version_5(text):
+    """`text`, a version 6 bundle, in the version 5 layout: the kernel bank's
+    arrays under ``bank`` (null for ``linear``) in place of its digest,
+    integer arrays as number lists and float arrays as base64 strings."""
+    doc = json.loads(text)
+    del doc["bank_sha256"]
+    doc["bank"] = None
+    if doc["spec"]["kind"] == "kernel-ridge":
+        bank = KernelBank.generate(doc["series_length"], doc["spec"]["num_kernels"], doc["spec"]["seed"])
+        doc["bank"] = {"series_length": bank.series_length, "weights": _packed(bank.weights),
+                       "biases": _packed(bank.biases), "lengths": bank.lengths.tolist(),
+                       "dilations": bank.dilations.tolist(), "paddings": bank.paddings.tolist()}
+    doc["version"] = 5
+    return _dumps(doc)
+
+
 def _as_version_4(text):
-    """`text`, a version 5 bundle, in the version 4 layout: the bank under
+    """`text`, a version 6 bundle, in the version 4 layout: the bank under
     ``banks``, and per node its class ids, the index of its bank and, for
     ``kernel-ridge``, a feature mean and scale (here zeros and ones)."""
-    doc = json.loads(text)
+    doc = json.loads(_as_version_5(text))
     bank = doc.pop("bank")
     doc["banks"] = [] if bank is None else [bank]
     for node in doc["nodes"]:
@@ -102,7 +118,7 @@ def _as_version_4(text):
     return _dumps(doc)
 
 
-# -- version 5 round trip -------------------------------------------------------
+# -- version 6 round trip -------------------------------------------------------
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -127,8 +143,8 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
         for got, want in zip(predict_lcpn(again, values), predict_lcpn(model, values)):
             assert np.array_equal(got, want)
     doc = json.loads(text)
-    assert doc["version"] == 5
-    assert sorted(doc) == ["bank", "label_names", "nodes", "series_length", "spec", "tree", "version"]
+    assert doc["version"] == 6
+    assert sorted(doc) == ["bank_sha256", "label_names", "nodes", "series_length", "spec", "tree", "version"]
     # a node is its decision on the raw features: one weight row, one intercept
     assert all(sorted(node) == sorted(NODE_ARRAYS) for node in doc["nodes"])
     assert all(isinstance(node[name], str) for node in doc["nodes"] for name in NODE_ARRAYS)
@@ -136,15 +152,15 @@ def test_round_trip_keeps_every_node_array_and_prediction(kind, seed, n_classes,
     assert doc["label_names"] == {str(c): f"class-{c}" if named else str(c) for c in tree.root_classes}
     assert again.label_names == model.label_names
     if kind == "kernel-ridge":
-        assert all(isinstance(doc["bank"][name], str) for name in BANK_FLOATS)
+        assert doc["bank_sha256"] == model.bank.digest
         assert again.bank == model.bank
     else:
-        assert doc["bank"] is None and again.bank is None
+        assert doc["bank_sha256"] is None and again.bank is None
     assert again.to_bundle() == text
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
 def test_a_bundle_of_another_version_exits_2_asking_for_a_refit(version, kind, tmp_path, capsys):
     data, _, tree = random_problem(11, 4, sparse_ids=True, named=True)
     doc = json.loads(_as_version_4(fit_lcpn(tree, data, SPECS[kind]).to_bundle()))
@@ -156,21 +172,21 @@ def test_a_bundle_of_another_version_exits_2_asking_for_a_refit(version, kind, t
     error = json.loads(err)["error"]
     assert error["type"] == "ModelFormatError"
     assert error["message"] == (
-        f"unsupported model bundle version {version}: this program reads version 5 only; "
+        f"unsupported model bundle version {version}: this program reads version 6 only; "
         "refit the model (hiertsc fit) to get one"
     )
     assert not (tmp_path / "p").exists()
 
 
 def test_a_kernel_bundle_takes_at_most_11_bytes_per_float():
-    """Base64 takes 10 2/3 characters per float64, number text about 20."""
+    """Base64 takes 10 2/3 characters per float64, number text about 20;
+    the bank takes none, only its digest."""
     data, _, tree = random_problem(3, 8, sparse_ids=False)
     model = fit_lcpn(tree, data, ClassifierSpec("kernel-ridge", num_kernels=128))
     doc = json.loads(model.to_bundle())
-    fields = [doc["bank"][name] for name in BANK_FLOATS]
-    fields += [node[name] for node in doc["nodes"] for name in NODE_ARRAYS]
-    floats = sum(getattr(model.bank, name).size for name in BANK_FLOATS)
-    floats += sum(getattr(model, name).size for name in NODE_ARRAYS)
+    assert "bank" not in doc and len(doc["bank_sha256"]) == 64
+    fields = [node[name] for node in doc["nodes"] for name in NODE_ARRAYS]
+    floats = sum(getattr(model, name).size for name in NODE_ARRAYS)
     assert sum(_floats(text).size for text in fields) == floats
     assert sum(len(text.encode()) for text in fields) <= 11 * floats
 
@@ -243,7 +259,7 @@ def test_to_bundle_rejects_a_token_map_it_could_not_read_back(names, message):
 def _version_1_bundle():
     """A bundle in the retired version 1 layout: every node a JSON string
     holding its own spec, series length and bank, and no token map."""
-    doc = json.loads(BUNDLE_TEXT)
+    doc = json.loads(_as_version_5(BUNDLE_TEXT))
     nodes = [
         json.dumps({"version": 1, "spec": doc["spec"], "series_length": doc["series_length"],
                     "kernels": doc["bank"], "class_ids": [0, 1], **node}, sort_keys=True)
@@ -307,18 +323,18 @@ def _nodes(keep):
 
 
 def _kind(bundle, kind):
-    """`bundle` with its spec naming `kind`: a kernel-ridge bundle's nodes
-    then name a bank under a linear spec, a linear one's have none."""
+    """`bundle` with its spec naming `kind`: a kernel-ridge bundle then has
+    a bank digest under a linear spec, a linear one has none."""
     doc = json.loads(bundle)
     doc["spec"]["kind"] = kind
     return json.dumps(doc)
 
 
-def _with_bank(bundle):
-    """`bundle`, a linear one, with a bank of two kernels for its series
-    length and its linear spec and nodes."""
+def _with_digest(bundle):
+    """`bundle`, a linear one, with the digest of a bank of two kernels for
+    its series length and its linear spec and nodes."""
     doc = json.loads(bundle)
-    doc["bank"] = KernelBank.generate(doc["series_length"], 2, 1).to_dict()
+    doc["bank_sha256"] = KernelBank.generate(doc["series_length"], 2, 1).digest
     return json.dumps(doc)
 
 
@@ -336,13 +352,17 @@ def _kernel_edit(edit):
     return json.dumps(doc)
 
 
-def _as_list(section, name):
-    """A kernel-ridge bundle whose `name` array, in the bank or the first
-    node, is a list of numbers, as version 2 stored it."""
+def _as_list(name):
+    """A kernel-ridge bundle whose first node's `name` array is a list of
+    numbers, as version 2 stored it."""
     def edit(doc):
-        entry = doc["bank"] if section == "bank" else doc["nodes"][0]
-        entry[name] = _floats(entry[name]).tolist()
+        doc["nodes"][0][name] = _floats(doc["nodes"][0][name]).tolist()
     return _kernel_edit(edit)
+
+
+def _digest_edit(edit):
+    """A kernel-ridge bundle whose ``bank_sha256`` is `edit` of its own."""
+    return _kernel_edit(lambda doc: doc.update(bank_sha256=edit(doc["bank_sha256"])))
 
 
 @pytest.mark.parametrize(
@@ -350,13 +370,13 @@ def _as_list(section, name):
     [
         ("[]", "must be a JSON object, got list"),
         ("", "not valid JSON"),
-        ('{"version": 6}', "unsupported model bundle version 6: this program reads version 5 only; refit"),
-        ('{"version": 5}', "has no 'tree'"),
+        ('{"version": 7}', "unsupported model bundle version 7: this program reads version 6 only; refit"),
+        ('{"version": 6}', "has no 'tree'"),
         (lambda: _kernel_edit(lambda doc: doc.update(version=5.0)), "unsupported model bundle version 5.0"),
         (lambda: _kernel_edit(lambda doc: doc.update(version=True)), "unsupported model bundle version True"),
         (lambda: _kernel_edit(lambda doc: doc["spec"].update(seed=True)), "seed must be an integer, got True"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":1' + "0" * 400), "ridge_lambda must be finite and positive"),
-        (lambda: _without("bank"), "has no 'bank'"),
+        (lambda: _without("bank_sha256"), "has no 'bank_sha256'"),
         (lambda: _without("nodes"), "has no 'nodes'"),
         (lambda: _without("label_names"), "has no 'label_names'"),
         (lambda: _linear_bundle().replace('"2":"2"', '"2":"0"'), "'label_names' repeats a token"),
@@ -374,35 +394,84 @@ def _as_list(section, name):
         (lambda: _nodes(lambda nodes: {"0": nodes[0]}), "'nodes' must be a list"),
         (lambda: _linear_bundle().replace('"ridge_lambda":0.01', '"ridge_lambda":Infinity'), "finite and positive"),
         (lambda: _kind(_linear_bundle(), "no-such-kind"), "unknown classifier kind 'no-such-kind'"),
-        (lambda: _kind(_small_kernel_bundle(), "linear"), "linear node models have no kernel bank"),
-        (lambda: _kind(_linear_bundle(), "kernel-ridge"), "kernel-ridge ones have one"),
-        (lambda: _kernel_edit(lambda doc: doc["bank"].update(series_length=doc["series_length"] + 1)), "has a kernel bank for another series length"),
-        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=5)), "spec names 5 kernels, its kernel bank has 2"),
-        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=10**30)), f"spec names {10**30} kernels"),
+        # a bank digest only where the spec names a kernel bank, and then one
+        # of 64 lowercase hex digits
+        (lambda: _kind(_small_kernel_bundle(), "linear"), "'bank_sha256' must be null: linear node models have no kernel bank"),
+        (lambda: _with_digest(_linear_bundle()), "'bank_sha256' must be null: linear node models have no kernel bank"),
+        (lambda: _kind(_linear_bundle(), "kernel-ridge"), "'bank_sha256' must be 64 lowercase hex digits, got None"),
+        (lambda: _digest_edit(lambda digest: None), "'bank_sha256' must be 64 lowercase hex digits, got None"),
+        (lambda: _digest_edit(str.upper), "'bank_sha256' must be 64 lowercase hex digits"),
+        (lambda: _digest_edit(lambda digest: digest[:-1]), "'bank_sha256' must be 64 lowercase hex digits"),
+        (lambda: _digest_edit(lambda digest: digest + "\n"), "'bank_sha256' must be 64 lowercase hex digits"),
+        (lambda: _digest_edit(lambda digest: int(digest, 16)), "'bank_sha256' must be 64 lowercase hex digits"),
+        # the spec and the series length draw the bank again: an edit that
+        # draws another bank is refused, however its nodes read
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(seed=7)), "'bank_sha256' does not match the kernel bank its spec draws.*refit"),
+        (lambda: _kernel_edit(lambda doc: doc.update(series_length=doc["series_length"] + 1)), "'bank_sha256' does not match the kernel bank its spec draws"),
+        (lambda: _digest_edit(lambda digest: "0" * 64), "'bank_sha256' does not match the kernel bank its spec draws"),
+        (lambda: _kernel_edit(lambda doc: doc.update(series_length=5)), "kernel bank cannot be drawn: series of length 5 are too short"),
+        (lambda: _kernel_edit(lambda doc: doc.update(series_length=2**70)), "kernel bank cannot be drawn"),
+        (lambda: _kernel_edit(lambda doc: doc.update(series_length=10**400)), "kernel bank cannot be drawn"),
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=5)), r"node model weights holds 32 bytes, not the 8 x 10 of shape \(1, 10\)"),
+        (lambda: _kernel_edit(lambda doc: doc["spec"].update(num_kernels=10**30)), f"not the 8 x {2 * 10**30} of shape"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(feature_scale=doc["nodes"][0]["weights"])), "node model has a key its format does not define: 'feature_scale'"),
-        (lambda: _kernel_edit(lambda doc: doc["bank"].update(seed=1)), "kernel bank has a key its format does not define: 'seed'"),
         (lambda: _kernel_edit(lambda doc: doc["spec"].update(version=5)), "classifier spec has a key its format does not define: 'version'"),
-        # a version 4 node standardises its features before its decision:
-        # read as a version 5 node, without its mean and scale, it would serve
-        # wrong labels
-        (lambda: _dumps({**json.loads(_as_version_4(_small_kernel_bundle())), "version": 5}), "model bundle has a key its format does not define: 'banks'"),
+        # a version 5 bundle stores its bank's arrays, and a version 4 node
+        # standardises its features before its decision: with `version`
+        # alone edited, neither loads
+        (lambda: _dumps({**json.loads(_as_version_5(_small_kernel_bundle())), "version": 6}), "model bundle has a key its format does not define: 'bank'"),
+        (lambda: _dumps({**json.loads(_as_version_4(_small_kernel_bundle())), "version": 6}), "model bundle has a key its format does not define: 'banks'"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(weights=_packed(_floats(doc["nodes"][0]["weights"]) * np.inf))), "weights holds a non-finite number"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(weights="é")), "weights is not strict base64 text"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==\n")), "intercepts is not strict base64"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][0].update(intercepts="A" * 22 + "==")), r"intercepts holds 16 bytes, not the 8 x 1 of shape \(1,\)"),
-        (lambda: _as_list("nodes", "weights"), "node model weights must be a base64 string"),
-        # the model's shape checks: a kind without its bank, a bank without
-        # its kind, a node row one float short
-        (lambda: _kernel_edit(lambda doc: doc.update(bank=None)), r"node model weights holds 32 bytes, not the 8 x \d+ of shape"),
-        (lambda: _with_bank(_linear_bundle()), r"node model weights holds \d+ bytes, not the 8 x 4 of shape \(1, 4\)"),
+        (lambda: _as_list("weights"), "node model weights must be a base64 string"),
         (lambda: _kernel_edit(lambda doc: doc["nodes"][1].update(weights=_packed(_floats(doc["nodes"][1]["weights"])[:-1]))), r"node model weights holds 24 bytes, not the 8 x 4 of shape \(1, 4\)"),
-        (lambda: _as_list("bank", "biases"), "kernel bank biases must be a base64 string"),
     ],
 )
 def test_malformed_bundles_raise_model_format_error(text, message):
     text = text() if callable(text) else text
     with pytest.raises(ModelFormatError, match=message):
         LcpnModel.from_bundle(text)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: None, f"not the 8 x {2 * 10**30} of shape"),
+        (lambda doc: doc.update(nodes=[]), "has 0 node models for 2 parent nodes"),
+        (lambda doc: doc.update(nodes=doc["nodes"][:1]), "has 1 node models for 2 parent nodes"),
+        (lambda doc: doc["nodes"][0].update(weights="é"), "weights is not strict base64 text"),
+    ],
+    ids=["kernels-beyond-the-rows", "no-nodes", "one-node-short", "bad-row"],
+)
+def test_node_rows_are_checked_before_the_bank_is_drawn(edit, message, monkeypatch):
+    """A bundle cannot ask for more kernels than its node rows hold: the
+    rows are decoded against the spec's kernel count, and their number
+    against the tree, before any kernel is drawn."""
+    doc = json.loads(_small_kernel_bundle())
+    edit(doc)
+    doc["spec"]["num_kernels"] = 10**30
+
+    def refuse(*args):
+        raise AssertionError("KernelBank.generate called")
+
+    monkeypatch.setattr(KernelBank, "generate", staticmethod(refuse))
+    with pytest.raises(ModelFormatError, match=message):
+        LcpnModel.from_bundle(json.dumps(doc))
+
+
+def test_a_model_compares_and_hashes_by_identity():
+    """A model holds arrays, so `==` is identity, not an elementwise
+    comparison whose truth value is ambiguous, and it can be hashed."""
+    data, _, tree = random_problem(3, 4, sparse_ids=False)
+    model = fit_lcpn(tree, data, SPECS["kernel-ridge"])
+    again = LcpnModel.from_bundle(model.to_bundle())
+    assert (model == again) is False and (model != again) is True
+    assert (model == model) is True
+    assert isinstance(hash(model), int) and hash(model) == hash(model)
+    assert {model} == {model} and len({model, again}) == 2
+    assert again.bank == model.bank and hash(again.bank) == hash(model.bank)
 
 
 @pytest.mark.parametrize(
@@ -451,7 +520,7 @@ def _small_kernel_bundle():
     return dataclasses.replace(model, label_names={0: "a", 1: "b", 2: "c"}).to_bundle()
 
 
-#: the text the fuzz tests mutate: every section of a version 5 bundle, small
+#: the text the fuzz tests mutate: every section of a version 6 bundle, small
 BUNDLE_TEXT = _small_kernel_bundle()
 
 

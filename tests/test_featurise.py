@@ -7,6 +7,7 @@ a per-kernel oracle, bit for bit.
 """
 
 import contextlib
+import hashlib
 import io
 import tracemalloc
 from dataclasses import replace
@@ -233,7 +234,7 @@ def test_transform_rejects_input_of_the_wrong_shape():
 def test_transform_rejects_a_kernel_that_does_not_fit():
     bank = KernelBank.generate(20, 4, seed=0)
     dilations, paddings = bank.dilations.copy(), bank.paddings.copy()
-    dilations[2], paddings[2] = 20, 0  # the constructor builds it; KernelBank.decode would not
+    dilations[2], paddings[2] = 20, 0  # the constructor builds it; generate would not
     bank = replace(bank, dilations=dilations, paddings=paddings)
     with pytest.raises(TrainingDataError, match="kernel does not fit the series even when padded"):
         bank.transform(np.zeros((2, 20)))
@@ -254,11 +255,30 @@ def test_kernel_bank_is_a_read_only_value():
     for array in (bank.lengths, bank.weights, bank.biases, bank.dilations, bank.paddings):
         with pytest.raises(ValueError):
             array[0] = 5
-    again = KernelBank.decode(bank.to_dict())
-    assert again == bank and hash(again) == hash(bank)
+    again = KernelBank.generate(20, 6, seed=4)
+    assert again is not bank and again == bank and hash(again) == hash(bank)
+    assert again.digest == bank.digest and len(bank.digest) == 64
     assert again != KernelBank.generate(20, 6, seed=5)
     assert bank != "not a bank"
     assert len({bank, again}) == 1
+
+
+def test_the_bank_digest_tells_banks_apart():
+    bank = KernelBank.generate(20, 6, seed=4)
+    # the documented bundle format: the series length, then the arrays in
+    # this order, all as little-endian 8-byte values
+    arrays = [("lengths", "<i8"), ("weights", "<f8"), ("biases", "<f8"), ("dilations", "<i8"), ("paddings", "<i8")]
+    raw = (20).to_bytes(8, "little") + b"".join(np.asarray(getattr(bank, n), t).tobytes() for n, t in arrays)
+    assert bank.digest == hashlib.sha256(raw).hexdigest()
+    others = [KernelBank.generate(20, 6, seed) for seed in (3, 5)]
+    others += [KernelBank.generate(21, 6, 4), KernelBank.generate(20, 7, 4)]
+    weights = bank.weights.copy()
+    weights.view(np.int64)[0] ^= 1  # one bit of one weight
+    others.append(replace(bank, weights=weights))
+    assert len({bank.digest, *(other.digest for other in others)}) == 1 + len(others)
+    assert all(other != bank for other in others)
+    # the digest hashes the values, not the object: a copy has the same one
+    assert replace(bank, weights=bank.weights.copy()).digest == bank.digest
 
 
 def test_kernel_bank_copies_the_arrays_it_is_given():
@@ -334,7 +354,7 @@ def test_predict_transforms_each_row_once_whatever_the_depth(monkeypatch, loaded
     unseen = shifted_dataset(seed=4).values
     _, depths = predict_lcpn(model, unseen)
     assert depths.max() >= 3
-    assert spy.generated == 0
+    assert spy.generated == int(loaded)  # a load draws the bank again; predict never does
     assert spy.calls == 1 and sorted(spy.rows) == sorted(r.tobytes() for r in unseen)
 
 
