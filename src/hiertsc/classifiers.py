@@ -19,9 +19,10 @@ Both are deterministic functions of (spec, data); predictions break ties
 toward the smallest class id.  A fit's label-independent half, the raw
 features, is computed once per run: a :class:`Run` draws its kernel bank and
 featurises all of its rows in one call, and every fit slices that one matrix
-by row index (:class:`Rows`).  Each fit then standardises and centres its
-rows in one pass over their gathered features (:func:`_centred`) and makes
-one :func:`ridge_solve`, which builds the Gram matrix:
+by row index (:class:`Rows`); a run and an ``lcpn.LcpnModel`` are the only
+holders of a bank.  Each fit then standardises and centres its rows in one
+pass over their gathered features (:func:`_centred`) and makes one
+:func:`ridge_solve`, which builds the Gram matrix:
 
 - a node fit (:func:`fit_classifier` on a parent's rows, relabelled into
   its two sides by :meth:`Rows.grouped`) solves for its one +/-1 target
@@ -212,9 +213,9 @@ class KernelBank:
     A ``kernel-ridge`` :class:`Run` draws one bank, and every fit of the run,
     and every node of the models it fits, shares it.  The bank is a value:
     its arrays are read-only copies, and two banks are equal (and hash
-    equal) when their length and every array match.  A model bundle stores
-    no bank, only its :attr:`digest`: the spec's seed and kernel count and
-    the series length draw it again.
+    equal) when their :attr:`digest` is: the same length and the same bytes
+    in every array.  A model bundle stores no bank, only its digest: the
+    spec's seed and kernel count and the series length draw it again.
 
     Weights of each kernel are mean-centred; dilations are sampled as
     floor(2**u) with u uniform over [0, log2((M-1)/(len-1))] so the dilated
@@ -238,10 +239,7 @@ class KernelBank:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KernelBank):
             return NotImplemented
-        return self.series_length == other.series_length and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name, _ in _BANK_ARRAYS
-        )
+        return self.digest == other.digest
 
     def __hash__(self) -> int:
         return hash(self.digest)
@@ -469,37 +467,30 @@ def _decision_rows(n_classes: int) -> int:
 
 @dataclass(frozen=True)
 class TrainedClassifier:
-    """Fitted model: weight rows plus intercepts over the raw features.
+    """Fitted model: class ids, weight rows and intercepts over the raw
+    features, and nothing else.
 
     Two classes make one decision: one row whose score is positive for the
     first class and negative for the second.  More classes have one row per
     class, scored one-vs-rest.  The features are the raw series for
     ``linear`` and the raw kernel features for ``kernel-ridge`` (weight
     dimension 2 * num_kernels): a ``kernel-ridge`` fit folds the
-    standardisation of its rows into its weights and intercepts.  Raises
-    ValueError when the weights or intercepts have another number of rows.
+    standardisation of its rows into its weights and intercepts.  It holds
+    no bank, so the caller featurises new series of length M: for
+    ``kernel-ridge``, ``KernelBank.generate(M, spec.num_kernels,
+    spec.seed).transform(values)`` (the bank the fit's run drew), then
+    :meth:`predict_features`.  Raises ValueError when the weights or
+    intercepts have another number of rows.
     """
 
-    spec: ClassifierSpec
     class_ids: tuple[int, ...]
     weights: np.ndarray  # (1, n_features) for two classes, else (n_classes, n_features)
     intercepts: np.ndarray  # (1,) for two classes, else (n_classes,)
-    series_length: int
-    kernels: KernelBank | None = None
 
     def __post_init__(self) -> None:
         rows = _decision_rows(len(self.class_ids))
         if self.weights.ndim != 2 or self.weights.shape[0] != rows or self.intercepts.shape != (rows,):
             raise ValueError(f"{len(self.class_ids)} classes take {rows} weight row(s) and intercept(s)")
-
-    def predict(self, values: np.ndarray) -> np.ndarray:
-        """The second of two classes where the decision is negative, else
-        the first; for more classes the argmax over per-class scores, ties
-        going to the smallest class id.  Raises ValueError for input of
-        another shape or holding a NaN or an infinity."""
-        values = _series_input(values, self.series_length, finite=True)
-        raw = self.kernels.transform(values) if self.kernels is not None else values
-        return self.predict_features(raw)
 
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """The (n,) decisions of two classes, or the (n, n_classes) scores of
@@ -511,8 +502,10 @@ class TrainedClassifier:
         return np.einsum("ij,kj->ik", feats, self.weights) + self.intercepts
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows whose raw features are at hand: the
-        kernel transform, or the series themselves."""
+        """The class of each row whose raw features (the kernel transform,
+        or the series themselves) are at hand: the second of two classes
+        where the decision is negative, else the first; for more classes the
+        argmax over per-class scores, ties going to the smallest class id."""
         scores = self.scores(feats)
         ids = np.asarray(self.class_ids, dtype=np.int64)
         if ids.size == 2:  # what argmax([s, -s]) picks, ties and -0.0 included
@@ -540,7 +533,7 @@ class Run:
         spec: ClassifierSpec,
         label_names: Mapping[int, str] | None = None,
     ) -> None:
-        self.values = values
+        self.series_length = values.shape[1]
         self.labels = labels
         self.label_names = label_names
         self.classes, self.codes = np.unique(labels, return_inverse=True)
@@ -548,7 +541,7 @@ class Run:
         self.spec = spec
         self.bank: KernelBank | None = None
         if spec.kind == "kernel-ridge":
-            self.bank = KernelBank.generate(values.shape[1], spec.num_kernels, spec.seed)
+            self.bank = KernelBank.generate(self.series_length, spec.num_kernels, spec.seed)
             self.feats = self.bank.transform(values)
         else:
             self.feats = values
@@ -577,11 +570,7 @@ class Rows(Labelled):
         self.run = run
         self.idx = idx
         self.labels = run.labels[idx] if labels is None else labels
-        self.series_length = run.values.shape[1]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.run.values[self.idx]
+        self.series_length = run.series_length
 
     @property
     def feats(self) -> np.ndarray:
@@ -685,7 +674,9 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
 
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
     takes the raw features of the rows from their run, and a dataset becomes
-    a new run.  Raises TrainingDataError for fewer than two classes.
+    a new run.  The fit keeps no spec and no bank: the caller featurises
+    rows to score (see :class:`TrainedClassifier`).  Raises
+    TrainingDataError for fewer than two classes.
     """
     rows = Run.rows_of(data, spec)
     labels = rows.labels
@@ -701,11 +692,4 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     if mean is not None:
         w /= scale[:, None]
         intercepts -= mean @ w
-    return TrainedClassifier(
-        spec=spec,
-        class_ids=tuple(int(c) for c in class_ids),
-        weights=w.T,
-        intercepts=intercepts,
-        series_length=rows.series_length,
-        kernels=rows.run.bank,
-    )
+    return TrainedClassifier(class_ids=tuple(int(c) for c in class_ids), weights=w.T, intercepts=intercepts)

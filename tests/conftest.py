@@ -86,17 +86,14 @@ def random_tree(labels, rng):
 
 def classifier_state(model):
     """Everything a fitted classifier holds, for comparing two: its class
-    ids, the bytes of its weights and intercepts, the spec, the series
-    length and the kernel bank."""
-    arrays = (model.weights.tobytes(), model.intercepts.tobytes())
-    return model.class_ids, arrays, model.spec, model.series_length, model.kernels
+    ids and the bytes of its weights and intercepts."""
+    return model.class_ids, (model.weights.tobytes(), model.intercepts.tobytes())
 
 
 def node_state(model, i):
     """:func:`classifier_state` of parent i's decision in an LCPN model: a
     two-class classifier, class ids (0, 1), holding row i of the model."""
-    arrays = (model.weights[i : i + 1].tobytes(), model.intercepts[i : i + 1].tobytes())
-    return (0, 1), arrays, model.spec, model.series_length, model.bank
+    return (0, 1), (model.weights[i : i + 1].tobytes(), model.intercepts[i : i + 1].tobytes())
 
 
 def peek_dataset(labels, series_length=6):

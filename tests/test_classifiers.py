@@ -54,7 +54,7 @@ def gaussian_two_class(n=40, m=10, gap=3.0, seed=1):
 def test_linear_separable_training_accuracy():
     data = gaussian_two_class()
     model = fit_classifier(ClassifierSpec(kind="linear"), data)
-    assert np.array_equal(model.predict(data.values), data.labels)
+    assert np.array_equal(model.predict_features(data.values), data.labels)
 
 
 def test_linear_matches_normal_equations_oracle():
@@ -73,17 +73,21 @@ def test_linear_matches_normal_equations_oracle():
 def test_kernel_ridge_determinism():
     data = gaussian_two_class(n=10, m=20)
     spec = ClassifierSpec(kind="kernel-ridge", num_kernels=32, seed=0)
-    a = fit_classifier(spec, data)
-    b = fit_classifier(spec, data)
+    rows_a, rows_b = Run.rows_of(data, spec), Run.rows_of(data, spec)
+    assert rows_a.run.bank is not rows_b.run.bank and rows_a.run.bank == rows_b.run.bank
+    a = fit_classifier(spec, rows_a)
+    b = fit_classifier(spec, rows_b)
     assert classifier_state(a) == classifier_state(b)
-    probe = data.values[:5]
-    assert np.array_equal(a.predict(probe), b.predict(probe))
+    probe = KernelBank.generate(20, spec.num_kernels, spec.seed).transform(data.values[:5])
+    assert np.array_equal(a.predict_features(probe), b.predict_features(probe))
 
 
 def test_kernel_seeds_differ():
     data = gaussian_two_class(n=10, m=20)
-    a = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=0), data)
-    b = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=1), data)
+    specs = [ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=seed) for seed in (0, 1)]
+    rows_a, rows_b = (Run.rows_of(data, spec) for spec in specs)
+    assert rows_a.run.bank != rows_b.run.bank
+    a, b = fit_classifier(specs[0], rows_a), fit_classifier(specs[1], rows_b)
     assert classifier_state(a) != classifier_state(b)
 
 
@@ -139,14 +143,8 @@ def test_single_class_rejected():
 
 
 def test_all_zero_weights_predicts_smallest_class():
-    model = TrainedClassifier(
-        spec=ClassifierSpec(kind="linear"),
-        class_ids=(2, 5, 9),
-        weights=np.zeros((3, 4)),
-        intercepts=np.zeros(3),
-        series_length=4,
-    )
-    out = model.predict(np.ones((7, 4)))
+    model = TrainedClassifier(class_ids=(2, 5, 9), weights=np.zeros((3, 4)), intercepts=np.zeros(3))
+    out = model.predict_features(np.ones((7, 4)))
     assert np.all(out == 2)
 
 
@@ -154,28 +152,33 @@ def test_all_zero_weights_predicts_smallest_class():
 def test_a_two_class_decision_picks_the_second_class_only_below_zero(intercept, want):
     """As argmax([s, -s]) did: a zero decision, of either sign, is a tie
     and goes to the first class."""
-    model = TrainedClassifier(ClassifierSpec(kind="linear"), (5, 9), np.zeros((1, 4)), np.array([intercept]), 4)
-    assert np.array_equal(model.predict(np.ones((3, 4))), [want] * 3)
+    model = TrainedClassifier((5, 9), np.zeros((1, 4)), np.array([intercept]))
+    assert np.array_equal(model.predict_features(np.ones((3, 4))), [want] * 3)
 
 
 @pytest.mark.parametrize("class_ids, rows", [((0, 1), 2), ((0, 1, 2), 1), ((0, 1, 2), 2)])
 def test_a_classifier_refuses_weight_rows_its_classes_do_not_take(class_ids, rows):
     with pytest.raises(ValueError, match="weight row"):
-        TrainedClassifier(ClassifierSpec(kind="linear"), class_ids, np.zeros((rows, 4)), np.zeros(rows), 4)
+        TrainedClassifier(class_ids, np.zeros((rows, 4)), np.zeros(rows))
 
 
 def test_single_instance_prediction_shape():
     data = gaussian_two_class(n=6, m=5)
     model = fit_classifier(ClassifierSpec(kind="linear"), data)
-    out = model.predict(data.values[:1])
+    out = model.predict_features(data.values[:1])
     assert out.shape == (1,)
 
 
 def test_length_mismatch_raises():
+    # features of another width than the weights' are refused, so raw series
+    # are not scored as kernel features (or the other way) by mistake
     data = gaussian_two_class(n=6, m=5)
     model = fit_classifier(ClassifierSpec(kind="linear"), data)
     with pytest.raises(ValueError):
-        model.predict(np.ones((2, 9)))
+        model.predict_features(np.ones((2, 9)))
+    kernel = fit_classifier(ClassifierSpec(kind="kernel-ridge", num_kernels=4), gaussian_two_class(n=6, m=12))
+    with pytest.raises(ValueError):
+        kernel.predict_features(np.ones((2, 12)))
 
 
 def test_ridge_solve_identity():
@@ -198,8 +201,8 @@ def test_relabeling_equivariance():
     )
     shuffled_model = fit_classifier(spec, relabeled)
     probe = data.values
-    expected = np.asarray([perm[int(c)] for c in base.predict(probe)])
-    assert np.array_equal(shuffled_model.predict(probe), expected)
+    expected = np.asarray([perm[int(c)] for c in base.predict_features(probe)])
+    assert np.array_equal(shuffled_model.predict_features(probe), expected)
 
 
 def test_weight_dimensions():
@@ -284,7 +287,7 @@ def test_fit_with_fewer_rows_than_features_matches_primal_oracle(kind):
     weights, intercepts = unfolded(model, mean, scale)
     assert np.max(np.abs(weights - w.T)) <= 1e-9
     assert np.max(np.abs(intercepts - (t_mean - f_mean @ w))) <= 1e-9
-    assert np.array_equal(model.predict(data.values), data.labels)
+    assert np.array_equal(model.predict_features(data.values if mean is None else raw), data.labels)
 
 
 def random_features(rng, n, f):
@@ -403,7 +406,7 @@ def test_a_two_class_fit_is_the_first_of_the_old_two_columns(kind, seed):
     new_weights, new_intercepts = unfolded(model, mean, scale)
     assert np.abs(new_weights[0] - weights[0]).max() <= 1e-12 * np.abs(weights[0]).max()
     assert abs(new_intercepts[0] - intercepts[0]) <= 1e-12 * max(1.0, abs(intercepts[0]))
-    raw = values if model.kernels is None else model.kernels.transform(values)
+    raw = values if kind == "linear" else KernelBank.generate(length, num_kernels, seed).transform(values)
     decisions = model.scores(raw)
     assert np.abs(decisions).min() > 1e-9 * np.abs(decisions).max()
     assert np.array_equal(model.predict_features(raw), old_predict(raw))
@@ -436,7 +439,7 @@ def test_folded_decisions_match_the_standardised_ones_of_the_same_solve(kind, n_
     targets = np.where(rows.labels[:, None] == ids[: 1 if n_classes == 2 else None], 1.0, -1.0)
     t_mean = targets.mean(axis=0)
     w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
-    raw = values if model.kernels is None else model.kernels.transform(values)
+    raw = values if kind == "linear" else KernelBank.generate(length, num_kernels, seed).transform(values)
     want = standardise(raw, mean, scale) @ w + (t_mean - centre @ w)
     got = model.scores(raw).reshape(want.shape)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -455,9 +458,7 @@ def test_a_two_class_decision_has_the_same_bits_in_any_batch(f):
     batch and in any row order, where a matrix-vector product's bits can
     depend on the rows sharing the call."""
     rng = np.random.default_rng(f)
-    model = TrainedClassifier(
-        ClassifierSpec("linear"), (0, 1), rng.normal(size=(1, f)), rng.normal(size=1), series_length=f
-    )
+    model = TrainedClassifier((0, 1), rng.normal(size=(1, f)), rng.normal(size=1))
     feats = rng.normal(size=(199, f)) * rng.choice([1e-3, 1.0, 1e3], f)
     decisions = model.scores(feats)
     assert decisions.shape == (199,)
@@ -474,9 +475,7 @@ def test_multi_class_scores_have_the_same_bits_in_any_batch(k, f):
     """Each row's k scores are per-row sums too, as the flat baseline's
     classifier takes them: the same bits alone, in any batch and order."""
     rng = np.random.default_rng(100 * k + f)
-    model = TrainedClassifier(
-        ClassifierSpec("linear"), tuple(range(k)), rng.normal(size=(k, f)), rng.normal(size=k), series_length=f
-    )
+    model = TrainedClassifier(tuple(range(k)), rng.normal(size=(k, f)), rng.normal(size=k))
     feats = rng.normal(size=(199, f)) * rng.choice([1e-3, 1.0, 1e3], f)
     scores = model.scores(feats)
     assert scores.shape == (199, k)

@@ -296,6 +296,26 @@ def test_single_iteration_flat_equals_nested_outer():
         assert ff.outer_test_score == nf.outer_test_score
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ClassifierSpec(kind="linear"), ClassifierSpec(kind="kernel-ridge", num_kernels=8)],
+    ids=["linear", "kernel-ridge"],
+)
+def test_on_two_classes_the_hierarchy_is_the_flat_classifier(spec):
+    """Two classes make a one-node tree, whose node fit is the flat
+    baseline's fit on the same rows: every fold scores the same bits under
+    both protocols, and gains nothing."""
+    data = collinear_superclusters(n_per_class=10, series_length=24, noise=1.5)
+    two = data.subset(np.flatnonzero(data.labels < 2))
+    nested = nested_cv(two, spec, "potr", n_iter=2, n_outer=3, n_inner=3)
+    flat = flat_cv(two, spec, "potr", n_iter=2, n_outer=3)
+    folds = nested.folds + flat.folds
+    assert len(folds) == 6 and any(f.fc_score < 1.0 for f in folds)
+    for fold in folds:
+        assert fold.outer_test_score == fold.fc_score
+        assert fold.delta_g == 0.0
+
+
 def test_candidate_streams_shared_between_schemes():
     data = separable_dataset(n_per_class=10, n_classes=4, noise=1.0, seed=4)
     spec = ClassifierSpec(kind="linear")

@@ -263,6 +263,17 @@ def test_kernel_bank_is_a_read_only_value():
     assert len({bank, again}) == 1
 
 
+def test_banks_equal_as_floats_but_not_as_bytes_are_unequal():
+    """A weight of 0.0 and one of -0.0 compare equal as floats but differ in
+    their bytes and so in the digest, which a bank hashes: equal banks must
+    hash equal, so the two banks are unequal."""
+    bank = KernelBank.generate(20, 6, seed=4)
+    pos, neg = (replace(bank, weights=np.concatenate([[zero], bank.weights[1:]])) for zero in (0.0, -0.0))
+    assert np.array_equal(pos.weights, neg.weights) and np.signbit(neg.weights[0])
+    assert pos != neg and hash(pos) != hash(neg) and len({pos, neg}) == 2
+    assert pos == replace(pos, weights=pos.weights.copy())
+
+
 def test_the_bank_digest_tells_banks_apart():
     bank = KernelBank.generate(20, 6, seed=4)
     # the documented bundle format: the series length, then the arrays in
@@ -371,6 +382,7 @@ def test_featurised_model_equals_nodes_fit_with_their_own_bank():
         in0 = np.isin(data.labels, sorted(parent.left))
         in1 = np.isin(data.labels, sorted(parent.right))
         values, groups = data.values[in0 | in1], in1[in0 | in1].astype(np.int64)
-        alone = fit_classifier(KERNEL, TimeSeriesDataset(values, groups))  # a new run, which draws its own bank
-        assert alone.kernels is not model.bank
+        rows = Run.rows_of(TimeSeriesDataset(values, groups), KERNEL)  # a new run, which draws its own bank
+        assert rows.run.bank is not model.bank and rows.run.bank == model.bank
+        alone = fit_classifier(KERNEL, rows)
         assert classifier_state(alone) == node_state(model, i)

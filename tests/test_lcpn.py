@@ -251,8 +251,6 @@ def test_predict_rejects_non_finite_rows(kind, bad):
     message = "row 2 of the input holds a NaN or an infinity"
     with pytest.raises(ValueError, match=message):
         predict_lcpn(model, values)
-    with pytest.raises(ValueError, match=message):
-        fit_classifier(model.spec, data).predict(values)
     labels, _ = predict_lcpn(model, values[:2])
     assert np.array_equal(labels, data.labels[:2])
 

@@ -75,7 +75,6 @@ def test_two_groups_match_the_isin_oracle(labels, keep, c0, c1):
     assert node.labels.dtype == np.int64
     assert np.array_equal(node.labels, want_groups)
     assert counts == want_counts
-    assert np.array_equal(node.values, values[want_rows])
     assert np.array_equal(node.feats, values[want_rows])
 
 

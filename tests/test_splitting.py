@@ -244,7 +244,7 @@ def test_zero_decision_goes_to_group_zero():
     c0, c1 = {0, 3}, {1, 2}
     train, _ = ctx.train.grouped((c0, c1))
     val, _ = ctx.val.grouped((c0, c1))
-    assert not fit_classifier(ctx.spec, train).predict(val.values).any()
+    assert not fit_classifier(ctx.spec, train).predict_features(val.feats).any()
     assert score_bipartition(ctx, c0, c1) == pytest.approx(1 / 3, abs=1e-12)
     live = ctx._live
     assert not predicted_groups(live.decisions(live.in_group_one(frozenset(c0)))).any()
