@@ -20,16 +20,19 @@ toward the smallest class id.  A fit's label-independent half, the raw
 features, is computed once per run: a :class:`Run` draws its kernel bank and
 featurises all of its rows in one call, and every fit slices that one matrix
 by row index (:class:`Rows`); a run and an ``lcpn.LcpnModel`` are the only
-holders of a bank.  Each fit then standardises and centres its rows in one
-pass over their gathered features (:func:`_centred`) and makes one
-:func:`ridge_solve`, which builds the Gram matrix:
+holders of a bank.  One ridge path serves every fit: a
+:class:`_PreparedRows` standardises and centres a row set in one pass over
+its gathered features (:func:`_centred`) and builds the Gram matrix with
+lambda on its diagonal once (:func:`_gram`); each target fit on those rows is
+then one :func:`ridge_solve`:
 
 - a node fit (:func:`fit_classifier` on a parent's rows, relabelled into
   its two sides by :meth:`Rows.grouped`) solves for its one +/-1 target
   column and folds its rows' mean and scale into the solved weights.  Its
   one weight row and intercept become the parent's row of an
   ``lcpn.LcpnModel``'s decision matrix, and both decide through
-  :func:`_decisions`;
+  :func:`_decisions`.  Tree scoring (``evaluation``) makes the same solve
+  for every split of a class set from one preparation of its rows;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
   class within the set, from class counts taken once per row set) and
   solves once, with one right-hand side per class indicator
@@ -426,8 +429,19 @@ class _TransformPlan:
         np.maximum.reduceat(filled, seg, axis=0, out=maximum[first:stop])
 
 
-def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge weights W for (n, f) features F and (n, k) targets Y.
+def _gram(features: np.ndarray, lam: float) -> np.ndarray:
+    """The regularised Gram matrix of (n, f) features F that
+    :func:`ridge_solve` solves with: ``F F^T + lam*I`` (n x n, the dual)
+    when n < f, else ``F^T F + lam*I`` (f x f, the primal)."""
+    n, f = features.shape
+    gram = features @ features.T if n < f else features.T @ features
+    gram.flat[:: len(gram) + 1] += lam
+    return gram
+
+
+def ridge_solve(features: np.ndarray, targets: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Ridge weights W for (n, f) features F and (n, k) targets Y, given F's
+    regularised Gram matrix (:func:`_gram`).
 
     W solves (F^T F + lam*I) W = F^T Y.  The form solved is the smaller of two
     equal ones, chosen from the shape:
@@ -436,18 +450,13 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.nda
     - n < f, the dual: W = F^T (F F^T + lam*I)^-1 Y, an n x n system
       (Rifkin & Lippert, "Notes on Regularized Least Squares", 2007).
 
-    The two agree to rounding (about 1e-11 at n = 150, f = 1024).  Each call
-    builds its Gram matrix, with lam on its diagonal, and each row set is
-    solved once: a node fit for its one labelling, split scoring for every
-    class indicator of a set at once.
+    The two agree to rounding (about 1e-11 at n = 150, f = 1024).  The Gram
+    matrix is built once per row set (:class:`_PreparedRows`), and every
+    target fit on those rows solves with it.
     """
     n, f = features.shape
     if n < f:
-        gram = features @ features.T
-        gram.flat[:: n + 1] += lam
         return features.T @ np.linalg.solve(gram, targets)
-    gram = features.T @ features
-    gram.flat[:: f + 1] += lam
     return np.linalg.solve(gram, features.T @ targets)
 
 
@@ -465,7 +474,7 @@ def _decision_rows(n_classes: int) -> int:
     return 1 if n_classes == 2 else n_classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedClassifier:
     """Fitted model: class ids, weight rows and intercepts over the raw
     features, and nothing else.
@@ -480,7 +489,9 @@ class TrainedClassifier:
     ``kernel-ridge``, ``KernelBank.generate(M, spec.num_kernels,
     spec.seed).transform(values)`` (the bank the fit's run drew), then
     :meth:`predict_features`.  Raises ValueError when the weights or
-    intercepts have another number of rows.
+    intercepts have another number of rows.  A classifier holds arrays, so
+    two are equal only when they are the same object, and it hashes by
+    identity.
     """
 
     class_ids: tuple[int, ...]
@@ -588,6 +599,20 @@ class Rows(Labelled):
         """Each run class's row count, by class code."""
         return np.bincount(self._codes, minlength=self.run.classes.size).tolist()
 
+    def count(self, classes) -> int:
+        """The number of rows whose run class lies in `classes`, from the
+        class counts taken once per row set."""
+        code_of, per_class = self.run.code_of, self._per_class
+        return sum(per_class[code_of[c]] for c in classes if c in code_of)
+
+    def within(self, classes) -> np.ndarray:
+        """Whether each row's run class lies in `classes`: one lookup per
+        row."""
+        code_of = self.run.code_of
+        hit = np.zeros(self.run.classes.size, dtype=bool)
+        hit[[code_of[c] for c in classes if c in code_of]] = True
+        return hit[self._codes]
+
     def grouped(self, sets) -> tuple["Rows", list[int]]:
         """The rows whose run class lies in any of the class sets `sets`,
         labelled by the index of the last set holding it, and each set's row
@@ -636,6 +661,47 @@ def _centred(rows: Rows) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarr
     return mean, scale, centre, feats
 
 
+class _PreparedRows:
+    """The label-independent half of a ridge fit on `rows`, made once for
+    every target fit on them: the (mean, scale, centre, centred) of
+    :func:`_centred` and the regularised Gram matrix (:func:`_gram`) of the
+    centred features.  Node fits, split scoring and tree scoring all solve
+    with it, so each solve has the bits of a fresh fit's."""
+
+    def __init__(self, rows: Rows, lam: float) -> None:
+        self.mean, self.scale, self.centre, self.centred = _centred(rows)
+        self.gram = _gram(self.centred, lam)
+
+    def solve(self, targets: np.ndarray) -> np.ndarray:
+        """(f, k) ridge weights of (n, k) targets on the standardised,
+        centred features."""
+        return ridge_solve(self.centred, targets, self.gram)
+
+    def fit(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(weights (k, f), intercepts (k,)) over the raw features for the
+        (n, k) boolean `members` as +/-1 targets.  w and b are solved for the
+        targets less their mean on the features ``(raw - mean) / scale``,
+        and the fit keeps ``w / scale`` and ``b - mean . (w / scale)``, which
+        score the raw features with the same decisions to rounding."""
+        targets = np.where(members, 1.0, -1.0)
+        t_mean = np.add.reduce(targets, axis=0) / targets.shape[0]
+        w = self.solve(targets - t_mean)
+        intercepts = t_mean - self.centre @ w
+        if self.mean is not None:
+            w /= self.scale[:, None]
+            intercepts -= self.mean @ w
+        return w.T, intercepts
+
+    def standardise(self, feats: np.ndarray) -> np.ndarray:
+        """`feats`, a fresh gather of raw features, standardised and centred
+        in place as the prepared rows were."""
+        if self.mean is not None:
+            feats -= self.mean
+            feats /= self.scale
+        feats -= self.centre
+        return feats
+
+
 def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: int) -> np.ndarray:
     """(validation rows, n_classes): the centred, standardised features of
     `val` times the ridge weights whose column j fits the indicator of
@@ -648,17 +714,12 @@ def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: in
     training rows has a zero column.  Raises ValueError when the rows'
     run is for another spec.
     """
-    mean, scale, centre, centred = _centred(Run.rows_of(train, spec))
+    prepared = _PreparedRows(Run.rows_of(train, spec), spec.ridge_lambda)
     codes = train.labels
     indicators = np.zeros((codes.size, n_classes))
     indicators[np.arange(codes.size), codes] = 1.0
-    weights = ridge_solve(centred, indicators, spec.ridge_lambda)
-    feats = val.feats  # a fresh gather: standardised and centred in place
-    if mean is not None:
-        feats -= mean
-        feats /= scale
-    feats -= centre
-    return feats @ weights
+    weights = prepared.solve(indicators)
+    return prepared.standardise(val.feats) @ weights  # a fresh gather, standardised in place
 
 
 def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> TrainedClassifier:
@@ -667,10 +728,9 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     for the first class and -1 for the second; more are one-vs-rest, one
     column per class.
 
-    For ``kernel-ridge`` the ridge weights w and intercepts b are solved on
-    the rows' standardised features ``(raw - mean) / scale``, and the fit
-    folds that map in: it keeps ``w / scale`` and ``b - mean . (w / scale)``,
-    which score the raw features with the same decisions to rounding.
+    For ``kernel-ridge`` the fit folds the standardisation of its rows into
+    its weights and intercepts (:meth:`_PreparedRows.fit`), so they score
+    the raw features.
 
     `data` is a :class:`TimeSeriesDataset` or :class:`Rows` of a run; the fit
     takes the raw features of the rows from their run, and a dataset becomes
@@ -683,13 +743,6 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     class_ids = np.unique(labels)
     if class_ids.size < 2:
         raise TrainingDataError("training data must contain at least two classes")
-    mean, scale, centre, centred = _centred(rows)
     columns = class_ids[: _decision_rows(class_ids.size)]
-    targets = np.where(labels[:, None] == columns[None, :], 1.0, -1.0)
-    t_mean = np.add.reduce(targets, axis=0) / labels.size
-    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
-    intercepts = t_mean - centre @ w
-    if mean is not None:
-        w /= scale[:, None]
-        intercepts -= mean @ w
-    return TrainedClassifier(class_ids=tuple(int(c) for c in class_ids), weights=w.T, intercepts=intercepts)
+    weights, intercepts = _PreparedRows(rows, spec.ridge_lambda).fit(labels[:, None] == columns[None, :])
+    return TrainedClassifier(class_ids=tuple(int(c) for c in class_ids), weights=weights, intercepts=intercepts)

@@ -7,6 +7,27 @@ fold itself, reproducing the optimistic bias it is meant to exhibit.  Both
 select with :func:`select_tree`, as does ``hiertsc fit``.  Every reported
 number is a pure function of (data, spec, splitter, n_iter, seeds).
 
+One engine scores every candidate tree (:func:`_score_trees`): the inner
+folds of nested CV and ``hiertsc fit``, flat CV's test fold, and the outer
+score of the selected tree.  It takes all fresh candidates at once and
+shares, per fold, what their LCPN fits would repeat:
+
+- a parent's rows, and so their standardisation, centring and Gram matrix,
+  depend only on its class set: each class set is prepared once per fold,
+  one at a time;
+- a node fit depends only on its (left, right) split: each split is solved
+  once per fold, with the +/-1 column, target mean and fold of scale and
+  mean of ``classifiers.fit_classifier``, so it gets the same weight row
+  and intercept;
+- a decision is a per-row sum, so one column of decisions over all
+  validation rows gives each row the bits that routing it in any subset
+  gives.  Each tree is routed by looking its parents' columns up.
+
+So every score has the bits of a per-tree ``lcpn.fit_lcpn`` and
+``lcpn.predict_lcpn``, which remain for models that are kept or served.
+Errors are checked tree by tree first, so the first NodeTrainingError
+raised is the one per-tree fits would meet.
+
 The module also holds the catalog filter, which scores datasets with the
 flat baseline.
 """
@@ -20,10 +41,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Rows, Run, fit_classifier
+from .classifiers import ClassifierSpec, Rows, Run, _decisions, _PreparedRows, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
-from .lcpn import fit_lcpn, predict_lcpn
+from .lcpn import _check_fit, _route
 from .metrics import accuracy, f1_macro
 from .splitting import SplitContext, resolve_splitter
 from .tree import (
@@ -391,28 +412,70 @@ def _candidate_trees(
     return fresh, iterations, state.distinct_count
 
 
-def _fit_score(tree: HierarchyTree, train: Rows, test: Rows, spec: ClassifierSpec) -> float:
-    """Macro-F1 on `test` of the LCPN model of `tree` fit on `train`."""
-    model = fit_lcpn(tree, train, spec)
-    predicted, _ = predict_lcpn(model, test)
-    return f1_macro(test.labels, predicted)
+def _score_trees(
+    trees: list[HierarchyTree], folds: list[tuple[Rows, Rows]], spec: ClassifierSpec
+) -> list[float]:
+    """Each tree's mean macro-F1 over `folds`, (fit rows, scored rows) pairs:
+    the score of its LCPN model fit on the fit rows (``lcpn.fit_lcpn``) and
+    routed over the scored rows (``lcpn.predict_lcpn``), bit for bit,
+    without fitting or routing any tree on its own.
+
+    Every tree is checked on every fold's fit rows first, tree by tree, so
+    the NodeTrainingError raised is the one per-tree fits meet first, and
+    no solve precedes it.  Then, per fold, each tree routes the scored rows
+    through the columns of one decision table (:func:`_decision_table`).
+    """
+    for tree in trees:
+        for fit, _ in folds:
+            _check_fit(tree, fit)
+    scores: list[list[float]] = [[] for _ in trees]
+    for fit, val in folds:
+        table = _decision_table(trees, fit, val, spec)
+        for tree, tree_scores in zip(trees, scores):
+            columns = [table[p.left, p.right] for p in tree.parents]
+            predicted, _ = _route(tree, val.n_instances, lambda i, rows: columns[i][rows])
+            tree_scores.append(f1_macro(val.labels, predicted))
+    return [float(np.mean(s)) for s in scores]
+
+
+def _decision_table(
+    trees: list[HierarchyTree], fit: Rows, val: Rows, spec: ClassifierSpec
+) -> dict[tuple[frozenset, frozenset], np.ndarray]:
+    """(left, right) -> the decisions at every row of `val` of the node fit
+    of that split on `fit`, for every parent of `trees`: one prepared row
+    set per class set, freed before the next one is built, and one solve
+    per split (see the module docstring for why each column has the bits
+    of a per-tree fit's)."""
+    splits: dict[frozenset, dict[tuple[frozenset, frozenset], None]] = {}
+    for tree in trees:
+        for p in tree.parents:
+            splits.setdefault(p.class_set, {})[p.left, p.right] = None
+    feats = val.feats
+    table = {}
+    for classes, sides in splits.items():
+        node = fit.subset(fit.within(classes))
+        prepared = _PreparedRows(node, spec.ridge_lambda)
+        for left, right in sides:
+            weights, intercepts = prepared.fit(node.within(left)[:, None])
+            table[left, right] = _decisions(feats, weights[0], intercepts[0])
+        del prepared  # one prepared row set is live at a time
+    return table
 
 
 def inner_fold_scorer(
     train: TimeSeriesDataset | Rows, spec: ClassifierSpec, n_inner: int
-) -> Callable[[HierarchyTree], float]:
-    """Scorer giving a tree's mean macro-F1 over the unshuffled inner folds
-    of `train`; the fold plan and its row indices are built once, here.  A
-    dataset becomes one run; :class:`Rows` bring their run."""
+) -> Callable[[list[HierarchyTree]], list[float]]:
+    """Batch scorer giving each of a list of trees its mean macro-F1 over
+    the unshuffled inner folds of `train` (:func:`_score_trees`); the fold
+    plan and its row indices are built once, here.  A dataset becomes one
+    run; :class:`Rows` bring their run."""
     rows = Run.rows_of(train, spec)
     plan = split_data(rows, n_inner, shuffle=False)
     folds = [
         (rows.subset(plan.train_indices(ki)), rows.subset(plan.test_indices(ki)))
         for ki in range(plan.k)
     ]
-    return lambda tree: float(
-        np.mean([_fit_score(tree, fit, val, spec) for fit, val in folds])
-    )
+    return lambda trees: _score_trees(trees, folds, spec)
 
 
 def select_tree(
@@ -422,12 +485,13 @@ def select_tree(
     n_iter: int,
     seed: int,
     ko: int,
-    scorer: Callable[[HierarchyTree], float],
+    scorer: Callable[[list[HierarchyTree]], list[float]],
 ) -> tuple[HierarchyTree, float, int, int]:
-    """Score every fresh candidate of the (seed, ko) stream over `train` and
-    keep the first tree with the highest score.  Split scores fit on rows of
-    `train`'s run; a dataset becomes one run.  Raises ValueError when
-    `n_iter` < 1, as there would be no candidate to keep.
+    """Score every fresh candidate of the (seed, ko) stream over `train`
+    with one call of the batch `scorer`, which gives one score per tree,
+    and keep the first tree with the highest score.  Split scores fit on
+    rows of `train`'s run; a dataset becomes one run.  Raises ValueError
+    when `n_iter` < 1, as there would be no candidate to keep.
 
     Returns (tree, score, iterations run, distinct count).
     """
@@ -436,7 +500,7 @@ def select_tree(
     fresh, iterations, distinct = _candidate_trees(
         Run.rows_of(train, spec), spec, splitter_fn, n_iter, seed, ko
     )
-    scores = [scorer(tree) for tree in fresh]
+    scores = scorer(fresh)
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
     return fresh[best], scores[best], iterations, distinct
 
@@ -468,8 +532,9 @@ def _cross_validate(
     for ko in range(n_outer):
         train = rows.subset(outer_plan.train_indices(ko))
         test = rows.subset(outer_plan.test_indices(ko))
+        outer = [(train, test)]
         if n_inner is None:
-            scorer = lambda tree: _fit_score(tree, train, test, spec)
+            scorer = lambda trees: _score_trees(trees, outer, spec)
         else:
             scorer = inner_fold_scorer(train, spec, n_inner)
         tree, score, iterations, distinct = select_tree(
@@ -478,7 +543,7 @@ def _cross_validate(
         if n_inner is None:
             inner_mean, outer_score = None, score
         else:
-            inner_mean, outer_score = score, _fit_score(tree, train, test, spec)
+            inner_mean, outer_score = score, _score_trees([tree], outer, spec)[0]
         records.append(
             FoldRecord(
                 fold=ko,

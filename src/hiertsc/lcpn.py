@@ -15,7 +15,6 @@ from .classifiers import (
     ModelFormatError,
     Rows,
     Run,
-    TrainedClassifier,
     TrainingDataError,
     _decisions,
     _decode_floats,
@@ -248,15 +247,25 @@ def _decode_label_names(doc) -> dict[int, str]:
     return {int(key): token for key, token in doc.items()}
 
 
-def _fit_node(parent, rows: Rows, spec: ClassifierSpec) -> tuple[TrainedClassifier, int]:
-    node, counts = rows.grouped((parent.left, parent.right))
-    if 0 in counts:
+def _check_fit(tree: HierarchyTree, rows: Rows) -> None:
+    """Raise the NodeTrainingError a fit of `tree` on `rows` meets first:
+    labels outside the tree's classes, else the first parent, in tree
+    order, with no training rows on one side.  Counts only: no row is
+    gathered."""
+    foreign = frozenset(rows.label_space) - tree.root_classes
+    if foreign:
         raise NodeTrainingError(
-            f"parent {parent.id} has no training instances on its "
-            f"{('left', 'right')[counts.index(0)]} side "
-            f"({sorted(parent.left)} | {sorted(parent.right)})"
+            f"data contains labels {sorted(foreign)} outside the tree's classes "
+            f"{sorted(tree.root_classes)}"
         )
-    return fit_classifier(spec, node), node.n_instances
+    for parent in tree.parents:
+        counts = [rows.count(parent.left), rows.count(parent.right)]
+        if 0 in counts:
+            raise NodeTrainingError(
+                f"parent {parent.id} has no training instances on its "
+                f"{('left', 'right')[counts.index(0)]} side "
+                f"({sorted(parent.left)} | {sorted(parent.right)})"
+            )
 
 
 def fit_lcpn(
@@ -275,19 +284,17 @@ def fit_lcpn(
     fit slices that run's features by row index.  The model keeps the
     data's token map over the tree's classes, or names each class by its id
     when the data has no map; a map that leaves out a class of the tree or
-    repeats a token raises ValueError.
+    repeats a token raises ValueError.  Raises NodeTrainingError, before
+    any node is fit, for data with labels outside the tree's classes or a
+    parent with no rows on one side.
     """
     rows = Run.rows_of(data, spec)
-    foreign = frozenset(rows.label_space) - tree.root_classes
-    if foreign:
-        raise NodeTrainingError(
-            f"data contains labels {sorted(foreign)} outside the tree's classes "
-            f"{sorted(tree.root_classes)}"
-        )
-    fitted = [_fit_node(p, rows, spec) for p in tree.parents]
+    _check_fit(tree, rows)
+    nodes = [rows.grouped((p.left, p.right))[0] for p in tree.parents]
+    fitted = [fit_classifier(spec, node) for node in nodes]
     if counters is not None:
-        for parent, (_, n_rows) in zip(tree.parents, fitted):
-            counters.per_parent_instances.append(n_rows)
+        for parent, node in zip(tree.parents, nodes):
+            counters.per_parent_instances.append(node.n_instances)
             counters.per_parent_classes.append(len(parent.class_set))
     names = rows.run.label_names
     if names is not None:
@@ -297,10 +304,35 @@ def fit_lcpn(
         spec=spec,
         series_length=rows.series_length,
         bank=rows.run.bank,
-        weights=np.vstack([node.weights for node, _ in fitted]),
-        intercepts=np.concatenate([node.intercepts for node, _ in fitted]),
+        weights=np.vstack([fit.weights for fit in fitted]),
+        intercepts=np.concatenate([fit.intercepts for fit in fitted]),
         label_names=names,
     )
+
+
+def _route(tree: HierarchyTree, n: int, decide) -> tuple[np.ndarray, np.ndarray]:
+    """Route rows 0..n-1 root to leaf; return (labels, depths).
+    ``decide(i, rows)`` gives the decisions of ``tree.parents[i]`` at the
+    row indices `rows`, and a row goes right where its decision is
+    negative, else left."""
+    labels = np.empty(n, dtype=np.int64)
+    depths = np.zeros(n, dtype=np.int64)
+    stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
+    while stack:
+        node_idx, rows, depth = stack.pop()
+        if rows.size == 0:
+            continue
+        parent = tree.parents[node_idx]
+        right = decide(node_idx, rows) < 0
+        for side, group in ((parent.left, rows[~right]), (parent.right, rows[right])):
+            if group.size == 0:
+                continue
+            if len(side) == 1:
+                labels[group] = next(iter(side))
+                depths[group] = depth
+            else:
+                stack.append((tree.parent_index_of(side), group, depth + 1))
+    return labels, depths
 
 
 def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
@@ -324,23 +356,5 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
     else:
         values = _series_input(values, model.series_length, finite=True)
         feats = values if model.bank is None else model.bank.transform(values)
-    n = feats.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    depths = np.zeros(n, dtype=np.int64)
-    tree = model.tree
-    stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
-    while stack:
-        node_idx, rows, depth = stack.pop()
-        if rows.size == 0:
-            continue
-        parent = tree.parents[node_idx]
-        right = _decisions(feats[rows], model.weights[node_idx], model.intercepts[node_idx]) < 0
-        for side, group in ((parent.left, rows[~right]), (parent.right, rows[right])):
-            if group.size == 0:
-                continue
-            if len(side) == 1:
-                labels[group] = next(iter(side))
-                depths[group] = depth
-            else:
-                stack.append((tree.parent_index_of(side), group, depth + 1))
-    return labels, depths
+    weights, intercepts = model.weights, model.intercepts
+    return _route(model.tree, feats.shape[0], lambda i, rows: _decisions(feats[rows], weights[i], intercepts[i]))

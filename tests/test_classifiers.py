@@ -22,6 +22,7 @@ from hiertsc.classifiers import (
     TrainingDataError,
     _centred,
     _class_decisions,
+    _gram,
     ridge_solve,
 )
 
@@ -181,12 +182,23 @@ def test_length_mismatch_raises():
         kernel.predict_features(np.ones((2, 12)))
 
 
+def test_a_trained_classifier_is_equal_only_to_itself():
+    """A classifier holds arrays: two fits of the same data are equal
+    arrays but not equal classifiers, and each hashes by identity."""
+    data = gaussian_two_class(n=6, m=5)
+    spec = ClassifierSpec(kind="linear")
+    first, second = fit_classifier(spec, data), fit_classifier(spec, data)
+    assert first.weights.tobytes() == second.weights.tobytes()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second, first}) == 2
+
+
 def test_ridge_solve_identity():
     rng = np.random.default_rng(7)
     g = rng.normal(size=(20, 6))
     y = rng.normal(size=(20, 3))
     lam = 0.5
-    w = ridge_solve(g, y, lam)
+    w = ridge_solve(g, y, _gram(g, lam))
     residual = (g.T @ g + lam * np.eye(6)) @ w - g.T @ y
     assert np.max(np.abs(residual)) <= 1e-8
 
@@ -259,7 +271,7 @@ def test_ridge_solve_forms_match_primal_oracle(n, f, k, lam, centre, seed):
     if centre:  # as every fit does: rank n - 1
         features -= features.mean(axis=0)
     targets = rng.normal(size=(n, k))
-    w = ridge_solve(features, targets, lam)
+    w = ridge_solve(features, targets, _gram(features, lam))
     assert w.shape == (f, k)
     residual = (features.T @ features + lam * np.eye(f)) @ w - features.T @ targets
     assert np.max(np.abs(residual)) <= 1e-8
@@ -355,7 +367,7 @@ def test_class_decisions_are_bitwise_the_out_of_place_expression(kind, seed):
     mean, scale, centre, centred = _centred(train)
     indicators = np.zeros((train_idx.size, k))
     indicators[np.arange(train_idx.size), train.labels] = 1.0
-    weights = ridge_solve(centred, indicators, spec.ridge_lambda)
+    weights = ridge_solve(centred, indicators, _gram(centred, spec.ridge_lambda))
     want = (standardise(feats[val_idx], mean, scale) - centre) @ weights
     assert got.tobytes() == want.tobytes()
     assert run.feats is feats and feats.tobytes() == before.tobytes()
@@ -371,7 +383,7 @@ def two_column_fit(spec, data):
     mean, scale, centre, centred = _centred(rows)
     targets = np.where(rows.labels[:, None] == class_ids[None, :], 1.0, -1.0)
     t_mean = np.add.reduce(targets, axis=0) / rows.labels.size
-    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    w = ridge_solve(centred, targets - t_mean, _gram(centred, spec.ridge_lambda))
     weights, intercepts = w.T, t_mean - centre @ w
 
     def predict_features(raw):
@@ -438,7 +450,7 @@ def test_folded_decisions_match_the_standardised_ones_of_the_same_solve(kind, n_
     ids = np.arange(n_classes)
     targets = np.where(rows.labels[:, None] == ids[: 1 if n_classes == 2 else None], 1.0, -1.0)
     t_mean = targets.mean(axis=0)
-    w = ridge_solve(centred, targets - t_mean, spec.ridge_lambda)
+    w = ridge_solve(centred, targets - t_mean, _gram(centred, spec.ridge_lambda))
     raw = values if kind == "linear" else KernelBank.generate(length, num_kernels, seed).transform(values)
     want = standardise(raw, mean, scale) @ w + (t_mean - centre @ w)
     got = model.scores(raw).reshape(want.shape)
@@ -497,13 +509,13 @@ def test_cv_reports_match_primal_only_solves(spec, monkeypatch):
     data = collinear_superclusters(n_per_class=12, series_length=32, noise=1.5)
     shapes, oracle_calls = [], []
 
-    def counted(features, targets, lam):
+    def counted(features, targets, gram):
         shapes.append(features.shape)
-        return ridge_solve(features, targets, lam)
+        return ridge_solve(features, targets, gram)
 
-    def counted_oracle(features, targets, lam):
+    def counted_oracle(features, targets, gram):
         oracle_calls.append(features.shape)
-        return primal_ridge(features, targets, lam)
+        return primal_ridge(features, targets, spec.ridge_lambda)
 
     def reports():
         return [

@@ -333,10 +333,14 @@ def test_select_tree_keeps_first_of_highest_scores(scores, kept):
     splitter = resolve_splitter("srtr")
     fresh, iterations, distinct = _candidate_trees(data, spec, splitter, len(scores), 0, 0)
     assert len(fresh) == len(scores)
-    calls = iter(scores)
-    tree, score, its, dist = select_tree(
-        data, spec, splitter, len(scores), 0, 0, lambda tree: next(calls)
-    )
+    batches = []
+
+    def scorer(trees):
+        batches.append([t.parents for t in trees])
+        return list(scores)
+
+    tree, score, its, dist = select_tree(data, spec, splitter, len(scores), 0, 0, scorer)
+    assert batches == [[t.parents for t in fresh]]  # one call scores every fresh tree
     assert tree.parents == fresh[kept].parents
     assert (score, its, dist) == (scores[kept], iterations, distinct)
 
@@ -404,4 +408,4 @@ def test_cv_rejects_bad_iteration_count():
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
             flat_cv(data, spec, "potr", n_iter=n_iter)
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
-            select_tree(data, spec, resolve_splitter("potr"), n_iter, 0, 0, lambda tree: 0.5)
+            select_tree(data, spec, resolve_splitter("potr"), n_iter, 0, 0, lambda trees: [0.5] * len(trees))

@@ -95,9 +95,9 @@ def test_fit_lcpn_solves_once_per_parent_on_its_rows(fig_tree, spec, monkeypatch
     solved = []
     solve = classifiers.ridge_solve
 
-    def counted(features, targets, lam):
+    def counted(features, targets, gram):
         solved.append(features.shape[0])
-        return solve(features, targets, lam)
+        return solve(features, targets, gram)
 
     monkeypatch.setattr(classifiers, "ridge_solve", counted)
     counters = FitCounters()

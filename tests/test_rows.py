@@ -204,9 +204,9 @@ def constructions(monkeypatch):
         counts["datasets"] += 1
         post_init(self)
 
-    def counted_ridge_solve(features, targets, lam):
+    def counted_ridge_solve(features, targets, gram):
         counts["fits"] += 1
-        return ridge_solve(features, targets, lam)
+        return ridge_solve(features, targets, gram)
 
     monkeypatch.setattr(TimeSeriesDataset, "__post_init__", counted_post_init)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_ridge_solve)
