@@ -292,19 +292,25 @@ class KernelBank:
         positive convolution outputs and the maximum output.
 
         The batch is laid out positions x rows, at least two rows wide, and
-        zero-padded once, to the bank's largest padding.  Each group of
-        kernels that share (length, dilation, padding) is convolved by one
-        ``einsum`` of its taps with a (tap, position, row) view of the batch
-        from its own offset, into one buffer of at most ``_PASS_ELEMENTS``
-        outputs (or one kernel's outputs, when those are more).  Each time
-        the buffer is full it is pooled with two segmented reductions, one
-        per feature, over the kernels it holds.  With two or more rows the
-        row axis is einsum's innermost loop, so each output sums its taps in
-        order, ``(0 + t0*x0) + t1*x1 + ...``, and a row's features are the
-        same bits in any batch (one row lets einsum sum taps in SIMD partial
-        sums).  Where einsum fuses multiply and add (a numpy whose SIMD
-        baseline has FMA) the bits may differ from a shift-and-add in the
-        last place but still do not depend on the batch.
+        zero-padded once, to the bank's largest padding.  That layout is
+        C-contiguous, so from any position on, (position, row) is one run of
+        consecutive values.  Each group of kernels that share (length,
+        dilation, padding) is convolved by one ``einsum`` of its taps with a
+        2-D (tap, position*row) view of the batch from its own offset, into
+        one buffer of at most ``_PASS_ELEMENTS`` outputs (or one kernel's
+        outputs, when those are more).  Each time the buffer is full it is
+        pooled with two segmented reductions, one per feature, over the
+        kernels it holds.  The position*row axis is einsum's inner loop, with
+        an 8-byte stride in the view and the output; a tap's stride is
+        dilation*rows*8 bytes, strictly larger, so the tap axis stays an
+        outer loop.  Each output therefore sums its taps in order,
+        ``(0 + t0*x0) + t1*x1 + ...``, and a row's features are the same bits
+        in any batch.  The two-row floor keeps this: with one row, a
+        dilation-1 tap has the inner stride too, and einsum may sum taps in
+        SIMD partial sums.  Where einsum fuses multiply and add (a numpy
+        whose SIMD baseline has FMA) the bits may differ from a
+        shift-and-add in the last place but still do not depend on the
+        batch.
         """
         values = _series_input(values, self.series_length)
         rows = values.shape[0]
@@ -320,8 +326,8 @@ class KernelBank:
         first = 0  # the first kernel in the buffer, in plan order
         for group in plan.groups:
             out_len = group.out_len
-            offset, strides = (pad - group.padding) * s0, (group.dilation * s0, s0, s1)
-            windows = np.ndarray((group.length, out_len, n), np.float64, x, offset, strides)
+            offset, strides = (pad - group.padding) * s0, (group.dilation * s0, s1)
+            windows = np.ndarray((group.length, out_len * n), np.float64, x, offset, strides)
             at, end = group.first, group.first + group.size
             while at < end:
                 used = plan.starts[at] - plan.starts[first]
@@ -330,10 +336,10 @@ class KernelBank:
                     plan.pool(buf, first, at, positive, maximum)
                     first = at
                     continue
-                out = buf[used : used + (stop - at) * out_len].reshape(stop - at, out_len, n)
+                out = buf[used : used + (stop - at) * out_len].reshape(stop - at, out_len * n)
                 kernels = slice(at - group.first, stop - group.first)
-                np.einsum("kg,kpn->gpn", group.taps[:, kernels], windows, out=out)
-                out += group.biases[kernels]
+                np.einsum("kg,kq->gq", group.taps[:, kernels], windows, out=out)
+                out += group.biases[kernels, :, 0]
                 at = stop
         plan.pool(buf, first, self.n_kernels, positive, maximum)
         feats = np.empty((rows, 2 * self.n_kernels))

@@ -161,6 +161,8 @@ def assert_same_bits(a, b):
 @example(length=300, n_kernels=64, seed=2, n=160, padding="all")
 @example(length=64, n_kernels=64, seed=3, n=0, padding="none")
 @example(length=300, n_kernels=8, seed=4, n=600, padding="all")  # one kernel > _PASS_ELEMENTS
+@example(length=64, n_kernels=128, seed=0, n=2, padding="drawn")  # dilation-1 groups, served sizes
+@example(length=64, n_kernels=128, seed=0, n=10, padding="drawn")
 def test_grouped_transform_is_bitwise_the_per_kernel_transform(length, n_kernels, seed, n, padding):
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, 1.0, size=(n, length)) * rng.uniform(0.1, 10.0)
@@ -174,16 +176,43 @@ def test_einsum_rounds_each_product_on_this_build():
     multiply-add gives 2**-60 and two roundings give 0."""
     a = 1 + 2.0**-30
     x = np.array([-(1 + 2.0**-29), a])
-    windows = np.repeat(x[:, None, None], 2, axis=2)  # (tap, position, row)
-    conv = np.einsum("kg,kpn->gpn", np.array([[1.0], [a]]), windows)
+    batch = np.repeat(x[:, None], 2, axis=1)  # positions x rows, as the transform lays it out
+    s0, s1 = batch.strides
+    windows = np.ndarray((2, 2), np.float64, batch, 0, (s0, s1))  # (tap, position*row), 1 position
+    conv = np.einsum("kg,kq->gq", np.array([[1.0], [a]]), windows)
     bank = KernelBank(7, [7], [1.0, a, 0, 0, 0, 0, 0], [0.0], [1], [0])
     feats = bank.transform(np.concatenate([x, np.zeros(5)])[None])
-    assert np.array_equal(conv, np.zeros((1, 1, 2))) and np.array_equal(feats, [[0.0, 0.0]]), (
+    assert np.array_equal(conv, np.zeros((1, 2))) and np.array_equal(feats, [[0.0, 0.0]]), (
         "numpy's einsum fuses multiply and add on this build (see numpy.show_runtime()): "
         "kernel outputs differ from a shift-and-add in the last bit, so the bitwise "
         "transform tests and golden digests fail here, though features still do not "
         "depend on the batch"
     )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 10, 160])
+def test_every_einsum_window_is_two_d_with_the_taps_outside_the_inner_loop(monkeypatch, rows):
+    """Each group's window is a (tap, position*row) view whose inner stride is
+    one value and whose tap stride is larger, also for dilation 1: a tap
+    stride equal to an inner stride would let einsum reorder the tap sums or
+    split (position, row) into short loops."""
+    bank = KernelBank.generate(64, 128, 0)
+    assert any(group.dilation == 1 for group in bank._plan.groups)
+    windows = []
+    einsum = np.einsum
+
+    def spy_einsum(subscripts, *operands, **kwargs):
+        windows.append(operands[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    values = np.random.default_rng(rows).normal(size=(rows, 64))
+    bank.transform(values)
+    assert len(windows) >= len(bank._plan.groups)
+    for window in windows:
+        assert window.ndim == 2
+        tap_stride, inner_stride = window.strides
+        assert inner_stride == 8 and tap_stride > inner_stride
 
 
 def test_a_large_batch_fills_the_bounded_buffer_several_times(monkeypatch):
