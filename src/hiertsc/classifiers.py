@@ -26,13 +26,12 @@ its gathered features (:func:`_centred`) and builds the Gram matrix with
 lambda on its diagonal once (:func:`_gram`); each target fit on those rows is
 then one :func:`ridge_solve`:
 
-- a node fit (:func:`fit_classifier` on a parent's rows, relabelled into
-  its two sides by :meth:`Rows.grouped`) solves for its one +/-1 target
-  column and folds its rows' mean and scale into the solved weights.  Its
-  one weight row and intercept become the parent's row of an
-  ``lcpn.LcpnModel``'s decision matrix, and both decide through
-  :func:`_decisions`.  Tree scoring (``evaluation``) makes the same solve
-  for every split of a class set from one preparation of its rows;
+- a node fit (``lcpn._node_rows``, for ``lcpn.fit_lcpn`` and tree scoring)
+  prepares each class set's rows once and solves each (left, right) split
+  of it for the one +/-1 column of its left side, folding the rows' mean and
+  scale into the solved weights: one weight row and intercept per parent of
+  an ``lcpn.LcpnModel``'s decision matrix.  A classifier, a model and tree
+  scoring all decide through one form, :func:`_decisions`;
 - split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
   class within the set, from class counts taken once per row set) and
   solves once, with one right-hand side per class indicator
@@ -270,22 +269,17 @@ class KernelBank:
             )
         rng = np.random.default_rng(seed)
         lengths = rng.choice(np.asarray(usable, dtype=np.int64), size=num_kernels)
-        weights = np.empty(int(lengths.sum()), dtype=np.float64)
-        biases = np.empty(num_kernels)
-        dilations = np.empty(num_kernels, dtype=np.int64)
-        paddings = np.empty(num_kernels, dtype=np.int64)
-        at = 0
-        for i in range(num_kernels):
-            length = int(lengths[i])
+        max_exps = {length: np.log2((series_length - 1) / (length - 1)) for length in usable}
+        weights, biases, dilations, paddings = [], [], [], []
+        for length in lengths.tolist():
             w = rng.normal(0.0, 1.0, length)
-            weights[at : at + length] = w - w.mean()
-            at += length
-            biases[i] = rng.uniform(-1.0, 1.0)
-            max_exp = np.log2((series_length - 1) / (length - 1))
-            dilations[i] = max(1, int(2 ** rng.uniform(0.0, max_exp)))
+            weights.append(w - np.add.reduce(w) / length)  # the bits of w - w.mean()
+            biases.append(rng.uniform(-1.0, 1.0))
+            dilation = max(1, int(2 ** rng.uniform(0.0, max_exps[length])))
+            dilations.append(dilation)
             pad_on = rng.integers(0, 2) == 1
-            paddings[i] = ((length - 1) * dilations[i]) // 2 if pad_on else 0
-        return KernelBank(series_length, lengths, weights, biases, dilations, paddings)
+            paddings.append((length - 1) * dilation // 2 if pad_on else 0)
+        return KernelBank(series_length, lengths, np.concatenate(weights), biases, dilations, paddings)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """(n, M) series -> (n, 2*n_kernels) features: per kernel the share of
@@ -339,7 +333,7 @@ class KernelBank:
                 out = buf[used : used + (stop - at) * out_len].reshape(stop - at, out_len * n)
                 kernels = slice(at - group.first, stop - group.first)
                 np.einsum("kg,kq->gq", group.taps[:, kernels], windows, out=out)
-                out += group.biases[kernels, :, 0]
+                out += group.biases[kernels]
                 at = stop
         plan.pool(buf, first, self.n_kernels, positive, maximum)
         feats = np.empty((rows, 2 * self.n_kernels))
@@ -373,7 +367,7 @@ class KernelBank:
             groups.append(
                 _KernelGroup(
                     length, dilation, padding, out_len, len(kernels), len(out_lens),
-                    taps, biases[:, None, None],
+                    taps, biases[:, None],
                 )
             )
             out_lens += [out_len] * len(kernels)
@@ -404,7 +398,7 @@ class _KernelGroup:
     size: int  # g, the number of kernels
     first: int  # position of the group's first kernel in the plan order
     taps: np.ndarray  # (length, g): tap k's weight in every kernel
-    biases: np.ndarray  # (g, 1, 1)
+    biases: np.ndarray  # (g, 1)
 
 
 @dataclass(frozen=True)
@@ -466,12 +460,14 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, gram: np.ndarray) -> 
     return np.linalg.solve(gram, features.T @ targets)
 
 
-def _decisions(feats: np.ndarray, weights: np.ndarray, intercept) -> np.ndarray:
-    """The (n,) decisions ``feats . weights + intercept`` of one weight row
-    and intercept, for rows whose raw features are at hand: a per-row sum
-    (``einsum``), so each row's bits do not depend on the other rows scored
-    with it.  A two-class fit and a hierarchy node decide with it."""
-    return np.einsum("ij,j->i", feats, weights) + intercept
+def _decisions(feats: np.ndarray, weights: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """The (n, k) decisions ``feats . weights[j] + intercepts[j]`` of (n, f)
+    raw features and k stacked (f,) weight rows: every decision a per-row
+    sum (``einsum``), so each one has the bits of its own row and weight row
+    scored alone, whatever other rows or weight rows are stacked with them.
+    A classifier, an LCPN model's parents and tree scoring's splits all
+    decide with it."""
+    return np.einsum("ij,kj->ik", feats, weights) + intercepts
 
 
 def _decision_rows(n_classes: int) -> int:
@@ -511,12 +507,9 @@ class TrainedClassifier:
 
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """The (n,) decisions of two classes, or the (n, n_classes) scores of
-        more, for rows whose raw features are at hand.  Each score is a
-        per-row sum (``einsum``), so each row's bits do not depend on the
-        other rows scored with it."""
-        if self.weights.shape[0] == 1:
-            return _decisions(feats, self.weights[0], self.intercepts[0])
-        return np.einsum("ij,kj->ik", feats, self.weights) + self.intercepts
+        more, for rows whose raw features are at hand (:func:`_decisions`)."""
+        scores = _decisions(feats, self.weights, self.intercepts)
+        return scores[:, 0] if self.weights.shape[0] == 1 else scores
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
         """The class of each row whose raw features (the kernel transform,

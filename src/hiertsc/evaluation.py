@@ -9,22 +9,15 @@ number is a pure function of (data, spec, splitter, n_iter, seeds).
 
 One engine scores every candidate tree (:func:`_score_trees`): the inner
 folds of nested CV and ``hiertsc fit``, flat CV's test fold, and the outer
-score of the selected tree.  It takes all fresh candidates at once and
-shares, per fold, what their LCPN fits would repeat:
-
-- a parent's rows, and so their standardisation, centring and Gram matrix,
-  depend only on its class set: each class set is prepared once per fold,
-  one at a time;
-- a node fit depends only on its (left, right) split: each split is solved
-  once per fold, with the +/-1 column, target mean and fold of scale and
-  mean of ``classifiers.fit_classifier``, so it gets the same weight row
-  and intercept;
-- a decision is a per-row sum, so one column of decisions over all
-  validation rows gives each row the bits that routing it in any subset
-  gives.  Each tree is routed by looking its parents' columns up.
-
-So every score has the bits of a per-tree ``lcpn.fit_lcpn`` and
-``lcpn.predict_lcpn``, which remain for models that are kept or served.
+score of the selected tree.  It takes all fresh candidates at once and, per
+fold, fits each distinct (left, right) split once through
+``lcpn._node_rows``, the node fits of ``lcpn.fit_lcpn``: each class set's
+rows are prepared once, one set at a time, and each split is solved once.
+One decision matrix (``classifiers._decisions``) then holds every split's
+decision at every validation row, each a per-row sum with the bits of that
+row and split scored alone, and each tree is routed (``lcpn._route``) by
+looking its parents' columns up, as ``lcpn.predict_lcpn`` routes a model's
+matrix.  So every score has the bits of a per-tree fit and predict.
 Errors are checked tree by tree first, so the first NodeTrainingError
 raised is the one per-tree fits would meet.
 
@@ -41,10 +34,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Rows, Run, _decisions, _PreparedRows, fit_classifier
+from .classifiers import ClassifierSpec, Rows, Run, _decisions, fit_classifier
 from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
-from .lcpn import _check_fit, _route
+from .lcpn import _check_fit, _node_rows, _route
 from .metrics import accuracy, f1_macro
 from .splitting import SplitContext, resolve_splitter
 from .tree import (
@@ -422,44 +415,24 @@ def _score_trees(
 
     Every tree is checked on every fold's fit rows first, tree by tree, so
     the NodeTrainingError raised is the one per-tree fits meet first, and
-    no solve precedes it.  Then, per fold, each tree routes the scored rows
-    through the columns of one decision table (:func:`_decision_table`).
+    no solve precedes it.  Then, per fold, every distinct (left, right)
+    split of the trees is fit once (``lcpn._node_rows``), one decision
+    matrix holds every split's decisions at every scored row, and each tree
+    routes the scored rows through its parents' columns of it.
     """
     for tree in trees:
         for fit, _ in folds:
             _check_fit(tree, fit)
+    splits = {(p.left, p.right): p for tree in trees for p in tree.parents}  # a fit reads only the split
+    column = {split: i for i, split in enumerate(splits)}
+    lookups = [[column[p.left, p.right] for p in tree.parents] for tree in trees]
     scores: list[list[float]] = [[] for _ in trees]
     for fit, val in folds:
-        table = _decision_table(trees, fit, val, spec)
-        for tree, tree_scores in zip(trees, scores):
-            columns = [table[p.left, p.right] for p in tree.parents]
-            predicted, _ = _route(tree, val.n_instances, lambda i, rows: columns[i][rows])
+        decisions = _decisions(val.feats, *_node_rows(list(splits.values()), fit, spec))
+        for tree, lookup, tree_scores in zip(trees, lookups, scores):
+            predicted, _ = _route(tree, decisions[:, lookup])
             tree_scores.append(f1_macro(val.labels, predicted))
     return [float(np.mean(s)) for s in scores]
-
-
-def _decision_table(
-    trees: list[HierarchyTree], fit: Rows, val: Rows, spec: ClassifierSpec
-) -> dict[tuple[frozenset, frozenset], np.ndarray]:
-    """(left, right) -> the decisions at every row of `val` of the node fit
-    of that split on `fit`, for every parent of `trees`: one prepared row
-    set per class set, freed before the next one is built, and one solve
-    per split (see the module docstring for why each column has the bits
-    of a per-tree fit's)."""
-    splits: dict[frozenset, dict[tuple[frozenset, frozenset], None]] = {}
-    for tree in trees:
-        for p in tree.parents:
-            splits.setdefault(p.class_set, {})[p.left, p.right] = None
-    feats = val.feats
-    table = {}
-    for classes, sides in splits.items():
-        node = fit.subset(fit.within(classes))
-        prepared = _PreparedRows(node, spec.ridge_lambda)
-        for left, right in sides:
-            weights, intercepts = prepared.fit(node.within(left)[:, None])
-            table[left, right] = _decisions(feats, weights[0], intercepts[0])
-        del prepared  # one prepared row set is live at a time
-    return table
 
 
 def inner_fold_scorer(

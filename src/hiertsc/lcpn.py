@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .classifiers import (
     Run,
     TrainingDataError,
     _decisions,
+    _PreparedRows,
     _decode_floats,
     _decode_json,
     _encode_floats,
@@ -25,10 +26,9 @@ from .classifiers import (
     _is_int,
     _positive_int,
     _series_input,
-    fit_classifier,
 )
 from .dataset import TimeSeriesDataset
-from .tree import HierarchyTree, parse_tree_text, tree_to_text
+from .tree import HierarchyTree, ParentNode, parse_tree_text, tree_to_text
 
 _BUNDLE_VERSION = 6
 _BUNDLE_KEYS = ("version", "tree", "spec", "series_length", "label_names", "bank_sha256", "nodes")
@@ -268,6 +268,29 @@ def _check_fit(tree: HierarchyTree, rows: Rows) -> None:
             )
 
 
+def _node_rows(
+    parents: Sequence[ParentNode], rows: Rows, spec: ClassifierSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights (P, f), intercepts (P,)): row i is the node fit of
+    ``parents[i]`` on `rows`, with the bits of a two-class ``fit_classifier``
+    on the parent's rows, left -> 0 and right -> 1.  Each class set's rows
+    are prepared once (:class:`~hiertsc.classifiers._PreparedRows`), one set
+    at a time, and each (left, right) split solved once on them."""
+    members: dict[frozenset, list[int]] = {}
+    for i, parent in enumerate(parents):
+        members.setdefault(parent.class_set, []).append(i)
+    weights = np.empty((len(parents), rows.run.feats.shape[1]))
+    intercepts = np.empty(len(parents))
+    for classes, nodes in members.items():
+        node = rows.subset(rows.within(classes))
+        prepared = _PreparedRows(node, spec.ridge_lambda)
+        for i in nodes:
+            w, b = prepared.fit(node.within(parents[i].left)[:, None])
+            weights[i], intercepts[i] = w[0], b[0]
+        del prepared  # one prepared row set is live at a time
+    return weights, intercepts
+
+
 def fit_lcpn(
     tree: HierarchyTree,
     data: TimeSeriesDataset | Rows,
@@ -286,15 +309,15 @@ def fit_lcpn(
     when the data has no map; a map that leaves out a class of the tree or
     repeats a token raises ValueError.  Raises NodeTrainingError, before
     any node is fit, for data with labels outside the tree's classes or a
-    parent with no rows on one side.
+    parent with no rows on one side.  The node fits are :func:`_node_rows`,
+    as in tree scoring.
     """
     rows = Run.rows_of(data, spec)
     _check_fit(tree, rows)
-    nodes = [rows.grouped((p.left, p.right))[0] for p in tree.parents]
-    fitted = [fit_classifier(spec, node) for node in nodes]
+    weights, intercepts = _node_rows(tree.parents, rows, spec)
     if counters is not None:
-        for parent, node in zip(tree.parents, nodes):
-            counters.per_parent_instances.append(node.n_instances)
+        for parent in tree.parents:
+            counters.per_parent_instances.append(rows.count(parent.class_set))
             counters.per_parent_classes.append(len(parent.class_set))
     names = rows.run.label_names
     if names is not None:
@@ -304,17 +327,19 @@ def fit_lcpn(
         spec=spec,
         series_length=rows.series_length,
         bank=rows.run.bank,
-        weights=np.vstack([fit.weights for fit in fitted]),
-        intercepts=np.concatenate([fit.intercepts for fit in fitted]),
+        weights=weights,
+        intercepts=intercepts,
         label_names=names,
     )
 
 
-def _route(tree: HierarchyTree, n: int, decide) -> tuple[np.ndarray, np.ndarray]:
-    """Route rows 0..n-1 root to leaf; return (labels, depths).
-    ``decide(i, rows)`` gives the decisions of ``tree.parents[i]`` at the
-    row indices `rows`, and a row goes right where its decision is
-    negative, else left."""
+def _route(tree: HierarchyTree, decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Route every row of `decisions` root to leaf; return (labels, depths).
+    `decisions` is (rows, parents), column i the decisions of
+    ``tree.parents[i]`` (:func:`~hiertsc.classifiers._decisions`), and a row
+    goes right where its decision at a parent is negative, else left: each
+    visit looks its rows up in one column."""
+    n = decisions.shape[0]
     labels = np.empty(n, dtype=np.int64)
     depths = np.zeros(n, dtype=np.int64)
     stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 1)]
@@ -323,7 +348,7 @@ def _route(tree: HierarchyTree, n: int, decide) -> tuple[np.ndarray, np.ndarray]
         if rows.size == 0:
             continue
         parent = tree.parents[node_idx]
-        right = decide(node_idx, rows) < 0
+        right = decisions[rows, node_idx] < 0
         for side, group in ((parent.left, rows[~right]), (parent.right, rows[right])):
             if group.size == 0:
                 continue
@@ -342,12 +367,13 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
     every prediction is a leaf class of the hierarchy.  `values` is an
     (n, M) array or :class:`Rows` of a run the model was fit on.  Each
     array row is featurised once per call, rows of a run are read from its
-    features, and each parent routes its rows right where its decision
-    (:func:`~hiertsc.classifiers._decisions` with the parent's row of the
-    model) is negative; served rows are not kept after the call.  Raises
-    ValueError for an array of another shape or holding a NaN or an
-    infinity, and for rows of a run with another kernel bank or series
-    length than the model's.
+    features, and one (rows, parents) decision matrix of the model's
+    weights and intercepts (:func:`~hiertsc.classifiers._decisions`) routes
+    them (:func:`_route`): each decision is a per-row sum, so a row's label
+    does not depend on the rows served with it.  Served rows are not kept
+    after the call.  Raises ValueError for an array of another shape or
+    holding a NaN or an infinity, and for rows of a run with another kernel
+    bank or series length than the model's.
     """
     if isinstance(values, Rows):
         if values.run.bank is not model.bank or values.series_length != model.series_length:
@@ -356,5 +382,4 @@ def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarra
     else:
         values = _series_input(values, model.series_length, finite=True)
         feats = values if model.bank is None else model.bank.transform(values)
-    weights, intercepts = model.weights, model.intercepts
-    return _route(model.tree, feats.shape[0], lambda i, rows: _decisions(feats[rows], weights[i], intercepts[i]))
+    return _route(model.tree, _decisions(feats, model.weights, model.intercepts))

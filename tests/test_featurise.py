@@ -34,6 +34,7 @@ from hiertsc.classifiers import (
     _PASS_ELEMENTS,
     Run,
     TrainingDataError,
+    _decisions,
     _TransformPlan,
 )
 
@@ -190,6 +191,32 @@ def test_einsum_rounds_each_product_on_this_build():
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 200),
+    f=st.integers(1, 1100),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_stacked_decision_is_its_row_and_weight_row_scored_alone(n, f, k, seed, data):
+    """Column j of the (rows, k) decisions of k stacked weight rows has, at
+    any subset of the rows, the bits of weight row j alone over that subset:
+    the form a model's parents and tree scoring's splits decide with gives
+    each decision the bits of its own row and weight row.  Features are
+    scaled over six decades per column, so a changed summation order shows."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, f)) * 10.0 ** rng.uniform(-3.0, 3.0, f)
+    weights = rng.normal(size=(k, f)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
+    intercepts = rng.normal(size=k)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([])), dtype=np.int64)
+    stacked = _decisions(feats, weights, intercepts)
+    assert stacked.shape == (n, k)
+    for j in range(k):
+        alone = _decisions(feats[rows], weights[j : j + 1], intercepts[j : j + 1])[:, 0]
+        assert np.array_equal(alone.view(np.uint64), stacked[rows, j].view(np.uint64)), j
+
+
 @pytest.mark.parametrize("rows", [1, 2, 10, 160])
 def test_every_einsum_window_is_two_d_with_the_taps_outside_the_inner_loop(monkeypatch, rows):
     """Each group's window is a (tap, position*row) view whose inner stride is
@@ -319,6 +346,36 @@ def test_the_bank_digest_tells_banks_apart():
     assert all(other != bank for other in others)
     # the digest hashes the values, not the object: a copy has the same one
     assert replace(bank, weights=bank.weights.copy()).digest == bank.digest
+
+
+#: The first 16 hex digits of ``KernelBank.generate(M, K, seed).digest`` for
+#: seeds 0 and 5, captured from an earlier implementation of the draw: a
+#: bundle stores only this digest, so a bank drawn another way is refused.
+PINNED_BANK_DIGESTS = {
+    (7, 1): ("9e48b094270dd7b6", "45689dfea9340413"),
+    (7, 3): ("2ab5716ab4fc8056", "32618568ee2194ea"),
+    (7, 64): ("05924609888052bc", "b1e96168d302a417"),
+    (11, 1): ("b206a4315ce58f68", "e83fba5ff877a94b"),
+    (11, 3): ("ab6e4aa6c610ae28", "fcc0451039a92b46"),
+    (11, 64): ("507471597265b1e9", "26cce30cad1f5660"),
+    (33, 1): ("345ba907307f5e76", "03c53279e0b7ef0d"),
+    (33, 3): ("5f5bfc8ba5104f72", "f1c2b3fddd7aee77"),
+    (33, 64): ("a657f349d6dba28f", "90a9eeb323219861"),
+    (64, 1): ("6a2bab818392fafe", "3110c2d464d889ae"),
+    (64, 3): ("4c6ef499e4b2fb09", "dcca8eee1ca76aaf"),
+    (64, 64): ("efa7a1d3ea75f60f", "f0ea84e621b7f0e7"),
+    (300, 1): ("b9d45521819a3f44", "591e3b93bc19b867"),
+    (300, 3): ("cfa5b65c6183125e", "3eeed6362d68bf28"),
+    (300, 64): ("1de160f6782ba205", "e183249bd01aa587"),
+}
+
+
+@pytest.mark.parametrize("series_length, n_kernels", sorted(PINNED_BANK_DIGESTS))
+def test_a_bank_draws_the_pinned_stream(series_length, n_kernels):
+    """Lengths 7 and 11 allow one or all three kernel lengths; 1, 3 and 64
+    kernels cover one draw, a few, and many of every length."""
+    got = tuple(KernelBank.generate(series_length, n_kernels, seed).digest[:16] for seed in (0, 5))
+    assert got == PINNED_BANK_DIGESTS[series_length, n_kernels]
 
 
 def test_kernel_bank_copies_the_arrays_it_is_given():
