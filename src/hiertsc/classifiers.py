@@ -27,17 +27,21 @@ lambda on its diagonal once (:func:`_gram`); each target fit on those rows is
 then one :func:`ridge_solve`:
 
 - a node fit (``lcpn._node_rows``, for ``lcpn.fit_lcpn`` and tree scoring)
-  prepares each class set's rows once and solves each (left, right) split
-  of it for the one +/-1 column of its left side, folding the rows' mean and
-  scale into the solved weights: one weight row and intercept per parent of
-  an ``lcpn.LcpnModel``'s decision matrix.  A classifier, a model and tree
+  relabels and prepares each class set's rows once (by class within the
+  set) and solves each (left, right) split of it for the one +/-1 column
+  of its left side, folding the rows' mean and scale into the solved
+  weights: one weight row and intercept per parent of an
+  ``lcpn.LcpnModel``'s decision matrix.  A classifier, a model and tree
   scoring all decide through one form, :func:`_decisions`;
-- split scoring relabels a class set's rows once (:meth:`Rows.grouped`, by
-  class within the set, from class counts taken once per row set) and
-  solves once, with one right-hand side per class indicator
+- split scoring relabels a class set's rows once (by class within the set)
+  and solves once, with one right-hand side per class indicator
   (:func:`_class_decisions`).  Each bipartition is then a sign per class,
   one matrix-vector product and a 2x2 confusion.  Its scores equal a fresh
   fit's, and its decision values agree with that fit's to rounding.
+
+Both relabel through one lookup, :meth:`Rows.grouped`: one table from run
+class codes to set indices, and set counts from class counts taken once per
+row set.  ``lcpn``'s side checks and cost counters read its counts.
 """
 
 from __future__ import annotations
@@ -573,7 +577,8 @@ class Rows(Labelled):
 
     `labels` are the run's labels of the rows, or the set indices of
     :meth:`grouped`.  A fit gathers ``feats`` in row order, so it sees
-    the same bits as a fit on a dataset holding those rows.
+    the same bits as a fit on a dataset holding those rows.  :meth:`grouped`
+    is the one class-set lookup on rows.
     """
 
     def __init__(self, run: Run, idx: np.ndarray, labels: np.ndarray | None = None) -> None:
@@ -597,20 +602,6 @@ class Rows(Labelled):
     def _per_class(self) -> list[int]:
         """Each run class's row count, by class code."""
         return np.bincount(self._codes, minlength=self.run.classes.size).tolist()
-
-    def count(self, classes) -> int:
-        """The number of rows whose run class lies in `classes`, from the
-        class counts taken once per row set."""
-        code_of, per_class = self.run.code_of, self._per_class
-        return sum(per_class[code_of[c]] for c in classes if c in code_of)
-
-    def within(self, classes) -> np.ndarray:
-        """Whether each row's run class lies in `classes`: one lookup per
-        row."""
-        code_of = self.run.code_of
-        hit = np.zeros(self.run.classes.size, dtype=bool)
-        hit[[code_of[c] for c in classes if c in code_of]] = True
-        return hit[self._codes]
 
     def grouped(self, sets) -> tuple["Rows", list[int]]:
         """The rows whose run class lies in any of the class sets `sets`,

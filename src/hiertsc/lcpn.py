@@ -250,20 +250,22 @@ def _decode_label_names(doc) -> dict[int, str]:
 def _check_fit(tree: HierarchyTree, rows: Rows) -> None:
     """Raise the NodeTrainingError a fit of `tree` on `rows` meets first:
     labels outside the tree's classes, else the first parent, in tree
-    order, with no training rows on one side.  Counts only: no row is
-    gathered."""
-    foreign = frozenset(rows.label_space) - tree.root_classes
-    if foreign:
+    order, with no training rows on one side.  One :meth:`Rows.grouped`
+    call counts the rows of the root set, then of both sides of each
+    parent; no feature is gathered."""
+    sides = [side for parent in tree.parents for side in (parent.left, parent.right)]
+    _, counts = rows.grouped([tree.root_classes, *sides])
+    if counts[0] < rows.n_instances:
+        foreign = frozenset(rows.label_space) - tree.root_classes
         raise NodeTrainingError(
             f"data contains labels {sorted(foreign)} outside the tree's classes "
             f"{sorted(tree.root_classes)}"
         )
-    for parent in tree.parents:
-        counts = [rows.count(parent.left), rows.count(parent.right)]
-        if 0 in counts:
+    for parent, pair in zip(tree.parents, zip(counts[1::2], counts[2::2])):
+        if 0 in pair:
             raise NodeTrainingError(
                 f"parent {parent.id} has no training instances on its "
-                f"{('left', 'right')[counts.index(0)]} side "
+                f"{('left', 'right')[pair.index(0)]} side "
                 f"({sorted(parent.left)} | {sorted(parent.right)})"
             )
 
@@ -274,18 +276,22 @@ def _node_rows(
     """(weights (P, f), intercepts (P,)): row i is the node fit of
     ``parents[i]`` on `rows`, with the bits of a two-class ``fit_classifier``
     on the parent's rows, left -> 0 and right -> 1.  Each class set's rows
-    are prepared once (:class:`~hiertsc.classifiers._PreparedRows`), one set
-    at a time, and each (left, right) split solved once on them."""
+    are relabelled once by class within the set (:meth:`Rows.grouped` over
+    its sorted classes as singletons) and prepared once
+    (:class:`~hiertsc.classifiers._PreparedRows`), one set at a time; each
+    (left, right) split is solved once on them."""
     members: dict[frozenset, list[int]] = {}
     for i, parent in enumerate(parents):
         members.setdefault(parent.class_set, []).append(i)
     weights = np.empty((len(parents), rows.run.feats.shape[1]))
     intercepts = np.empty(len(parents))
     for classes, nodes in members.items():
-        node = rows.subset(rows.within(classes))
+        order = sorted(classes)
+        node, _ = rows.grouped([(c,) for c in order])
         prepared = _PreparedRows(node, spec.ridge_lambda)
         for i in nodes:
-            w, b = prepared.fit(node.within(parents[i].left)[:, None])
+            left = np.array([c in parents[i].left for c in order])
+            w, b = prepared.fit(left[node.labels][:, None])
             weights[i], intercepts[i] = w[0], b[0]
         del prepared  # one prepared row set is live at a time
     return weights, intercepts
@@ -316,9 +322,9 @@ def fit_lcpn(
     _check_fit(tree, rows)
     weights, intercepts = _node_rows(tree.parents, rows, spec)
     if counters is not None:
-        for parent in tree.parents:
-            counters.per_parent_instances.append(rows.count(parent.class_set))
-            counters.per_parent_classes.append(len(parent.class_set))
+        _, counts = rows.grouped([parent.class_set for parent in tree.parents])
+        counters.per_parent_instances.extend(counts)
+        counters.per_parent_classes.extend(len(parent.class_set) for parent in tree.parents)
     names = rows.run.label_names
     if names is not None:
         names = {c: names[c] for c in sorted(tree.root_classes) if c in names}
@@ -360,26 +366,19 @@ def _route(tree: HierarchyTree, decisions: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, depths
 
 
-def predict_lcpn(model: LcpnModel, values: np.ndarray | Rows) -> tuple[np.ndarray, np.ndarray]:
+def predict_lcpn(model: LcpnModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Route every instance root-to-leaf; return (labels, depths).
 
     Depth counts binary decisions taken, so the root decision is depth 1 and
     every prediction is a leaf class of the hierarchy.  `values` is an
-    (n, M) array or :class:`Rows` of a run the model was fit on.  Each
-    array row is featurised once per call, rows of a run are read from its
-    features, and one (rows, parents) decision matrix of the model's
-    weights and intercepts (:func:`~hiertsc.classifiers._decisions`) routes
-    them (:func:`_route`): each decision is a per-row sum, so a row's label
-    does not depend on the rows served with it.  Served rows are not kept
-    after the call.  Raises ValueError for an array of another shape or
-    holding a NaN or an infinity, and for rows of a run with another kernel
-    bank or series length than the model's.
+    (n, M) array of raw series.  Each row is featurised once per call, and
+    one (rows, parents) decision matrix of the model's weights and
+    intercepts (:func:`~hiertsc.classifiers._decisions`) routes them
+    (:func:`_route`): each decision is a per-row sum, so a row's label does
+    not depend on the rows served with it.  Served rows are not kept after
+    the call.  Raises ValueError for an array of another shape or holding a
+    NaN or an infinity.
     """
-    if isinstance(values, Rows):
-        if values.run.bank is not model.bank or values.series_length != model.series_length:
-            raise ValueError("the rows are of a run featurised otherwise than the model's")
-        feats = values.feats
-    else:
-        values = _series_input(values, model.series_length, finite=True)
-        feats = values if model.bank is None else model.bank.transform(values)
+    values = _series_input(values, model.series_length, finite=True)
+    feats = values if model.bank is None else model.bank.transform(values)
     return _route(model.tree, _decisions(feats, model.weights, model.intercepts))

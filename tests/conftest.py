@@ -7,8 +7,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hiertsc import TimeSeriesDataset, build_tree
+
+#: Sparse int64 class ids, both extremes included.
+CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12, 2**63 - 1])
 
 
 class StubContext:

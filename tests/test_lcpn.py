@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertsc import (
     ClassifierSpec,
@@ -12,13 +14,14 @@ from hiertsc import (
     TimeSeriesDataset,
     build_tree,
     fit_lcpn,
+    grow_tree,
     predict_lcpn,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import Run, fit_classifier
-from hiertsc.lcpn import NodeTrainingError
+from hiertsc.classifiers import Rows, Run, fit_classifier
+from hiertsc.lcpn import NodeTrainingError, _check_fit
 
-from conftest import node_state, peek_dataset, separable_dataset
+from conftest import CLASS_IDS, StubContext, hash_scorer, node_state, peek_dataset, separable_dataset
 
 LINEAR = ClassifierSpec(kind="linear")
 KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=8)
@@ -106,19 +109,32 @@ def test_fit_lcpn_solves_once_per_parent_on_its_rows(fig_tree, spec, monkeypatch
     assert solved == [np.isin(labels, sorted(p.class_set)).sum() for p in fig_tree.parents]
 
 
+#: Class ids 0..4 of `fig_tree` mapped to sparse ids, out of their order.
+SPARSE = np.array([10**12, -5, 7, -(2**40), 3])
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse-subset"])
 @pytest.mark.parametrize("spec", [LINEAR, KERNEL], ids=["linear", "kernel-ridge"])
-def test_each_model_row_is_its_node_fit_bit_for_bit(fig_tree, spec):
+def test_each_model_row_is_its_node_fit_bit_for_bit(fig_tree, spec, sparse):
     """Parent i's row of the model is the one weight row and intercept of a
     two-class fit on the parent's rows, left -> 0 and right -> 1, of the
-    same run, bit for bit; the model keeps that run's spec and bank."""
+    same run, bit for bit; the model keeps that run's spec and bank.  So
+    too at sparse class ids, out of their order, on a row subset that keeps
+    every class."""
     labels = np.repeat(np.arange(5), [4, 5, 6, 7, 8])
     values = np.random.default_rng(3).normal(size=(labels.size, 16)) + labels[:, None]
+    tree = fig_tree
     rows = Run.rows_of(TimeSeriesDataset(values, labels), spec)
-    model = fit_lcpn(fig_tree, rows, spec)
+    if sparse:
+        tree = build_tree([({int(SPARSE[c]) for c in p.left}, {int(SPARSE[c]) for c in p.right}) for p in tree.parents])
+        rows = Run.rows_of(TimeSeriesDataset(values, SPARSE[labels]), spec)
+        rows = rows.subset(np.flatnonzero(np.arange(labels.size) % 3 != 1))
+        assert rows.label_space == tuple(sorted(SPARSE.tolist()))
+    model = fit_lcpn(tree, rows, spec)
     n_features = 16 if spec.kind == "linear" else 2 * spec.num_kernels
-    assert model.weights.shape == (len(fig_tree.parents), n_features)
+    assert model.weights.shape == (len(tree.parents), n_features)
     assert model.spec == spec and model.series_length == 16 and model.bank is rows.run.bank
-    for i, parent in enumerate(fig_tree.parents):
+    for i, parent in enumerate(tree.parents):
         node, _ = rows.grouped((parent.left, parent.right))
         fit = fit_classifier(spec, node)
         assert fit.class_ids == (0, 1)
@@ -143,25 +159,6 @@ def test_a_model_refuses_fields_of_another_shape(edit, message):
     model = oracle_model(build_tree(CHAIN4), series_length=8)
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(model, **edit(model))
-
-
-def test_predict_refuses_rows_of_a_run_with_another_bank():
-    """Rows are read from their run's features, which only a run with the
-    model's bank holds: rows of any other run raise rather than being
-    featurised again."""
-    data = separable_dataset(n_per_class=6, n_classes=2, series_length=12)
-    tree = build_tree([({0}, {1})])
-    own = Run.rows_of(data, KERNEL)
-    model = fit_lcpn(tree, own, KERNEL)
-    labels, _ = predict_lcpn(model, own)
-    assert np.array_equal(labels, predict_lcpn(model, data.values)[0])
-    for rows in (Run.rows_of(data, KERNEL), Run.rows_of(data, LINEAR)):
-        with pytest.raises(ValueError, match="featurised otherwise than the model's"):
-            predict_lcpn(model, rows)
-    linear = fit_lcpn(tree, data, LINEAR)
-    short = Run.rows_of(TimeSeriesDataset(data.values[:, :8], data.labels), LINEAR)
-    with pytest.raises(ValueError, match="featurised otherwise than the model's"):
-        predict_lcpn(linear, short)
 
 
 def test_perfect_node_models_reproduce_labels(fig_tree):
@@ -225,6 +222,54 @@ def test_missing_side_raises_with_parent_identity():
     with pytest.raises(NodeTrainingError) as err:
         fit_lcpn(tree, data, LINEAR)
     assert "parent 2" in str(err.value)
+
+
+def first_fit_error(tree, labels):
+    """The message of the first error a fit of `tree` meets on rows with
+    `labels`, from one ``np.isin`` mask per class set, or None: labels
+    outside the tree first, then the first parent in tree order with no
+    rows on a side, left before right."""
+    def held(classes):
+        return np.isin(labels, np.fromiter(classes, dtype=np.int64, count=len(classes)))
+
+    foreign = sorted(set(labels[~held(tree.root_classes)].tolist()))
+    if foreign:
+        return f"data contains labels {foreign} outside the tree's classes {sorted(tree.root_classes)}"
+    for parent in tree.parents:
+        for name, side in (("left", parent.left), ("right", parent.right)):
+            if not held(side).any():
+                return (
+                    f"parent {parent.id} has no training instances on its {name} side "
+                    f"({sorted(parent.left)} | {sorted(parent.right)})"
+                )
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    classes=st.frozensets(CLASS_IDS, min_size=2, max_size=7),
+    seed=st.integers(0, 2**16),
+    foreign=st.booleans(),
+    data=st.data(),
+)
+def test_check_fit_raises_the_first_error_of_the_isin_oracle(classes, seed, foreign, data):
+    """Random trees over sparse ids, on random row subsets that may drop
+    whole classes or hold labels outside the tree: the side check raises
+    exactly when the oracle finds an error, with its message."""
+    tree = grow_tree(StubContext(hash_scorer(seed), seed=seed, label_space=classes), "potr")
+    pool = CLASS_IDS if foreign else st.sampled_from(sorted(classes))
+    # the run holds every class of the tree; the subset keeps about 3 rows in 4
+    labels = np.asarray(sorted(classes) + data.draw(st.lists(pool, max_size=40)), dtype=np.int64)
+    keep = data.draw(st.lists(st.integers(0, 3).map(bool), min_size=labels.size, max_size=labels.size))
+    run = Run(np.zeros((labels.size, 2)), labels, LINEAR)
+    idx = np.flatnonzero(keep)  # ascending; may drop whole classes
+    want = first_fit_error(tree, labels[idx])
+    if want is None:
+        _check_fit(tree, Rows(run, idx))
+    else:
+        with pytest.raises(NodeTrainingError) as err:
+            _check_fit(tree, Rows(run, idx))
+        assert str(err.value) == want
 
 
 def test_foreign_labels_rejected():

@@ -32,6 +32,8 @@ from hiertsc import (
 from hiertsc import classifiers
 from hiertsc.classifiers import Rows, Run
 
+from conftest import CLASS_IDS
+
 LINEAR = ClassifierSpec(kind="linear")
 KERNEL = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=2)
 
@@ -50,9 +52,6 @@ def isin_sets(labels, idx, sets):
         mark[mask] = g
     keep = mark >= 0
     return idx[keep], mark[keep], [int(mask.sum()) for mask in masks]
-
-
-CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12, 2**63 - 1])
 
 
 @settings(max_examples=200, deadline=None)

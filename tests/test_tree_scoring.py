@@ -26,10 +26,10 @@ def noisy_dataset(seed, n_classes=5, n_per_class=8, length=24, noise=1.2):
     return TimeSeriesDataset(templates[labels] + rng.normal(0.0, noise, (labels.size, length)), labels)
 
 
-def fit_score(tree, fit, val, spec):
+def fit_score(tree, fit, val, spec, values):
     """Per-tree scoring: an LCPN model of `tree` fit on `fit`, routed over
-    `val`, scored by macro-F1."""
-    predicted, _ = predict_lcpn(fit_lcpn(tree, fit, spec), val)
+    the raw series `values` of the rows `val`, scored by macro-F1."""
+    predicted, _ = predict_lcpn(fit_lcpn(tree, fit, spec), values[val.idx])
     return f1_macro(val.labels, predicted)
 
 
@@ -45,15 +45,15 @@ def per_tree_selection(data, spec, splitter, n_iter, n_outer, n_inner, seed):
         fresh, _, _ = _candidate_trees(train, spec, resolve_splitter(splitter), n_iter, seed, ko)
         inner = split_data(train, n_inner)
         folds = [(train.subset(inner.train_indices(k)), train.subset(inner.test_indices(k))) for k in range(n_inner)]
-        inner_scores = [float(np.mean([fit_score(t, f, v, spec) for f, v in folds])) for t in fresh]
-        flat_scores = [fit_score(t, train, test, spec) for t in fresh]
+        inner_scores = [float(np.mean([fit_score(t, f, v, spec, data.values) for f, v in folds])) for t in fresh]
+        flat_scores = [fit_score(t, train, test, spec, data.values) for t in fresh]
         best = max(range(len(fresh)), key=inner_scores.__getitem__)
         flat_best = max(range(len(fresh)), key=flat_scores.__getitem__)
         out.append(
             (
                 fresh[best],
                 inner_scores[best],
-                fit_score(fresh[best], train, test, spec),
+                fit_score(fresh[best], train, test, spec, data.values),
                 fresh[flat_best],
                 flat_scores[flat_best],
             )
