@@ -31,9 +31,9 @@ from .evaluation import (
     FoldFeasibilityError,
     filter_datasets,
     flat_cv,
-    inner_fold_scorer,
     nested_cv,
     select_tree,
+    split_data,
 )
 from .io import (
     DatasetFormatError,
@@ -146,14 +146,9 @@ def _run_fit(args: argparse.Namespace) -> int:
     data = load_dataset(_data_path(args.data))
     rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
     # the whole file plays outer fold 0 of nested CV
+    inner = split_data(rows, args.inner_folds).folds(rows)
     best_tree, best_score, _, _ = select_tree(
-        rows,
-        spec,
-        resolve_splitter(args.splitter),
-        args.iters,
-        args.seed,
-        0,
-        inner_fold_scorer(rows, spec, args.inner_folds),
+        rows, spec, resolve_splitter(args.splitter), args.iters, args.seed, 0, inner
     )
     model = fit_lcpn(best_tree, rows, spec)
     out = Path(args.out)

@@ -34,7 +34,7 @@ class Labelled:
         return {int(c): int(n) for c, n in zip(ids, counts)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesDataset(Labelled):
     """N equal-length real-valued series, each with one integer class label.
 
@@ -48,7 +48,7 @@ class TimeSeriesDataset(Labelled):
         Original label tokens for densified class ids, kept for round-trips.
 
     Instances are immutable after construction; the backing arrays are
-    marked read-only.
+    marked read-only.  Datasets compare and hash by identity: they hold arrays.
     """
 
     values: np.ndarray

@@ -4,22 +4,26 @@ Nested CV selects, per outer fold, the candidate hierarchy with the best
 inner-fold mean score and reports both that selection score and the held-out
 test score of the refitted model.  Flat CV deliberately selects on the test
 fold itself, reproducing the optimistic bias it is meant to exhibit.  Both
-select with :func:`select_tree`, as does ``hiertsc fit``.  Every reported
-number is a pure function of (data, spec, splitter, n_iter, seeds).
+select with :func:`select_tree`, as does ``hiertsc fit``, each handing it a
+list of (fit rows, scored rows) folds: the unshuffled inner folds of the
+training rows for nested CV and ``hiertsc fit`` (the whole file as outer
+fold 0), the one pair (training rows, test rows) for flat CV.
+:meth:`FoldPlan.fold` cuts every such pair.  Every reported number is a
+pure function of (data, spec, splitter, n_iter, seeds).
 
-One engine scores every candidate tree (:func:`_score_trees`): the inner
-folds of nested CV and ``hiertsc fit``, flat CV's test fold, and the outer
-score of the selected tree.  It takes all fresh candidates at once and, per
-fold, fits each distinct (left, right) split once through
-``lcpn._node_rows``, the node fits of ``lcpn.fit_lcpn``: each class set's
-rows are prepared once, one set at a time, and each split is solved once.
-One decision matrix (``classifiers._decisions``) then holds every split's
-decision at every validation row, each a per-row sum with the bits of that
-row and split scored alone, and each tree is routed (``lcpn._route``) by
-looking its parents' columns up, as ``lcpn.predict_lcpn`` routes a model's
-matrix.  So every score has the bits of a per-tree fit and predict.
-Errors are checked tree by tree first, so the first NodeTrainingError
-raised is the one per-tree fits would meet.
+One engine scores every candidate tree (:func:`_score_trees`): the fold
+list :func:`select_tree` is handed, and the outer score of the selected
+tree.  It takes all fresh candidates at once and, per fold, fits each
+distinct (left, right) split once through ``lcpn._node_rows``, the node
+fits of ``lcpn.fit_lcpn``: each class set's rows are prepared once, one set
+at a time, and each split is solved once.  One decision matrix
+(``classifiers._decisions``) then holds every split's decision at every
+validation row, each a per-row sum with the bits of that row and split
+scored alone, and each tree is routed (``lcpn._route``) by looking its
+parents' columns up, as ``lcpn.predict_lcpn`` routes a model's matrix.  So
+every score has the bits of a per-tree fit and predict.  Errors are checked
+tree by tree first, so the first NodeTrainingError raised is the one
+per-tree fits would meet.
 
 The module also holds the catalog filter, which scores datasets with the
 flat baseline.
@@ -87,12 +91,13 @@ class FoldFeasibilityError(ValueError):
     """Raised when a class has too few instances for the requested fold count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
     """A stratified k-fold assignment of instances to folds.
 
     Per class, fold sizes differ by at most one.  Unshuffled plans depend
-    only on the labels and k, so they are identical across calls.
+    only on the labels and k, so they are identical across calls.  Plans
+    compare and hash by identity: they hold an array.
     """
 
     k: int
@@ -103,6 +108,15 @@ class FoldPlan:
 
     def train_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments != fold)
+
+    def fold(self, rows: TimeSeriesDataset | Rows, fold: int) -> tuple:
+        """`rows` cut at `fold`: (training rows, test rows), of the type of
+        `rows`."""
+        return rows.subset(self.train_indices(fold)), rows.subset(self.test_indices(fold))
+
+    def folds(self, rows: Rows) -> list[tuple[Rows, Rows]]:
+        """Every fold of `rows`, in order."""
+        return [self.fold(rows, k) for k in range(self.k)]
 
 
 def split_data(
@@ -147,8 +161,7 @@ def flat_baseline(
     rows = Run.rows_of(data, spec)
     scores = []
     for fold in range(plan.k):
-        train = rows.subset(plan.train_indices(fold))
-        test = rows.subset(plan.test_indices(fold))
+        train, test = plan.fold(rows, fold)
         model = fit_classifier(spec, train)
         scores.append(metric(test.labels, model.predict_features(test.feats)))
     return scores
@@ -368,12 +381,8 @@ def _iteration_context(
     fold_seq, splitter_seq = root.spawn(2)
     gen_seed = int(fold_seq.generate_state(1)[0])
     plan = split_data(outer_train, GENERATION_FOLDS, shuffle=True, seed=gen_seed)
-    return SplitContext(
-        train=outer_train.subset(plan.train_indices(0)),
-        val=outer_train.subset(plan.test_indices(0)),
-        spec=spec,
-        rng=np.random.default_rng(splitter_seq),
-    )
+    train, val = plan.fold(outer_train, 0)
+    return SplitContext(train=train, val=val, spec=spec, rng=np.random.default_rng(splitter_seq))
 
 
 def _candidate_trees(
@@ -435,45 +444,29 @@ def _score_trees(
     return [float(np.mean(s)) for s in scores]
 
 
-def inner_fold_scorer(
-    train: TimeSeriesDataset | Rows, spec: ClassifierSpec, n_inner: int
-) -> Callable[[list[HierarchyTree]], list[float]]:
-    """Batch scorer giving each of a list of trees its mean macro-F1 over
-    the unshuffled inner folds of `train` (:func:`_score_trees`); the fold
-    plan and its row indices are built once, here.  A dataset becomes one
-    run; :class:`Rows` bring their run."""
-    rows = Run.rows_of(train, spec)
-    plan = split_data(rows, n_inner, shuffle=False)
-    folds = [
-        (rows.subset(plan.train_indices(ki)), rows.subset(plan.test_indices(ki)))
-        for ki in range(plan.k)
-    ]
-    return lambda trees: _score_trees(trees, folds, spec)
-
-
 def select_tree(
-    train: TimeSeriesDataset | Rows,
+    train: Rows,
     spec: ClassifierSpec,
     splitter_fn: Callable,
     n_iter: int,
     seed: int,
     ko: int,
-    scorer: Callable[[list[HierarchyTree]], list[float]],
+    folds: list[tuple[Rows, Rows]],
 ) -> tuple[HierarchyTree, float, int, int]:
-    """Score every fresh candidate of the (seed, ko) stream over `train`
-    with one call of the batch `scorer`, which gives one score per tree,
-    and keep the first tree with the highest score.  Split scores fit on
-    rows of `train`'s run; a dataset becomes one run.  Raises ValueError
-    when `n_iter` < 1, as there would be no candidate to keep.
+    """Score every fresh candidate of the (seed, ko) stream over the rows
+    `train` by its mean macro-F1 over `folds`, (fit rows, scored rows)
+    pairs, with one call of :func:`_score_trees`, and keep the first tree
+    with the highest score.  Nested CV and ``hiertsc fit`` hand in the
+    unshuffled inner folds of `train`, flat CV ``[(train, test)]``.
+    Raises ValueError when `n_iter` < 1, as there would be no candidate to
+    keep.
 
     Returns (tree, score, iterations run, distinct count).
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    fresh, iterations, distinct = _candidate_trees(
-        Run.rows_of(train, spec), spec, splitter_fn, n_iter, seed, ko
-    )
-    scores = scorer(fresh)
+    fresh, iterations, distinct = _candidate_trees(train, spec, splitter_fn, n_iter, seed, ko)
+    scores = _score_trees(fresh, folds, spec)
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
     return fresh[best], scores[best], iterations, distinct
 
@@ -503,15 +496,12 @@ def _cross_validate(
     fc_scores = flat_baseline(rows, outer_plan, spec)
     records = []
     for ko in range(n_outer):
-        train = rows.subset(outer_plan.train_indices(ko))
-        test = rows.subset(outer_plan.test_indices(ko))
+        train, test = outer_plan.fold(rows, ko)
         outer = [(train, test)]
-        if n_inner is None:
-            scorer = lambda trees: _score_trees(trees, outer, spec)
-        else:
-            scorer = inner_fold_scorer(train, spec, n_inner)
+        # the inner plan is checked before any candidate is grown
+        folds = outer if n_inner is None else split_data(train, n_inner).folds(train)
         tree, score, iterations, distinct = select_tree(
-            train, spec, splitter_fn, n_iter, seed, ko, scorer
+            train, spec, splitter_fn, n_iter, seed, ko, folds
         )
         if n_inner is None:
             inner_mean, outer_score = None, score

@@ -17,14 +17,11 @@ from hiertsc import (
     nested_cv,
     split_data,
 )
+from hiertsc import evaluation
+from hiertsc.classifiers import Run
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
-from hiertsc.evaluation import (
-    FoldFeasibilityError,
-    _candidate_trees,
-    inner_fold_scorer,
-    select_tree,
-)
+from hiertsc.evaluation import FoldFeasibilityError, _candidate_trees, select_tree
 from hiertsc.io import load_dataset, save_dataset
 from hiertsc.metrics import _f1_mean, accuracy
 from hiertsc.splitting import _group_f1, resolve_splitter
@@ -217,6 +214,37 @@ def test_infeasible_fold_names_class():
     assert "class 1" in str(err.value)
 
 
+def test_infeasible_inner_folds_fail_before_any_candidate_is_grown(tmp_path, monkeypatch):
+    """An inner plan that cannot be built fails before the splitter runs,
+    in nested CV and from the CLI's ``fit`` and ``cv``, which then write
+    no output."""
+    grown = []
+    grow = evaluation.grow_tree
+    monkeypatch.setattr(evaluation, "grow_tree", lambda *args: grown.append(args) or grow(*args))
+    data = collinear_superclusters(n_per_class=8, series_length=24)
+    # two outer folds leave four rows of each class to train on
+    with pytest.raises(FoldFeasibilityError, match="fewer than 5 folds"):
+        nested_cv(data, ClassifierSpec(kind="linear"), "potr", n_iter=2, n_outer=2, n_inner=5)
+    path = tmp_path / "data.tsv"
+    save_dataset(data, path)
+    common = ["--data", str(path), "--classifier", "linear", "--iters", "2"]
+    assert main(["fit", *common, "--inner-folds", "9", "--out", str(tmp_path / "fit")]) == 3
+    cv = ["cv", "--mode", "nested", *common, "--outer-folds", "2", "--inner-folds", "5"]
+    assert main([*cv, "--out", str(tmp_path / "nested")]) == 3
+    assert not (tmp_path / "fit" / "model.json").exists()
+    assert not (tmp_path / "nested" / "report.json").exists()
+    assert grown == []
+
+
+def test_fold_plans_and_datasets_compare_by_identity():
+    data = separable_dataset(n_per_class=6, n_classes=3, seed=1)
+    copy = data.subset(np.arange(data.n_instances))
+    for a, b in [(split_data(data, 3), split_data(data, 3)), (data, copy)]:
+        assert (a == a) is True and (a != a) is False
+        assert (a == b) is False and (a != b) is True
+        assert len({a, b, a}) == 2
+
+
 # -- flat baseline ------------------------------------------------------------------
 
 
@@ -327,20 +355,25 @@ def test_candidate_streams_shared_between_schemes():
 
 
 @pytest.mark.parametrize("scores, kept", [([0.0, 0.0], 0), ([0.2, 0.5, 0.5], 1)])
-def test_select_tree_keeps_first_of_highest_scores(scores, kept):
+def test_select_tree_keeps_first_of_highest_scores(scores, kept, monkeypatch):
     data = separable_dataset(n_per_class=10, n_classes=6, noise=1.0, seed=4)
     spec = ClassifierSpec(kind="linear")
+    rows = Run.rows_of(data, spec)
     splitter = resolve_splitter("srtr")
-    fresh, iterations, distinct = _candidate_trees(data, spec, splitter, len(scores), 0, 0)
+    fresh, iterations, distinct = _candidate_trees(rows, spec, splitter, len(scores), 0, 0)
     assert len(fresh) == len(scores)
-    batches = []
+    folds = split_data(rows, 3).folds(rows)
+    calls = []
 
-    def scorer(trees):
-        batches.append([t.parents for t in trees])
+    def score_trees(trees, handed, spec):
+        calls.append(([t.parents for t in trees], handed))
         return list(scores)
 
-    tree, score, its, dist = select_tree(data, spec, splitter, len(scores), 0, 0, scorer)
-    assert batches == [[t.parents for t in fresh]]  # one call scores every fresh tree
+    monkeypatch.setattr(evaluation, "_score_trees", score_trees)
+    tree, score, its, dist = select_tree(rows, spec, splitter, len(scores), 0, 0, folds)
+    # one engine call scores every fresh tree on the very folds handed in
+    assert len(calls) == 1 and calls[0][1] is folds
+    assert calls[0][0] == [t.parents for t in fresh]
     assert tree.parents == fresh[kept].parents
     assert (score, its, dist) == (scores[kept], iterations, distinct)
 
@@ -351,10 +384,10 @@ def test_fit_selects_with_the_inner_fold_rule(tmp_path, capsys):
     argv = ["fit", "--data", str(path), "--splitter", "srtr", "--iters", "5"]
     assert main([*argv, "--inner-folds", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    data, spec = load_dataset(path), ClassifierSpec(kind="linear", seed=1)
-    tree, score, _, _ = select_tree(
-        data, spec, resolve_splitter("srtr"), 5, 1, 0, inner_fold_scorer(data, spec, 3)
-    )
+    spec = ClassifierSpec(kind="linear", seed=1)
+    rows = Run.rows_of(load_dataset(path), spec)
+    inner = split_data(rows, 3).folds(rows)
+    tree, score, _, _ = select_tree(rows, spec, resolve_splitter("srtr"), 5, 1, 0, inner)
     assert printed["tree"] == tree_to_text(tree)
     assert printed["selection_score"] == score
 
@@ -402,10 +435,12 @@ def test_cv_rejects_bad_iteration_count():
     such as ``hiertsc fit``: with no candidate there is no tree to keep."""
     data = separable_dataset(n_per_class=10, n_classes=3, seed=1)
     spec = ClassifierSpec(kind="linear")
+    rows = Run.rows_of(data, spec)
+    folds = split_data(rows, 3).folds(rows)
     for n_iter in (0, -1):
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
             nested_cv(data, spec, "potr", n_iter=n_iter)
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
             flat_cv(data, spec, "potr", n_iter=n_iter)
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
-            select_tree(data, spec, resolve_splitter("potr"), n_iter, 0, 0, lambda trees: [0.5] * len(trees))
+            select_tree(rows, spec, resolve_splitter("potr"), n_iter, 0, 0, folds)

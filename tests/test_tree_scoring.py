@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hiertsc import ClassifierSpec, TimeSeriesDataset, flat_cv, nested_cv, split_data
-from hiertsc import classifiers
+from hiertsc import classifiers, evaluation
 from hiertsc.classifiers import Run
-from hiertsc.evaluation import _candidate_trees, _score_trees, inner_fold_scorer, select_tree
+from hiertsc.evaluation import _candidate_trees, _score_trees, select_tree
 from hiertsc.lcpn import NodeTrainingError, fit_lcpn, predict_lcpn
 from hiertsc.metrics import f1_macro
 from hiertsc.splitting import resolve_splitter
@@ -127,8 +127,8 @@ def test_tree_scoring_prepares_once_per_class_set_and_solves_once_per_split(monk
     data = noisy_dataset(4, n_classes=6, n_per_class=10, length=20)
     spec = ClassifierSpec(kind="kernel-ridge", num_kernels=16)
     rows = Run.rows_of(data, spec)
-    train = rows.subset(split_data(rows, 5).train_indices(0))
-    scorer = inner_fold_scorer(train, spec, 4)
+    train, _ = split_data(rows, 5).fold(rows, 0)
+    inner = split_data(train, 4).folds(train)
     counts = {"prepared": 0, "solved": 0}
     scoring = [False]
     init, solve = classifiers._PreparedRows.__init__, classifiers.ridge_solve
@@ -143,17 +143,19 @@ def test_tree_scoring_prepares_once_per_class_set_and_solves_once_per_split(monk
 
     trees = []
 
-    def counted_scorer(fresh):
+    def counted_score_trees(fresh, folds, spec):
+        assert folds is inner
         trees.extend(fresh)
         scoring[0] = True
         try:
-            return scorer(fresh)
+            return _score_trees(fresh, folds, spec)
         finally:
             scoring[0] = False
 
     monkeypatch.setattr(classifiers._PreparedRows, "__init__", counted_init)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
-    select_tree(train, spec, resolve_splitter("potr"), 10, 0, 0, counted_scorer)
+    monkeypatch.setattr(evaluation, "_score_trees", counted_score_trees)
+    select_tree(train, spec, resolve_splitter("potr"), 10, 0, 0, inner)
     parents = [p for tree in trees for p in tree.parents]
     pairs = {(k, p.class_set) for k in range(4) for p in parents}
     triples = {(k, p.left, p.right) for k in range(4) for p in parents}
