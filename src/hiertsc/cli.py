@@ -29,11 +29,11 @@ from .evaluation import (
     CSV_COLUMNS,
     CvReport,
     FoldFeasibilityError,
+    _check_plans,
     filter_datasets,
     flat_cv,
     nested_cv,
     select_tree,
-    split_data,
 )
 from .io import (
     DatasetFormatError,
@@ -144,11 +144,11 @@ def _run_cv(args: argparse.Namespace) -> int:
 def _run_fit(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     data = load_dataset(_data_path(args.data))
+    # the whole file plays outer fold 0 of nested CV; its plans are checked before featurising
+    (inner_plan,) = _check_plans([data], args.inner_folds)
     rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
-    # the whole file plays outer fold 0 of nested CV
-    inner = split_data(rows, args.inner_folds).folds(rows)
     best_tree, best_score, _, _ = select_tree(
-        rows, spec, resolve_splitter(args.splitter), args.iters, args.seed, 0, inner
+        rows, spec, resolve_splitter(args.splitter), args.iters, args.seed, 0, inner_plan.folds(rows)
     )
     model = fit_lcpn(best_tree, rows, spec)
     out = Path(args.out)

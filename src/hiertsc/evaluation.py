@@ -8,8 +8,10 @@ select with :func:`select_tree`, as does ``hiertsc fit``, each handing it a
 list of (fit rows, scored rows) folds: the unshuffled inner folds of the
 training rows for nested CV and ``hiertsc fit`` (the whole file as outer
 fold 0), the one pair (training rows, test rows) for flat CV.
-:meth:`FoldPlan.fold` cuts every such pair.  Every reported number is a
-pure function of (data, spec, splitter, n_iter, seeds).
+:meth:`FoldPlan.fold` cuts every such pair.  Every plan is checked from
+the labels before any featurising; then each outer fold is one pure call of
+:func:`_outer_fold`, its flat baseline, selection and outer score.  Every
+reported number is a pure function of (data, spec, splitter, n_iter, seeds).
 
 One engine scores every candidate tree (:func:`_score_trees`): the fold
 list :func:`select_tree` is handed, and the outer score of the selected
@@ -146,25 +148,22 @@ def split_data(
 
 
 def flat_baseline(
-    data: TimeSeriesDataset | Rows,
-    plan: FoldPlan,
+    folds: list[tuple[Rows, Rows]],
     spec: ClassifierSpec,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> list[float]:
-    """Per-fold score of the flat classifier: fit on train, score on test.
+    """Per-fold score of the flat classifier over `folds`, (fit rows, scored
+    rows) pairs of one run, as :func:`select_tree` takes them: fit on the
+    fit rows, score on the scored rows.
 
     `metric` defaults to macro-F1, looked up at call time rather than bound
     as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
-    A dataset becomes one run; :class:`Rows` bring their run.
     """
     metric = metric or f1_macro
-    rows = Run.rows_of(data, spec)
-    scores = []
-    for fold in range(plan.k):
-        train, test = plan.fold(rows, fold)
-        model = fit_classifier(spec, train)
-        scores.append(metric(test.labels, model.predict_features(test.feats)))
-    return scores
+    return [
+        metric(val.labels, fit_classifier(spec, fit).predict_features(val.feats))
+        for fit, val in folds
+    ]
 
 
 # -- per-fold records and reports -------------------------------------------
@@ -477,6 +476,53 @@ def _splitter_label(splitter) -> str:
     return getattr(splitter, "__name__", "custom")
 
 
+def _check_plans(parts: Iterable[TimeSeriesDataset], n_inner: int | None) -> list[FoldPlan | None]:
+    """Each outer-train part's inner plan (None for flat CV), from its labels
+    alone, each checked before the part's candidate-generation split, so the
+    first infeasible plan raises as the folds run in order would meet it."""
+    plans = []
+    for ko, part in enumerate(parts):
+        plans.append(None if n_inner is None else split_data(part, n_inner))
+        for cls, count in part.class_counts().items():
+            if count < GENERATION_FOLDS:
+                raise FoldFeasibilityError(
+                    f"candidate-generation split of outer fold {ko}: "
+                    f"class {cls} has {count} instances, fewer than {GENERATION_FOLDS} folds"
+                )
+    return plans
+
+
+def _outer_fold(
+    train: Rows, test: Rows, ko: int, inner_plan: FoldPlan | None,
+    spec: ClassifierSpec, splitter_fn: Callable, n_iter: int, seed: int,
+) -> FoldRecord:
+    """Outer fold `ko`'s record, a pure function of its arguments: the flat
+    baseline's score, and the tree selected over `inner_plan`'s folds of
+    `train` (``[(train, test)]`` when None, for flat CV) with its outer score."""
+    outer = [(train, test)]
+    fc_score = flat_baseline(outer, spec)[0]
+    folds = outer if inner_plan is None else inner_plan.folds(train)
+    tree, score, iterations, distinct = select_tree(
+        train, spec, splitter_fn, n_iter, seed, ko, folds
+    )
+    if inner_plan is None:
+        inner_mean, outer_score = None, score
+    else:
+        inner_mean, outer_score = score, _score_trees([tree], outer, spec)[0]
+    return FoldRecord(
+        fold=ko,
+        selected_tree=tree,
+        inner_mean_score=inner_mean,
+        outer_test_score=outer_score,
+        fc_score=fc_score,
+        class_balance=class_balance_factor(tree),
+        data_balance=datapoint_balance_factor(tree, train),
+        delta_g=outer_score - fc_score,
+        distinct_trees=distinct,
+        iterations_run=iterations,
+    )
+
+
 def _cross_validate(
     data: TimeSeriesDataset,
     spec: ClassifierSpec,
@@ -488,39 +534,17 @@ def _cross_validate(
     dataset_id: str,
 ) -> CvReport:
     """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
-    when it is None.  One run, featurised once, serves every fit and predict:
-    folds, splits and node fits are row indices into it."""
+    when it is None: every plan is checked from the labels, then one run,
+    featurised once, serves every :func:`_outer_fold` call by row index."""
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
-    rows = Run.rows_of(data, spec)
-    fc_scores = flat_baseline(rows, outer_plan, spec)
-    records = []
-    for ko in range(n_outer):
-        train, test = outer_plan.fold(rows, ko)
-        outer = [(train, test)]
-        # the inner plan is checked before any candidate is grown
-        folds = outer if n_inner is None else split_data(train, n_inner).folds(train)
-        tree, score, iterations, distinct = select_tree(
-            train, spec, splitter_fn, n_iter, seed, ko, folds
-        )
-        if n_inner is None:
-            inner_mean, outer_score = None, score
-        else:
-            inner_mean, outer_score = score, _score_trees([tree], outer, spec)[0]
-        records.append(
-            FoldRecord(
-                fold=ko,
-                selected_tree=tree,
-                inner_mean_score=inner_mean,
-                outer_test_score=outer_score,
-                fc_score=fc_scores[ko],
-                class_balance=class_balance_factor(tree),
-                data_balance=datapoint_balance_factor(tree, train),
-                delta_g=outer_score - fc_scores[ko],
-                distinct_trees=distinct,
-                iterations_run=iterations,
-            )
-        )
+    parts = (data.subset(outer_plan.train_indices(ko)) for ko in range(n_outer))
+    inner_plans = _check_plans(parts, n_inner)
+    folds = outer_plan.folds(Run.rows_of(data, spec))
+    records = [
+        _outer_fold(train, test, ko, inner_plans[ko], spec, splitter_fn, n_iter, seed)
+        for ko, (train, test) in enumerate(folds)
+    ]
     return CvReport(
         scheme="flat" if n_inner is None else "nested",
         dataset_id=dataset_id,
@@ -631,7 +655,8 @@ def filter_datasets(
         try:
             plan = split_data(merged, FILTER_FOLDS)
             accuracies = tuple(
-                float(np.mean(flat_baseline(merged, plan, spec, accuracy))) for spec in specs
+                float(np.mean(flat_baseline(plan.folds(Run.rows_of(merged, spec)), spec, accuracy)))
+                for spec in specs
             )
         except (ValueError, ArithmeticError) as exc:
             decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))

@@ -10,12 +10,19 @@ everything else out plainly, sharing no other private helper of hiertsc:
   ``np.linalg.solve`` of the f x f system;
 - routing: each row on its own, root to leaf, featurised again at every
   node it visits;
+- the flat classifier: one such fit per class of the training rows, that
+  class (+1) against the rest (-1), or one fit for the first class when
+  there are two; each row featurised again and given the class of the
+  highest score, ties to the smallest id (of two classes, the second
+  where the decision is negative);
 - macro-F1: a plain loop over the classes of the truth.
 
 So its decisions agree with the library's to rounding only, and a selected
-tree or a score can differ where a decision lies within rounding of zero.
-:attr:`Oracle.smallest` is the smallest relative decision the oracle made,
-``|d| / (sum_j |z_j w_j| + |b|)``, for callers to reject such cases.
+tree or a score can differ where a decision lies within rounding of zero,
+or where two class scores tie within rounding.  :attr:`Oracle.smallest` is
+the smallest relative decision the oracle made, ``|d| / (sum_j |z_j w_j| +
+|b|)``, or relative gap between the two highest class scores (the gap over
+the sum of both scores' such magnitudes), for callers to reject such cases.
 """
 
 from __future__ import annotations
@@ -80,12 +87,34 @@ class Oracle:
         w = np.linalg.solve(gram, zc.T @ (y - y.mean()))
         return mean, std, w, y.mean() - z.mean(0) @ w
 
-    def decide(self, node, series: np.ndarray) -> float:
+    def decision(self, node, series: np.ndarray) -> tuple[float, float]:
+        """`node`'s decision d at `series` and its magnitude
+        ``sum_j |z_j w_j| + |b|``."""
         mean, std, w, b = node
         terms = (self.featurise(series[None])[0] - mean) / std * w
-        d = terms.sum() + b
-        self.smallest = min(self.smallest, abs(d) / (np.abs(terms).sum() + abs(b)))
+        return terms.sum() + b, np.abs(terms).sum() + abs(b)
+
+    def decide(self, node, series: np.ndarray) -> float:
+        d, size = self.decision(node, series)
+        self.smallest = min(self.smallest, abs(d) / size)
         return d
+
+    def flat_score(self, train: np.ndarray, test: np.ndarray) -> float:
+        """Macro-F1 on `test` of the flat classifier fit on `train`."""
+        classes = sorted(set(self.labels[train].tolist()))
+        if len(classes) == 2:
+            node = self.node_fit(train, {classes[0]})
+            predicted = [classes[1] if self.decide(node, self.values[i]) < 0 else classes[0] for i in test]
+            return macro_f1(self.labels[test].tolist(), predicted)
+        nodes = [self.node_fit(train, {c}) for c in classes]
+        predicted = []
+        for i in test:
+            scores = [self.decision(node, self.values[i]) for node in nodes]
+            order = sorted(range(len(classes)), key=lambda j: -scores[j][0])  # stable: ties keep the smaller id
+            (top, top_size), (second, second_size) = scores[order[0]], scores[order[1]]
+            self.smallest = min(self.smallest, (top - second) / (top_size + second_size))
+            predicted.append(classes[order[0]])
+        return macro_f1(self.labels[test].tolist(), predicted)
 
     def score(self, tree, train: np.ndarray, test: np.ndarray) -> float:
         """Macro-F1 on `test` of `tree`'s LCPN model fit on `train`."""
@@ -104,7 +133,8 @@ class Oracle:
 
     def cv(self, splitter, n_iter: int, n_outer: int, n_inner: int, seed: int) -> list[tuple]:
         """Per outer fold: (nested tree, inner mean, outer score, flat tree,
-        flat score), each tree the first candidate with the highest score."""
+        flat score, flat classifier score), each tree the first candidate
+        with the highest score."""
         out = []
         for ko, (train, test) in enumerate(stratified_folds(self.labels, n_outer)):
             rows = Run.rows_of(TimeSeriesDataset(self.values[train], self.labels[train]), self.spec)
@@ -115,5 +145,6 @@ class Oracle:
             best = inner_scores.index(max(inner_scores))
             flat_best = flat_scores.index(max(flat_scores))
             outer = self.score(fresh[best], train, test)
-            out.append((fresh[best], inner_scores[best], outer, fresh[flat_best], flat_scores[flat_best]))
+            fc = self.flat_score(train, test)
+            out.append((fresh[best], inner_scores[best], outer, fresh[flat_best], flat_scores[flat_best], fc))
         return out

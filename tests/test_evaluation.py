@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hiertsc import (
     ClassifierSpec,
     CvReport,
+    KernelBank,
     TimeSeriesDataset,
     f1_macro,
     flat_baseline,
@@ -21,7 +22,7 @@ from hiertsc import evaluation
 from hiertsc.classifiers import Run
 from hiertsc.cli import main
 from hiertsc.dataset import collinear_superclusters
-from hiertsc.evaluation import FoldFeasibilityError, _candidate_trees, select_tree
+from hiertsc.evaluation import FoldFeasibilityError, _candidate_trees, _outer_fold, select_tree
 from hiertsc.io import load_dataset, save_dataset
 from hiertsc.metrics import _f1_mean, accuracy
 from hiertsc.splitting import _group_f1, resolve_splitter
@@ -215,25 +216,36 @@ def test_infeasible_fold_names_class():
 
 
 def test_infeasible_inner_folds_fail_before_any_candidate_is_grown(tmp_path, monkeypatch):
-    """An inner plan that cannot be built fails before the splitter runs,
-    in nested CV and from the CLI's ``fit`` and ``cv``, which then write
-    no output."""
-    grown = []
-    grow = evaluation.grow_tree
-    monkeypatch.setattr(evaluation, "grow_tree", lambda *args: grown.append(args) or grow(*args))
+    """Every plan, inner and candidate-generation, is checked from the labels
+    before any kernel transform, fit or splitter work, in nested and flat CV
+    and from the CLI's ``fit`` and ``cv``, which then write no output."""
+    work = []
+    grow, transform, fit = evaluation.grow_tree, KernelBank.transform, evaluation.fit_classifier
+    monkeypatch.setattr(evaluation, "grow_tree", lambda *args: work.append("grow") or grow(*args))
+    monkeypatch.setattr(KernelBank, "transform", lambda *args: work.append("transform") or transform(*args))
+    monkeypatch.setattr(evaluation, "fit_classifier", lambda *args: work.append("fit") or fit(*args))
+    spec = ClassifierSpec(kind="kernel-ridge", num_kernels=16)
     data = collinear_superclusters(n_per_class=8, series_length=24)
     # two outer folds leave four rows of each class to train on
     with pytest.raises(FoldFeasibilityError, match="fewer than 5 folds"):
-        nested_cv(data, ClassifierSpec(kind="linear"), "potr", n_iter=2, n_outer=2, n_inner=5)
-    path = tmp_path / "data.tsv"
+        nested_cv(data, spec, "potr", n_iter=2, n_outer=2, n_inner=5)
+    # ... and six rows leave three, too few for the 4-fold generation split
+    small = collinear_superclusters(n_per_class=6, series_length=24)
+    generation = "candidate-generation split of outer fold 0: class 0 has 3 instances, fewer than 4 folds"
+    with pytest.raises(FoldFeasibilityError, match=generation):
+        flat_cv(small, spec, "potr", n_iter=2, n_outer=2)
+    path, tiny = tmp_path / "data.tsv", tmp_path / "tiny.tsv"
     save_dataset(data, path)
-    common = ["--data", str(path), "--classifier", "linear", "--iters", "2"]
-    assert main(["fit", *common, "--inner-folds", "9", "--out", str(tmp_path / "fit")]) == 3
-    cv = ["cv", "--mode", "nested", *common, "--outer-folds", "2", "--inner-folds", "5"]
+    save_dataset(collinear_superclusters(n_per_class=3, series_length=24), tiny)
+    common = ["--classifier", "kernel-ridge", "--kernels", "16", "--iters", "2"]
+    assert main(["fit", "--data", str(path), *common, "--inner-folds", "9", "--out", str(tmp_path / "fit")]) == 3
+    assert main(["fit", "--data", str(tiny), *common, "--inner-folds", "2", "--out", str(tmp_path / "tiny")]) == 3
+    cv = ["cv", "--mode", "nested", "--data", str(path), *common, "--outer-folds", "2", "--inner-folds", "5"]
     assert main([*cv, "--out", str(tmp_path / "nested")]) == 3
     assert not (tmp_path / "fit" / "model.json").exists()
+    assert not (tmp_path / "tiny" / "model.json").exists()
     assert not (tmp_path / "nested" / "report.json").exists()
-    assert grown == []
+    assert work == []
 
 
 def test_fold_plans_and_datasets_compare_by_identity():
@@ -250,29 +262,32 @@ def test_fold_plans_and_datasets_compare_by_identity():
 
 def test_flat_baseline_memorizing_stub_is_perfect():
     data = orthogonal_dataset(n_per_class=10, n_classes=3)
-    plan = split_data(data, 5)
-    scores = flat_baseline(data, plan, ClassifierSpec(kind="linear"))
+    spec = ClassifierSpec(kind="linear")
+    rows = Run.rows_of(data, spec)
+    scores = flat_baseline(split_data(rows, 5).folds(rows), spec)
     assert scores == [1.0] * 5
 
 
 def test_flat_baseline_constant_stub_macro():
     # all-zero series: zero weights, so every row goes to the smallest class
     data = TimeSeriesDataset(np.zeros((30, 6)), np.asarray([0, 1, 2] * 10))
-    plan = split_data(data, 5)
-    scores = flat_baseline(data, plan, ClassifierSpec(kind="linear"))
+    spec = ClassifierSpec(kind="linear")
+    rows = Run.rows_of(data, spec)
+    scores = flat_baseline(split_data(rows, 5).folds(rows), spec)
     assert scores == pytest.approx([1 / 6] * 5, abs=1e-12)
 
 
 def test_flat_baseline_class_permutation_equivariance():
     data = separable_dataset(n_per_class=10, n_classes=3, seed=8)
-    plan = split_data(data, 5)
     spec = ClassifierSpec(kind="linear")
-    base = flat_baseline(data, plan, spec)
+    rows = Run.rows_of(data, spec)
+    base = flat_baseline(split_data(rows, 5).folds(rows), spec)
     perm = {0: 2, 1: 0, 2: 1}
     relabeled = TimeSeriesDataset(
         data.values, np.asarray([perm[int(c)] for c in data.labels])
     )
-    again = flat_baseline(relabeled, split_data(relabeled, 5), spec)
+    relabeled_rows = Run.rows_of(relabeled, spec)
+    again = flat_baseline(split_data(relabeled_rows, 5).folds(relabeled_rows), spec)
     assert base == pytest.approx(again, abs=1e-12)
 
 
@@ -304,6 +319,26 @@ def test_nested_cv_byte_reproducible():
     a = nested_cv(data, spec, "potr", n_iter=3, seed=0, dataset_id="x")
     b = nested_cv(data, spec, "potr", n_iter=3, seed=0, dataset_id="x")
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("n_inner", [3, None], ids=["nested", "flat"])
+def test_outer_fold_is_a_pure_function_of_its_fold(n_inner):
+    """Each outer fold's record depends only on its own arguments: folds run
+    on a fresh run, last fold first, give the report's records bit for bit."""
+    data = collinear_superclusters(n_per_class=9, series_length=20, noise=1.5)
+    spec = ClassifierSpec(kind="kernel-ridge", num_kernels=16, seed=4)
+    kwargs = dict(n_iter=3, n_outer=3, seed=2)
+    if n_inner is None:
+        report = flat_cv(data, spec, "srtr", **kwargs)
+    else:
+        report = nested_cv(data, spec, "srtr", n_inner=n_inner, **kwargs)
+    rows = Run.rows_of(data, spec)
+    folds = split_data(rows, 3).folds(rows)
+    for ko in reversed(range(3)):
+        train, test = folds[ko]
+        plan = None if n_inner is None else split_data(train, n_inner)
+        record = _outer_fold(train, test, ko, plan, spec, resolve_splitter("srtr"), 3, 2)
+        assert record.to_dict() == report.folds[ko].to_dict()
 
 
 def test_flat_dominates_nested_selection_per_fold():

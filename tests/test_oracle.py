@@ -31,9 +31,10 @@ SMALLEST_RELATIVE_DECISION = 1e-8
 def test_cv_selects_and_scores_as_the_naive_oracle(
     n_classes, kind, num_kernels, splitter, n_folds, n_iter, length, noise, seed
 ):
-    """Every fold's nested tree, inner mean and outer score, and flat tree
-    and score, equal the oracle's.  Noisy templates keep scores below 1.0,
-    so a wrong fit or fold moves them."""
+    """Every fold's nested tree, inner mean and outer score, flat tree and
+    score, and both schemes' flat-classifier score and gain, equal the
+    oracle's.  Noisy templates keep scores below 1.0, so a wrong fit or fold
+    moves them."""
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(n_classes), 8)
     values = rng.normal(0.0, 1.0, (n_classes, length))[labels] + rng.normal(0.0, noise, (labels.size, length))
@@ -47,8 +48,11 @@ def test_cv_selects_and_scores_as_the_naive_oracle(
     nested = nested_cv(data, spec, splitter, n_iter, n_outer=n_folds, n_inner=n_folds, seed=seed)
     flat = flat_cv(data, spec, splitter, n_iter, n_outer=n_folds, seed=seed)
     assert len(nested.folds) == len(flat.folds) == len(want) == n_folds
-    for n, f, (tree, inner_mean, outer_score, flat_tree, flat_score) in zip(nested.folds, flat.folds, want):
+    for n, f, (tree, inner_mean, outer_score, flat_tree, flat_score, fc) in zip(nested.folds, flat.folds, want):
         assert n.selected_tree == tree and f.selected_tree == flat_tree
         assert abs(n.inner_mean_score - inner_mean) <= 1e-12
         assert abs(n.outer_test_score - outer_score) <= 1e-12
         assert abs(f.outer_test_score - flat_score) <= 1e-12
+        assert abs(n.fc_score - fc) <= 1e-12 and abs(f.fc_score - fc) <= 1e-12
+        assert abs(n.delta_g - (outer_score - fc)) <= 1e-12
+        assert abs(f.delta_g - (flat_score - fc)) <= 1e-12
