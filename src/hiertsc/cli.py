@@ -9,7 +9,9 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .evaluation import (
     CvReport,
     FoldFeasibilityError,
     _check_plans,
+    _csv_cell,
     filter_datasets,
     flat_cv,
     nested_cv,
@@ -85,7 +88,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: Sequence[str], rows: list[list[str]]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -224,118 +227,55 @@ def _load_report(path: str) -> CvReport:
         raise ConfigError(f"cannot read CV report {path}: {type(exc).__name__}: {exc}") from None
 
 
+#: the ``folds.csv`` columns ``features.csv`` holds, in its order
+_FEATURE_COLUMNS = (
+    "scheme", "classifier_kind", "splitter", "n_iter", "dataset_id", "fold",
+    "n_classes", "fc_score", "class_balance", "data_balance", "delta_g", "improved",
+)
+_CORRELATION_COLUMNS = ("scheme", "classifier_kind", "splitter", "feature", "r", "p")
+#: file name stem of each improvement table, by the ``folds.csv`` column it counts over
+_IMPROVEMENT_TABLES = {"n_iter": "improvements_by_iteration", "n_classes": "improvements_by_class_count"}
+
+
 def _run_analyze(args: argparse.Namespace) -> int:
     reports = [_load_report(p) for p in args.reports]
-    feature_rows = []
+    folds = [dict(zip(CSV_COLUMNS, row)) for report in reports for row in report.to_csv_rows()]
+    out = Path(args.out)
+    features = [[fold[name] for name in _FEATURE_COLUMNS] for fold in folds]
+    _write_atomic(out / "features.csv", _csv_text(_FEATURE_COLUMNS, features))
+
+    # a report with no folds still names a group, whose cells are then blank
     groups: dict[tuple, list] = {}
     for report in reports:
-        rows = extract_features(report)
         key = (report.scheme, report.spec.kind, report.splitter_name)
-        groups.setdefault(key, []).extend(rows)
-        for row in rows:
-            feature_rows.append(
-                (report.scheme, report.spec.kind, report.splitter_name, report.n_iter, row)
-            )
-
-    out = Path(args.out)
-    feature_csv = [
-        [
-            scheme,
-            kind,
-            splitter,
-            str(n_iter),
-            row.dataset_id,
-            str(row.fold_id),
-            str(row.n_classes),
-            repr(row.fc_score),
-            repr(row.class_balance),
-            repr(row.data_balance),
-            repr(row.delta_g),
-            str(int(row.improved)),
-        ]
-        for scheme, kind, splitter, n_iter, row in feature_rows
-    ]
-    _write_atomic(
-        out / "features.csv",
-        _csv_text(
-            [
-                "scheme",
-                "classifier_kind",
-                "splitter",
-                "n_iter",
-                "dataset_id",
-                "fold",
-                "n_classes",
-                "fc_score",
-                "class_balance",
-                "data_balance",
-                "delta_g",
-                "improved",
-            ],
-            feature_csv,
-        ),
-    )
-
-    corr_rows = []
-    corr_doc = []
-    for (scheme, kind, splitter), rows in sorted(groups.items()):
+        groups.setdefault(key, []).extend(extract_features(report))
+    records = []
+    for key, rows in sorted(groups.items()):
         try:
             table = correlate_features(rows)
         except ValueError:
-            table = {name: None for name in FEATURE_NAMES}
+            table = dict.fromkeys(FEATURE_NAMES)
         for name in FEATURE_NAMES:
-            cell = table[name]
-            corr_rows.append(
-                [
-                    scheme,
-                    kind,
-                    splitter,
-                    name,
-                    "" if cell is None else repr(cell[0]),
-                    "" if cell is None else f"{cell[1]:.3f}",
-                ]
-            )
-            corr_doc.append(
-                {
-                    "scheme": scheme,
-                    "classifier_kind": kind,
-                    "splitter": splitter,
-                    "feature": name,
-                    "r": None if cell is None else cell[0],
-                    "p": None if cell is None else cell[1],
-                }
-            )
-    _write_atomic(
-        out / "correlations.csv",
-        _csv_text(["scheme", "classifier_kind", "splitter", "feature", "r", "p"], corr_rows),
-    )
-    _write_atomic(
-        out / "correlations.json",
-        json.dumps(corr_doc, sort_keys=True, indent=2) + "\n",
-    )
+            r, p = table[name] or (None, None)
+            records.append(dict(zip(_CORRELATION_COLUMNS, (*key, name, r, p))))
+    correlations = [
+        [_csv_cell(record[name]) for name in _CORRELATION_COLUMNS[:-1]]
+        + ["" if record["p"] is None else f"{record['p']:.3f}"]
+        for record in records
+    ]
+    _write_atomic(out / "correlations.csv", _csv_text(_CORRELATION_COLUMNS, correlations))
+    _write_atomic(out / "correlations.json", json.dumps(records, sort_keys=True, indent=2) + "\n")
 
-    by_iter: dict[tuple, int] = {}
-    by_classes: dict[tuple, int] = {}
-    for scheme, kind, splitter, n_iter, row in feature_rows:
-        ik = (scheme, kind, splitter, n_iter)
-        by_iter[ik] = by_iter.get(ik, 0) + int(row.improved)
-        ck = (scheme, kind, splitter, row.n_classes)
-        by_classes[ck] = by_classes.get(ck, 0) + int(row.improved)
-    _write_atomic(
-        out / "improvements_by_iteration.csv",
-        _csv_text(
-            ["scheme", "classifier_kind", "splitter", "n_iter", "improvements"],
-            [[*map(str, key), str(v)] for key, v in sorted(by_iter.items())],
-        ),
-    )
-    _write_atomic(
-        out / "improvements_by_class_count.csv",
-        _csv_text(
-            ["scheme", "classifier_kind", "splitter", "n_classes", "improvements"],
-            [[*map(str, key), str(v)] for key, v in sorted(by_classes.items())],
-        ),
-    )
-    print(json.dumps({"reports": len(reports), "rows": len(feature_rows)}, sort_keys=True))
+    for column, stem in _IMPROVEMENT_TABLES.items():
+        # counted per fold, under int keys, so 10 sorts after 2
+        counts: dict[tuple, int] = {}
+        for fold in folds:
+            key = (fold["scheme"], fold["classifier_kind"], fold["splitter"], int(fold[column]))
+            counts[key] = counts.get(key, 0) + int(fold["improved"])
+        header = ("scheme", "classifier_kind", "splitter", column, "improvements")
+        rows = [[*map(str, key), str(n)] for key, n in sorted(counts.items())]
+        _write_atomic(out / f"{stem}.csv", _csv_text(header, rows))
+    print(json.dumps({"reports": len(reports), "rows": len(folds)}, sort_keys=True))
     return EXIT_OK
 
 
@@ -392,27 +332,9 @@ def _run_filter(args: argparse.Namespace) -> int:
     if spec.kind == "kernel-ridge":
         specs = (ClassifierSpec(kind="linear", seed=args.seed), spec)
     decisions = filter_datasets(entries, specs)
-    doc = [
-        {
-            "name": d.name,
-            "kept": d.kept,
-            "reason": d.reason,
-            "n_classes": d.n_classes,
-            "accuracies": None if d.accuracies is None else list(d.accuracies),
-        }
-        for d in decisions
-    ]
-    out = Path(args.out)
-    _write_atomic(out / "filter.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(
-        json.dumps(
-            {
-                "total": len(decisions),
-                "kept": sum(1 for d in decisions if d.kept),
-            },
-            sort_keys=True,
-        )
-    )
+    doc = json.dumps([asdict(d) for d in decisions], sort_keys=True, indent=2)
+    _write_atomic(Path(args.out) / "filter.json", doc + "\n")
+    print(json.dumps({"total": len(decisions), "kept": sum(d.kept for d in decisions)}, sort_keys=True))
     return EXIT_OK
 
 

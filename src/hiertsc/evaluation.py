@@ -266,31 +266,20 @@ class CvReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = []
-        for f in self.folds:
-            rows.append(
-                [
-                    self.dataset_id,
-                    self.scheme,
-                    self.spec.kind,
-                    self.splitter_name,
-                    str(self.n_iter),
-                    str(self.seed),
-                    str(f.fold),
-                    str(self.n_classes),
-                    repr(f.fc_score),
-                    repr(f.outer_test_score),
-                    "" if f.inner_mean_score is None else repr(f.inner_mean_score),
-                    repr(f.class_balance),
-                    repr(f.data_balance),
-                    repr(f.delta_g),
-                    str(int(f.improved)),
-                    str(f.distinct_trees),
-                    str(f.iterations_run),
-                    tree_to_text(f.selected_tree),
-                ]
-            )
-        return rows
+        """One row per fold, its cells in :data:`CSV_COLUMNS` order: the run's
+        fields, the fold's :meth:`FoldRecord.to_dict` and ``hc_score``, its
+        outer test score, each written by :func:`_csv_cell`."""
+        run = {
+            "dataset_id": self.dataset_id,
+            "scheme": self.scheme,
+            "classifier_kind": self.spec.kind,
+            "splitter": self.splitter_name,
+            "n_iter": self.n_iter,
+            "seed": self.seed,
+            "n_classes": self.n_classes,
+        }
+        cells = ({**run, **f.to_dict(), "hc_score": f.outer_test_score} for f in self.folds)
+        return [[_csv_cell(c[name]) for name in CSV_COLUMNS] for c in cells]
 
     @staticmethod
     def from_json(text: str) -> "CvReport":
@@ -329,6 +318,16 @@ class CvReport:
             n_instances=_report_field(doc, "n_instances", int),
             folds=tuple(folds),
         )
+
+
+def _csv_cell(value) -> str:
+    """A ``folds.csv`` cell: blank for None, 0 or 1 for a bool, ``repr`` for a
+    float (every bit of it), ``str`` for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 #: the type of each fold field in a report; float means a finite int or float
@@ -476,19 +475,25 @@ def _splitter_label(splitter) -> str:
     return getattr(splitter, "__name__", "custom")
 
 
+def _checked_plan(part: TimeSeriesDataset, k: int, where: str) -> FoldPlan:
+    """``split_data(part, k)``, its infeasibility error prefixed by `where`."""
+    try:
+        return split_data(part, k)
+    except FoldFeasibilityError as exc:
+        raise FoldFeasibilityError(f"{where}: {exc}") from None
+
+
 def _check_plans(parts: Iterable[TimeSeriesDataset], n_inner: int | None) -> list[FoldPlan | None]:
     """Each outer-train part's inner plan (None for flat CV), from its labels
     alone, each checked before the part's candidate-generation split, so the
-    first infeasible plan raises as the folds run in order would meet it."""
+    first infeasible plan raises as the folds run in order would meet it;
+    the error names the split and the outer fold."""
     plans = []
     for ko, part in enumerate(parts):
-        plans.append(None if n_inner is None else split_data(part, n_inner))
-        for cls, count in part.class_counts().items():
-            if count < GENERATION_FOLDS:
-                raise FoldFeasibilityError(
-                    f"candidate-generation split of outer fold {ko}: "
-                    f"class {cls} has {count} instances, fewer than {GENERATION_FOLDS} folds"
-                )
+        inner = None if n_inner is None else _checked_plan(part, n_inner, f"inner split of outer fold {ko}")
+        plans.append(inner)
+        # the shuffled generation split is feasible exactly when the unshuffled one is
+        _checked_plan(part, GENERATION_FOLDS, f"candidate-generation split of outer fold {ko}")
     return plans
 
 
@@ -622,63 +627,40 @@ def filter_datasets(
     entries: Iterable[CatalogEntry],
     specs: tuple[ClassifierSpec, ClassifierSpec],
 ) -> list[FilterDecision]:
-    """Apply the dataset-selection rule to a catalog.
+    """Apply the dataset-selection rule to a catalog: one decision per entry,
+    in catalog order (:func:`_filter_entry`), whose fields ``hiertsc
+    filter`` writes as they are.
 
     A dataset is kept when it has more than two classes and is not near
     ceiling: entries whose fixed unshuffled 5-fold accuracy exceeds 99.5%
     under BOTH configured classifiers are excluded.  Unreadable entries are
     listed with their error, never fatal.
     """
-    decisions = []
-    for entry in entries:
-        try:
-            train = load_dataset(entry.train_path)
-            test = load_dataset(entry.test_path)
-        except (DatasetFormatError, DataValidationError) as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unreadable: {exc}"))
-            continue
-        try:
-            merged = merge_datasets(train, test)
-        except DataValidationError as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
-            continue
-        if merged.n_classes <= 2:
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    False,
-                    f"only {merged.n_classes} classes",
-                    n_classes=merged.n_classes,
-                )
-            )
-            continue
-        try:
-            plan = split_data(merged, FILTER_FOLDS)
-            accuracies = tuple(
-                float(np.mean(flat_baseline(plan.folds(Run.rows_of(merged, spec)), spec, accuracy)))
-                for spec in specs
-            )
-        except (ValueError, ArithmeticError) as exc:
-            decisions.append(FilterDecision(entry.name, False, f"unusable: {exc}"))
-            continue
-        if all(a > ACCURACY_EXCLUSION_THRESHOLD for a in accuracies):
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    False,
-                    "near-ceiling accuracy under every classifier",
-                    n_classes=merged.n_classes,
-                    accuracies=accuracies,
-                )
-            )
-        else:
-            decisions.append(
-                FilterDecision(
-                    entry.name,
-                    True,
-                    "kept",
-                    n_classes=merged.n_classes,
-                    accuracies=accuracies,
-                )
-            )
-    return decisions
+    return [_filter_entry(entry, specs) for entry in entries]
+
+
+def _filter_entry(entry: CatalogEntry, specs: tuple[ClassifierSpec, ClassifierSpec]) -> FilterDecision:
+    """The decision on one catalog entry, at the first rule it fails."""
+    try:
+        train = load_dataset(entry.train_path)
+        test = load_dataset(entry.test_path)
+    except (DatasetFormatError, DataValidationError) as exc:
+        return FilterDecision(entry.name, False, f"unreadable: {exc}")
+    try:
+        merged = merge_datasets(train, test)
+    except DataValidationError as exc:
+        return FilterDecision(entry.name, False, f"unusable: {exc}")
+    if merged.n_classes <= 2:
+        return FilterDecision(entry.name, False, f"only {merged.n_classes} classes", merged.n_classes)
+    try:
+        plan = split_data(merged, FILTER_FOLDS)
+        accuracies = tuple(
+            float(np.mean(flat_baseline(plan.folds(Run.rows_of(merged, spec)), spec, accuracy)))
+            for spec in specs
+        )
+    except (ValueError, ArithmeticError) as exc:
+        return FilterDecision(entry.name, False, f"unusable: {exc}")
+    if all(a > ACCURACY_EXCLUSION_THRESHOLD for a in accuracies):
+        reason = "near-ceiling accuracy under every classifier"
+        return FilterDecision(entry.name, False, reason, merged.n_classes, accuracies)
+    return FilterDecision(entry.name, True, "kept", merged.n_classes, accuracies)

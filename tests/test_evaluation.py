@@ -227,7 +227,8 @@ def test_infeasible_inner_folds_fail_before_any_candidate_is_grown(tmp_path, mon
     spec = ClassifierSpec(kind="kernel-ridge", num_kernels=16)
     data = collinear_superclusters(n_per_class=8, series_length=24)
     # two outer folds leave four rows of each class to train on
-    with pytest.raises(FoldFeasibilityError, match="fewer than 5 folds"):
+    inner = "inner split of outer fold 0: class 0 has 4 instances, fewer than 5 folds"
+    with pytest.raises(FoldFeasibilityError, match=inner):
         nested_cv(data, spec, "potr", n_iter=2, n_outer=2, n_inner=5)
     # ... and six rows leave three, too few for the 4-fold generation split
     small = collinear_superclusters(n_per_class=6, series_length=24)
