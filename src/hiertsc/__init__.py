@@ -10,11 +10,8 @@ distinct-tree counting, and computational-cost instrumentation.
 from .analysis import (
     CostDiscrepancyReport,
     CostEstimate,
-    FeatureRow,
     correlate_features,
     cost_model,
-    extract_features,
-    improvement_count,
     pearson,
     verify_cost_model,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "CostEstimate",
     "CvReport",
     "DataValidationError",
-    "FeatureRow",
     "FitCounters",
     "FoldPlan",
     "FoldRecord",
@@ -109,7 +105,6 @@ __all__ = [
     "datapoint_balance_factor",
     "enumerate_distinct_trees",
     "exhaustive_split",
-    "extract_features",
     "f1_macro",
     "filter_datasets",
     "fit_classifier",
@@ -117,7 +112,6 @@ __all__ = [
     "flat_baseline",
     "flat_cv",
     "grow_tree",
-    "improvement_count",
     "leave_salient_one_out",
     "load_dataset",
     "nested_cv",

@@ -1,15 +1,14 @@
-"""Dataset-feature extraction, correlation tests, and computational-cost models."""
+"""Feature-versus-improvement correlation tests and computational-cost models."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .evaluation import CvReport
 from .lcpn import FitCounters
 from .tree import HierarchyTree
 
@@ -57,62 +56,17 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return r, p
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One outer-fold observation for the feature-versus-improvement analyses."""
-
-    dataset_id: str
-    fold_id: int
-    n_classes: int
-    fc_score: float
-    class_balance: float
-    data_balance: float
-    delta_g: float
-
-    @property
-    def improved(self) -> bool:
-        return self.delta_g > 0
-
-    def feature(self, name: str) -> float:
-        if name not in FEATURE_NAMES:
-            raise KeyError(name)
-        return float(getattr(self, name))
-
-
-def extract_features(report: CvReport) -> list[FeatureRow]:
-    """One row per outer fold of a CV report.
-
-    Balance factors were computed on the selected tree at CV time (datapoint
-    balance over the outer-train distribution) and are carried through.
-    """
-    return [
-        FeatureRow(
-            dataset_id=report.dataset_id,
-            fold_id=f.fold,
-            n_classes=report.n_classes,
-            fc_score=f.fc_score,
-            class_balance=f.class_balance,
-            data_balance=f.data_balance,
-            delta_g=f.delta_g,
-        )
-        for f in report.folds
-    ]
-
-
-def improvement_count(rows: Iterable[FeatureRow]) -> int:
-    return sum(1 for row in rows if row.improved)
-
-
-def correlate_features(rows: Sequence[FeatureRow]) -> dict[str, tuple[float, float] | None]:
-    """Pearson (r, p) of each feature against delta_g; None when the feature
-    is constant over the rows (e.g. class balance under the leave-one-out
-    splitter, which pins it at 1)."""
-    deltas = [row.delta_g for row in rows]
+def correlate_features(rows: Sequence[Mapping]) -> dict[str, tuple[float, float] | None]:
+    """Pearson (r, p) of each of :data:`FEATURE_NAMES` against ``delta_g``
+    over `rows`, fold rows as ``CvReport.fold_rows`` gives them (any
+    mappings holding those names); None when the feature is constant over
+    the rows (e.g. class balance under the leave-one-out splitter, which
+    pins it at 1)."""
+    deltas = [row["delta_g"] for row in rows]
     out: dict[str, tuple[float, float] | None] = {}
     for name in FEATURE_NAMES:
-        values = [row.feature(name) for row in rows]
         try:
-            out[name] = pearson(values, deltas)
+            out[name] = pearson([row[name] for row in rows], deltas)
         except ConstantInputError:
             out[name] = None
     return out

@@ -23,7 +23,6 @@ from .analysis import (
     chain_mean_depth,
     correlate_features,
     cost_bounds,
-    extract_features,
 )
 from .classifiers import KINDS, ClassifierSpec, ModelFormatError, Run, TrainingDataError
 from .dataset import DataValidationError
@@ -232,23 +231,23 @@ _FEATURE_COLUMNS = (
     "scheme", "classifier_kind", "splitter", "n_iter", "dataset_id", "fold",
     "n_classes", "fc_score", "class_balance", "data_balance", "delta_g", "improved",
 )
-_CORRELATION_COLUMNS = ("scheme", "classifier_kind", "splitter", "feature", "r", "p")
-#: file name stem of each improvement table, by the ``folds.csv`` column it counts over
+#: the fold-row fields that key a correlation group and an improvement count
+_GROUP_COLUMNS = ("scheme", "classifier_kind", "splitter")
+_CORRELATION_COLUMNS = (*_GROUP_COLUMNS, "feature", "r", "p")
+#: file name stem of each improvement table, by the fold-row field it counts over
 _IMPROVEMENT_TABLES = {"n_iter": "improvements_by_iteration", "n_classes": "improvements_by_class_count"}
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
     reports = [_load_report(p) for p in args.reports]
-    folds = [dict(zip(CSV_COLUMNS, row)) for report in reports for row in report.to_csv_rows()]
+    folds = [row for report in reports for row in report.fold_rows()]
     out = Path(args.out)
-    features = [[fold[name] for name in _FEATURE_COLUMNS] for fold in folds]
+    features = [[_csv_cell(fold[name]) for name in _FEATURE_COLUMNS] for fold in folds]
     _write_atomic(out / "features.csv", _csv_text(_FEATURE_COLUMNS, features))
 
-    # a report with no folds still names a group, whose cells are then blank
     groups: dict[tuple, list] = {}
-    for report in reports:
-        key = (report.scheme, report.spec.kind, report.splitter_name)
-        groups.setdefault(key, []).extend(extract_features(report))
+    for fold in folds:
+        groups.setdefault(tuple(fold[name] for name in _GROUP_COLUMNS), []).append(fold)
     records = []
     for key, rows in sorted(groups.items()):
         try:
@@ -270,9 +269,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
         # counted per fold, under int keys, so 10 sorts after 2
         counts: dict[tuple, int] = {}
         for fold in folds:
-            key = (fold["scheme"], fold["classifier_kind"], fold["splitter"], int(fold[column]))
-            counts[key] = counts.get(key, 0) + int(fold["improved"])
-        header = ("scheme", "classifier_kind", "splitter", column, "improvements")
+            key = tuple(fold[name] for name in (*_GROUP_COLUMNS, column))
+            counts[key] = counts.get(key, 0) + fold["improved"]
+        header = (*_GROUP_COLUMNS, column, "improvements")
         rows = [[*map(str, key), str(n)] for key, n in sorted(counts.items())]
         _write_atomic(out / f"{stem}.csv", _csv_text(header, rows))
     print(json.dumps({"reports": len(reports), "rows": len(folds)}, sort_keys=True))
@@ -323,14 +322,11 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_filter(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    specs = tuple(_spec_from_args(args, kind) for kind in KINDS)
     root = args.data_root or default_data_dir()
     if not root:
         raise ConfigError("--data-root (or HIERTSC_DATA) is required for filter")
     entries = scan_catalog(root)
-    specs = (spec, ClassifierSpec(kind="kernel-ridge", seed=args.seed))
-    if spec.kind == "kernel-ridge":
-        specs = (ClassifierSpec(kind="linear", seed=args.seed), spec)
     decisions = filter_datasets(entries, specs)
     doc = json.dumps([asdict(d) for d in decisions], sort_keys=True, indent=2)
     _write_atomic(Path(args.out) / "filter.json", doc + "\n")
@@ -341,16 +337,20 @@ def _run_filter(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_classifier_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classifier", choices=KINDS, default="linear")
+def _add_classifier_args(p: argparse.ArgumentParser, choose_kind: bool = True) -> None:
+    """The classifier flags; ``--classifier`` only where `choose_kind`, as
+    ``filter`` runs every kind."""
+    if choose_kind:
+        p.add_argument("--classifier", choices=KINDS, default="linear")
     p.add_argument("--kernels", type=int, default=512)
     p.add_argument("--ridge-lambda", type=float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
 
 
-def _spec_from_args(args) -> ClassifierSpec:
+def _spec_from_args(args, kind: str | None = None) -> ClassifierSpec:
+    """The spec of the classifier flags, of kind `kind` or ``--classifier``."""
     return ClassifierSpec(
-        kind=args.classifier,
+        kind=kind or args.classifier,
         num_kernels=args.kernels,
         ridge_lambda=args.ridge_lambda,
         seed=args.seed,
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     flt = sub.add_parser("filter", help="apply the dataset-selection rule to a catalog")
     flt.add_argument("--data-root", default=None)
     flt.add_argument("--out", default="out")
-    _add_classifier_args(flt)
+    _add_classifier_args(flt, choose_kind=False)
     flt.set_defaults(run=_run_filter)
 
     return parser

@@ -187,19 +187,10 @@ class FoldRecord:
         return self.delta_g > 0
 
     def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "selected_tree": tree_to_text(self.selected_tree),
-            "inner_mean_score": self.inner_mean_score,
-            "outer_test_score": self.outer_test_score,
-            "fc_score": self.fc_score,
-            "class_balance": self.class_balance,
-            "data_balance": self.data_balance,
-            "delta_g": self.delta_g,
-            "improved": self.improved,
-            "distinct_trees": self.distinct_trees,
-            "iterations_run": self.iterations_run,
-        }
+        """The fold's report fields (:data:`_FOLD_FIELDS`), the tree as its
+        text, and ``improved``."""
+        doc = {name: getattr(self, name) for name in _FOLD_FIELDS}
+        return {**doc, "selected_tree": tree_to_text(self.selected_tree), "improved": self.improved}
 
 
 @dataclass(frozen=True)
@@ -245,19 +236,15 @@ class CvReport:
             "improvements": sum(1 for f in self.folds if f.improved),
         }
 
+    def _run_fields(self) -> dict:
+        """The run's report fields (:data:`_RUN_FIELDS`), by report name."""
+        return {name: getattr(self, attr) for name, (attr, _) in _RUN_FIELDS.items()}
+
     def to_json_dict(self) -> dict:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "scheme": self.scheme,
-            "dataset_id": self.dataset_id,
+            **self._run_fields(),
             "classifier": self.spec.to_dict(),
-            "splitter": self.splitter_name,
-            "n_iter": self.n_iter,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-            "n_instances": self.n_instances,
             "folds": [f.to_dict() for f in self.folds],
             "aggregates": self.aggregates(),
         }
@@ -265,33 +252,29 @@ class CvReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
+    def fold_rows(self) -> list[dict]:
+        """One mapping per fold, its values as they are: the run's report
+        fields by report name, ``classifier_kind``, the fold's
+        :meth:`FoldRecord.to_dict` and ``hc_score``, its outer test score.
+        ``folds.csv`` and every ``analyze`` table read these rows."""
+        run = {**self._run_fields(), "classifier_kind": self.spec.kind}
+        return [{**run, **f.to_dict(), "hc_score": f.outer_test_score} for f in self.folds]
+
     def to_csv_rows(self) -> list[list[str]]:
-        """One row per fold, its cells in :data:`CSV_COLUMNS` order: the run's
-        fields, the fold's :meth:`FoldRecord.to_dict` and ``hc_score``, its
-        outer test score, each written by :func:`_csv_cell`."""
-        run = {
-            "dataset_id": self.dataset_id,
-            "scheme": self.scheme,
-            "classifier_kind": self.spec.kind,
-            "splitter": self.splitter_name,
-            "n_iter": self.n_iter,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
-        cells = ({**run, **f.to_dict(), "hc_score": f.outer_test_score} for f in self.folds)
-        return [[_csv_cell(c[name]) for name in CSV_COLUMNS] for c in cells]
+        """The ``folds.csv`` rows: each of :meth:`fold_rows` read in
+        :data:`CSV_COLUMNS` order, each cell written by :func:`_csv_cell`."""
+        return [[_csv_cell(row[name]) for name in CSV_COLUMNS] for row in self.fold_rows()]
 
     @staticmethod
     def from_json(text: str) -> "CvReport":
         """Decode :meth:`to_json` output.  A missing field raises KeyError, a
         document or fold that is not a JSON object TypeError, and a field of
-        the wrong type ValueError naming it.  ``n_inner`` and each fold's
-        ``inner_mean_score`` may be null only in a flat report."""
+        the wrong type ValueError naming it.  The fields of
+        :data:`_FLAT_NULLABLE` may be null only in a flat report."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError(f"a CV report must be a JSON object, got {type(doc).__name__}")
-        scheme = _report_field(doc, "scheme", str)
-        flat = scheme == "flat"
+        flat = _report_field(doc, "scheme", str) == "flat"
         if not isinstance(doc["folds"], list):
             raise ValueError(f"report field 'folds' must be a list, got {doc['folds']!r}")
         folds = []
@@ -300,24 +283,16 @@ class CvReport:
                 raise TypeError(f"report field 'folds[{i}]' must be a JSON object")
             where = f"folds[{i}]."
             record = {
-                name: _report_field(f, name, kind, where, nullable=flat and name == "inner_mean_score")
+                name: _report_field(f, name, kind, where, nullable=flat and name in _FLAT_NULLABLE)
                 for name, kind in _FOLD_FIELDS.items()
             }
             record["selected_tree"] = parse_tree_text(record["selected_tree"])
             folds.append(FoldRecord(**record))
-        return CvReport(
-            scheme=scheme,
-            dataset_id=_report_field(doc, "dataset_id", str),
-            spec=ClassifierSpec.decode(doc["classifier"]),
-            splitter_name=_report_field(doc, "splitter", str),
-            n_iter=_report_field(doc, "n_iter", int),
-            n_outer=_report_field(doc, "n_outer", int),
-            n_inner=_report_field(doc, "n_inner", int, nullable=flat),
-            seed=_report_field(doc, "seed", int),
-            n_classes=_report_field(doc, "n_classes", int),
-            n_instances=_report_field(doc, "n_instances", int),
-            folds=tuple(folds),
-        )
+        run = {
+            attr: _report_field(doc, name, kind, nullable=flat and name in _FLAT_NULLABLE)
+            for name, (attr, kind) in _RUN_FIELDS.items()
+        }
+        return CvReport(spec=ClassifierSpec.decode(doc["classifier"]), folds=tuple(folds), **run)
 
 
 def _csv_cell(value) -> str:
@@ -330,7 +305,22 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-#: the type of each fold field in a report; float means a finite int or float
+#: each run field of a report, by its report name: (the CvReport attribute
+#: that holds it, its type), in CvReport order
+_RUN_FIELDS = {
+    "scheme": ("scheme", str),
+    "dataset_id": ("dataset_id", str),
+    "splitter": ("splitter_name", str),
+    "n_iter": ("n_iter", int),
+    "n_outer": ("n_outer", int),
+    "n_inner": ("n_inner", int),
+    "seed": ("seed", int),
+    "n_classes": ("n_classes", int),
+    "n_instances": ("n_instances", int),
+}
+
+#: the type of each fold field in a report, in FoldRecord order; float means
+#: a finite int or float
 _FOLD_FIELDS = {
     "fold": int,
     "selected_tree": str,
@@ -343,6 +333,9 @@ _FOLD_FIELDS = {
     "distinct_trees": int,
     "iterations_run": int,
 }
+
+#: the report fields flat CV leaves null: it has no inner folds
+_FLAT_NULLABLE = ("n_inner", "inner_mean_score")
 
 
 def _report_field(doc: dict, name: str, kind: type, where: str = "", nullable: bool = False):
@@ -539,8 +532,10 @@ def _cross_validate(
     dataset_id: str,
 ) -> CvReport:
     """Nested CV when `n_inner` is set, flat CV (selection on the test fold)
-    when it is None: every plan is checked from the labels, then one run,
+    when it is None: `n_iter` and every plan are checked, then one run,
     featurised once, serves every :func:`_outer_fold` call by row index."""
+    if n_iter < 1:
+        raise ValueError("n_iter must be >= 1")
     splitter_fn = resolve_splitter(splitter)
     outer_plan = split_data(data, n_outer, shuffle=False)
     parts = (data.subset(outer_plan.train_indices(ko)) for ko in range(n_outer))

@@ -1,4 +1,4 @@
-"""Correlation machinery, feature rows, and the cost model."""
+"""Correlation machinery, fold rows, and the cost model."""
 
 import math
 
@@ -13,9 +13,7 @@ from hiertsc import (
     build_tree,
     correlate_features,
     cost_model,
-    extract_features,
     fit_lcpn,
-    improvement_count,
     nested_cv,
     pearson,
     predict_lcpn,
@@ -137,7 +135,7 @@ def test_pearson_rejects_constant_input():
         pearson([1, 2], [1, 2])
 
 
-# -- feature rows ------------------------------------------------------------------
+# -- fold rows ---------------------------------------------------------------------
 
 
 def make_report(splitter="potr", n_classes=4, noise=1.2, seed=11):
@@ -147,26 +145,27 @@ def make_report(splitter="potr", n_classes=4, noise=1.2, seed=11):
     )
 
 
-def test_extract_features_one_row_per_fold():
+def test_fold_rows_one_row_per_fold():
     report = make_report()
-    rows = extract_features(report)
+    rows = report.fold_rows()
     assert len(rows) == 5
     for row, fold in zip(rows, report.folds):
-        assert row.delta_g == fold.delta_g
-        assert row.improved == (fold.delta_g > 0)
-    assert improvement_count(rows) == sum(1 for f in report.folds if f.improved)
+        assert row["delta_g"] == fold.delta_g
+        assert row["improved"] == (fold.delta_g > 0)
+        assert row["n_classes"] == report.n_classes
+    assert sum(row["improved"] for row in rows) == report.aggregates()["improvements"]
 
 
 def test_lsoo_rows_have_unit_class_balance():
     report = make_report(splitter="lsoo")
-    rows = extract_features(report)
-    assert all(row.class_balance == 1.0 for row in rows)
+    rows = report.fold_rows()
+    assert all(row["class_balance"] == 1.0 for row in rows)
     table = correlate_features(rows)
     assert table["class_balance"] is None  # constant feature, test not applicable
 
 
 def test_correlation_table_keys():
-    rows = extract_features(make_report(noise=2.0))
+    rows = make_report(noise=2.0).fold_rows()
     table = correlate_features(rows)
     assert set(table) == {"n_classes", "fc_score", "data_balance", "class_balance"}
     # n_classes is constant within a single report

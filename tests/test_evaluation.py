@@ -1,5 +1,6 @@
 """Metrics, fold plans, the flat baseline, and both CV protocols."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -218,7 +219,8 @@ def test_infeasible_fold_names_class():
 def test_infeasible_inner_folds_fail_before_any_candidate_is_grown(tmp_path, monkeypatch):
     """Every plan, inner and candidate-generation, is checked from the labels
     before any kernel transform, fit or splitter work, in nested and flat CV
-    and from the CLI's ``fit`` and ``cv``, which then write no output."""
+    and from the CLI's ``fit`` and ``cv``, which then write no output; so is
+    an iteration count below one in nested and flat CV."""
     work = []
     grow, transform, fit = evaluation.grow_tree, KernelBank.transform, evaluation.fit_classifier
     monkeypatch.setattr(evaluation, "grow_tree", lambda *args: work.append("grow") or grow(*args))
@@ -246,6 +248,10 @@ def test_infeasible_inner_folds_fail_before_any_candidate_is_grown(tmp_path, mon
     assert not (tmp_path / "fit" / "model.json").exists()
     assert not (tmp_path / "tiny" / "model.json").exists()
     assert not (tmp_path / "nested" / "report.json").exists()
+    with pytest.raises(ValueError, match="n_iter must be >= 1"):
+        nested_cv(data, spec, "potr", n_iter=0, n_outer=2, n_inner=2)
+    with pytest.raises(ValueError, match="n_iter must be >= 1"):
+        flat_cv(data, spec, "potr", n_iter=0, n_outer=2)
     assert work == []
 
 
@@ -456,6 +462,16 @@ def test_report_json_round_trip_keeps_sparse_class_ids():
     assert again.to_json() == report.to_json()
 
 
+def test_report_field_tables_name_every_field_of_the_records_in_order():
+    """A field added to FoldRecord or CvReport but not to its report table
+    (or the other way round) would be dropped from, or break, every report."""
+    assert list(evaluation._FOLD_FIELDS) == [f.name for f in dataclasses.fields(evaluation.FoldRecord)]
+    run = [attr for attr, _ in evaluation._RUN_FIELDS.values()]
+    fields = [f.name for f in dataclasses.fields(CvReport)]
+    assert [name for name in fields if name not in ("spec", "folds")] == run
+    assert set(fields) == {*run, "spec", "folds"}
+
+
 def test_flat_cv_reports_no_inner_score():
     data = separable_dataset(n_per_class=10, n_classes=3, noise=1.0, seed=7)
     report = flat_cv(data, ClassifierSpec(kind="linear"), "potr", n_iter=2, seed=0)
@@ -467,8 +483,8 @@ def test_flat_cv_reports_no_inner_score():
 
 
 def test_cv_rejects_bad_iteration_count():
-    """One check in select_tree serves nested CV, flat CV and direct callers
-    such as ``hiertsc fit``: with no candidate there is no tree to keep."""
+    """Nested CV, flat CV and direct callers of select_tree such as
+    ``hiertsc fit`` reject it: with no candidate there is no tree to keep."""
     data = separable_dataset(n_per_class=10, n_classes=3, seed=1)
     spec = ClassifierSpec(kind="linear")
     rows = Run.rows_of(data, spec)

@@ -11,13 +11,12 @@
 * a flat ``kernel-ridge`` run with two outer folds, a group too small to
   correlate;
 * a report with no folds under a splitter name and ``n_iter`` no other
-  report uses: it adds a correlation group of blank cells and no
-  improvement row.
+  report uses: it adds no row to any table.
 
 ``filter`` reads a catalog with a kept entry, a 2-class entry, a
 near-ceiling entry (orthogonal sine patterns), an unreadable entry and an
-entry whose parts have different series lengths, under ``--classifier
-linear`` and ``kernel-ridge``.
+entry whose parts have different series lengths, with the default
+``--kernels`` and with ``--kernels 16``.
 
 ``features.csv``, both improvement tables, ``filter.json`` and stdout are
 hashed.  The r of ``correlations.csv`` and ``correlations.json`` comes from a
@@ -64,8 +63,8 @@ REPORT_ORDERS = {
     "reversed": (EMPTY_REPORT, *reversed(CV_RUNS)),
 }
 FILTER_CLASSIFIERS = {
-    "linear": ("--classifier", "linear"),
-    "kernel16": ("--classifier", "kernel-ridge", "--kernels", "16"),
+    "linear": (),
+    "kernel16": ("--kernels", "16"),
 }
 
 #: captured at commit 5083e71, before the output tables were built from one
@@ -100,10 +99,6 @@ GOLDEN_CORRELATIONS = [
     ('nested', 'linear', 'potr', 'fc_score', 0.2902769773118437, 0.4486168895024274),
     ('nested', 'linear', 'potr', 'data_balance', -0.8770591752917392, 0.0018984054756081246),
     ('nested', 'linear', 'potr', 'class_balance', -0.8788752163992124, 0.00180538488468807),
-    ('nested', 'linear', 'srtr', 'n_classes', None, None),
-    ('nested', 'linear', 'srtr', 'fc_score', None, None),
-    ('nested', 'linear', 'srtr', 'data_balance', None, None),
-    ('nested', 'linear', 'srtr', 'class_balance', None, None),
 ]
 
 

@@ -80,7 +80,7 @@ COMMANDS = [
     "predict --model fit/model.json --data data.tsv --out fit",
     "trees --classes 4",
     "bench --tree chain --classes 4 --instances 20 --out bench",
-    "filter --data-root catalog --classifier kernel-ridge --kernels 16 --out filter",
+    "filter --data-root catalog --kernels 16 --out filter",
 ]
 
 

@@ -718,3 +718,17 @@ def test_cli_filter(tmp_path, capsys):
     assert doc["total"] == 1
     decisions = json.loads((out / "filter.json").read_text())
     assert decisions[0]["name"] == "HardToy"
+
+
+def test_cli_filter_reads_every_classifier_flag_for_both_kinds(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "catalog"
+    write_dataset_dir(root, "Toy", separable_dataset(n_per_class=6, n_classes=3, seed=1))
+    seen = []
+    monkeypatch.setattr(hiertsc.cli, "filter_datasets", lambda entries, specs: seen.append(specs) or [])
+    flags = ["--kernels", "16", "--ridge-lambda", "0.5", "--seed", "3"]
+    assert main(["filter", "--data-root", str(root), *flags, "--out", str(tmp_path / "out")]) == 0
+    kinds = ("linear", "kernel-ridge")
+    assert seen == [tuple(ClassifierSpec(kind, num_kernels=16, ridge_lambda=0.5, seed=3) for kind in kinds)]
+    # filter runs every kind, so it has no flag that picks one
+    with pytest.raises(SystemExit):
+        main(["filter", "--data-root", str(root), "--classifier", "linear"])
