@@ -193,6 +193,12 @@ class FoldRecord:
         return {**doc, "selected_tree": tree_to_text(self.selected_tree), "improved": self.improved}
 
 
+def _mean(values: list[float]) -> float | None:
+    """The mean of a report's per-fold `values`, or None (null in
+    ``report.json``) for a report with no folds."""
+    return float(np.mean(values)) if values else None
+
+
 @dataclass(frozen=True)
 class CvReport:
     """Everything one CV run produced, serialisable to JSON and CSV rows."""
@@ -210,22 +216,22 @@ class CvReport:
     folds: tuple[FoldRecord, ...]
 
     @property
-    def hc_score(self) -> float:
-        return float(np.mean([f.outer_test_score for f in self.folds]))
+    def hc_score(self) -> float | None:
+        return _mean([f.outer_test_score for f in self.folds])
 
     @property
-    def fc_score(self) -> float:
-        return float(np.mean([f.fc_score for f in self.folds]))
+    def fc_score(self) -> float | None:
+        return _mean([f.fc_score for f in self.folds])
 
     @property
-    def delta_g(self) -> float:
-        return float(np.mean([f.delta_g for f in self.folds]))
+    def delta_g(self) -> float | None:
+        return _mean([f.delta_g for f in self.folds])
 
     @property
     def inner_selection_score(self) -> float | None:
         if any(f.inner_mean_score is None for f in self.folds):
             return None
-        return float(np.mean([f.inner_mean_score for f in self.folds]))
+        return _mean([f.inner_mean_score for f in self.folds])
 
     def aggregates(self) -> dict:
         return {

@@ -1,9 +1,10 @@
 """Binary class hierarchies: structure, balance metrics, similarity, text form.
 
-A hierarchy over a label set C is stored as an ordered collection of parent
-nodes, each a disjoint pair of class sets.  The first parent is the root;
-every other parent's class set must appear as exactly one child of another
-parent, and every class appears as exactly one singleton leaf.
+A hierarchy over a label set C is an ordered collection of parent nodes, each
+a disjoint pair of non-empty class sets; the first parent is the root.  One
+rule defines it: a walk from the root, following each side of two or more
+classes to the parent of that set, reaches every parent.  Sides are strict
+subsets of their parent's set, so this puts every class in exactly one leaf.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ class ParentNode:
 class HierarchyTree:
     """A rooted binary hierarchy over a flat label set.
 
-    Invariants (checked at construction): the first parent is the root and
-    covers the whole label set; there are exactly ``|C| - 1`` parents and
-    ``2|C| - 1`` nodes including leaves; each non-root parent hangs off
-    exactly one child set of another parent; each class is one leaf.
+    Invariants (checked at construction, by one walk from the root): the
+    first parent covers the label set, no class set is given as two parents,
+    each side of two or more classes is another parent's set, and the walk
+    reaches every parent.  Sides are disjoint strict subsets of their
+    parent's set, so the walk meets each set once and its one-class sides
+    partition the label set: ``|C| - 1`` parents, each class one leaf.
     """
 
     parents: tuple[ParentNode, ...]
@@ -64,63 +67,29 @@ class HierarchyTree:
         root_classes = frozenset(int(c) for c in self.root_classes)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "root_classes", root_classes)
-        self._validate()
-        index = {p.class_set: i for i, p in enumerate(self.parents)}
-        object.__setattr__(self, "_set_index", index)
-
-    def _validate(self) -> None:
-        if not self.parents:
-            raise TreeStructureError("a hierarchy needs at least one parent node")
-        if len(self.root_classes) < 2:
+        if len(root_classes) < 2:
             raise TreeStructureError("label space must contain at least two classes")
-        root = self.parents[0]
-        if root.class_set != self.root_classes:
-            raise TreeStructureError(
-                "first parent must cover the full label space (it is the root)"
-            )
-        if len(self.parents) != len(self.root_classes) - 1:
-            raise TreeStructureError(
-                f"expected {len(self.root_classes) - 1} parents for "
-                f"{len(self.root_classes)} classes, got {len(self.parents)}"
-            )
-        parent_sets = [p.class_set for p in self.parents]
-        if len(set(parent_sets)) != len(parent_sets):
-            raise TreeStructureError("duplicate parent class sets")
-
-        child_counts: dict[ClassSet, int] = {}
-        for p in self.parents:
-            for side in (p.left, p.right):
-                child_counts[side] = child_counts.get(side, 0) + 1
-
-        for p in self.parents[1:]:
-            n = child_counts.get(p.class_set, 0)
-            if n == 0:
-                raise TreeStructureError(
-                    f"parent {sorted(p.class_set)} is not a child of any other "
-                    "parent (multiple roots?)"
-                )
-            if n > 1:
-                raise TreeStructureError(
-                    f"class set {sorted(p.class_set)} has more than one parent"
-                )
-        if child_counts.get(self.root_classes, 0) != 0:
-            raise TreeStructureError("the root class set also appears as a child")
-
-        known_parents = set(parent_sets)
-        for child, n in child_counts.items():
-            if len(child) == 1:
-                if n != 1:
-                    raise TreeStructureError(
-                        f"class {sorted(child)[0]} appears as {n} leaves"
-                    )
-            elif child not in known_parents:
-                raise TreeStructureError(
-                    f"class set {sorted(child)} is a child but has no parent node "
-                    "(orphaned subtree)"
-                )
-        for c in self.root_classes:
-            if child_counts.get(frozenset((c,)), 0) != 1:
-                raise TreeStructureError(f"class {c} never appears as a leaf")
+        if not parents or parents[0].class_set != root_classes:
+            raise TreeStructureError("first parent must cover the full label space (it is the root)")
+        index: dict[ClassSet, int] = {}
+        for i, p in enumerate(parents):
+            if index.setdefault(p.class_set, i) != i:
+                raise TreeStructureError(f"class set {sorted(p.class_set)} is given as two parents")
+        depths: dict[int, int] = {}
+        walk = [(0, 1)]  # (parent index, depth of its sides), grown while it is read
+        for i, depth in walk:
+            for side in (parents[i].left, parents[i].right):
+                if len(side) == 1:
+                    depths[min(side)] = depth
+                elif side in index:
+                    walk.append((index[side], depth + 1))
+                else:
+                    raise TreeStructureError(f"class set {sorted(side)} is a child but has no parent node")
+        if len(walk) < len(parents):
+            first = min(set(range(len(parents))) - {i for i, _ in walk})
+            raise TreeStructureError(f"parent {sorted(parents[first].class_set)} is not reached from the root")
+        object.__setattr__(self, "_set_index", index)
+        object.__setattr__(self, "_depths", depths)
 
     # -- navigation ------------------------------------------------------
 
@@ -139,34 +108,19 @@ class HierarchyTree:
 
     def leaf_depths(self) -> dict[int, int]:
         """Routing depth of every class: number of parent decisions root->leaf."""
-        depths: dict[int, int] = {}
-        stack: list[tuple[ClassSet, int]] = [(self.root_classes, 0)]
-        while stack:
-            class_set, above = stack.pop()
-            node = self.parents[self.parent_index_of(class_set)]
-            for side in (node.left, node.right):
-                if len(side) == 1:
-                    depths[next(iter(side))] = above + 1
-                else:
-                    stack.append((side, above + 1))
-        return depths
+        return dict(self._depths)
 
 
 def build_tree(pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> HierarchyTree:
     """Assemble a hierarchy from (left, right) class-set pairs.
 
-    The first pair is the root; parent-child links are implied by set
-    inclusion.  Raises TreeStructureError for overlapping siblings, orphaned
-    class sets, or multiple roots.
+    The first pair is the root; every other pair hangs off the side of
+    another pair that equals its class set.  Raises TreeStructureError unless
+    the walk from the root reaches every pair (the one rule, see
+    :class:`HierarchyTree`), or for an empty or overlapping side.
     """
-    pair_list = list(pairs)
-    if not pair_list:
-        raise TreeStructureError("no parent pairs given")
-    parents = tuple(
-        ParentNode(i, frozenset(int(c) for c in l), frozenset(int(c) for c in r))
-        for i, (l, r) in enumerate(pair_list)
-    )
-    return HierarchyTree(parents=parents, root_classes=parents[0].class_set)
+    parents = tuple(ParentNode(i, l, r) for i, (l, r) in enumerate(pairs))
+    return HierarchyTree(parents, parents[0].class_set if parents else frozenset())
 
 
 def bipartitions(members: Sequence[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -207,13 +161,9 @@ def datapoint_balance_factor(tree: HierarchyTree, data) -> float:
             f"tree labels {sorted(tree.root_classes)} != data labels {list(data.label_space)}"
         )
     counts = data.class_counts()
-    num = 0
-    den = 0
-    for p in tree.parents:
-        left = sum(counts[c] for c in p.left)
-        right = sum(counts[c] for c in p.right)
-        num += right - left
-        den += right + left - 2
+    sides = [(sum(counts[c] for c in p.left), sum(counts[c] for c in p.right)) for p in tree.parents]
+    num = sum(right - left for left, right in sides)
+    den = sum(right + left - 2 for left, right in sides)
     return num / den if den else 0.0
 
 
@@ -245,12 +195,13 @@ def reflect(tree: HierarchyTree) -> HierarchyTree:
 
 # -- text form -----------------------------------------------------------
 
-_ID = r"(?:0|-?[1-9][0-9]{0,18})"  # an int64 class id spelled str(id)
+_ID = r"(?:0|-?[1-9][0-9]{0,18})"  # a class id spelled str(id); parse_tree_text checks the int64 range
 _SET = r"\{%s(?:,%s)*\}" % (_ID, _ID)
 _PAIR = r"\{%s,%s\}" % (_SET, _SET)
 _TREE_TEXT = re.compile(r"\{%s(?:,%s)*\}" % (_PAIR, _PAIR))
 _SPACE_BY_MARK = re.compile(r"\s+(?=[{},])|(?<=[{},])\s+")
 _CLASS_SET = re.compile(r"\{([^{}]*)\}")
+_INT64 = range(-(2**63), 2**63)
 
 
 def tree_to_text(tree: HierarchyTree) -> str:
@@ -259,21 +210,17 @@ def tree_to_text(tree: HierarchyTree) -> str:
     Set members are emitted sorted by class id; parents keep their stored
     order (root first).
     """
-
-    def fmt_set(s: ClassSet) -> str:
-        return "{%s}" % ",".join(map(str, sorted(s)))
-
-    body = ",".join("{%s,%s}" % (fmt_set(p.left), fmt_set(p.right)) for p in tree.parents)
-    return "{%s}" % body
+    sets = ["{%s}" % ",".join(map(str, sorted(s))) for p in tree.parents for s in (p.left, p.right)]
+    return "{%s}" % ",".join("{%s,%s}" % pair for pair in zip(sets[::2], sets[1::2]))
 
 
 def parse_tree_text(text: str) -> HierarchyTree:
     """The tree of a :func:`tree_to_text` text, over the class ids it names.
 
-    Each member must be a class id of at most 19 digits spelled ``str(id)``,
-    named once in its set; whitespace next to a brace or a comma is ignored.
-    Raises TreeStructureError otherwise, or when the pairs do not form a
-    tree.
+    Each member must be an int64 class id (in [-2**63, 2**63 - 1]) spelled
+    ``str(id)``, named once in its set; whitespace next to a brace or a comma
+    is ignored.  Raises TreeStructureError otherwise, or when the pairs do
+    not form a tree.
     """
     compact = _SPACE_BY_MARK.sub("", text)
     if not _TREE_TEXT.fullmatch(compact):
@@ -281,4 +228,6 @@ def parse_tree_text(text: str) -> HierarchyTree:
     sets = [[int(c) for c in members.split(",")] for members in _CLASS_SET.findall(compact)]
     if any(len(set(members)) != len(members) for members in sets):
         raise TreeStructureError(f"a class id repeats within one set: {text[:80]!r}")
+    if any(c not in _INT64 for members in sets for c in members):
+        raise TreeStructureError(f"a class id is outside int64: {text[:80]!r}")
     return build_tree(zip(sets[::2], sets[1::2]))

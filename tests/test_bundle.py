@@ -385,6 +385,7 @@ def _digest_edit(edit):
         (lambda: _with_label_key("+1"), r"'label_names' key '\+1' is not a class id"),
         (lambda: _with_label_key("0_3"), "'label_names' key '0_3' is not a class id"),
         (lambda: _with_tree(lambda text: text.replace("1", "01")), "tree: not a tree text over class ids"),
+        (lambda: _with_tree(lambda text: text.replace("2", str(2**63))), "tree: a class id is outside int64"),
         (lambda: _nodes(lambda nodes: nodes[:1]), "1 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: nodes * 2), "4 node models for 2 parent nodes"),
         (lambda: _nodes(lambda nodes: [{**n, "bank": 0} for n in nodes]), "node model has a key its format does not define: 'bank'"),
@@ -672,6 +673,25 @@ def test_predict_with_an_unreadable_bundle_exits_2(content, tmp_path, capsys):
     code, _, err = _run(["predict", "--model", model, "--data", tmp_path / "batch.tsv", "--out", tmp_path / "p"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ModelFormatError"
+
+
+def test_predict_with_a_class_id_beyond_int64_exits_2(abc_model, tmp_path, capsys):
+    """A bundle whose tree and token map name a class id no int64 holds is
+    refused on load, before any row is routed."""
+    model, rows = abc_model
+    doc = json.loads(model.read_text())
+    big = "9999999999999999999"
+    doc["tree"] = doc["tree"].replace("2", big)
+    doc["label_names"][big] = doc["label_names"].pop("2")
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    (tmp_path / "batch.tsv").write_text("\n".join(rows["a"] + rows["c"]) + "\n")
+    code, stdout, err = _run(["predict", "--model", tmp_path / "big.json", "--data", tmp_path / "batch.tsv",
+                              "--out", tmp_path / "p"], capsys)
+    assert code == 2 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelFormatError"
+    assert "a class id is outside int64" in error["message"]
+    assert not (tmp_path / "p").exists()
 
 
 def test_a_library_fit_on_a_loaded_file_keeps_its_token_map(tmp_path, capsys):

@@ -451,6 +451,23 @@ def test_report_json_round_trip():
     assert again.to_json() == report.to_json()
 
 
+def test_a_report_with_no_folds_encodes_null_means():
+    """A decoded report may hold no folds; its means are then null, never a
+    NaN that no JSON reader takes."""
+    data = separable_dataset(n_per_class=10, n_classes=3, noise=1.0, seed=6)
+    doc = json.loads(nested_cv(data, ClassifierSpec(kind="linear"), "potr", n_iter=2, seed=0).to_json())
+    empty = CvReport.from_json(json.dumps({**doc, "folds": []}))
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = empty.to_json()
+    assert json.loads(text, parse_constant=refuse)["aggregates"] == {
+        "hc_score": None, "hc_inner_selection_score": None, "fc_score": None, "delta_g": None, "improvements": 0,
+    }
+    assert CvReport.from_json(text).to_json() == text
+
+
 def test_report_json_round_trip_keeps_sparse_class_ids():
     dense = collinear_superclusters(n_per_class=6, series_length=16, noise=1.5)
     sparse = np.array([-5, 3, 7, 10**9])

@@ -637,6 +637,11 @@ def _edited(field, value):
             id="selected_tree-tokens",
         ),
         pytest.param(
+            _edited("folds[0].selected_tree", "{{{0},{9999999999999999999}}}"),
+            "TreeStructureError: a class id is outside int64",
+            id="selected_tree-id-beyond-int64",
+        ),
+        pytest.param(
             lambda doc: json.dumps({**doc, "classifier": {**doc["classifier"], "kind": "no-such-kind"}}),
             "ModelFormatError: classifier spec: unknown classifier kind 'no-such-kind'",
             id="classifier-kind-unknown",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hiertsc import (
     canonical_signature,
     class_balance_factor,
     datapoint_balance_factor,
+    enumerate_distinct_trees,
     parse_tree_text,
     reflect,
     tree_to_text,
@@ -83,6 +85,96 @@ def test_build_tree_rejects_duplicate_leaf():
 def test_single_class_rejected():
     with pytest.raises(TreeStructureError):
         build_tree([])
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([({0, 1}, {2}), ({0}, {1}), ({1}, {0})], r"class set \[0, 1\] is given as two parents"),
+        ([({0, 1}, {2, 3}), ({0}, {1})], r"class set \[2, 3\] is a child but has no parent node"),
+        ([({0}, {1}), ({0, 1}, {2})], r"parent \[0, 1, 2\] is not reached from the root"),
+    ],
+    ids=["repeated-set", "orphan-side", "unreached-parent"],
+)
+def test_structure_errors_name_the_offending_class_set(pairs, message):
+    with pytest.raises(TreeStructureError, match=message):
+        build_tree(pairs)
+
+
+@lru_cache(maxsize=None)
+def tree_signatures(classes):
+    """The signature of every distinct tree over `classes`."""
+    return {canonical_signature(t) for t in enumerate_distinct_trees(classes)}
+
+
+def is_tree(pairs):
+    """Oracle: `pairs` are |C| - 1 pairs whose first covers every class C
+    they name and whose signature is that of a distinct tree over C."""
+    classes = frozenset().union(*(left | right for left, right in pairs))
+    return (
+        len(classes) >= 2
+        and len(pairs) == len(classes) - 1
+        and pairs[0][0] | pairs[0][1] == classes
+        and frozenset(frozenset(p) for p in pairs) in tree_signatures(classes)
+    )
+
+
+def naive_depths(pairs, members, depth=1):
+    """Leaf depths below the pair over `members`, by recursion over the pairs."""
+    left, right = next((l, r) for l, r in pairs if l | r == members)
+    depths = {}
+    for side in (left, right):
+        depths.update({min(side): depth} if len(side) == 1 else naive_depths(pairs, side, depth + 1))
+    return depths
+
+
+@lru_cache(maxsize=None)
+def distinct_trees(n_classes):
+    return list(enumerate_distinct_trees(range(n_classes)))
+
+
+@st.composite
+def pair_lists(draw):
+    """Disjoint (left, right) pairs over 2-6 classes: a tree's pairs, root
+    first, sides and later pairs shuffled, then up to four random edits
+    (insert, delete or replace a pair, or move one to the front)."""
+    classes = range(draw(st.integers(2, 6)))
+
+    def any_pair():
+        members = draw(st.permutations(classes))[: draw(st.integers(2, len(classes)))]
+        cut = draw(st.integers(1, len(members) - 1))
+        return frozenset(members[:cut]), frozenset(members[cut:])
+
+    tree = draw(st.sampled_from(distinct_trees(len(classes))))
+    pairs = [(p.left, p.right) for p in tree.parents]
+    pairs = [pairs[0], *draw(st.permutations(pairs[1:]))]
+    pairs = [draw(st.sampled_from([(l, r), (r, l)])) for l, r in pairs]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "to-front"]))
+        i = draw(st.integers(0, len(pairs) - (edit != "insert")))
+        if edit == "insert":
+            pairs.insert(i, any_pair())
+        elif edit == "delete":
+            del pairs[i]
+        elif edit == "replace":
+            pairs[i] = any_pair()
+        else:
+            pairs.insert(0, pairs.pop(i))
+        if not pairs:
+            break
+    return pairs
+
+
+@given(pair_lists())
+@settings(max_examples=400, deadline=None)
+def test_a_pair_list_is_accepted_exactly_when_it_is_a_tree(pairs):
+    try:
+        tree = build_tree(pairs)
+    except TreeStructureError:
+        assert not is_tree(pairs)
+        return
+    assert is_tree(pairs)
+    assert tree.leaf_depths() == naive_depths(pairs, tree.root_classes)
 
 
 # -- balance metrics ----------------------------------------------------------
@@ -244,10 +336,19 @@ def test_parse_errors():
         "{{{0,},{1}}}",
         "{{{0,0},{1}}}",  # a member named twice in one set
         "{{{%s},{0}}}" % ("1" * 5000),  # longer than any int64 id
+        "{{{0},{9999999999999999999}}}",  # 19 digits, beyond int64
         "",
     ]:
         with pytest.raises(TreeStructureError):
             parse_tree_text(text)
+
+
+def test_parse_takes_exactly_the_int64_ids():
+    for low, high in [(-(2**63), 0), (0, 2**63 - 1), (-(2**63), 2**63 - 1)]:
+        assert parse_tree_text("{{{%d},{%d}}}" % (low, high)).root_classes == {low, high}
+    for outside in [2**63, -(2**63) - 1]:
+        with pytest.raises(TreeStructureError, match="a class id is outside int64"):
+            parse_tree_text("{{{0},{%d}}}" % outside)
 
 
 def test_text_round_trip_random_trees(rng):
