@@ -20,11 +20,12 @@ toward the smallest class id.  A fit's label-independent half, the raw
 features, is computed once per run: a :class:`Run` draws its kernel bank and
 featurises all of its rows in one call, and every fit slices that one matrix
 by row index (:class:`Rows`); a run and an ``lcpn.LcpnModel`` are the only
-holders of a bank.  One ridge path serves every fit: a
-:class:`_PreparedRows` standardises and centres a row set in one pass over
-its gathered features (:func:`_centred`) and builds the Gram matrix with
-lambda on its diagonal once (:func:`_gram`); each target fit on those rows is
-then one :func:`ridge_solve`:
+holders of a bank.  A run also holds its spec, which every fit below the
+entry points that take a dataset reads (``rows.run.spec``).  One ridge path
+serves every fit: a :class:`_PreparedRows` standardises and centres a row
+set in one pass over its gathered features (:func:`_centred`) and builds the
+Gram matrix with the run's lambda on its diagonal once (:func:`_gram`); each
+target fit on those rows is then one :func:`ridge_solve`:
 
 - a node fit (``lcpn._node_rows``, for ``lcpn.fit_lcpn`` and tree scoring)
   relabels and prepares each class set's rows once (by class within the
@@ -654,13 +655,13 @@ def _centred(rows: Rows) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarr
 class _PreparedRows:
     """The label-independent half of a ridge fit on `rows`, made once for
     every target fit on them: the (mean, scale, centre, centred) of
-    :func:`_centred` and the regularised Gram matrix (:func:`_gram`) of the
-    centred features.  Node fits, split scoring and tree scoring all solve
-    with it, so each solve has the bits of a fresh fit's."""
+    :func:`_centred` and the regularised Gram matrix (:func:`_gram`, with the
+    run's lambda) of the centred features.  Node fits, split scoring and tree
+    scoring all solve with it, so each solve has the bits of a fresh fit's."""
 
-    def __init__(self, rows: Rows, lam: float) -> None:
+    def __init__(self, rows: Rows) -> None:
         self.mean, self.scale, self.centre, self.centred = _centred(rows)
-        self.gram = _gram(self.centred, lam)
+        self.gram = _gram(self.centred, rows.run.spec.ridge_lambda)
 
     def solve(self, targets: np.ndarray) -> np.ndarray:
         """(f, k) ridge weights of (n, k) targets on the standardised,
@@ -692,7 +693,7 @@ class _PreparedRows:
         return feats
 
 
-def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: int) -> np.ndarray:
+def _class_decisions(train: Rows, val: Rows, n_classes: int) -> np.ndarray:
     """(validation rows, n_classes): the centred, standardised features of
     `val` times the ridge weights whose column j fits the indicator of
     ``train.labels == j``, `train.labels` holding one class in
@@ -701,10 +702,9 @@ def _class_decisions(spec: ClassifierSpec, train: Rows, val: Rows, n_classes: in
     A ridge solution is linear in its targets, so the decisions for any
     targets that are constant on each class are a sum of these columns (how
     split scoring scores every bipartition of a class set).  A class with no
-    training rows has a zero column.  Raises ValueError when the rows'
-    run is for another spec.
+    training rows has a zero column.
     """
-    prepared = _PreparedRows(Run.rows_of(train, spec), spec.ridge_lambda)
+    prepared = _PreparedRows(train)
     codes = train.labels
     indicators = np.zeros((codes.size, n_classes))
     indicators[np.arange(codes.size), codes] = 1.0
@@ -734,5 +734,5 @@ def fit_classifier(spec: ClassifierSpec, data: TimeSeriesDataset | Rows) -> Trai
     if class_ids.size < 2:
         raise TrainingDataError("training data must contain at least two classes")
     columns = class_ids[: _decision_rows(class_ids.size)]
-    weights, intercepts = _PreparedRows(rows, spec.ridge_lambda).fit(labels[:, None] == columns[None, :])
+    weights, intercepts = _PreparedRows(rows).fit(labels[:, None] == columns[None, :])
     return TrainedClassifier(class_ids=tuple(int(c) for c in class_ids), weights=weights, intercepts=intercepts)

@@ -150,7 +150,7 @@ def _run_fit(args: argparse.Namespace) -> int:
     (inner_plan,) = _check_plans([data], args.inner_folds)
     rows = Run.rows_of(data, spec)  # one bank and one transform of all rows for the whole fit
     best_tree, best_score, _, _ = select_tree(
-        rows, spec, resolve_splitter(args.splitter), args.iters, args.seed, 0, inner_plan.folds(rows)
+        rows, resolve_splitter(args.splitter), args.iters, args.seed, 0, inner_plan.folds(rows)
     )
     model = fit_lcpn(best_tree, rows, spec)
     out = Path(args.out)

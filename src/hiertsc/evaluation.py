@@ -12,6 +12,8 @@ fold 0), the one pair (training rows, test rows) for flat CV.
 the labels before any featurising; then each outer fold is one pure call of
 :func:`_outer_fold`, its flat baseline, selection and outer score.  Every
 reported number is a pure function of (data, spec, splitter, n_iter, seeds).
+The spec enters once, where :meth:`Run.rows_of` makes the run; every
+function below the entry points reads it from its rows (``rows.run.spec``).
 
 One engine scores every candidate tree (:func:`_score_trees`): the fold
 list :func:`select_tree` is handed, and the outer score of the selected
@@ -45,7 +47,7 @@ from .dataset import DataValidationError, TimeSeriesDataset
 from .io import CatalogEntry, DatasetFormatError, load_dataset, merge_datasets
 from .lcpn import _check_fit, _node_rows, _route
 from .metrics import accuracy, f1_macro
-from .splitting import SplitContext, resolve_splitter
+from .splitting import SPLITTERS, SplitContext, resolve_splitter
 from .tree import (
     HierarchyTree,
     class_balance_factor,
@@ -148,20 +150,18 @@ def split_data(
 
 
 def flat_baseline(
-    folds: list[tuple[Rows, Rows]],
-    spec: ClassifierSpec,
-    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    folds: list[tuple[Rows, Rows]], *, metric: Callable[[np.ndarray, np.ndarray], float] | None = None
 ) -> list[float]:
     """Per-fold score of the flat classifier over `folds`, (fit rows, scored
     rows) pairs of one run, as :func:`select_tree` takes them: fit on the
-    fit rows, score on the scored rows.
+    fit rows with the run's spec, score on the scored rows.
 
     `metric` defaults to macro-F1, looked up at call time rather than bound
     as a default value, so a tracer that rebinds :func:`f1_macro` sees it.
     """
     metric = metric or f1_macro
     return [
-        metric(val.labels, fit_classifier(spec, fit).predict_features(val.feats))
+        metric(val.labels, fit_classifier(fit.run.spec, fit).predict_features(val.feats))
         for fit, val in folds
     ]
 
@@ -370,32 +370,25 @@ def _report_field(doc: dict, name: str, kind: type, where: str = "", nullable: b
 # -- candidate generation ----------------------------------------------------
 
 
-def _iteration_context(
-    outer_train: Rows, spec: ClassifierSpec, seed: int, ko: int, i: int
-) -> SplitContext:
+def _iteration_context(outer_train: Rows, seed: int, ko: int, i: int) -> SplitContext:
     """Fresh shuffled generation split and RNG stream for (seed, fold, iter)."""
     root = np.random.SeedSequence(entropy=(seed, ko, i))
     fold_seq, splitter_seq = root.spawn(2)
     gen_seed = int(fold_seq.generate_state(1)[0])
     plan = split_data(outer_train, GENERATION_FOLDS, shuffle=True, seed=gen_seed)
     train, val = plan.fold(outer_train, 0)
-    return SplitContext(train=train, val=val, spec=spec, rng=np.random.default_rng(splitter_seq))
+    return SplitContext(train=train, val=val, rng=np.random.default_rng(splitter_seq))
 
 
 def _candidate_trees(
-    outer_train: Rows,
-    spec: ClassifierSpec,
-    splitter_fn: Callable,
-    n_iter: int,
-    seed: int,
-    ko: int,
+    outer_train: Rows, splitter_fn: Callable, n_iter: int, seed: int, ko: int
 ) -> tuple[list[HierarchyTree], int, int]:
     """Generate up to n_iter candidate trees, skipping similarity duplicates
     and stopping once every distinct tree has been seen.
 
     Returns (fresh trees, iterations run, distinct count).  The stream is a
-    pure function of (outer_train, spec, splitter, n_iter, seed, ko), which
-    is what lets nested and flat CV share it.
+    pure function of (outer_train, its run's spec, splitter, n_iter, seed,
+    ko), which is what lets nested and flat CV share it.
     """
     state = TreeSearchState(limit=default_tree_limit(outer_train.n_classes))
     fresh: list[HierarchyTree] = []
@@ -404,16 +397,14 @@ def _candidate_trees(
         if state.at_limit:
             break
         iterations += 1
-        ctx = _iteration_context(outer_train, spec, seed, ko, i)
+        ctx = _iteration_context(outer_train, seed, ko, i)
         tree = grow_tree(ctx, splitter_fn)
         if check_duplicates_and_limit(state, tree) is CheckResult.FRESH:
             fresh.append(tree)
     return fresh, iterations, state.distinct_count
 
 
-def _score_trees(
-    trees: list[HierarchyTree], folds: list[tuple[Rows, Rows]], spec: ClassifierSpec
-) -> list[float]:
+def _score_trees(trees: list[HierarchyTree], folds: list[tuple[Rows, Rows]]) -> list[float]:
     """Each tree's mean macro-F1 over `folds`, (fit rows, scored rows) pairs:
     the score of its LCPN model fit on the fit rows (``lcpn.fit_lcpn``) and
     routed over the scored rows (``lcpn.predict_lcpn``), bit for bit,
@@ -434,7 +425,7 @@ def _score_trees(
     lookups = [[column[p.left, p.right] for p in tree.parents] for tree in trees]
     scores: list[list[float]] = [[] for _ in trees]
     for fit, val in folds:
-        decisions = _decisions(val.feats, *_node_rows(list(splits.values()), fit, spec))
+        decisions = _decisions(val.feats, *_node_rows(list(splits.values()), fit))
         for tree, lookup, tree_scores in zip(trees, lookups, scores):
             predicted, _ = _route(tree, decisions[:, lookup])
             tree_scores.append(f1_macro(val.labels, predicted))
@@ -442,13 +433,7 @@ def _score_trees(
 
 
 def select_tree(
-    train: Rows,
-    spec: ClassifierSpec,
-    splitter_fn: Callable,
-    n_iter: int,
-    seed: int,
-    ko: int,
-    folds: list[tuple[Rows, Rows]],
+    train: Rows, splitter_fn: Callable, n_iter: int, seed: int, ko: int, folds: list[tuple[Rows, Rows]]
 ) -> tuple[HierarchyTree, float, int, int]:
     """Score every fresh candidate of the (seed, ko) stream over the rows
     `train` by its mean macro-F1 over `folds`, (fit rows, scored rows)
@@ -462,16 +447,20 @@ def select_tree(
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    fresh, iterations, distinct = _candidate_trees(train, spec, splitter_fn, n_iter, seed, ko)
-    scores = _score_trees(fresh, folds, spec)
+    fresh, iterations, distinct = _candidate_trees(train, splitter_fn, n_iter, seed, ko)
+    scores = _score_trees(fresh, folds)
     best = max(range(len(fresh)), key=scores.__getitem__)  # max keeps the first of ties
     return fresh[best], scores[best], iterations, distinct
 
 
 def _splitter_label(splitter) -> str:
+    """The report name of `splitter`: a registry name as given, a registry
+    splitter passed as a callable by its registry name, looked up at call
+    time, and any other callable by its ``__name__``."""
     if isinstance(splitter, str):
         return splitter
-    return getattr(splitter, "__name__", "custom")
+    names = [name for name, fn in SPLITTERS.items() if fn is splitter]
+    return names[0] if names else getattr(splitter, "__name__", "custom")
 
 
 def _checked_plan(part: TimeSeriesDataset, k: int, where: str) -> FoldPlan:
@@ -498,21 +487,19 @@ def _check_plans(parts: Iterable[TimeSeriesDataset], n_inner: int | None) -> lis
 
 def _outer_fold(
     train: Rows, test: Rows, ko: int, inner_plan: FoldPlan | None,
-    spec: ClassifierSpec, splitter_fn: Callable, n_iter: int, seed: int,
+    splitter_fn: Callable, n_iter: int, seed: int,
 ) -> FoldRecord:
     """Outer fold `ko`'s record, a pure function of its arguments: the flat
     baseline's score, and the tree selected over `inner_plan`'s folds of
     `train` (``[(train, test)]`` when None, for flat CV) with its outer score."""
     outer = [(train, test)]
-    fc_score = flat_baseline(outer, spec)[0]
+    fc_score = flat_baseline(outer)[0]
     folds = outer if inner_plan is None else inner_plan.folds(train)
-    tree, score, iterations, distinct = select_tree(
-        train, spec, splitter_fn, n_iter, seed, ko, folds
-    )
+    tree, score, iterations, distinct = select_tree(train, splitter_fn, n_iter, seed, ko, folds)
     if inner_plan is None:
         inner_mean, outer_score = None, score
     else:
-        inner_mean, outer_score = score, _score_trees([tree], outer, spec)[0]
+        inner_mean, outer_score = score, _score_trees([tree], outer)[0]
     return FoldRecord(
         fold=ko,
         selected_tree=tree,
@@ -548,7 +535,7 @@ def _cross_validate(
     inner_plans = _check_plans(parts, n_inner)
     folds = outer_plan.folds(Run.rows_of(data, spec))
     records = [
-        _outer_fold(train, test, ko, inner_plans[ko], spec, splitter_fn, n_iter, seed)
+        _outer_fold(train, test, ko, inner_plans[ko], splitter_fn, n_iter, seed)
         for ko, (train, test) in enumerate(folds)
     ]
     return CvReport(
@@ -656,7 +643,7 @@ def _filter_entry(entry: CatalogEntry, specs: tuple[ClassifierSpec, ClassifierSp
     try:
         plan = split_data(merged, FILTER_FOLDS)
         accuracies = tuple(
-            float(np.mean(flat_baseline(plan.folds(Run.rows_of(merged, spec)), spec, accuracy)))
+            float(np.mean(flat_baseline(plan.folds(Run.rows_of(merged, spec)), metric=accuracy)))
             for spec in specs
         )
     except (ValueError, ArithmeticError) as exc:

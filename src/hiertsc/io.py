@@ -273,11 +273,13 @@ class CatalogEntry:
 
 
 def scan_catalog(root: str | Path) -> list[CatalogEntry]:
-    """Find <root>/<Name>/<Name>_TRAIN.* plus matching _TEST.* pairs."""
+    """Find <root>/<Name>/<Name>_TRAIN.* plus matching _TEST.* pairs; an
+    empty directory holds none.  Raises DatasetFormatError naming `root`
+    when it is not a directory."""
     root = Path(root)
-    entries = []
     if not root.is_dir():
-        return entries
+        raise DatasetFormatError(f"catalog root is not a directory: {root}")
+    entries = []
     for child in sorted(root.iterdir()):
         if not child.is_dir():
             continue

@@ -270,9 +270,7 @@ def _check_fit(tree: HierarchyTree, rows: Rows) -> None:
             )
 
 
-def _node_rows(
-    parents: Sequence[ParentNode], rows: Rows, spec: ClassifierSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _node_rows(parents: Sequence[ParentNode], rows: Rows) -> tuple[np.ndarray, np.ndarray]:
     """(weights (P, f), intercepts (P,)): row i is the node fit of
     ``parents[i]`` on `rows`, with the bits of a two-class ``fit_classifier``
     on the parent's rows, left -> 0 and right -> 1.  Each class set's rows
@@ -288,7 +286,7 @@ def _node_rows(
     for classes, nodes in members.items():
         order = sorted(classes)
         node, _ = rows.grouped([(c,) for c in order])
-        prepared = _PreparedRows(node, spec.ridge_lambda)
+        prepared = _PreparedRows(node)
         for i in nodes:
             left = np.array([c in parents[i].left for c in order])
             w, b = prepared.fit(left[node.labels][:, None])
@@ -320,7 +318,7 @@ def fit_lcpn(
     """
     rows = Run.rows_of(data, spec)
     _check_fit(tree, rows)
-    weights, intercepts = _node_rows(tree.parents, rows, spec)
+    weights, intercepts = _node_rows(tree.parents, rows)
     if counters is not None:
         _, counts = rows.grouped([parent.class_set for parent in tree.parents])
         counters.per_parent_instances.extend(counts)

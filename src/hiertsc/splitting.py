@@ -2,9 +2,10 @@
 
 Three stochastic splitters plus an exhaustive oracle, all maximising the
 binary-group score of a base classifier fit on a training part and scored on
-a validation part.  Each splitter is only its proposal rule; one shared loop
-scores the proposals, keeps strictly better ones and, in all four splitters,
-stops on a perfect score.
+a validation part, both rows of one run (a :class:`SplitContext`), whose
+spec is the base classifier's.  Each splitter is only its proposal rule; one
+shared loop scores the proposals, keeps strictly better ones and, in all
+four splitters, stops on a perfect score.
 
 Scoring works from one table per class set, built when the set is first
 scored: its training and validation rows are relabelled once, by local class
@@ -25,8 +26,7 @@ from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, Rows, Run, _class_decisions
-from .dataset import TimeSeriesDataset
+from .classifiers import Rows, _class_decisions
 from .metrics import _f1_mean
 from .tree import ClassSet, bipartitions
 
@@ -40,11 +40,11 @@ class ScoringError(ValueError):
 
 @dataclass
 class SplitContext:
-    """Everything a splitter needs: a train/validation pair, the base
-    classifier configuration and a seeded random stream.
+    """Everything a splitter needs: a train/validation pair and a seeded
+    random stream.
 
-    `train` and `val` are :class:`Rows` of one run, or two datasets, which
-    then become the rows of one new run over both.
+    `train` and `val` are :class:`Rows` of one run, whose spec configures
+    the base classifier; rows of two runs raise ValueError.
     Both parts must contain at least one instance of every class in the set
     being split; callers normally obtain them from a stratified fold plan.
 
@@ -56,22 +56,14 @@ class SplitContext:
     values agree with that fit's to rounding.
     """
 
-    train: Rows | TimeSeriesDataset
-    val: Rows | TimeSeriesDataset
-    spec: ClassifierSpec
+    train: Rows
+    val: Rows
     rng: np.random.Generator
     _live: _ClassBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.train, Rows):
-            run = Run(
-                np.vstack([self.train.values, self.val.values]),
-                np.concatenate([self.train.labels, self.val.labels]),
-                self.spec,
-            )
-            n = self.train.n_instances
-            self.train = Rows(run, np.arange(n))
-            self.val = Rows(run, np.arange(n, run.labels.size))
+        if self.train.run is not self.val.run:
+            raise ValueError("the training and validation rows must be rows of one run")
 
     @property
     def label_space(self) -> tuple[int, ...]:
@@ -85,7 +77,7 @@ class SplitContext:
         last, which frees that one first."""
         if self._live is None or self._live.classes != classes:
             self._live = None
-            self._live = _ClassBasis(classes, self.train, self.val, self.spec)
+            self._live = _ClassBasis(classes, self.train, self.val)
         return self._live
 
 
@@ -100,18 +92,17 @@ class _ClassBasis:
     first use.
     """
 
-    def __init__(self, classes: frozenset[int], train: Rows, val: Rows, spec: ClassifierSpec):
+    def __init__(self, classes: frozenset[int], train: Rows, val: Rows):
         self.classes = classes
         self.order = sorted(c for c in classes if c in train.run.code_of)
         singletons = [(c,) for c in self.order]
         self._train, self.counts = train.grouped(singletons)
         self._val, self.val_counts = val.grouped(singletons)
         self.val_local = self._val.labels
-        self._spec = spec
 
     @cached_property
     def per_class(self) -> np.ndarray:
-        return _class_decisions(self._spec, self._train, self._val, len(self.order))
+        return _class_decisions(self._train, self._val, len(self.order))
 
     def in_group_one(self, c0: frozenset[int]) -> list[bool]:
         """For each class of `order`, whether it is outside c0 (in group 1)."""

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hiertsc import TimeSeriesDataset, build_tree
+from hiertsc import SplitContext, TimeSeriesDataset, build_tree
+from hiertsc.classifiers import Rows, Run
 
 #: Sparse int64 class ids, both extremes included.
 CLASS_IDS = st.sampled_from([-(2**63), -(10**12), -5, -1, 0, 3, 7, 10**9, 10**12, 2**63 - 1])
@@ -27,6 +28,15 @@ class StubContext:
     def score(self, c0, c1):
         self.calls += 1
         return self._scorer(frozenset(c0), frozenset(c1))
+
+
+def split_context(train, val, spec, rng):
+    """A SplitContext over two datasets: one run for `spec` over the rows of
+    `train`, then those of `val`, the first part training and the second
+    validating."""
+    run = Run(np.vstack([train.values, val.values]), np.concatenate([train.labels, val.labels]), spec)
+    n = train.n_instances
+    return SplitContext(train=Rows(run, np.arange(n)), val=Rows(run, np.arange(n, run.labels.size)), rng=rng)
 
 
 def target_scorer(side_a, side_b):

@@ -138,7 +138,7 @@ class Oracle:
         out = []
         for ko, (train, test) in enumerate(stratified_folds(self.labels, n_outer)):
             rows = Run.rows_of(TimeSeriesDataset(self.values[train], self.labels[train]), self.spec)
-            fresh, _, _ = _candidate_trees(rows, self.spec, resolve_splitter(splitter), n_iter, seed, ko)
+            fresh, _, _ = _candidate_trees(rows, resolve_splitter(splitter), n_iter, seed, ko)
             inner = [(train[a], train[b]) for a, b in stratified_folds(self.labels[train], n_inner)]
             inner_scores = [float(np.mean([self.score(t, a, b) for a, b in inner])) for t in fresh]
             flat_scores = [self.score(t, train, test) for t in fresh]

@@ -363,7 +363,7 @@ def test_class_decisions_are_bitwise_the_out_of_place_expression(kind, seed):
     train_idx, val_idx = np.sort(order[:cut]), np.sort(order[cut:])
     train = Rows(run, train_idx, rng.integers(0, k, train_idx.size))
     val = Rows(run, val_idx, np.zeros(val_idx.size, np.int64))
-    got = _class_decisions(spec, train, val, k)
+    got = _class_decisions(train, val, k)
     mean, scale, centre, centred = _centred(train)
     indicators = np.zeros((train_idx.size, k))
     indicators[np.arange(train_idx.size), train.labels] = 1.0

@@ -26,7 +26,7 @@ from hiertsc.dataset import collinear_superclusters
 from hiertsc.evaluation import FoldFeasibilityError, _candidate_trees, _outer_fold, select_tree
 from hiertsc.io import load_dataset, save_dataset
 from hiertsc.metrics import _f1_mean, accuracy
-from hiertsc.splitting import _group_f1, resolve_splitter
+from hiertsc.splitting import SPLITTERS, _group_f1, resolve_splitter
 from hiertsc.tree import tree_to_text
 
 from conftest import orthogonal_dataset, peek_dataset, separable_dataset
@@ -271,7 +271,7 @@ def test_flat_baseline_memorizing_stub_is_perfect():
     data = orthogonal_dataset(n_per_class=10, n_classes=3)
     spec = ClassifierSpec(kind="linear")
     rows = Run.rows_of(data, spec)
-    scores = flat_baseline(split_data(rows, 5).folds(rows), spec)
+    scores = flat_baseline(split_data(rows, 5).folds(rows))
     assert scores == [1.0] * 5
 
 
@@ -280,7 +280,7 @@ def test_flat_baseline_constant_stub_macro():
     data = TimeSeriesDataset(np.zeros((30, 6)), np.asarray([0, 1, 2] * 10))
     spec = ClassifierSpec(kind="linear")
     rows = Run.rows_of(data, spec)
-    scores = flat_baseline(split_data(rows, 5).folds(rows), spec)
+    scores = flat_baseline(split_data(rows, 5).folds(rows))
     assert scores == pytest.approx([1 / 6] * 5, abs=1e-12)
 
 
@@ -288,13 +288,13 @@ def test_flat_baseline_class_permutation_equivariance():
     data = separable_dataset(n_per_class=10, n_classes=3, seed=8)
     spec = ClassifierSpec(kind="linear")
     rows = Run.rows_of(data, spec)
-    base = flat_baseline(split_data(rows, 5).folds(rows), spec)
+    base = flat_baseline(split_data(rows, 5).folds(rows))
     perm = {0: 2, 1: 0, 2: 1}
     relabeled = TimeSeriesDataset(
         data.values, np.asarray([perm[int(c)] for c in data.labels])
     )
     relabeled_rows = Run.rows_of(relabeled, spec)
-    again = flat_baseline(split_data(relabeled_rows, 5).folds(relabeled_rows), spec)
+    again = flat_baseline(split_data(relabeled_rows, 5).folds(relabeled_rows))
     assert base == pytest.approx(again, abs=1e-12)
 
 
@@ -344,7 +344,7 @@ def test_outer_fold_is_a_pure_function_of_its_fold(n_inner):
     for ko in reversed(range(3)):
         train, test = folds[ko]
         plan = None if n_inner is None else split_data(train, n_inner)
-        record = _outer_fold(train, test, ko, plan, spec, resolve_splitter("srtr"), 3, 2)
+        record = _outer_fold(train, test, ko, plan, resolve_splitter("srtr"), 3, 2)
         assert record.to_dict() == report.folds[ko].to_dict()
 
 
@@ -386,13 +386,25 @@ def test_on_two_classes_the_hierarchy_is_the_flat_classifier(spec):
         assert fold.delta_g == 0.0
 
 
+@pytest.mark.parametrize("name", sorted(SPLITTERS))
+def test_registry_splitter_is_reported_by_its_registry_name(name):
+    """A registry splitter passed as its callable writes the report its
+    registry name writes, so ``analyze`` groups the two as one splitter."""
+    data = separable_dataset(n_per_class=8, n_classes=3, noise=1.0, seed=2)
+    spec = ClassifierSpec(kind="linear")
+    by_name = nested_cv(data, spec, name, n_iter=2, n_outer=2, n_inner=2)
+    by_callable = nested_cv(data, spec, SPLITTERS[name], n_iter=2, n_outer=2, n_inner=2)
+    assert by_callable.splitter_name == name
+    assert by_callable.to_json() == by_name.to_json()
+
+
 def test_candidate_streams_shared_between_schemes():
     data = separable_dataset(n_per_class=10, n_classes=4, noise=1.0, seed=4)
     spec = ClassifierSpec(kind="linear")
     splitter = resolve_splitter("srtr")
-    plan_train = data.subset(split_data(data, 5).train_indices(0))
-    once = _candidate_trees(plan_train, spec, splitter, 4, 0, 0)
-    twice = _candidate_trees(plan_train, spec, splitter, 4, 0, 0)
+    plan_train = Run.rows_of(data.subset(split_data(data, 5).train_indices(0)), spec)
+    once = _candidate_trees(plan_train, splitter, 4, 0, 0)
+    twice = _candidate_trees(plan_train, splitter, 4, 0, 0)
     assert [t.parents for t in once[0]] == [t.parents for t in twice[0]]
 
 
@@ -402,17 +414,17 @@ def test_select_tree_keeps_first_of_highest_scores(scores, kept, monkeypatch):
     spec = ClassifierSpec(kind="linear")
     rows = Run.rows_of(data, spec)
     splitter = resolve_splitter("srtr")
-    fresh, iterations, distinct = _candidate_trees(rows, spec, splitter, len(scores), 0, 0)
+    fresh, iterations, distinct = _candidate_trees(rows, splitter, len(scores), 0, 0)
     assert len(fresh) == len(scores)
     folds = split_data(rows, 3).folds(rows)
     calls = []
 
-    def score_trees(trees, handed, spec):
+    def score_trees(trees, handed):
         calls.append(([t.parents for t in trees], handed))
         return list(scores)
 
     monkeypatch.setattr(evaluation, "_score_trees", score_trees)
-    tree, score, its, dist = select_tree(rows, spec, splitter, len(scores), 0, 0, folds)
+    tree, score, its, dist = select_tree(rows, splitter, len(scores), 0, 0, folds)
     # one engine call scores every fresh tree on the very folds handed in
     assert len(calls) == 1 and calls[0][1] is folds
     assert calls[0][0] == [t.parents for t in fresh]
@@ -429,7 +441,7 @@ def test_fit_selects_with_the_inner_fold_rule(tmp_path, capsys):
     spec = ClassifierSpec(kind="linear", seed=1)
     rows = Run.rows_of(load_dataset(path), spec)
     inner = split_data(rows, 3).folds(rows)
-    tree, score, _, _ = select_tree(rows, spec, resolve_splitter("srtr"), 5, 1, 0, inner)
+    tree, score, _, _ = select_tree(rows, resolve_splitter("srtr"), 5, 1, 0, inner)
     assert printed["tree"] == tree_to_text(tree)
     assert printed["selection_score"] == score
 
@@ -512,4 +524,4 @@ def test_cv_rejects_bad_iteration_count():
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
             flat_cv(data, spec, "potr", n_iter=n_iter)
         with pytest.raises(ValueError, match="n_iter must be >= 1"):
-            select_tree(rows, spec, resolve_splitter("potr"), n_iter, 0, 0, folds)
+            select_tree(rows, resolve_splitter("potr"), n_iter, 0, 0, folds)

@@ -725,6 +725,34 @@ def test_cli_filter(tmp_path, capsys):
     assert decisions[0]["name"] == "HardToy"
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["data-root", "env"])
+def test_cli_filter_missing_catalog_root_exits_3(tmp_path, capsys, monkeypatch, via_env):
+    """A catalog root that is not a directory is an input error, named in
+    it, and no filter.json is written; an empty directory is an empty
+    catalog."""
+    missing, out = tmp_path / "missing-catalog", tmp_path / "fout"
+    if via_env:
+        monkeypatch.setenv("HIERTSC_DATA", str(missing))
+        args = ["filter", "--out", str(out)]
+    else:
+        args = ["filter", "--data-root", str(missing), "--out", str(out)]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {
+            "exit_code": 3,
+            "message": f"catalog root is not a directory: {missing}",
+            "type": "DatasetFormatError",
+        }
+    }
+    assert not (out / "filter.json").exists()
+    missing.mkdir()
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out) == {"kept": 0, "total": 0}
+    assert json.loads((out / "filter.json").read_text()) == []
+
+
 def test_cli_filter_reads_every_classifier_flag_for_both_kinds(tmp_path, monkeypatch, capsys):
     root = tmp_path / "catalog"
     write_dataset_dir(root, "Toy", separable_dataset(n_per_class=6, n_classes=3, seed=1))

@@ -241,7 +241,7 @@ def kernel_calls():
     return data, {
         "nested_cv": lambda: nested_cv(data, KERNEL, "potr", n_iter=2, n_outer=3, n_inner=2),
         "flat_cv": lambda: flat_cv(data, KERNEL, "srtr", n_iter=2, n_outer=3),
-        "flat_baseline": lambda: flat_baseline(split_data(data, 3).folds(Run.rows_of(data, KERNEL)), KERNEL),
+        "flat_baseline": lambda: flat_baseline(split_data(data, 3).folds(Run.rows_of(data, KERNEL))),
         "fit_lcpn": lambda: fit_lcpn(tree, data, KERNEL),
     }
 

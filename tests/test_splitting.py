@@ -18,11 +18,12 @@ from hiertsc import (
     leave_salient_one_out,
     pick_one_then_regroup,
     score_bipartition,
+    split_data,
     split_randomly_then_regroup,
     update_score_and_groups,
 )
 from hiertsc import classifiers
-from hiertsc.classifiers import Rows
+from hiertsc.classifiers import Rows, Run
 from hiertsc.splitting import (
     PERFECT_SCORE,
     SPLITTERS,
@@ -39,6 +40,7 @@ from conftest import (
     hash_scorer,
     peek_dataset,
     separable_dataset,
+    split_context,
     target_scorer,
 )
 
@@ -50,9 +52,7 @@ def real_context(seed=0, n_classes=3):
     idx = np.arange(data.n_instances)
     train = data.subset(idx[idx % 4 != 0])
     val = data.subset(idx[idx % 4 == 0])
-    return SplitContext(
-        train=train, val=val, spec=ClassifierSpec(kind="linear"), rng=np.random.default_rng(seed)
-    )
+    return split_context(train, val, ClassifierSpec(kind="linear"), np.random.default_rng(seed))
 
 
 # -- scoring -------------------------------------------------------------------
@@ -72,21 +72,14 @@ def test_score_constant_predictor_macro_value():
     # all predictions group 0 on a balanced validation part: (2/3 + 0) / 2;
     # all-zero series give zero weights, so every row goes to group 0
     data = TimeSeriesDataset(np.zeros((8, 6)), np.asarray([0, 0, 0, 0, 1, 1, 1, 1]))
-    ctx = SplitContext(
-        train=data,
-        val=data,
-        spec=ClassifierSpec(kind="linear"),
-        rng=np.random.default_rng(0),
-    )
+    ctx = split_context(data, data, ClassifierSpec(kind="linear"), np.random.default_rng(0))
     assert score_bipartition(ctx, {0}, {1}) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_score_requires_validation_instances():
     data = peek_dataset([0, 0, 1, 1, 2, 2])
     val = peek_dataset([0, 0, 1, 1])  # class 2 missing
-    ctx = SplitContext(
-        train=data, val=val, spec=ClassifierSpec(kind="linear"), rng=np.random.default_rng(0)
-    )
+    ctx = split_context(data, val, ClassifierSpec(kind="linear"), np.random.default_rng(0))
     with pytest.raises(ScoringError):
         score_bipartition(ctx, {0, 1}, {2})
 
@@ -107,15 +100,24 @@ def test_score_requires_validation_instances():
 def test_score_names_the_first_empty_group(train, val, message):
     """The four empty-group checks run in one order: training before
     validation, and within a part group 0 before group 1."""
-    ctx = SplitContext(
-        train=peek_dataset(train),
-        val=peek_dataset(val),
-        spec=ClassifierSpec(kind="linear"),
-        rng=np.random.default_rng(0),
+    ctx = split_context(
+        peek_dataset(train), peek_dataset(val), ClassifierSpec(kind="linear"), np.random.default_rng(0)
     )
     with pytest.raises(ScoringError) as raised:
         score_bipartition(ctx, {0, 1}, {2, 3})
     assert str(raised.value) == message
+
+
+def test_context_rows_must_come_from_one_run():
+    """Training and validation rows of two runs, even over the same data and
+    spec, are refused: each run has its own features (and bank)."""
+    data = separable_dataset(n_per_class=8, n_classes=3)
+    spec = ClassifierSpec(kind="kernel-ridge", num_kernels=4)
+    plan = split_data(data, 4)
+    train, _ = plan.fold(Run.rows_of(data, spec), 0)
+    _, val = plan.fold(Run.rows_of(data, spec), 0)
+    with pytest.raises(ValueError, match="rows of one run"):
+        SplitContext(train=train, val=val, rng=np.random.default_rng(0))
 
 
 def test_score_rejects_bad_groups():
@@ -138,11 +140,8 @@ def noisy_context(kind, seed, n_classes, n_per_class, length, num_kernels=8):
     data = TimeSeriesDataset(values, labels)
     idx = np.arange(data.n_instances)
     spec = ClassifierSpec(kind=kind, num_kernels=num_kernels, seed=seed)
-    return SplitContext(
-        train=data.subset(idx[idx % 3 != 0]),
-        val=data.subset(idx[idx % 3 == 0]),
-        spec=spec,
-        rng=np.random.default_rng(seed),
+    return split_context(
+        data.subset(idx[idx % 3 != 0]), data.subset(idx[idx % 3 == 0]), spec, np.random.default_rng(seed)
     )
 
 
@@ -186,7 +185,7 @@ def test_prepared_scores_equal_fresh_fits(kind, n_per_class, n_features, seed):
         fresh.append(score_bipartition(alone, c0, c1))
         train, _ = alone.train.grouped((c0, c1))
         val, _ = alone.val.grouped((c0, c1))
-        refit.append(f1_macro(val.labels, fit_classifier(alone.spec, train).predict_features(val.feats)))
+        refit.append(f1_macro(val.labels, fit_classifier(alone.train.run.spec, train).predict_features(val.feats)))
     assert shared == fresh == refit
 
 
@@ -224,7 +223,7 @@ def test_basis_decisions_match_a_fresh_fit(kind, n_per_class, n_features, seed, 
         val, _ = ctx.val.grouped((c0, c1))
         basis = ctx._basis(c0 | c1)
         got = basis.decisions(basis.in_group_one(c0))
-        fit = fit_classifier(ctx.spec, train)
+        fit = fit_classifier(ctx.train.run.spec, train)
         want = fit.scores(val.feats)
         assert np.array_equal(predicted_groups(got), fit.predict_features(val.feats))
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
@@ -238,13 +237,11 @@ def test_zero_decision_goes_to_group_zero():
     # group-0 targets, 0 on balanced groups, so all rows go to group 0,
     # as in a fresh fit's argmax tie
     data = TimeSeriesDataset(np.ones((8, 5)), np.array([0, 0, 1, 1, 2, 2, 3, 3]))
-    ctx = SplitContext(
-        train=data, val=data, spec=ClassifierSpec(kind="linear"), rng=np.random.default_rng(0)
-    )
+    ctx = split_context(data, data, ClassifierSpec(kind="linear"), np.random.default_rng(0))
     c0, c1 = {0, 3}, {1, 2}
     train, _ = ctx.train.grouped((c0, c1))
     val, _ = ctx.val.grouped((c0, c1))
-    assert not fit_classifier(ctx.spec, train).predict_features(val.feats).any()
+    assert not fit_classifier(ctx.train.run.spec, train).predict_features(val.feats).any()
     assert score_bipartition(ctx, c0, c1) == pytest.approx(1 / 3, abs=1e-12)
     live = ctx._live
     assert not predicted_groups(live.decisions(live.in_group_one(frozenset(c0)))).any()

@@ -42,7 +42,7 @@ def per_tree_selection(data, spec, splitter, n_iter, n_outer, n_inner, seed):
     out = []
     for ko in range(n_outer):
         train, test = rows.subset(outer.train_indices(ko)), rows.subset(outer.test_indices(ko))
-        fresh, _, _ = _candidate_trees(train, spec, resolve_splitter(splitter), n_iter, seed, ko)
+        fresh, _, _ = _candidate_trees(train, resolve_splitter(splitter), n_iter, seed, ko)
         inner = split_data(train, n_inner)
         folds = [(train.subset(inner.train_indices(k)), train.subset(inner.test_indices(k))) for k in range(n_inner)]
         inner_scores = [float(np.mean([fit_score(t, f, v, spec, data.values) for f, v in folds])) for t in fresh]
@@ -114,7 +114,7 @@ def test_the_first_error_is_the_one_per_tree_fits_meet(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     with pytest.raises(NodeTrainingError) as raised:
-        _score_trees([three, four], folds, LINEAR)
+        _score_trees([three, four], folds)
     assert str(raised.value) == per_tree
     assert solves == []
 
@@ -143,19 +143,19 @@ def test_tree_scoring_prepares_once_per_class_set_and_solves_once_per_split(monk
 
     trees = []
 
-    def counted_score_trees(fresh, folds, spec):
+    def counted_score_trees(fresh, folds):
         assert folds is inner
         trees.extend(fresh)
         scoring[0] = True
         try:
-            return _score_trees(fresh, folds, spec)
+            return _score_trees(fresh, folds)
         finally:
             scoring[0] = False
 
     monkeypatch.setattr(classifiers._PreparedRows, "__init__", counted_init)
     monkeypatch.setattr(classifiers, "ridge_solve", counted_solve)
     monkeypatch.setattr(evaluation, "_score_trees", counted_score_trees)
-    select_tree(train, spec, resolve_splitter("potr"), 10, 0, 0, inner)
+    select_tree(train, resolve_splitter("potr"), 10, 0, 0, inner)
     parents = [p for tree in trees for p in tree.parents]
     pairs = {(k, p.class_set) for k in range(4) for p in parents}
     triples = {(k, p.left, p.right) for k in range(4) for p in parents}
